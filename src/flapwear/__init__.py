@@ -20,8 +20,6 @@ from .predictions import (
     LabeledSample,
     Prediction,
     ProbabilityVector,
-    StageId,
-    View,
     argmax_class,
     confidence,
     parse_prediction_file,
@@ -32,8 +30,10 @@ from .taxonomy import (
     ConflictKind,
     FlapProfile,
     Severity,
+    StageId,
     TearState,
     UsageState,
+    View,
     WearOutcome,
     check_consistency,
     enumerate_consistent_outcomes,

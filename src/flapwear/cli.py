@@ -7,8 +7,9 @@ Subcommands:
     propagate  path accuracies, interval and corrected bounds
 
 All machine-readable outputs are deterministic for fixed inputs and
-seed. Exit codes: 0 success, 2 parse error, 3 validation error,
-4 config error.
+seed. Exit codes: 0 success, 2 parse error or unreadable input,
+3 validation error, 4 config error; each comes from the class of the
+raised error (see errors.py).
 """
 
 from __future__ import annotations
@@ -21,24 +22,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import engine, metrics, predictions, propagation, simulate
-from .predictions import (
-    LabeledSample,
-    ParseError,
-    Prediction,
-    StageId,
-    ValidationError,
-    VectorError,
-)
-from .synth import BadRow, InvalidSpec
+from .errors import ConfigError, FlapwearError, ParseError, ValidationError
+from .predictions import LabeledSample
+from .taxonomy import StageId
 
 EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_VALIDATION = 3
-EXIT_CONFIG = 4
-
-
-class ConfigError(Exception):
-    pass
+EXIT_PARSE = ParseError.exit_code
+EXIT_VALIDATION = ValidationError.exit_code
+EXIT_CONFIG = ConfigError.exit_code
 
 
 @dataclass
@@ -58,7 +49,7 @@ def _parse_config_file(path: Path) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -105,6 +96,8 @@ def build_config(args: argparse.Namespace) -> CliConfig:
                     rounding = int(value)
                 else:
                     raise ConfigError(f"unknown config key {key!r}")
+        except ConfigError:
+            raise
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"bad config value: {exc}") from exc
 
@@ -119,14 +112,11 @@ def build_config(args: argparse.Namespace) -> CliConfig:
     if args.seed is not None:
         seed = args.seed
 
-    try:
-        engine_config = engine.EngineConfig(
-            thresholds=thresholds,
-            conflict_policy=conflict_policy,
-            ensemble_min_runs=ensemble_min_runs,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    engine_config = engine.EngineConfig(
+        thresholds=thresholds,
+        conflict_policy=conflict_policy,
+        ensemble_min_runs=ensemble_min_runs,
+    )
     return CliConfig(engine_config, report_dir, seed, rounding)
 
 
@@ -159,11 +149,8 @@ def _group_runs(samples) -> dict[str, list[engine.RunInput]]:
         counts = {s: len(stages.get(s, [])) for s in required}
         if len(set(counts.values())) != 1 or 0 in counts.values():
             raise ValidationError(
-                0,
-                ValueError(
-                    f"tool {tool_id}: usage/profile/tear vector counts differ: "
-                    f"{ {s.value: c for s, c in counts.items()} }"
-                ),
+                f"tool {tool_id}: usage/profile/tear vector counts differ: "
+                f"{ {s.value: c for s, c in counts.items()} }"
             )
         n_runs = counts[StageId.USAGE]
 
@@ -222,7 +209,7 @@ def cmd_evaluate(args: argparse.Namespace, config: CliConfig) -> int:
     samples = predictions.parse_prediction_file(args.labeled_file)
     labeled = [s for s in samples if isinstance(s, LabeledSample)]
     if not labeled:
-        raise ValidationError(0, ValueError("file contains no labeled samples"))
+        raise ValidationError("file contains no labeled samples")
 
     by_stage: dict[StageId, list[LabeledSample]] = {}
     for sample in labeled:
@@ -300,19 +287,32 @@ def cmd_evaluate(args: argparse.Namespace, config: CliConfig) -> int:
 def _load_simulation_config(path: Path) -> dict:
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ParseError(exc.lineno, f"invalid JSON in {path}: {exc.msg}") from exc
+        raise ParseError(f"invalid JSON in {path}: {exc.msg}", exc.lineno) from exc
     if not isinstance(payload, dict):
-        raise ParseError(1, "simulation config must be a JSON object")
+        raise ParseError("simulation config must be a JSON object")
     return payload
+
+
+def _sim_setting(sim_config: dict, key: str, convert, default):
+    """A simulation config value passed through convert; failures are config errors."""
+    try:
+        return convert(sim_config.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad simulation config value {key}: {exc}") from exc
+
+
+def _confidence_law(value) -> tuple[float, float, float]:
+    mean_correct, mean_false, spread = (float(x) for x in value)
+    return mean_correct, mean_false, spread
 
 
 def cmd_simulate(args: argparse.Namespace, config: CliConfig) -> int:
     sim_config = _load_simulation_config(Path(args.sim_config))
     mode = sim_config.get("mode", "synth")
-    n = args.n if args.n is not None else int(sim_config.get("n", 1100))
+    n = args.n if args.n is not None else _sim_setting(sim_config, "n", int, 1100)
     if n < 1:
         raise ConfigError("simulation size must be >= 1")
 
@@ -320,7 +320,7 @@ def cmd_simulate(args: argparse.Namespace, config: CliConfig) -> int:
         report = simulate.run_synthetic_batch(
             n,
             config.seed,
-            noise_sigma=float(sim_config.get("noise_sigma", 0.0)),
+            noise_sigma=_sim_setting(sim_config, "noise_sigma", float, 0.0),
             config=config.engine,
         )
     elif mode == "oracle":
@@ -329,9 +329,14 @@ def cmd_simulate(args: argparse.Namespace, config: CliConfig) -> int:
                 StageId(name): counts
                 for name, counts in sim_config["matrices"].items()
             }
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, AttributeError) as exc:
             raise ConfigError(f"oracle config needs per-stage matrices: {exc}") from exc
-        law = tuple(sim_config.get("confidence_law", simulate.DEFAULT_CONFIDENCE_LAW))
+        missing = [stage.value for stage in StageId if stage not in matrices]
+        if missing:
+            raise ConfigError(f"oracle config needs per-stage matrices, missing {missing}")
+        law = _sim_setting(
+            sim_config, "confidence_law", _confidence_law, simulate.DEFAULT_CONFIDENCE_LAW
+        )
         report = simulate.run_oracle_batch(matrices, n, config.seed, law)
         acc = simulate.matrices_to_accuracies(matrices)
         report["propagation"] = propagation.propagation_report(acc, decimals=config.rounding)
@@ -356,18 +361,9 @@ def cmd_simulate(args: argparse.Namespace, config: CliConfig) -> int:
 def cmd_propagate(args: argparse.Namespace, config: CliConfig) -> int:
     payload = _load_simulation_config(Path(args.input))
     try:
-        acc_values = payload["accuracies"]
-        acc = propagation.StageAccuracies(
-            j_usage=acc_values["usage"],
-            j_tear=acc_values["tear"],
-            j_profile=acc_values["profile"],
-            j_concave=acc_values.get("concave", 1.0),
-            j_convex=acc_values.get("convex", 1.0),
-        )
+        acc = propagation.StageAccuracies.from_names(payload["accuracies"])
     except KeyError as exc:
         raise ConfigError(f"propagation input needs accuracies.{exc.args[0]}") from exc
-    except ValueError as exc:
-        raise ValidationError(0, exc) from exc
 
     ledger = None
     if "ledger" in payload:
@@ -383,7 +379,9 @@ def cmd_propagate(args: argparse.Namespace, config: CliConfig) -> int:
                 conflict_caught=raw.get("conflict_caught", 0),
                 conflicts_overlap_thresholds=raw.get("conflicts_overlap_thresholds", False),
             )
-        except (KeyError, ValueError) as exc:
+        except FlapwearError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad ledger: {exc}") from exc
 
     report = propagation.propagation_report(acc, ledger, config.rounding)
@@ -451,20 +449,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = build_config(args)
         return args.func(args, config)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ValidationError, VectorError, InvalidSpec, BadRow,
-            propagation.LedgerInconsistent, propagation.BadMix,
-            metrics.MetricsError, engine.EngineError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except FlapwearError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

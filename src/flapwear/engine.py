@@ -10,20 +10,21 @@ by majority vote.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from statistics import fmean
 from typing import Optional
 
-from .predictions import ProbabilityVector, StageId, argmax_class, confidence
+from .errors import ConfigError, ValidationError
+from .predictions import ProbabilityVector, argmax_class, confidence
 from .taxonomy import (
+    SEVERITY_STAGE,
+    STAGE_CLASSES,
+    STAGE_STATES,
     ConflictKind,
-    FlapProfile,
     Severity,
-    TearState,
-    UsageState,
+    StageId,
     WearOutcome,
     check_consistency,
     outcome_from_parts,
@@ -65,7 +66,7 @@ class ReviewFlag:
         return "missing_severity_input"
 
 
-class EngineError(Exception):
+class EngineError(ValidationError):
     pass
 
 
@@ -92,13 +93,15 @@ class EngineConfig:
     def __post_init__(self):
         for stage, t in self.thresholds.items():
             if not 0.0 <= t <= 1.0:
-                raise ValueError(f"threshold for {stage.value} outside [0, 1]: {t}")
+                raise ConfigError(f"threshold for {stage.value} outside [0, 1]: {t}")
         if self.ensemble_min_runs < 1:
-            raise ValueError("ensemble_min_runs must be positive")
+            raise ConfigError("ensemble_min_runs must be positive")
 
 
 @dataclass(frozen=True)
 class RunInput:
+    """The stage vectors of one run; each field is named after its StageId value."""
+
     tool_id: str
     usage: ProbabilityVector
     profile: ProbabilityVector
@@ -125,8 +128,6 @@ class RunResult:
         return fmean(conf for _, conf in self.stage_decisions.values())
 
     def to_record(self) -> dict:
-        from .predictions import STAGE_CLASSES  # local import avoids cycle at module load
-
         return {
             "tool_id": self.tool_id,
             "verdict": self.verdict,
@@ -181,12 +182,6 @@ class EnsembleResult:
         }
 
 
-_PROFILE_BY_INDEX = (FlapProfile.RECTANGULAR, FlapProfile.CONCAVE, FlapProfile.CONVEX)
-_USAGE_BY_INDEX = (UsageState.NEW, UsageState.USED)
-_TEAR_BY_INDEX = (TearState.WITH_TEAR, TearState.NO_TEAR)
-_SEVERITY_BY_INDEX = (Severity.FULLY, Severity.PARTIALLY)
-
-
 def classify_run(run: RunInput, config: EngineConfig | None = None) -> RunResult:
     """Execute the full hierarchy for one tool observation.
 
@@ -209,27 +204,21 @@ def classify_run(run: RunInput, config: EngineConfig | None = None) -> RunResult
     ):
         decisions[stage] = (argmax_class(vector), confidence(vector))
 
-    usage = _USAGE_BY_INDEX[decisions[StageId.USAGE][0]]
-    profile = _PROFILE_BY_INDEX[decisions[StageId.PROFILE][0]]
-    tear = _TEAR_BY_INDEX[decisions[StageId.TEAR][0]]
+    usage = STAGE_STATES[StageId.USAGE][decisions[StageId.USAGE][0]]
+    profile = STAGE_STATES[StageId.PROFILE][decisions[StageId.PROFILE][0]]
+    tear = STAGE_STATES[StageId.TEAR][decisions[StageId.TEAR][0]]
 
     conflicts = check_consistency(usage, profile, tear)
     for kind in conflicts:
         flags.add(ReviewFlag(FlagType.CONFLICT, conflict=kind))
 
     severity: Optional[Severity] = None
-    severity_stage: Optional[StageId] = None
-    if profile is FlapProfile.CONCAVE:
-        severity_stage, severity_vector = StageId.CONCAVE_SEVERITY, run.concave_severity
-    elif profile is FlapProfile.CONVEX:
-        severity_stage, severity_vector = StageId.CONVEX_SEVERITY, run.convex_severity
-    else:
-        severity_vector = None
-
+    severity_stage = SEVERITY_STAGE.get(profile)
     take_level3 = severity_stage is not None and not (
         conflicts and config.conflict_policy is ConflictPolicy.REJECT_RUN
     )
     if take_level3:
+        severity_vector = getattr(run, severity_stage.value)
         if severity_vector is None:
             if config.conflict_policy is ConflictPolicy.REJECT_RUN:
                 raise MissingSeverityInput(
@@ -239,7 +228,7 @@ def classify_run(run: RunInput, config: EngineConfig | None = None) -> RunResult
         else:
             idx, conf = argmax_class(severity_vector), confidence(severity_vector)
             decisions[severity_stage] = (idx, conf)
-            severity = _SEVERITY_BY_INDEX[idx]
+            severity = STAGE_STATES[severity_stage][idx]
 
     for stage, (_, conf) in decisions.items():
         threshold = config.thresholds.get(stage)
@@ -315,6 +304,3 @@ def ensemble_classify(runs: list[RunResult], config: EngineConfig | None = None)
         runs_used=len(usable),
     )
 
-
-def result_to_json(result: RunResult | EnsembleResult) -> str:
-    return json.dumps(result.to_record(), sort_keys=True)

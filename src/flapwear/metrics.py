@@ -14,18 +14,15 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .predictions import STAGE_CLASSES, StageId
+from .errors import EmptyInput, ValidationError
+from .taxonomy import STAGE_CLASSES, StageId
 
 
-class MetricsError(Exception):
+class MetricsError(ValidationError):
     pass
 
 
 class IndexOutOfRange(MetricsError):
-    pass
-
-
-class StageMismatch(MetricsError):
     pass
 
 
@@ -39,10 +36,6 @@ class UndefinedClassMetric(MetricsError):
 
 class DegenerateInput(MetricsError):
     """ROC needs at least one positive and one negative sample."""
-
-
-class EmptyInput(MetricsError):
-    pass
 
 
 def round_report(x: float, decimals: int = 3) -> float:
@@ -86,24 +79,6 @@ def accumulate(cm: ConfusionMatrix, truth: int, predicted: int) -> ConfusionMatr
         raise IndexOutOfRange(f"indices ({truth}, {predicted}) outside 0..{n - 1}")
     cm.counts[truth][predicted] += 1
     return cm
-
-
-def from_pairs(stage: StageId, pairs: Sequence[tuple[int, int]]) -> ConfusionMatrix:
-    cm = ConfusionMatrix(stage)
-    for truth, predicted in pairs:
-        accumulate(cm, truth, predicted)
-    return cm
-
-
-def merge(a: ConfusionMatrix, b: ConfusionMatrix) -> ConfusionMatrix:
-    """Elementwise sum of two matrices for the same stage."""
-    if a.stage is not b.stage:
-        raise StageMismatch(f"cannot merge {a.stage.value} with {b.stage.value}")
-    counts = [
-        [a.counts[i][j] + b.counts[i][j] for j in range(a.n_classes)]
-        for i in range(a.n_classes)
-    ]
-    return ConfusionMatrix(a.stage, counts)
 
 
 @dataclass(frozen=True)
@@ -272,10 +247,3 @@ def write_confusion_csv(cm: ConfusionMatrix, path: str | Path, decimals: int = 3
                 [name, *cm.counts[cls], fmt(m.precision), fmt(m.recall), fmt(m.f1)]
             )
 
-
-def write_roc_csv(curve: RocCurve, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fpr", "tpr"])
-        for fpr, tpr in curve.points:
-            writer.writerow([repr(fpr), repr(tpr)])

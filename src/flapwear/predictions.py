@@ -12,57 +12,16 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .taxonomy import FlapProfile, Severity, TearState, UsageState
+from .errors import EmptyInput, ParseError, ValidationError
+from .taxonomy import STAGE_CLASSES, STAGE_VIEW, StageId, View
 
 SUM_TOLERANCE = 1e-6
 
 
-class View(Enum):
-    RADIAL = "radial"
-    AXIAL = "axial"
-
-
-class StageId(Enum):
-    USAGE = "usage"
-    PROFILE = "profile"
-    TEAR = "tear"
-    CONCAVE_SEVERITY = "concave_severity"
-    CONVEX_SEVERITY = "convex_severity"
-
-
-# Class order per stage is a wire contract: vectors and confusion
-# matrices index classes in exactly this order.
-STAGE_CLASSES: dict[StageId, tuple[str, ...]] = {
-    StageId.USAGE: (UsageState.NEW.value, UsageState.USED.value),
-    StageId.PROFILE: (
-        FlapProfile.RECTANGULAR.value,
-        FlapProfile.CONCAVE.value,
-        FlapProfile.CONVEX.value,
-    ),
-    StageId.TEAR: (TearState.WITH_TEAR.value, TearState.NO_TEAR.value),
-    StageId.CONCAVE_SEVERITY: (Severity.FULLY.value, Severity.PARTIALLY.value),
-    StageId.CONVEX_SEVERITY: (Severity.FULLY.value, Severity.PARTIALLY.value),
-}
-
-# Tears are judged on the axial view, everything else on the radial one.
-STAGE_VIEW: dict[StageId, View] = {
-    StageId.USAGE: View.RADIAL,
-    StageId.PROFILE: View.RADIAL,
-    StageId.TEAR: View.AXIAL,
-    StageId.CONCAVE_SEVERITY: View.RADIAL,
-    StageId.CONVEX_SEVERITY: View.RADIAL,
-}
-
-
-def stage_class_count(stage: StageId) -> int:
-    return len(STAGE_CLASSES[stage])
-
-
-class VectorError(ValueError):
+class VectorError(ValidationError):
     """A probability vector violates its invariants."""
 
 
@@ -78,25 +37,8 @@ class NotNormalized(VectorError):
     pass
 
 
-class ViewMismatch(ValueError):
+class ViewMismatch(ValidationError):
     """Prediction view does not match the stage's required view."""
-
-
-class ParseError(ValueError):
-    def __init__(self, line: int, message: str):
-        self.line = line
-        super().__init__(f"line {line}: {message}")
-
-
-class ValidationError(ValueError):
-    def __init__(self, line: int, cause: Exception):
-        self.line = line
-        self.cause = cause
-        super().__init__(f"line {line}: {cause}")
-
-
-class EmptyInput(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -114,7 +56,7 @@ def validate_vector(v: ProbabilityVector) -> None:
     Normalization is never applied silently; a vector whose entries do
     not sum to 1 within SUM_TOLERANCE is rejected with the deviation.
     """
-    expected = stage_class_count(v.stage)
+    expected = len(STAGE_CLASSES[v.stage])
     if len(v.probs) != expected:
         raise BadLength(
             f"stage {v.stage.value} expects {expected} classes, got {len(v.probs)}"
@@ -161,7 +103,7 @@ class LabeledSample:
     truth: int
 
     def __post_init__(self):
-        n = stage_class_count(self.prediction.vector.stage)
+        n = len(STAGE_CLASSES[self.prediction.vector.stage])
         if not 0 <= self.truth < n:
             raise OutOfRange(f"truth index {self.truth} outside stage range 0..{n - 1}")
 
@@ -181,23 +123,24 @@ def _record_to_sample(rec: dict, line_no: int) -> LabeledSample | Prediction:
         if not isinstance(probs, list) or not all(
             isinstance(p, (int, float)) and not isinstance(p, bool) for p in probs
         ):
-            raise ParseError(line_no, "probs must be an array of numbers")
+            raise ParseError("probs must be an array of numbers", line_no)
         vector = ProbabilityVector(stage, tuple(probs))
-        prediction = Prediction(str(rec["image_id"]), str(rec["tool_id"]), view, vector)
+        image_id, tool_id = str(rec["image_id"]), str(rec["tool_id"])
     except ParseError:
         raise
     except (KeyError, ValueError, TypeError) as exc:
-        raise ParseError(line_no, str(exc)) from exc
+        raise ParseError(str(exc), line_no) from exc
 
     try:
+        prediction = Prediction(image_id, tool_id, view, vector)
         validate_vector(vector)
         if "truth" in rec and rec["truth"] is not None:
             truth = STAGE_CLASSES[stage].index(rec["truth"])
             return LabeledSample(prediction, truth)
     except (VectorError, ViewMismatch) as exc:
-        raise ValidationError(line_no, exc) from exc
+        raise ValidationError(str(exc), line_no) from exc
     except ValueError as exc:
-        raise ParseError(line_no, f"unknown truth class {rec['truth']!r}") from exc
+        raise ParseError(f"unknown truth class {rec['truth']!r}", line_no) from exc
     return prediction
 
 
@@ -207,21 +150,25 @@ def parse_prediction_file(path: str | Path) -> list[LabeledSample | Prediction]:
     Each line is a JSON record with fields image_id, tool_id, view,
     stage, probs and optionally truth (canonical class name). Records
     with a truth field come back as LabeledSample, others as Prediction.
-    Blank lines are skipped; errors carry the 1-based line number.
+    Blank lines are skipped; errors carry the 1-based line number. A file
+    that cannot be opened or is not UTF-8 text is a ParseError too.
     """
     samples: list[LabeledSample | Prediction] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(line_no, f"invalid JSON: {exc.msg}") from exc
-            if not isinstance(rec, dict):
-                raise ParseError(line_no, "record must be a JSON object")
-            samples.append(_record_to_sample(rec, line_no))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"invalid JSON: {exc.msg}", line_no) from exc
+                if not isinstance(rec, dict):
+                    raise ParseError("record must be a JSON object", line_no)
+                samples.append(_record_to_sample(rec, line_no))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
     return samples
 
 
@@ -248,15 +195,6 @@ def write_prediction_file(path: str | Path, items: Iterable[LabeledSample | Pred
     with open(path, "w", encoding="utf-8") as fh:
         for item in items:
             fh.write(serialize_record(item) + "\n")
-
-
-def write_manifest(path: str | Path) -> None:
-    """Sidecar manifest declaring the class order of every stage."""
-    manifest = {
-        "stages": {s.value: list(STAGE_CLASSES[s]) for s in StageId},
-        "views": {s.value: STAGE_VIEW[s].value for s in StageId},
-    }
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
 
 
 def split_by_tool(

@@ -4,29 +4,34 @@ The overall accuracy of a staged classification is the product of the
 stage accuracies along the decision path, which yields a branch-dependent
 interval rather than a single number. A correction ledger models how
 many errors the conflict check and the confidence thresholds would catch
-if every re-examination succeeded, and a Monte-Carlo simulator exposes
-the stage-independence assumption behind the product formula.
+if every re-examination succeeded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Mapping
 
-import numpy as np
+from .errors import ValidationError
+from .taxonomy import BRANCH_STAGES, FlapProfile, StageId
 
-from .predictions import SUM_TOLERANCE, StageId
-from .taxonomy import FlapProfile
+# Name of each stage's accuracy in reports and in propagate's input;
+# StageAccuracies holds it in the field j_<name>.
+ACCURACY_NAMES: dict[StageId, str] = {
+    StageId.USAGE: "usage",
+    StageId.TEAR: "tear",
+    StageId.PROFILE: "profile",
+    StageId.CONCAVE_SEVERITY: "concave",
+    StageId.CONVEX_SEVERITY: "convex",
+}
 
 
-class PropagationError(Exception):
+class PropagationError(ValidationError):
     pass
 
 
 class LedgerInconsistent(PropagationError):
-    pass
-
-
-class BadMix(PropagationError):
     pass
 
 
@@ -39,24 +44,37 @@ class StageAccuracies:
     j_convex: float = 1.0
 
     def __post_init__(self):
-        for name in ("j_usage", "j_tear", "j_profile", "j_concave", "j_convex"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} outside [0, 1]: {v}")
+        for name, v in self.by_name().items():
+            if not isinstance(v, (int, float)) or not 0.0 <= v <= 1.0:
+                raise PropagationError(f"j_{name} outside [0, 1]: {v!r}")
+
+    @classmethod
+    def from_names(cls, values: Mapping[str, float]) -> StageAccuracies:
+        """Accuracies keyed by ACCURACY_NAMES; an absent name keeps its field default.
+
+        Raises KeyError with the name of an absent accuracy that has no default.
+        """
+        kwargs = {}
+        for f in fields(cls):
+            name = f.name.removeprefix("j_")
+            if name in values or f.default is MISSING:
+                kwargs[f.name] = values[name]
+        return cls(**kwargs)
+
+    def by_name(self) -> dict[str, float]:
+        return {name: getattr(self, f"j_{name}") for name in ACCURACY_NAMES.values()}
+
+    def of(self, stage: StageId) -> float:
+        return getattr(self, f"j_{ACCURACY_NAMES[stage]}")
 
 
 def path_accuracy(acc: StageAccuracies, profile_branch: FlapProfile) -> float:
-    """Product of stage accuracies along one profile branch.
+    """Product of stage accuracies along one profile branch, in BRANCH_STAGES order.
 
     The rectangular branch has three stages; concave/convex append their
     severity stage.
     """
-    product = acc.j_usage * acc.j_tear * acc.j_profile
-    if profile_branch is FlapProfile.CONCAVE:
-        product *= acc.j_concave
-    elif profile_branch is FlapProfile.CONVEX:
-        product *= acc.j_convex
-    return product
+    return math.prod(acc.of(stage) for stage in BRANCH_STAGES[profile_branch])
 
 
 def accuracy_interval(acc: StageAccuracies) -> tuple[float, float]:
@@ -82,6 +100,14 @@ class CorrectionLedger:
     conflicts_overlap_thresholds: bool = False
 
     def __post_init__(self):
+        counts = (
+            self.total_runs,
+            self.total_errors,
+            self.conflict_caught,
+            *(c for pair in self.threshold_caught.values() for c in pair),
+        )
+        if not all(isinstance(c, (int, float)) for c in counts):
+            raise LedgerInconsistent(f"ledger counts must be numbers, got {counts}")
         if self.total_runs <= 0:
             raise LedgerInconsistent("total_runs must be positive")
         if not 0 <= self.total_errors <= self.total_runs:
@@ -117,39 +143,6 @@ def corrected_accuracy(ledger: CorrectionLedger) -> tuple[float, float]:
     return (low, high)
 
 
-def monte_carlo_hierarchy(
-    acc: StageAccuracies,
-    branch_mix: tuple[float, float, float],
-    n_trials: int,
-    seed: int,
-) -> float:
-    """Simulated hierarchy accuracy under stage independence.
-
-    branch_mix gives the (rectangular, concave, convex) truth
-    proportions; each stage along a trial's branch succeeds independently
-    with its accuracy. Returns the fraction of fully correct trials.
-    """
-    if n_trials < 1:
-        raise BadMix("n_trials must be >= 1")
-    if any(m < 0 for m in branch_mix) or abs(sum(branch_mix) - 1.0) > SUM_TOLERANCE:
-        raise BadMix(f"branch mix must be non-negative and sum to 1: {branch_mix}")
-
-    rng = np.random.default_rng(seed)
-    branches = rng.choice(3, size=n_trials, p=np.asarray(branch_mix) / sum(branch_mix))
-
-    u = rng.random((n_trials, 4))
-    success = (
-        (u[:, 0] < acc.j_usage)
-        & (u[:, 1] < acc.j_tear)
-        & (u[:, 2] < acc.j_profile)
-    )
-    severity_acc = np.ones(n_trials)
-    severity_acc[branches == 1] = acc.j_concave
-    severity_acc[branches == 2] = acc.j_convex
-    success &= u[:, 3] < severity_acc
-    return float(np.count_nonzero(success)) / n_trials
-
-
 def propagation_report(
     acc: StageAccuracies,
     ledger: CorrectionLedger | None = None,
@@ -158,13 +151,7 @@ def propagation_report(
     from .metrics import round_report
 
     report = {
-        "stage_accuracies": {
-            "usage": acc.j_usage,
-            "tear": acc.j_tear,
-            "profile": acc.j_profile,
-            "concave": acc.j_concave,
-            "convex": acc.j_convex,
-        },
+        "stage_accuracies": acc.by_name(),
         "path_accuracy": {
             branch.value: round_report(path_accuracy(acc, branch), decimals)
             for branch in FlapProfile

@@ -12,9 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import EngineConfig, RunInput, classify_run
-from .predictions import StageId
-from .propagation import StageAccuracies, path_accuracy
+from .errors import ValidationError
+from .propagation import ACCURACY_NAMES, StageAccuracies, path_accuracy
 from .synth import (
+    BadRow,
     InvalidSpec,
     WheelSpec,
     generate_observation,
@@ -22,36 +23,15 @@ from .synth import (
     sample_oracle_predictions,
 )
 from .taxonomy import (
+    BRANCH_STAGES,
     CONSISTENT_OUTCOMES,
     FlapProfile,
+    StageId,
     TearState,
     WearOutcome,
-    outcome_from_parts,
 )
 
-# Stages along each profile branch, in decision order.
-BRANCH_STAGES: dict[FlapProfile, tuple[StageId, ...]] = {
-    FlapProfile.RECTANGULAR: (StageId.USAGE, StageId.TEAR, StageId.PROFILE),
-    FlapProfile.CONCAVE: (
-        StageId.USAGE,
-        StageId.TEAR,
-        StageId.PROFILE,
-        StageId.CONCAVE_SEVERITY,
-    ),
-    FlapProfile.CONVEX: (
-        StageId.USAGE,
-        StageId.TEAR,
-        StageId.PROFILE,
-        StageId.CONVEX_SEVERITY,
-    ),
-}
-
 DEFAULT_CONFIDENCE_LAW = (0.97, 0.89, 0.03)
-
-
-def expected_outcome(spec: WheelSpec) -> WearOutcome:
-    """Ground-truth outcome of a consistent wheel spec."""
-    return outcome_from_parts(spec.usage, spec.profile, spec.tear, spec.severity)
 
 
 def spec_for_outcome(
@@ -134,7 +114,7 @@ def row_probabilities(counts: list[list[int]]) -> np.ndarray:
     counts_arr = np.asarray(counts, dtype=float)
     totals = counts_arr.sum(axis=1, keepdims=True)
     if np.any(totals == 0):
-        raise ValueError("confusion matrix has an empty truth row")
+        raise BadRow("confusion matrix has an empty truth row")
     return counts_arr / totals
 
 
@@ -150,13 +130,7 @@ def matrices_to_accuracies(matrices: dict[StageId, list[list[int]]]) -> StageAcc
         counts_arr = np.asarray(matrices[stage], dtype=float)
         return float(np.trace(counts_arr) / counts_arr.sum())
 
-    return StageAccuracies(
-        j_usage=acc(StageId.USAGE),
-        j_tear=acc(StageId.TEAR),
-        j_profile=acc(StageId.PROFILE),
-        j_concave=acc(StageId.CONCAVE_SEVERITY),
-        j_convex=acc(StageId.CONVEX_SEVERITY),
-    )
+    return StageAccuracies.from_names({name: acc(s) for s, name in ACCURACY_NAMES.items()})
 
 
 def oracle_branch_trials(
@@ -173,6 +147,8 @@ def oracle_branch_trials(
     so each stage errs at exactly the matrix's overall error rate. A
     trial is correct when every stage on the branch is.
     """
+    if n_trials < 1:
+        raise ValidationError(f"n_trials must be >= 1, got {n_trials}")
     rng = np.random.default_rng(seed)
     stage_results: dict[StageId, dict[str, np.ndarray]] = {}
     all_correct = np.ones(n_trials, dtype=bool)
@@ -215,12 +191,6 @@ def run_oracle_batch(
     return {
         "mode": "oracle",
         "n_trials_per_branch": n_trials,
-        "stage_accuracies": {
-            "usage": acc.j_usage,
-            "tear": acc.j_tear,
-            "profile": acc.j_profile,
-            "concave": acc.j_concave,
-            "convex": acc.j_convex,
-        },
+        "stage_accuracies": acc.by_name(),
         "branches": branches,
     }

@@ -2,10 +2,10 @@
 
 Generates 1-D radial profile contours and axial gap patterns from a
 wheel spec, plus rule-based feature classifiers that turn those
-observations into probability vectors, and a stochastic oracle that
-imitates an upstream model with a given confusion behavior. Together
-they close the loop around the hierarchy engine without images or
-trained networks.
+observations into probability vectors, and a vectorized stochastic
+oracle that imitates upstream models with a given confusion behavior.
+Together they close the loop around the hierarchy engine without images
+or trained networks.
 """
 
 from __future__ import annotations
@@ -16,14 +16,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .predictions import (
+from .errors import ValidationError
+from .predictions import ProbabilityVector
+from .taxonomy import (
+    SEVERITY_STAGE,
     STAGE_CLASSES,
-    STAGE_VIEW,
-    Prediction,
-    ProbabilityVector,
+    FlapProfile,
+    Severity,
     StageId,
+    TearState,
+    UsageState,
 )
-from .taxonomy import FlapProfile, Severity, TearState, UsageState
 
 PROFILE_SAMPLES = 64
 BASE_RADIUS = 0.85
@@ -49,11 +52,11 @@ _SEVERITY_SLOPE = 8.0
 _PROFILE_SCORE_GAIN = 30.0
 
 
-class InvalidSpec(ValueError):
+class InvalidSpec(ValidationError):
     pass
 
 
-class BadRow(ValueError):
+class BadRow(ValidationError):
     pass
 
 
@@ -79,7 +82,7 @@ class WheelSpec:
             raise InvalidSpec("profile_depth must be in [0, 0.5]")
         if self.noise_sigma < 0.0:
             raise InvalidSpec("noise_sigma must be non-negative")
-        shaped = self.profile in (FlapProfile.CONCAVE, FlapProfile.CONVEX)
+        shaped = self.profile in SEVERITY_STAGE
         if shaped and self.severity is None:
             raise InvalidSpec(f"{self.profile.value} profile requires a severity")
         if not shaped and self.severity is not None:
@@ -101,21 +104,6 @@ class WheelSpec:
     @property
     def tear(self) -> TearState:
         return TearState.WITH_TEAR if self.torn_flaps else TearState.NO_TEAR
-
-
-def adversarial_fringe_spec(**overrides) -> WheelSpec:
-    """Worn rectangular wheel that kept its fringes.
-
-    Reproduces the dominant error mode of usage detection: leftover
-    fringes on a used wheel make it look new.
-    """
-    kwargs = dict(
-        usage=UsageState.USED,
-        profile=FlapProfile.RECTANGULAR,
-        fringe=True,
-    )
-    kwargs.update(overrides)
-    return WheelSpec(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -230,11 +218,7 @@ def severity_feature_classifier(
     partial/complete boundary, so inputs near the boundary come out
     genuinely uncertain.
     """
-    if branch is FlapProfile.CONCAVE:
-        stage = StageId.CONCAVE_SEVERITY
-    elif branch is FlapProfile.CONVEX:
-        stage = StageId.CONVEX_SEVERITY
-    else:
+    if branch not in SEVERITY_STAGE:
         raise InvalidSpec("severity is only defined for concave/convex branches")
 
     samples = np.asarray(radial.samples)
@@ -247,7 +231,7 @@ def severity_feature_classifier(
         affected_fraction = float(np.count_nonzero(affected)) / len(samples)
 
     p_fully = 1.0 / (1.0 + math.exp(-_SEVERITY_SLOPE * (affected_fraction - SEVERITY_BOUNDARY)))
-    return ProbabilityVector(stage, (p_fully, 1.0 - p_fully))
+    return ProbabilityVector(SEVERITY_STAGE[branch], (p_fully, 1.0 - p_fully))
 
 
 def tear_feature_classifier(axial: AxialGapPattern) -> ProbabilityVector:
@@ -279,14 +263,9 @@ def observation_vectors(obs: SyntheticObservation) -> dict[StageId, ProbabilityV
         StageId.PROFILE: profile_feature_classifier(obs.radial),
         StageId.TEAR: tear_feature_classifier(obs.axial),
     }
-    if obs.spec.profile is FlapProfile.CONCAVE:
-        vectors[StageId.CONCAVE_SEVERITY] = severity_feature_classifier(
-            obs.radial, FlapProfile.CONCAVE
-        )
-    elif obs.spec.profile is FlapProfile.CONVEX:
-        vectors[StageId.CONVEX_SEVERITY] = severity_feature_classifier(
-            obs.radial, FlapProfile.CONVEX
-        )
+    if obs.spec.profile in SEVERITY_STAGE:
+        vector = severity_feature_classifier(obs.radial, obs.spec.profile)
+        vectors[vector.stage] = vector
     return vectors
 
 
@@ -326,31 +305,3 @@ def sample_oracle_predictions(
     confs = rng.normal(means, spread)
     return preds, np.clip(confs, lo + 1e-9, 1.0)
 
-
-def stochastic_oracle(
-    stage: StageId,
-    truth: int,
-    row: Sequence[float],
-    confidence_law: tuple[float, float, float],
-    seed: int | np.random.Generator,
-    image_id: str = "oracle-img",
-    tool_id: str = "oracle-tool",
-) -> Prediction:
-    """One oracle prediction for a single observation.
-
-    Samples the predicted class from the given confusion row and emits a
-    probability vector whose argmax is that class, with the residual
-    mass spread evenly over the other classes.
-    """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    n_classes = len(STAGE_CLASSES[stage])
-    row_matrix = np.tile(np.asarray(row, dtype=float), (n_classes, 1))
-    preds, confs = sample_oracle_predictions(
-        stage, np.array([truth]), row_matrix, confidence_law, rng
-    )
-    pred, conf = int(preds[0]), float(confs[0])
-
-    probs = [(1.0 - conf) / (n_classes - 1)] * n_classes
-    probs[pred] = conf
-    vector = ProbabilityVector(stage, tuple(probs))
-    return Prediction(image_id, tool_id, STAGE_VIEW[stage], vector)

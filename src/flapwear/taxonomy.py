@@ -1,9 +1,10 @@
 """Wear-state type system for abrasive flap wheels.
 
 Encodes the three-level decision tree (usage condition, flap profile +
-flap tear, profile severity) together with the table of consistent
-outcomes and the conflict families that the level-1/level-2 consistency
-check can report.
+flap tear, profile severity): the stages that decide it with their class
+order and view, the severity stage each profile branch selects, the
+table of consistent outcomes and the conflict families that the
+level-1/level-2 consistency check can report.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
+
+from .errors import ValidationError
 
 
 class UsageState(Enum):
@@ -47,6 +50,57 @@ class ConflictKind(Enum):
     NEW_CONVEX = "new_convex"
 
 
+class View(Enum):
+    RADIAL = "radial"
+    AXIAL = "axial"
+
+
+class StageId(Enum):
+    USAGE = "usage"
+    PROFILE = "profile"
+    TEAR = "tear"
+    CONCAVE_SEVERITY = "concave_severity"
+    CONVEX_SEVERITY = "convex_severity"
+
+
+# Class order per stage is a wire contract: vectors and confusion
+# matrices index classes in exactly this order.
+STAGE_STATES: dict[StageId, tuple[Enum, ...]] = {
+    StageId.USAGE: (UsageState.NEW, UsageState.USED),
+    StageId.PROFILE: (FlapProfile.RECTANGULAR, FlapProfile.CONCAVE, FlapProfile.CONVEX),
+    StageId.TEAR: (TearState.WITH_TEAR, TearState.NO_TEAR),
+    StageId.CONCAVE_SEVERITY: (Severity.FULLY, Severity.PARTIALLY),
+    StageId.CONVEX_SEVERITY: (Severity.FULLY, Severity.PARTIALLY),
+}
+STAGE_CLASSES: dict[StageId, tuple[str, ...]] = {
+    stage: tuple(state.value for state in states) for stage, states in STAGE_STATES.items()
+}
+
+# Tears are judged on the axial view, everything else on the radial one.
+STAGE_VIEW: dict[StageId, View] = {
+    StageId.USAGE: View.RADIAL,
+    StageId.PROFILE: View.RADIAL,
+    StageId.TEAR: View.AXIAL,
+    StageId.CONCAVE_SEVERITY: View.RADIAL,
+    StageId.CONVEX_SEVERITY: View.RADIAL,
+}
+
+# Level 3 of the tree: the severity stage each shaped profile selects.
+# A profile missing here (rectangular) has no severity.
+SEVERITY_STAGE: dict[FlapProfile, StageId] = {
+    FlapProfile.CONCAVE: StageId.CONCAVE_SEVERITY,
+    FlapProfile.CONVEX: StageId.CONVEX_SEVERITY,
+}
+
+# Stages along each profile branch: levels 1 and 2, then the branch's
+# severity stage. Products over a branch multiply in this order.
+BRANCH_STAGES: dict[FlapProfile, tuple[StageId, ...]] = {
+    profile: (StageId.USAGE, StageId.TEAR, StageId.PROFILE)
+    + ((SEVERITY_STAGE[profile],) if profile in SEVERITY_STAGE else ())
+    for profile in FlapProfile
+}
+
+
 # Reporting order when several conflicts apply at once.
 _CONFLICT_ORDER = (
     ConflictKind.NEW_WITH_TEAR,
@@ -55,7 +109,7 @@ _CONFLICT_ORDER = (
 )
 
 
-class TaxonomyError(Exception):
+class TaxonomyError(ValidationError):
     """Base class for wear-taxonomy violations."""
 
 
@@ -108,18 +162,11 @@ CONSISTENT_OUTCOMES: tuple[WearOutcome, ...] = (
 )
 
 _OUTCOME_BY_PARTS = {o.parts(): o for o in CONSISTENT_OUTCOMES}
-_OUTCOME_BY_ID = {o.id: o for o in CONSISTENT_OUTCOMES}
 
 
 def enumerate_consistent_outcomes() -> tuple[WearOutcome, ...]:
     """All 11 consistent outcomes, in id order."""
     return CONSISTENT_OUTCOMES
-
-
-def outcome_by_id(outcome_id: int) -> WearOutcome:
-    if outcome_id not in _OUTCOME_BY_ID:
-        raise KeyError(f"no outcome with id {outcome_id}")
-    return _OUTCOME_BY_ID[outcome_id]
 
 
 def check_consistency(
@@ -158,7 +205,7 @@ def outcome_from_parts(
     conflicts = check_consistency(usage, profile, tear)
     if conflicts:
         raise InconsistentParts(conflicts)
-    needs_severity = profile in (FlapProfile.CONCAVE, FlapProfile.CONVEX)
+    needs_severity = profile in SEVERITY_STAGE
     if needs_severity and severity is None:
         raise MissingSeverity(f"{profile.value} profile requires a severity")
     if not needs_severity and severity is not None:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from flapwear.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
+from flapwear.predictions import StageId
 
 from conftest import ALL_MATRICES, USAGE_MATRIX
 
@@ -275,3 +276,107 @@ class TestDeterminism:
             assert main(argv + ["--out", str(dir_a)]) == EXIT_OK
             assert main(argv + ["--out", str(dir_b)]) == EXIT_OK
             assert self._read_all(dir_a) == self._read_all(dir_b)
+
+
+def _classify_file(content):
+    def build(tmp_path):
+        path = tmp_path / "preds.jsonl"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        return ["classify", str(path)]
+
+    return build
+
+
+def _propagate(accuracies=None, ledger=None):
+    def build(tmp_path):
+        payload = {"accuracies": accuracies or {"usage": 0.986, "tear": 0.938, "profile": 0.954}}
+        if ledger is not None:
+            payload["ledger"] = ledger
+        path = tmp_path / "prop.json"
+        path.write_text(json.dumps(payload))
+        return ["propagate", str(path)]
+
+    return build
+
+
+def _simulate(n_flag="10", matrices=ALL_MATRICES, **settings):
+    def build(tmp_path):
+        payload = {"mode": "oracle", "matrices": {s.value: m for s, m in matrices.items()}}
+        payload.update(settings)
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(payload))
+        return ["simulate", str(path)] + (["--n", n_flag] if n_flag else [])
+
+    return build
+
+
+def _non_utf8_sim_config(tmp_path):
+    path = tmp_path / "sim.json"
+    path.write_bytes(b'{"mode": "\xff"}')
+    return ["simulate", str(path)]
+
+
+@pytest.mark.parametrize(
+    "build, code, prefix",
+    [
+        pytest.param(
+            _classify_file(record("tear", [0.2, 0.8], view="radial") + "\n"),
+            EXIT_VALIDATION, "validation error: line 1:", id="view-mismatch",
+        ),
+        pytest.param(
+            lambda tmp_path: ["classify", str(tmp_path / "missing.jsonl")],
+            EXIT_PARSE, "parse error: cannot read", id="missing-prediction-file",
+        ),
+        pytest.param(
+            _classify_file(b"\xff\xfe\x00binary\n"),
+            EXIT_PARSE, "parse error: cannot read", id="non-utf8-prediction-file",
+        ),
+        pytest.param(
+            lambda tmp_path: ["classify", str(tmp_path)],
+            EXIT_PARSE, "parse error: cannot read", id="directory-as-prediction-file",
+        ),
+        pytest.param(
+            _propagate(accuracies={"usage": "0.986", "tear": 0.938, "profile": 0.954}),
+            EXIT_VALIDATION, "validation error:", id="string-accuracy",
+        ),
+        pytest.param(
+            _propagate(ledger={"total_runs": "360", "total_errors": 45}),
+            EXIT_VALIDATION, "validation error:", id="string-ledger-total-runs",
+        ),
+        pytest.param(
+            _simulate(matrices={s: m for s, m in ALL_MATRICES.items() if s.value != "tear"}),
+            EXIT_CONFIG, "config error:", id="oracle-without-tear-matrix",
+        ),
+        pytest.param(
+            _simulate(matrices={**ALL_MATRICES, StageId.USAGE: [[0, 0], [19, 1021]]}),
+            EXIT_VALIDATION, "validation error:", id="oracle-all-zero-truth-row",
+        ),
+        pytest.param(
+            _simulate(confidence_law=[0.97]),
+            EXIT_CONFIG, "config error:", id="confidence-law-of-length-1",
+        ),
+        pytest.param(
+            _simulate(n_flag=None, n="many"),
+            EXIT_CONFIG, "config error:", id="non-numeric-n",
+        ),
+        pytest.param(
+            _simulate(n_flag="11", mode="synth", noise_sigma="loud"),
+            EXIT_CONFIG, "config error:", id="non-numeric-noise-sigma",
+        ),
+        pytest.param(
+            _non_utf8_sim_config,
+            EXIT_CONFIG, "config error: cannot read", id="non-utf8-sim-config",
+        ),
+    ],
+)
+def test_bad_input_ends_in_exit_code_not_traceback(tmp_path, capsys, build, code, prefix):
+    argv = build(tmp_path) + ["--out", str(tmp_path / "reports")]
+    try:
+        exit_code = main(argv)
+    except Exception as exc:
+        pytest.fail(f"{type(exc).__name__} escaped main: {exc}")
+    assert exit_code == code
+    assert capsys.readouterr().err.startswith(prefix)

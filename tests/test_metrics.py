@@ -8,16 +8,13 @@ from flapwear.metrics import (
     EmptyInput,
     EmptyMatrix,
     IndexOutOfRange,
-    StageMismatch,
     UndefinedClassMetric,
     accumulate,
     accuracy,
     class_metrics,
     confidence_stats,
-    from_pairs,
     macro_f1,
     matrix_summary,
-    merge,
     pairwise_auc,
     roc_curve,
     round_report,
@@ -41,6 +38,13 @@ def matrix_to_pairs(counts):
     return pairs
 
 
+def from_pairs(stage, pairs):
+    cm = ConfusionMatrix(stage)
+    for truth, predicted in pairs:
+        accumulate(cm, truth, predicted)
+    return cm
+
+
 class TestAccumulate:
     def test_single_increment(self):
         cm = ConfusionMatrix(StageId.USAGE)
@@ -59,38 +63,6 @@ class TestAccumulate:
         cm = ConfusionMatrix(StageId.USAGE)
         with pytest.raises(IndexOutOfRange):
             accumulate(cm, 2, 0)
-
-
-class TestMerge:
-    def test_zero_identity(self):
-        cm = from_pairs(StageId.USAGE, matrix_to_pairs(USAGE_MATRIX))
-        zero = ConfusionMatrix(StageId.USAGE)
-        assert merge(cm, zero).counts == cm.counts
-
-    def test_commutative(self):
-        a = from_pairs(StageId.TEAR, [(0, 0), (0, 1)])
-        b = from_pairs(StageId.TEAR, [(1, 1), (1, 0), (0, 0)])
-        assert merge(a, b).counts == merge(b, a).counts
-
-    def test_split_and_merge_equals_direct(self):
-        pairs = matrix_to_pairs(USAGE_MATRIX)
-        random.Random(3).shuffle(pairs)
-        half = len(pairs) // 2
-        merged = merge(
-            from_pairs(StageId.USAGE, pairs[:half]),
-            from_pairs(StageId.USAGE, pairs[half:]),
-        )
-        assert merged.counts == USAGE_MATRIX
-
-    def test_associative(self):
-        a = from_pairs(StageId.USAGE, [(0, 0)])
-        b = from_pairs(StageId.USAGE, [(0, 1)])
-        c = from_pairs(StageId.USAGE, [(1, 1)] * 3)
-        assert merge(merge(a, b), c).counts == merge(a, merge(b, c)).counts
-
-    def test_stage_mismatch(self):
-        with pytest.raises(StageMismatch):
-            merge(ConfusionMatrix(StageId.USAGE), ConfusionMatrix(StageId.TEAR))
 
 
 class TestClassMetrics:

@@ -1,18 +1,19 @@
 import pytest
 
+from flapwear.errors import ValidationError
 from flapwear.predictions import StageId
 from flapwear.propagation import (
-    BadMix,
     CorrectionLedger,
     LedgerInconsistent,
     StageAccuracies,
     accuracy_interval,
     corrected_accuracy,
-    monte_carlo_hierarchy,
     path_accuracy,
     propagation_report,
 )
-from flapwear.taxonomy import FlapProfile
+from flapwear.simulate import oracle_branch_trials
+from flapwear.synth import BadRow
+from flapwear.taxonomy import STAGE_CLASSES, FlapProfile
 
 from conftest import STAGE_ACCURACIES
 
@@ -117,41 +118,67 @@ class TestCorrectedAccuracy:
             CorrectionLedger(total_runs=0, total_errors=0)
 
 
+def accuracy_matrices(acc):
+    """Confusion matrices whose every truth row is right with its stage's accuracy.
+
+    With these the oracle makes each stage simply right or wrong, the
+    model behind the analytic path product.
+    """
+    matrices = {}
+    for stage in StageId:
+        n = len(STAGE_CLASSES[stage])
+        right = acc.of(stage)
+        wrong = (1.0 - right) / (n - 1)
+        matrices[stage] = [[right if i == j else wrong for j in range(n)] for i in range(n)]
+    return matrices
+
+
+def simulated_accuracy(acc, branch, n_trials, seed):
+    trial = oracle_branch_trials(accuracy_matrices(acc), branch, n_trials, seed)
+    return trial["measured_accuracy"]
+
+
 class TestMonteCarlo:
     def test_all_perfect_stages(self):
         acc = StageAccuracies(1.0, 1.0, 1.0, 1.0, 1.0)
-        assert monte_carlo_hierarchy(acc, (1 / 3, 1 / 3, 1 / 3), 1000, seed=0) == 1.0
+        for branch in FlapProfile:
+            assert simulated_accuracy(acc, branch, 1000, seed=0) == 1.0
 
     def test_matches_analytic_mix_weighted_mean(self):
-        mix = (1 / 3, 1 / 3, 1 / 3)
         analytic = sum(
             path_accuracy(PAPER_ACC, branch) / 3 for branch in FlapProfile
         )
-        measured = monte_carlo_hierarchy(PAPER_ACC, mix, 10**6, seed=5)
+        measured = sum(
+            simulated_accuracy(PAPER_ACC, branch, 3 * 10**5, seed=5 + i) / 3
+            for i, branch in enumerate(FlapProfile)
+        )
         assert measured == pytest.approx(analytic, abs=3e-3)
 
     def test_single_weak_stage_binomial(self):
         acc = StageAccuracies(0.5, 1.0, 1.0)
-        measured = monte_carlo_hierarchy(acc, (1.0, 0.0, 0.0), 10**6, seed=9)
+        assert accuracy_matrices(acc)[StageId.USAGE] == [[0.5, 0.5], [0.5, 0.5]]
+        measured = simulated_accuracy(acc, FlapProfile.RECTANGULAR, 10**6, seed=9)
         assert measured == pytest.approx(0.5, abs=2e-3)
 
     def test_interval_brackets_simulation(self):
         low, high = accuracy_interval(PAPER_ACC)
-        for mix in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0.5, 0.25, 0.25)]:
-            measured = monte_carlo_hierarchy(PAPER_ACC, mix, 10**5, seed=2)
+        for branch in FlapProfile:
+            measured = simulated_accuracy(PAPER_ACC, branch, 10**5, seed=2)
             # allow 4 sigma of binomial noise outside the bracket
             sigma = (high * (1 - high) / 10**5) ** 0.5
             assert low - 4 * sigma <= measured <= high + 4 * sigma
 
     def test_bad_mix(self):
-        with pytest.raises(BadMix):
-            monte_carlo_hierarchy(PAPER_ACC, (0.5, 0.2, 0.2), 10, seed=0)
-        with pytest.raises(BadMix):
-            monte_carlo_hierarchy(PAPER_ACC, (1 / 3, 1 / 3, 1 / 3), 0, seed=0)
+        matrices = accuracy_matrices(PAPER_ACC)
+        with pytest.raises(ValidationError):
+            oracle_branch_trials(matrices, FlapProfile.RECTANGULAR, 0, seed=0)
+        matrices[StageId.USAGE] = [[0, 0], [1, 1]]
+        with pytest.raises(BadRow):
+            oracle_branch_trials(matrices, FlapProfile.RECTANGULAR, 10, seed=0)
 
     def test_deterministic_per_seed(self):
-        a = monte_carlo_hierarchy(PAPER_ACC, (0.4, 0.3, 0.3), 10**4, seed=17)
-        b = monte_carlo_hierarchy(PAPER_ACC, (0.4, 0.3, 0.3), 10**4, seed=17)
+        a = simulated_accuracy(PAPER_ACC, FlapProfile.CONCAVE, 10**4, seed=17)
+        b = simulated_accuracy(PAPER_ACC, FlapProfile.CONCAVE, 10**4, seed=17)
         assert a == b
 
 

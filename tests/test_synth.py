@@ -8,12 +8,10 @@ from flapwear.synth import (
     InvalidSpec,
     RadialProfile,
     WheelSpec,
-    adversarial_fringe_spec,
     generate_observation,
     profile_feature_classifier,
     sample_oracle_predictions,
     severity_feature_classifier,
-    stochastic_oracle,
     tear_feature_classifier,
     usage_feature_classifier,
 )
@@ -24,6 +22,13 @@ def spec(**kwargs):
     defaults = dict(usage=UsageState.USED, profile=FlapProfile.RECTANGULAR)
     defaults.update(kwargs)
     return WheelSpec(**defaults)
+
+
+# Worn rectangular wheel that kept its fringes: the dominant error mode of
+# usage detection, where leftover fringes make a used wheel look new.
+ADVERSARIAL_FRINGE = WheelSpec(
+    usage=UsageState.USED, profile=FlapProfile.RECTANGULAR, fringe=True
+)
 
 
 class TestWheelSpec:
@@ -46,7 +51,7 @@ class TestWheelSpec:
         assert not spec().has_fringe
 
     def test_adversarial_preset_is_used_with_fringe(self):
-        adv = adversarial_fringe_spec()
+        adv = ADVERSARIAL_FRINGE
         assert adv.usage is UsageState.USED
         assert adv.has_fringe
 
@@ -177,19 +182,19 @@ class TestUsageClassifier:
         assert argmax_class(usage_feature_classifier(obs.radial)) == 1
 
     def test_adversarial_fringe_misclassified_as_new(self):
-        obs = generate_observation(adversarial_fringe_spec(), 3)
+        obs = generate_observation(ADVERSARIAL_FRINGE, 3)
         assert argmax_class(usage_feature_classifier(obs.radial)) == 0
 
 
 class TestStochasticOracle:
     def test_one_hot_row_always_correct(self):
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            pred = stochastic_oracle(
-                StageId.USAGE, 1, [0.0, 1.0], (0.97, 0.89, 0.03), rng
-            )
-            validate_vector(pred.vector)
-            assert argmax_class(pred.vector) == 1
+        rows = np.array([[1.0, 0.0], [0.0, 1.0]])
+        preds, confs = sample_oracle_predictions(
+            StageId.USAGE, np.ones(50, dtype=int), rows, (0.97, 0.89, 0.03), rng
+        )
+        assert np.all(preds == 1)
+        assert np.all((confs > 0.5) & (confs <= 1.0))
 
     def test_used_row_error_rate(self):
         # truth row (19/1040, 1021/1040); binomial 4-sigma band around 0.0183
@@ -225,7 +230,13 @@ class TestStochasticOracle:
         assert 0.5 * np.abs(empirical - target).sum() < 0.01
 
     def test_bad_row_rejected(self):
+        rng = np.random.default_rng(0)
+        truths = np.zeros(1, dtype=int)
         with pytest.raises(BadRow):
-            stochastic_oracle(StageId.USAGE, 0, [0.7, 0.2], (0.97, 0.89, 0.03), 0)
+            sample_oracle_predictions(
+                StageId.USAGE, truths, [[0.7, 0.2], [0.7, 0.2]], (0.97, 0.89, 0.03), rng
+            )
         with pytest.raises(BadRow):
-            stochastic_oracle(StageId.USAGE, 0, [0.5, 0.5], (0.4, 0.89, 0.03), 0)
+            sample_oracle_predictions(
+                StageId.USAGE, truths, [[0.5, 0.5], [0.5, 0.5]], (0.4, 0.89, 0.03), rng
+            )
