@@ -21,10 +21,12 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import engine, metrics, predictions, propagation, simulate
 from .errors import ConfigError, FlapwearError, ParseError, ValidationError
 from .predictions import LabeledSample
-from .taxonomy import StageId
+from .taxonomy import REQUIRED_STAGES, STAGE_CLASSES, StageId
 
 EXIT_OK = 0
 EXIT_PARSE = ParseError.exit_code
@@ -120,6 +122,13 @@ def build_config(args: argparse.Namespace) -> CliConfig:
     return CliConfig(engine_config, report_dir, seed, rounding)
 
 
+def _make_report_dir(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create report directory {path}: {exc}") from exc
+
+
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", "utf-8")
 
@@ -145,38 +154,24 @@ def _group_runs(samples) -> dict[str, list[engine.RunInput]]:
 
     runs: dict[str, list[engine.RunInput]] = {}
     for tool_id, stages in sorted(by_tool.items()):
-        required = [StageId.USAGE, StageId.PROFILE, StageId.TEAR]
-        counts = {s: len(stages.get(s, [])) for s in required}
+        counts = {s: len(stages.get(s, [])) for s in REQUIRED_STAGES}
         if len(set(counts.values())) != 1 or 0 in counts.values():
             raise ValidationError(
-                f"tool {tool_id}: usage/profile/tear vector counts differ: "
-                f"{ {s.value: c for s, c in counts.items()} }"
+                f"tool {tool_id}: {'/'.join(s.value for s in REQUIRED_STAGES)} vector counts "
+                f"differ: { {s.value: c for s, c in counts.items()} }"
             )
-        n_runs = counts[StageId.USAGE]
-
-        def nth(stage: StageId, i: int):
-            vectors = stages.get(stage, [])
-            return vectors[i] if i < len(vectors) else None
-
         runs[tool_id] = [
-            engine.RunInput(
-                tool_id=tool_id,
-                usage=stages[StageId.USAGE][i],
-                profile=stages[StageId.PROFILE][i],
-                tear=stages[StageId.TEAR][i],
-                concave_severity=nth(StageId.CONCAVE_SEVERITY, i),
-                convex_severity=nth(StageId.CONVEX_SEVERITY, i),
-            )
-            for i in range(n_runs)
+            engine.RunInput(tool_id, {s: v[i] for s, v in stages.items() if i < len(v)})
+            for i in range(counts[StageId.USAGE])
         ]
     return runs
 
 
 def cmd_classify(args: argparse.Namespace, config: CliConfig) -> int:
-    samples = predictions.parse_prediction_file(args.prediction_file)
-    runs_by_tool = _group_runs(samples)
+    # The parsed samples are not kept: the runs hold their vectors.
+    runs_by_tool = _group_runs(predictions.parse_prediction_file(args.prediction_file))
 
-    config.report_dir.mkdir(parents=True, exist_ok=True)
+    _make_report_dir(config.report_dir)
     run_records = []
     ensemble_records = []
     for tool_id, run_inputs in runs_by_tool.items():
@@ -215,7 +210,7 @@ def cmd_evaluate(args: argparse.Namespace, config: CliConfig) -> int:
     for sample in labeled:
         by_stage.setdefault(sample.prediction.vector.stage, []).append(sample)
 
-    config.report_dir.mkdir(parents=True, exist_ok=True)
+    _make_report_dir(config.report_dir)
     summary = {"stages": {}, "warnings": []}
     for stage in StageId:
         if stage not in by_stage:
@@ -309,6 +304,19 @@ def _confidence_law(value) -> tuple[float, float, float]:
     return mean_correct, mean_false, spread
 
 
+def _check_oracle_matrices(matrices: dict[StageId, list]) -> None:
+    """Raise unless each stage's counts are a k x k array of finite, non-negative numbers."""
+    for stage, counts in matrices.items():
+        k = len(STAGE_CLASSES[stage])
+        try:
+            arr = np.asarray(counts, dtype=float)
+            valid = arr.shape == (k, k) and bool(np.all(np.isfinite(arr) & (arr >= 0)))
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            raise ConfigError(f"oracle matrix for {stage.value} must be {k}x{k} counts >= 0")
+
+
 def cmd_simulate(args: argparse.Namespace, config: CliConfig) -> int:
     sim_config = _load_simulation_config(Path(args.sim_config))
     mode = sim_config.get("mode", "synth")
@@ -334,6 +342,7 @@ def cmd_simulate(args: argparse.Namespace, config: CliConfig) -> int:
         missing = [stage.value for stage in StageId if stage not in matrices]
         if missing:
             raise ConfigError(f"oracle config needs per-stage matrices, missing {missing}")
+        _check_oracle_matrices(matrices)
         law = _sim_setting(
             sim_config, "confidence_law", _confidence_law, simulate.DEFAULT_CONFIDENCE_LAW
         )
@@ -344,7 +353,7 @@ def cmd_simulate(args: argparse.Namespace, config: CliConfig) -> int:
         raise ConfigError(f"unknown simulation mode {mode!r}")
 
     report["seed"] = config.seed
-    config.report_dir.mkdir(parents=True, exist_ok=True)
+    _make_report_dir(config.report_dir)
     _write_json(config.report_dir / "simulation.json", report)
     if mode == "synth":
         print(f"synthetic batch of {n}: hierarchy accuracy {report['hierarchy_accuracy']:.4f}")
@@ -361,7 +370,10 @@ def cmd_simulate(args: argparse.Namespace, config: CliConfig) -> int:
 def cmd_propagate(args: argparse.Namespace, config: CliConfig) -> int:
     payload = _load_simulation_config(Path(args.input))
     try:
-        acc = propagation.StageAccuracies.from_names(payload["accuracies"])
+        accuracies = payload["accuracies"]
+        if not isinstance(accuracies, dict):
+            raise ConfigError("propagation input accuracies must be a JSON object")
+        acc = propagation.StageAccuracies.from_names(accuracies)
     except KeyError as exc:
         raise ConfigError(f"propagation input needs accuracies.{exc.args[0]}") from exc
 
@@ -385,7 +397,7 @@ def cmd_propagate(args: argparse.Namespace, config: CliConfig) -> int:
             raise ConfigError(f"bad ledger: {exc}") from exc
 
     report = propagation.propagation_report(acc, ledger, config.rounding)
-    config.report_dir.mkdir(parents=True, exist_ok=True)
+    _make_report_dir(config.report_dir)
     _write_json(config.report_dir / "propagation.json", report)
 
     paths = report["path_accuracy"]

@@ -14,11 +14,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from statistics import fmean
-from typing import Optional
+from typing import Mapping, Optional
 
 from .errors import ConfigError, ValidationError
 from .predictions import ProbabilityVector, argmax_class, confidence
 from .taxonomy import (
+    REQUIRED_STAGES,
     SEVERITY_STAGE,
     STAGE_CLASSES,
     STAGE_STATES,
@@ -100,14 +101,18 @@ class EngineConfig:
 
 @dataclass(frozen=True)
 class RunInput:
-    """The stage vectors of one run; each field is named after its StageId value."""
+    """One run's vectors by stage: all of REQUIRED_STAGES, severity optional."""
 
     tool_id: str
-    usage: ProbabilityVector
-    profile: ProbabilityVector
-    tear: ProbabilityVector
-    concave_severity: Optional[ProbabilityVector] = None
-    convex_severity: Optional[ProbabilityVector] = None
+    vectors: Mapping[StageId, ProbabilityVector]
+
+    def __post_init__(self):
+        for stage, vector in self.vectors.items():
+            if vector.stage is not stage:
+                raise EngineError(f"{vector.stage.value} vector filed as {stage.value}")
+        missing = [stage.value for stage in REQUIRED_STAGES if stage not in self.vectors]
+        if missing:
+            raise EngineError(f"run has no {'/'.join(missing)} vector")
 
 
 @dataclass(frozen=True)
@@ -197,16 +202,11 @@ def classify_run(run: RunInput, config: EngineConfig | None = None) -> RunResult
     decisions: dict[StageId, tuple[int, float]] = {}
     flags: set[ReviewFlag] = set()
 
-    for stage, vector in (
-        (StageId.USAGE, run.usage),
-        (StageId.PROFILE, run.profile),
-        (StageId.TEAR, run.tear),
-    ):
+    for stage in REQUIRED_STAGES:
+        vector = run.vectors[stage]
         decisions[stage] = (argmax_class(vector), confidence(vector))
 
-    usage = STAGE_STATES[StageId.USAGE][decisions[StageId.USAGE][0]]
-    profile = STAGE_STATES[StageId.PROFILE][decisions[StageId.PROFILE][0]]
-    tear = STAGE_STATES[StageId.TEAR][decisions[StageId.TEAR][0]]
+    usage, profile, tear = (STAGE_STATES[s][decisions[s][0]] for s in REQUIRED_STAGES)
 
     conflicts = check_consistency(usage, profile, tear)
     for kind in conflicts:
@@ -218,7 +218,7 @@ def classify_run(run: RunInput, config: EngineConfig | None = None) -> RunResult
         conflicts and config.conflict_policy is ConflictPolicy.REJECT_RUN
     )
     if take_level3:
-        severity_vector = getattr(run, severity_stage.value)
+        severity_vector = run.vectors.get(severity_stage)
         if severity_vector is None:
             if config.conflict_policy is ConflictPolicy.REJECT_RUN:
                 raise MissingSeverityInput(

@@ -1,9 +1,10 @@
 """Ingestion and validation of per-image probability vectors.
 
-Upstream models emit one probability vector per image and stage. This
-module validates those vectors, applies the argmax decision rule,
-parses/serializes the line-delimited prediction file format and splits
-datasets by tool so that no tool leaks across train/val/test.
+Upstream models emit one probability vector per image and stage. A
+ProbabilityVector is validated once, when constructed. This module also
+applies the argmax decision rule, parses/serializes the line-delimited
+prediction file format and splits datasets by tool so that no tool
+leaks across train/val/test.
 """
 
 from __future__ import annotations
@@ -43,11 +44,14 @@ class ViewMismatch(ValidationError):
 
 @dataclass(frozen=True)
 class ProbabilityVector:
+    """One stage's class probabilities; construction raises a VectorError if invalid."""
+
     stage: StageId
     probs: tuple[float, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
+        validate_vector(self)
 
 
 def validate_vector(v: ProbabilityVector) -> None:
@@ -71,13 +75,11 @@ def validate_vector(v: ProbabilityVector) -> None:
 
 def argmax_class(v: ProbabilityVector) -> int:
     """Index of the maximal probability; ties go to the lowest index."""
-    validate_vector(v)
     return max(range(len(v.probs)), key=lambda i: (v.probs[i], -i))
 
 
 def confidence(v: ProbabilityVector) -> float:
     """Maximum class probability of the vector."""
-    validate_vector(v)
     return max(v.probs)
 
 
@@ -124,16 +126,15 @@ def _record_to_sample(rec: dict, line_no: int) -> LabeledSample | Prediction:
             isinstance(p, (int, float)) and not isinstance(p, bool) for p in probs
         ):
             raise ParseError("probs must be an array of numbers", line_no)
-        vector = ProbabilityVector(stage, tuple(probs))
         image_id, tool_id = str(rec["image_id"]), str(rec["tool_id"])
     except ParseError:
         raise
     except (KeyError, ValueError, TypeError) as exc:
         raise ParseError(str(exc), line_no) from exc
 
+    # Built here, not above: a VectorError is a ValueError, not a parse error.
     try:
-        prediction = Prediction(image_id, tool_id, view, vector)
-        validate_vector(vector)
+        prediction = Prediction(image_id, tool_id, view, ProbabilityVector(stage, tuple(probs)))
         if "truth" in rec and rec["truth"] is not None:
             truth = STAGE_CLASSES[stage].index(rec["truth"])
             return LabeledSample(prediction, truth)

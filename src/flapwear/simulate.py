@@ -63,16 +63,7 @@ def classify_spec(
     spec: WheelSpec, seed: int, config: EngineConfig | None = None, tool_id: str = "synthetic"
 ):
     """Generate an observation for the spec and run the hierarchy on it."""
-    obs = generate_observation(spec, seed)
-    vectors = observation_vectors(obs)
-    run = RunInput(
-        tool_id=tool_id,
-        usage=vectors[StageId.USAGE],
-        profile=vectors[StageId.PROFILE],
-        tear=vectors[StageId.TEAR],
-        concave_severity=vectors.get(StageId.CONCAVE_SEVERITY),
-        convex_severity=vectors.get(StageId.CONVEX_SEVERITY),
-    )
+    run = RunInput(tool_id, observation_vectors(generate_observation(spec, seed)))
     return classify_run(run, config)
 
 

@@ -85,6 +85,9 @@ STAGE_VIEW: dict[StageId, View] = {
     StageId.CONVEX_SEVERITY: View.RADIAL,
 }
 
+# Levels 1 and 2 of the tree: every run carries a vector for each.
+REQUIRED_STAGES: tuple[StageId, ...] = (StageId.USAGE, StageId.PROFILE, StageId.TEAR)
+
 # Level 3 of the tree: the severity stage each shaped profile selects.
 # A profile missing here (rectangular) has no severity.
 SEVERITY_STAGE: dict[FlapProfile, StageId] = {
@@ -101,12 +104,12 @@ BRANCH_STAGES: dict[FlapProfile, tuple[StageId, ...]] = {
 }
 
 
-# Reporting order when several conflicts apply at once.
-_CONFLICT_ORDER = (
-    ConflictKind.NEW_WITH_TEAR,
-    ConflictKind.NEW_CONCAVE,
-    ConflictKind.NEW_CONVEX,
-)
+# Each part a new wheel cannot have and its conflict, in reporting order.
+_NEW_WHEEL_CONFLICTS: dict[Enum, ConflictKind] = {
+    TearState.WITH_TEAR: ConflictKind.NEW_WITH_TEAR,
+    FlapProfile.CONCAVE: ConflictKind.NEW_CONCAVE,
+    FlapProfile.CONVEX: ConflictKind.NEW_CONVEX,
+}
 
 
 class TaxonomyError(ValidationError):
@@ -175,19 +178,11 @@ def check_consistency(
     """Return all applicable conflict kinds, empty tuple if consistent.
 
     Multiple conflicts (e.g. new + concave + with tear) are all reported,
-    ordered NEW_WITH_TEAR < NEW_CONCAVE < NEW_CONVEX.
+    in _NEW_WHEEL_CONFLICTS order.
     """
     if usage is UsageState.USED:
         return ()
-    conflicts = []
-    if tear is TearState.WITH_TEAR:
-        conflicts.append(ConflictKind.NEW_WITH_TEAR)
-    if profile is FlapProfile.CONCAVE:
-        conflicts.append(ConflictKind.NEW_CONCAVE)
-    elif profile is FlapProfile.CONVEX:
-        conflicts.append(ConflictKind.NEW_CONVEX)
-    conflicts.sort(key=_CONFLICT_ORDER.index)
-    return tuple(conflicts)
+    return tuple(kind for part, kind in _NEW_WHEEL_CONFLICTS.items() if part in (profile, tear))
 
 
 def outcome_from_parts(
@@ -198,16 +193,16 @@ def outcome_from_parts(
 ) -> WearOutcome:
     """Look up the unique consistent outcome matching the given fields.
 
-    Raises InconsistentParts for conflicting combinations and
+    On a miss, raises InconsistentParts for conflicting combinations and
     MissingSeverity / SpuriousSeverity when the severity presence rule
     (present iff profile is concave or convex) is violated.
     """
+    outcome = _OUTCOME_BY_PARTS.get((usage, profile, tear, severity))
+    if outcome is not None:
+        return outcome
     conflicts = check_consistency(usage, profile, tear)
     if conflicts:
         raise InconsistentParts(conflicts)
-    needs_severity = profile in SEVERITY_STAGE
-    if needs_severity and severity is None:
+    if profile in SEVERITY_STAGE:
         raise MissingSeverity(f"{profile.value} profile requires a severity")
-    if not needs_severity and severity is not None:
-        raise SpuriousSeverity("rectangular profile must not carry a severity")
-    return _OUTCOME_BY_PARTS[(usage, profile, tear, severity)]
+    raise SpuriousSeverity("rectangular profile must not carry a severity")

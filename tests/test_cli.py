@@ -319,6 +319,12 @@ def _non_utf8_sim_config(tmp_path):
     return ["simulate", str(path)]
 
 
+def _out_names_a_file(tmp_path):
+    # The test appends --out tmp_path/reports; make that path an existing file.
+    (tmp_path / "reports").write_text("not a directory\n")
+    return _propagate()(tmp_path)
+
+
 @pytest.mark.parametrize(
     "build, code, prefix",
     [
@@ -369,6 +375,22 @@ def _non_utf8_sim_config(tmp_path):
         pytest.param(
             _non_utf8_sim_config,
             EXIT_CONFIG, "config error: cannot read", id="non-utf8-sim-config",
+        ),
+        pytest.param(
+            _out_names_a_file,
+            EXIT_CONFIG, "config error: cannot create report directory", id="out-names-a-file",
+        ),
+        pytest.param(
+            _simulate(matrices={**ALL_MATRICES, StageId.TEAR: [[419, 61], [11]]}),
+            EXIT_CONFIG, "config error: oracle matrix for tear", id="ragged-oracle-matrix",
+        ),
+        pytest.param(
+            _simulate(matrices={**ALL_MATRICES, StageId.TEAR: [[419, -61], [11, 662]]}),
+            EXIT_CONFIG, "config error: oracle matrix for tear", id="negative-oracle-count",
+        ),
+        pytest.param(
+            _propagate(accuracies=[0.9, 0.9, 0.9]),
+            EXIT_CONFIG, "config error:", id="list-valued-accuracies",
         ),
     ],
 )

@@ -3,6 +3,7 @@ import pytest
 from flapwear.engine import (
     ConflictPolicy,
     EngineConfig,
+    EngineError,
     FlagType,
     MissingSeverityInput,
     MixedTools,
@@ -17,18 +18,36 @@ from flapwear.taxonomy import ConflictKind
 
 
 def run_input(usage, profile, tear, concave=None, convex=None, tool="t1"):
+    probs = {
+        StageId.USAGE: usage,
+        StageId.PROFILE: profile,
+        StageId.TEAR: tear,
+        StageId.CONCAVE_SEVERITY: concave,
+        StageId.CONVEX_SEVERITY: convex,
+    }
     return RunInput(
-        tool_id=tool,
-        usage=ProbabilityVector(StageId.USAGE, tuple(usage)),
-        profile=ProbabilityVector(StageId.PROFILE, tuple(profile)),
-        tear=ProbabilityVector(StageId.TEAR, tuple(tear)),
-        concave_severity=(
-            ProbabilityVector(StageId.CONCAVE_SEVERITY, tuple(concave)) if concave else None
-        ),
-        convex_severity=(
-            ProbabilityVector(StageId.CONVEX_SEVERITY, tuple(convex)) if convex else None
-        ),
+        tool, {stage: ProbabilityVector(stage, tuple(p)) for stage, p in probs.items() if p}
     )
+
+
+class TestRunInput:
+    USAGE = ProbabilityVector(StageId.USAGE, (0.02, 0.98))
+    PROFILE = ProbabilityVector(StageId.PROFILE, (0.9, 0.05, 0.05))
+    TEAR = ProbabilityVector(StageId.TEAR, (0.2, 0.8))
+
+    def test_tear_vector_filed_as_usage_rejected(self):
+        with pytest.raises(EngineError, match="tear vector filed as usage"):
+            RunInput("t1", {StageId.USAGE: self.TEAR, StageId.PROFILE: self.PROFILE,
+                            StageId.TEAR: self.TEAR})
+
+    def test_profile_vector_filed_as_usage_rejected(self):
+        with pytest.raises(EngineError, match="profile vector filed as usage"):
+            RunInput("t1", {StageId.USAGE: self.PROFILE, StageId.PROFILE: self.PROFILE,
+                            StageId.TEAR: self.TEAR})
+
+    def test_run_without_tear_rejected(self):
+        with pytest.raises(EngineError, match="run has no tear vector"):
+            RunInput("t1", {StageId.USAGE: self.USAGE, StageId.PROFILE: self.PROFILE})
 
 
 NO_THRESHOLDS = EngineConfig(thresholds={})

@@ -35,17 +35,18 @@ class TestValidateVector:
     def test_uniform_is_valid(self):
         validate_vector(vec(StageId.USAGE, [0.5, 0.5]))
 
+    # An invalid vector cannot be constructed: ProbabilityVector itself raises.
     def test_not_normalized(self):
         with pytest.raises(NotNormalized, match="deviation -0.1"):
-            validate_vector(vec(StageId.USAGE, [0.7, 0.2]))
+            ProbabilityVector(StageId.USAGE, (0.7, 0.2))
 
     def test_bad_length(self):
         with pytest.raises(BadLength):
-            validate_vector(vec(StageId.PROFILE, [1.0, 0.0]))
+            ProbabilityVector(StageId.PROFILE, (1.0, 0.0))
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
-            validate_vector(vec(StageId.USAGE, [1.2, -0.2]))
+            ProbabilityVector(StageId.USAGE, (1.2, -0.2))
 
     def test_tolerance_is_not_silent_normalization(self):
         # within 1e-6 passes, but probs stay exactly as given
