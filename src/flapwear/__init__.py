@@ -13,6 +13,7 @@ from .engine import (
     RunInput,
     RunResult,
     classify_run,
+    decide_runs,
     ensemble_classify,
     needs_reevaluation,
 )
@@ -23,6 +24,7 @@ from .predictions import (
     argmax_class,
     confidence,
     parse_prediction_file,
+    parse_prediction_table,
     split_by_tool,
     validate_vector,
 )
@@ -63,11 +65,13 @@ __all__ = [
     "check_consistency",
     "classify_run",
     "confidence",
+    "decide_runs",
     "ensemble_classify",
     "enumerate_consistent_outcomes",
     "needs_reevaluation",
     "outcome_from_parts",
     "parse_prediction_file",
+    "parse_prediction_table",
     "split_by_tool",
     "validate_vector",
 ]

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import engine, metrics, predictions, propagation, simulate
 from .errors import ConfigError, FlapwearError, ParseError, ValidationError
-from .predictions import LabeledSample
 from .taxonomy import REQUIRED_STAGES, STAGE_CLASSES, StageId
 
 EXIT_OK = 0
@@ -134,66 +133,106 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _write_jsonl(path: Path, records) -> None:
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.write(encode(rec) + "\n")
 
 
-def _group_runs(samples) -> dict[str, list[engine.RunInput]]:
-    """Assemble RunInputs per tool from a flat prediction list.
+@dataclass(frozen=True)
+class RunBatch:
+    """Runs assembled from a prediction table; row r of every array is run r.
+
+    Runs are ordered by tool id, then by run index within the tool.
+    """
+
+    tool_ids: list[str]  # every tool, sorted
+    run_counts: np.ndarray  # runs per tool
+    vectors: dict[StageId, np.ndarray]  # (runs, k) per stage; zeros where absent
+    present: dict[StageId, np.ndarray]  # which runs have a vector of the stage
+
+
+def _group_runs(tables: predictions.PredictionTable) -> RunBatch:
+    """Assemble runs per tool from the per-stage tables.
 
     The i-th vector of each stage within a tool belongs to run i; the
-    usage/profile/tear stages must therefore appear equally often.
+    usage/profile/tear stages must therefore appear equally often. A
+    severity vector past the tool's run count is not used.
     """
-    by_tool: dict[str, dict[StageId, list]] = {}
-    for item in samples:
-        pred = item.prediction if isinstance(item, LabeledSample) else item
-        by_tool.setdefault(pred.tool_id, {}).setdefault(pred.vector.stage, []).append(
-            pred.vector
+    tool_ids = sorted(set().union(*(table.tool_ids for table in tables.values())))
+    position = {tool_id: i for i, tool_id in enumerate(tool_ids)}
+    codes = {
+        stage: np.fromiter(map(position.__getitem__, table.tool_ids), np.intp, len(table.tool_ids))
+        for stage, table in tables.items()
+    }
+    counts = {stage: np.bincount(code, minlength=len(tool_ids)) for stage, code in codes.items()}
+
+    required = [counts[stage] for stage in REQUIRED_STAGES]
+    bad = np.zeros(len(tool_ids), dtype=bool)
+    for c in required:
+        bad |= (c != required[0]) | (c == 0)
+    if bad.any():
+        t = int(np.argmax(bad))
+        raise ValidationError(
+            f"tool {tool_ids[t]}: {'/'.join(s.value for s in REQUIRED_STAGES)} vector counts "
+            f"differ: { {s.value: int(counts[s][t]) for s in REQUIRED_STAGES} }"
         )
 
-    runs: dict[str, list[engine.RunInput]] = {}
-    for tool_id, stages in sorted(by_tool.items()):
-        counts = {s: len(stages.get(s, [])) for s in REQUIRED_STAGES}
-        if len(set(counts.values())) != 1 or 0 in counts.values():
-            raise ValidationError(
-                f"tool {tool_id}: {'/'.join(s.value for s in REQUIRED_STAGES)} vector counts "
-                f"differ: { {s.value: c for s, c in counts.items()} }"
-            )
-        runs[tool_id] = [
-            engine.RunInput(tool_id, {s: v[i] for s, v in stages.items() if i < len(v)})
-            for i in range(counts[StageId.USAGE])
-        ]
-    return runs
+    run_counts = required[0]
+    first_run = np.cumsum(run_counts) - run_counts
+    vectors, present = {}, {}
+    for stage, table in tables.items():
+        order = np.argsort(codes[stage], kind="stable")
+        code = codes[stage][order]
+        first_of_tool = np.cumsum(counts[stage]) - counts[stage]
+        occurrence = np.arange(len(order)) - first_of_tool[code]
+        used = occurrence < run_counts[code]
+        runs = first_run[code[used]] + occurrence[used]
+        vectors[stage] = np.zeros((int(run_counts.sum()), table.probs.shape[1]))
+        vectors[stage][runs] = table.probs[order[used]]
+        present[stage] = np.zeros(len(vectors[stage]), dtype=bool)
+        present[stage][runs] = True
+    return RunBatch(tool_ids, run_counts, vectors, present)
 
 
 def cmd_classify(args: argparse.Namespace, config: CliConfig) -> int:
-    # The parsed samples are not kept: the runs hold their vectors.
-    runs_by_tool = _group_runs(predictions.parse_prediction_file(args.prediction_file))
+    batch = _group_runs(predictions.parse_prediction_table(args.prediction_file))
 
     _make_report_dir(config.report_dir)
-    run_records = []
+    decisions = engine.decide_runs(batch.vectors, batch.present, config.engine)
+    run_tools = (
+        (tool_id, i)
+        for tool_id, n in zip(batch.tool_ids, batch.run_counts.tolist())
+        for i in range(n)
+    )
+    runs, run_records = [], []
+    for (tool_id, i), (row, mask) in zip(run_tools, decisions.rows()):
+        labels = engine.flag_labels(mask)
+        rec = engine.run_record(tool_id, *row, labels)
+        rec["run_index"] = i
+        rec["needs_reevaluation"] = bool(labels)
+        run_records.append(rec)
+        runs.append(row)
+
+    # Errors surface in tool order, a tool's rejected run before its ensemble.
     ensemble_records = []
-    for tool_id, run_inputs in runs_by_tool.items():
-        results = [engine.classify_run(run, config.engine) for run in run_inputs]
-        for i, result in enumerate(results):
-            rec = result.to_record()
-            rec["run_index"] = i
-            rec["needs_reevaluation"] = engine.needs_reevaluation(result)
-            run_records.append(rec)
-        if len(results) > 1:
-            ensemble_records.append(
-                engine.ensemble_classify(results, config.engine).to_record()
-            )
+    end = 0
+    for tool_id, n in zip(batch.tool_ids, batch.run_counts.tolist()):
+        start, end = end, end + n
+        if start <= decisions.rejected_row < end:
+            raise decisions.rejection()
+        if n > 1:
+            ensemble = engine.fuse_runs(tool_id, runs[start:end], config.engine)
+            ensemble_records.append(ensemble.to_record())
 
     _write_jsonl(config.report_dir / "runs.jsonl", run_records)
     if ensemble_records:
         _write_jsonl(config.report_dir / "ensembles.jsonl", ensemble_records)
 
-    n_conflicted = sum(1 for r in run_records if r["verdict"] == "conflicted")
-    n_flagged = sum(1 for r in run_records if r["needs_reevaluation"])
+    n_conflicted = int(np.count_nonzero(decisions.conflicted))
+    n_flagged = int(np.count_nonzero(decisions.flags))
     print(
-        f"classified {len(run_records)} runs over {len(runs_by_tool)} tools: "
+        f"classified {len(run_records)} runs over {len(batch.tool_ids)} tools: "
         f"{n_conflicted} conflicted, {n_flagged} flagged for re-examination"
     )
     print(f"reports written to {config.report_dir}")
@@ -201,32 +240,25 @@ def cmd_classify(args: argparse.Namespace, config: CliConfig) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace, config: CliConfig) -> int:
-    samples = predictions.parse_prediction_file(args.labeled_file)
-    labeled = [s for s in samples if isinstance(s, LabeledSample)]
-    if not labeled:
+    tables = predictions.parse_prediction_table(args.labeled_file)
+    labeled = {stage: table.truth >= 0 for stage, table in tables.items()}
+    if not any(mask.any() for mask in labeled.values()):
         raise ValidationError("file contains no labeled samples")
-
-    by_stage: dict[StageId, list[LabeledSample]] = {}
-    for sample in labeled:
-        by_stage.setdefault(sample.prediction.vector.stage, []).append(sample)
 
     _make_report_dir(config.report_dir)
     summary = {"stages": {}, "warnings": []}
-    for stage in StageId:
-        if stage not in by_stage:
+    for stage, table in tables.items():
+        if not labeled[stage].any():
             continue
-        stage_samples = by_stage[stage]
-        cm = metrics.ConfusionMatrix(stage)
-        conf_correct = []
-        for sample in stage_samples:
-            pred = predictions.argmax_class(sample.prediction.vector)
-            metrics.accumulate(cm, sample.truth, pred)
-            conf_correct.append(
-                (predictions.confidence(sample.prediction.vector), pred == sample.truth)
-            )
+        probs = table.probs[labeled[stage]]
+        truth = table.truth[labeled[stage]].astype(np.intp)
+        predicted = probs.argmax(axis=1)
+        cm = metrics.ConfusionMatrix.from_indices(stage, truth, predicted)
 
         stage_summary = metrics.matrix_summary(cm, config.rounding)
-        stats = metrics.confidence_stats(conf_correct)
+        stats = metrics.confidence_stats(
+            list(zip(probs.max(axis=1).tolist(), (predicted == truth).tolist()))
+        )
         stage_summary["confidence"] = {
             "mean_all": metrics.round_report(stats.mean_all, config.rounding),
             "mean_false": (
@@ -245,11 +277,8 @@ def cmd_evaluate(args: argparse.Namespace, config: CliConfig) -> int:
         roc_rows = []
         auc_by_class = {}
         for cls, name in enumerate(cm.class_names):
-            scored = [
-                (s.prediction.vector.probs[cls], s.truth == cls) for s in stage_samples
-            ]
             try:
-                curve = metrics.roc_curve(scored, stage, cls)
+                curve = metrics.roc_from_scores(probs[:, cls], truth == cls, stage, cls)
             except metrics.DegenerateInput as exc:
                 summary["warnings"].append(
                     f"{stage.value}/{name}: ROC skipped ({exc})"
@@ -369,10 +398,12 @@ def cmd_simulate(args: argparse.Namespace, config: CliConfig) -> int:
 
 def cmd_propagate(args: argparse.Namespace, config: CliConfig) -> int:
     payload = _load_simulation_config(Path(args.input))
+    if "accuracies" not in payload:
+        raise ConfigError("propagation input needs an accuracies object")
+    accuracies = payload["accuracies"]
+    if not isinstance(accuracies, dict):
+        raise ConfigError("propagation input accuracies must be a JSON object")
     try:
-        accuracies = payload["accuracies"]
-        if not isinstance(accuracies, dict):
-            raise ConfigError("propagation input accuracies must be a JSON object")
         acc = propagation.StageAccuracies.from_names(accuracies)
     except KeyError as exc:
         raise ConfigError(f"propagation input needs accuracies.{exc.args[0]}") from exc

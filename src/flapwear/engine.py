@@ -1,24 +1,31 @@
 """Three-level hierarchical classification engine.
 
-One run takes the per-stage probability vectors of a single tool
-observation through the decision tree: usage condition first, then flap
-profile and tear, then severity on the branch the profile selected. The
-level-1/level-2 consistency check and per-stage confidence gating mark
-results for re-examination; multiple runs of the same tool can be fused
-by majority vote.
+A run is one tool observation: a probability vector per stage. The
+engine decides a whole batch of runs at once (``decide_runs``), one row
+per run, with array operations: argmax and maximum per stage, then
+lookups into tables derived from the taxonomy for the level-1/level-2
+conflicts and the outcome id, then the severity stage on the branch the
+profile decision selected, and per-stage confidence gating. The same
+batch code serves a single run (``classify_run``). Several runs of one
+tool can be fused by majority vote (``fuse_runs``).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from statistics import fmean
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .predictions import ProbabilityVector, argmax_class, confidence
+from .predictions import ProbabilityVector
 from .taxonomy import (
+    CONSISTENT_OUTCOMES,
     REQUIRED_STAGES,
     SEVERITY_STAGE,
     STAGE_CLASSES,
@@ -26,6 +33,7 @@ from .taxonomy import (
     ConflictKind,
     Severity,
     StageId,
+    TaxonomyError,
     WearOutcome,
     check_consistency,
     outcome_from_parts,
@@ -115,6 +123,54 @@ class RunInput:
             raise EngineError(f"run has no {'/'.join(missing)} vector")
 
 
+def _mean(values: Sequence[float]) -> float:
+    """Exactly rounded mean, as statistics.fmean computes it."""
+    return math.fsum(values) / len(values)
+
+
+def _verdict(conflicts: Sequence[ConflictKind], outcome: Optional[WearOutcome]) -> str:
+    if conflicts:
+        return "conflicted"
+    return "outcome" if outcome is not None else "incomplete"
+
+
+# A run's decided stages as (stage, class index, confidence), in stage order.
+StageDecisions = list[tuple[StageId, int, float]]
+# A decided run as plain values: outcome (None if none), conflicts, decisions.
+RunRow = tuple[Optional[WearOutcome], tuple[ConflictKind, ...], StageDecisions]
+
+
+def run_record(
+    tool_id: str,
+    outcome: Optional[WearOutcome],
+    conflicts: Sequence[ConflictKind],
+    decisions: StageDecisions,
+    flag_labels: list[str],
+) -> dict:
+    """A run's report record."""
+    return {
+        "tool_id": tool_id,
+        "verdict": _verdict(conflicts, outcome),
+        "outcome_id": outcome.id if outcome else None,
+        "outcome": (
+            {
+                "usage": outcome.usage.value,
+                "profile": outcome.profile.value,
+                "tear": outcome.tear.value,
+                "severity": outcome.severity.value if outcome.severity else None,
+            }
+            if outcome
+            else None
+        ),
+        "conflicts": [c.value for c in conflicts],
+        "stages": {
+            stage.value: {"class": STAGE_CLASSES[stage][idx], "confidence": conf}
+            for stage, idx, conf in decisions
+        },
+        "flags": flag_labels,
+    }
+
+
 @dataclass(frozen=True)
 class RunResult:
     tool_id: str
@@ -125,38 +181,22 @@ class RunResult:
 
     @property
     def verdict(self) -> str:
-        if self.conflicts:
-            return "conflicted"
-        return "outcome" if self.outcome is not None else "incomplete"
+        return _verdict(self.conflicts, self.outcome)
 
     def mean_confidence(self) -> float:
-        return fmean(conf for _, conf in self.stage_decisions.values())
+        return _mean([conf for _, conf in self.stage_decisions.values()])
+
+    def decisions(self) -> StageDecisions:
+        return [(stage, idx, conf) for stage, (idx, conf) in self.stage_decisions.items()]
 
     def to_record(self) -> dict:
-        return {
-            "tool_id": self.tool_id,
-            "verdict": self.verdict,
-            "outcome_id": self.outcome.id if self.outcome else None,
-            "outcome": (
-                {
-                    "usage": self.outcome.usage.value,
-                    "profile": self.outcome.profile.value,
-                    "tear": self.outcome.tear.value,
-                    "severity": self.outcome.severity.value if self.outcome.severity else None,
-                }
-                if self.outcome
-                else None
-            ),
-            "conflicts": [c.value for c in self.conflicts],
-            "stages": {
-                stage.value: {
-                    "class": STAGE_CLASSES[stage][idx],
-                    "confidence": conf,
-                }
-                for stage, (idx, conf) in self.stage_decisions.items()
-            },
-            "flags": sorted(f.label() for f in self.flags),
-        }
+        return run_record(
+            self.tool_id,
+            self.outcome,
+            self.conflicts,
+            self.decisions(),
+            sorted(f.label() for f in self.flags),
+        )
 
 
 @dataclass(frozen=True)
@@ -178,68 +218,186 @@ class EnsembleResult:
             "verdict": self.verdict,
             "outcome_id": self.outcome.id if self.outcome else None,
             "vote_counts": dict(sorted(self.vote_counts.items())),
-            "mean_confidence_per_stage": {
-                s.value: c for s, c in sorted(
-                    self.mean_confidence_per_stage.items(), key=lambda kv: kv[0].value
-                )
-            },
+            "mean_confidence_per_stage": dict(
+                sorted((s.value, c) for s, c in self.mean_confidence_per_stage.items())
+            ),
             "runs_used": self.runs_used,
         }
 
 
-def classify_run(run: RunInput, config: EngineConfig | None = None) -> RunResult:
-    """Execute the full hierarchy for one tool observation.
+# The tree's level-1/level-2 cells: every (usage, profile, tear) class-index
+# triple, numbered in C order. Per cell, the conflicts check_consistency
+# reports and, per severity (no severity last), the consistent outcome's id
+# (0 for none).
+_CELL_SHAPE = tuple(len(STAGE_STATES[stage]) for stage in REQUIRED_STAGES)
+_CELL_PARTS = tuple(itertools.product(*(STAGE_STATES[stage] for stage in REQUIRED_STAGES)))
+_CELL_CONFLICTS = tuple(check_consistency(*parts) for parts in _CELL_PARTS)
+_CONFLICTED = np.array([bool(conflicts) for conflicts in _CELL_CONFLICTS])
+_SEVERITY_CHOICES = (*Severity, None)
+_NO_SEVERITY = _SEVERITY_CHOICES.index(None)
 
-    Levels 1 and 2 are decided by argmax; level 3 only on the branch the
-    profile decision selected (rectangular skips it). Consistency between
-    levels 1 and 2 is checked afterwards, and every stage with a
-    configured threshold contributes a low-confidence flag when its
-    winning probability falls short.
+
+def _outcome_id(parts: tuple, severity: Optional[Severity]) -> int:
+    try:
+        return outcome_from_parts(*parts, severity).id
+    except TaxonomyError:
+        return 0
+
+
+_OUTCOME_ID = np.array(
+    [[_outcome_id(parts, severity) for severity in _SEVERITY_CHOICES] for parts in _CELL_PARTS]
+)
+_OUTCOME_BY_ID = {outcome.id: outcome for outcome in CONSISTENT_OUTCOMES}
+# Per severity stage: its class index -> index into _SEVERITY_CHOICES.
+_SEVERITY_CHOICE = {
+    stage: np.array([_SEVERITY_CHOICES.index(state) for state in STAGE_STATES[stage]])
+    for stage in SEVERITY_STAGE.values()
+}
+
+# Every flag a run can carry; bit i of a flag mask stands for _FLAGS[i].
+_FLAGS = (
+    *(ReviewFlag(FlagType.CONFLICT, conflict=kind) for kind in ConflictKind),
+    *(ReviewFlag(FlagType.LOW_CONFIDENCE, stage=stage) for stage in StageId),
+    *(
+        ReviewFlag(FlagType.MISSING_SEVERITY_INPUT, stage=stage)
+        for stage in SEVERITY_STAGE.values()
+    ),
+)
+_FLAG_BIT = {flag: bit for bit, flag in enumerate(_FLAGS)}
+_CELL_HAS_CONFLICT = {
+    kind: np.array([kind in conflicts for conflicts in _CELL_CONFLICTS]) for kind in ConflictKind
+}
+
+
+def _flag_set(mask: int) -> frozenset[ReviewFlag]:
+    return frozenset(flag for bit, flag in enumerate(_FLAGS) if mask >> bit & 1)
+
+
+@functools.cache
+def _sorted_labels(mask: int) -> tuple[str, ...]:
+    return tuple(sorted({flag.label() for flag in _flag_set(mask)}))
+
+
+def flag_labels(mask: int) -> list[str]:
+    """The sorted labels of the flags in a flag mask."""
+    return list(_sorted_labels(mask))
+
+
+@dataclass(frozen=True)
+class RunDecisions:
+    """A batch of runs through the hierarchy; row r of every array is run r."""
+
+    index: dict[StageId, np.ndarray]  # decided class per stage, -1 where undecided
+    confidence: dict[StageId, np.ndarray]  # winning probability per stage
+    cell: np.ndarray  # level-1/level-2 cell (see _CELL_PARTS)
+    outcome_id: np.ndarray  # consistent outcome, 0 for none
+    flags: np.ndarray  # flag mask, bit i for _FLAGS[i]
+    rejected_row: int  # first run REJECT_RUN refuses (a severity vector missing), else -1
+
+    @property
+    def conflicted(self) -> np.ndarray:
+        return _CONFLICTED[self.cell]
+
+    def rejection(self) -> MissingSeverityInput:
+        """The error for rejected_row."""
+        profile = _CELL_PARTS[self.cell[self.rejected_row]][1]
+        return MissingSeverityInput(
+            f"profile {profile.value} requires a {SEVERITY_STAGE[profile].value} vector"
+        )
+
+    def rows(self) -> Iterator[tuple[RunRow, int]]:
+        """Per run, as plain values: (outcome or None, conflicts, decisions) and the flag mask."""
+        stages = [
+            (stage, idx.tolist(), self.confidence[stage].tolist())
+            for stage, idx in self.index.items()
+        ]
+        for r, (oid, cell, mask) in enumerate(
+            zip(self.outcome_id.tolist(), self.cell.tolist(), self.flags.tolist())
+        ):
+            decisions = [(stage, idx[r], conf[r]) for stage, idx, conf in stages if idx[r] >= 0]
+            yield (_OUTCOME_BY_ID.get(oid), _CELL_CONFLICTS[cell], decisions), mask
+
+
+def decide_runs(
+    vectors: Mapping[StageId, np.ndarray],
+    present: Mapping[StageId, np.ndarray],
+    config: EngineConfig | None = None,
+) -> RunDecisions:
+    """Execute the full hierarchy for a batch of runs.
+
+    vectors holds an (n, k) probability array for every stage, row r
+    belonging to run r; present[stage] says which rows of a severity
+    stage hold a vector. Levels 1 and 2 are decided by argmax (ties to
+    the lowest index); level 3 only on the branch the profile decision
+    selected (rectangular skips it), and under REJECT_RUN not after a
+    conflict. Every decided stage with a configured threshold is flagged
+    when its winning probability falls short. The rows are not checked
+    here: each must be a valid vector of its stage.
     """
     if config is None:
         config = EngineConfig()
+    reject = config.conflict_policy is ConflictPolicy.REJECT_RUN
 
-    decisions: dict[StageId, tuple[int, float]] = {}
-    flags: set[ReviewFlag] = set()
-
+    index: dict[StageId, np.ndarray] = {}
+    confidence: dict[StageId, np.ndarray] = {}
     for stage in REQUIRED_STAGES:
-        vector = run.vectors[stage]
-        decisions[stage] = (argmax_class(vector), confidence(vector))
+        index[stage] = vectors[stage].argmax(axis=1)
+        confidence[stage] = vectors[stage].max(axis=1)
+    cell = np.ravel_multi_index(tuple(index[stage] for stage in REQUIRED_STAGES), _CELL_SHAPE)
+    conflicted = _CONFLICTED[cell]
 
-    usage, profile, tear = (STAGE_STATES[s][decisions[s][0]] for s in REQUIRED_STAGES)
+    raised = {
+        ReviewFlag(FlagType.CONFLICT, conflict=kind): has[cell]
+        for kind, has in _CELL_HAS_CONFLICT.items()
+    }
+    severity = np.full(len(cell), _NO_SEVERITY)
+    missing = np.zeros(len(cell), dtype=bool)
+    for profile, stage in SEVERITY_STAGE.items():
+        branch = index[StageId.PROFILE] == STAGE_STATES[StageId.PROFILE].index(profile)
+        if reject:
+            branch &= ~conflicted
+        taken = branch & present[stage]
+        missing |= branch & ~present[stage]
+        if not reject:
+            raised[ReviewFlag(FlagType.MISSING_SEVERITY_INPUT, stage=stage)] = branch & ~taken
+        idx = vectors[stage].argmax(axis=1)
+        index[stage] = np.where(taken, idx, -1)
+        confidence[stage] = vectors[stage].max(axis=1)
+        severity = np.where(taken, _SEVERITY_CHOICE[stage][idx], severity)
+    for stage, threshold in config.thresholds.items():
+        raised[ReviewFlag(FlagType.LOW_CONFIDENCE, stage=stage)] = (index[stage] >= 0) & (
+            confidence[stage] < threshold
+        )
 
-    conflicts = check_consistency(usage, profile, tear)
-    for kind in conflicts:
-        flags.add(ReviewFlag(FlagType.CONFLICT, conflict=kind))
+    flags = np.zeros(len(cell), dtype=np.int64)
+    for flag, rows in raised.items():
+        flags |= rows.astype(np.int64) << _FLAG_BIT[flag]
+    rejected_row = int(np.argmax(missing)) if reject and missing.any() else -1
+    return RunDecisions(index, confidence, cell, _OUTCOME_ID[cell, severity], flags, rejected_row)
 
-    severity: Optional[Severity] = None
-    severity_stage = SEVERITY_STAGE.get(profile)
-    take_level3 = severity_stage is not None and not (
-        conflicts and config.conflict_policy is ConflictPolicy.REJECT_RUN
+
+def classify_run(run: RunInput, config: EngineConfig | None = None) -> RunResult:
+    """Execute the full hierarchy for one tool observation (see decide_runs).
+
+    Under REJECT_RUN a run whose profile branch has no severity vector
+    raises MissingSeverityInput instead of being flagged.
+    """
+    vectors = {
+        stage: np.array([run.vectors[stage].probs if stage in run.vectors else [0.0] * len(names)])
+        for stage, names in STAGE_CLASSES.items()
+    }
+    present = {stage: np.array([stage in run.vectors]) for stage in SEVERITY_STAGE.values()}
+    decisions = decide_runs(vectors, present, config)
+    if decisions.rejected_row >= 0:
+        raise decisions.rejection()
+    (outcome, conflicts, decided), mask = next(decisions.rows())
+    return RunResult(
+        run.tool_id,
+        outcome,
+        conflicts,
+        {stage: (idx, conf) for stage, idx, conf in decided},
+        _flag_set(mask),
     )
-    if take_level3:
-        severity_vector = run.vectors.get(severity_stage)
-        if severity_vector is None:
-            if config.conflict_policy is ConflictPolicy.REJECT_RUN:
-                raise MissingSeverityInput(
-                    f"profile {profile.value} requires a {severity_stage.value} vector"
-                )
-            flags.add(ReviewFlag(FlagType.MISSING_SEVERITY_INPUT, stage=severity_stage))
-        else:
-            idx, conf = argmax_class(severity_vector), confidence(severity_vector)
-            decisions[severity_stage] = (idx, conf)
-            severity = STAGE_STATES[severity_stage][idx]
-
-    for stage, (_, conf) in decisions.items():
-        threshold = config.thresholds.get(stage)
-        if threshold is not None and conf < threshold:
-            flags.add(ReviewFlag(FlagType.LOW_CONFIDENCE, stage=stage))
-
-    outcome: Optional[WearOutcome] = None
-    if not conflicts and (severity_stage is None or severity is not None):
-        outcome = outcome_from_parts(usage, profile, tear, severity)
-
-    return RunResult(run.tool_id, outcome, conflicts, decisions, frozenset(flags))
 
 
 def needs_reevaluation(result: RunResult) -> bool:
@@ -247,60 +405,71 @@ def needs_reevaluation(result: RunResult) -> bool:
     return bool(result.flags)
 
 
-def ensemble_classify(runs: list[RunResult], config: EngineConfig | None = None) -> EnsembleResult:
-    """Fuse several runs of the same tool by majority vote on verdicts.
+def _vote_key(conflicts: Sequence[ConflictKind], outcome: Optional[WearOutcome]) -> Optional[str]:
+    verdict = _verdict(conflicts, outcome)
+    return None if verdict == "incomplete" else "conflicted" if conflicts else str(outcome.id)
 
-    Conflicted runs pool into a single "conflicted" bucket. Ties are
-    broken toward the candidate whose supporting runs have the higher
-    mean stage confidence, then toward the lowest outcome id (with the
-    conflicted bucket last).
+
+def _check_run_count(n_runs: int, config: EngineConfig) -> None:
+    if n_runs < config.ensemble_min_runs:
+        raise TooFewRuns(f"need at least {config.ensemble_min_runs} runs, got {n_runs}")
+
+
+def fuse_runs(
+    tool_id: str,
+    runs: Sequence[RunRow],
+    config: EngineConfig | None = None,
+) -> EnsembleResult:
+    """Fuse the runs of one tool, each (outcome, conflicts, decisions), by majority vote.
+
+    Incomplete runs do not vote; conflicted runs pool into a single
+    "conflicted" bucket. Ties are broken toward the candidate whose
+    voters have the higher mean stage confidence, then toward the lowest
+    outcome id (with the conflicted bucket last).
     """
     if config is None:
         config = EngineConfig()
-    if len(runs) < config.ensemble_min_runs:
-        raise TooFewRuns(
-            f"need at least {config.ensemble_min_runs} runs, got {len(runs)}"
-        )
-    tool_ids = {r.tool_id for r in runs}
-    if len(tool_ids) != 1:
-        raise MixedTools(f"runs span multiple tools: {sorted(tool_ids)}")
-
-    def key_of(r: RunResult) -> str:
-        return "conflicted" if r.conflicts else str(r.outcome.id)
-
-    usable = [r for r in runs if r.conflicts or r.outcome is not None]
+    _check_run_count(len(runs), config)
+    keys = [_vote_key(conflicts, outcome) for outcome, conflicts, _ in runs]
+    usable = [i for i, key in enumerate(keys) if key is not None]
     if not usable:
         raise TooFewRuns("no run produced a verdict (all incomplete)")
 
-    votes = Counter(key_of(r) for r in usable)
+    votes = Counter(keys[i] for i in usable)
+    run_means = {i: _mean([conf for _, _, conf in runs[i][2]]) for i in usable}
     mean_conf_by_key = {
-        key: fmean(r.mean_confidence() for r in usable if key_of(r) == key)
-        for key in votes
+        key: _mean([run_means[i] for i in usable if keys[i] == key]) for key in votes
     }
 
     def rank(key: str) -> tuple:
-        outcome_order = float("inf") if key == "conflicted" else int(key)
+        outcome_order = math.inf if key == "conflicted" else int(key)
         return (-votes[key], -mean_conf_by_key[key], outcome_order)
 
     winner = min(votes, key=rank)
 
     stage_confs: dict[StageId, list[float]] = {}
-    for r in runs:
-        for stage, (_, conf) in r.stage_decisions.items():
+    for _, _, decisions in runs:
+        for stage, _, conf in decisions:
             stage_confs.setdefault(stage, []).append(conf)
 
-    if winner == "conflicted":
-        outcome, conflicted = None, True
-    else:
-        outcome = next(r.outcome for r in usable if key_of(r) == winner)
-        conflicted = False
-
+    conflicted = winner == "conflicted"
     return EnsembleResult(
-        tool_id=runs[0].tool_id,
-        outcome=outcome,
+        tool_id=tool_id,
+        outcome=None if conflicted else _OUTCOME_BY_ID[int(winner)],
         conflicted=conflicted,
         vote_counts=dict(votes),
-        mean_confidence_per_stage={s: fmean(v) for s, v in stage_confs.items()},
+        mean_confidence_per_stage={s: _mean(v) for s, v in stage_confs.items()},
         runs_used=len(usable),
     )
 
+
+def ensemble_classify(runs: list[RunResult], config: EngineConfig | None = None) -> EnsembleResult:
+    """Fuse several RunResults of the same tool by majority vote (see fuse_runs)."""
+    if config is None:
+        config = EngineConfig()
+    _check_run_count(len(runs), config)
+    tool_ids = {r.tool_id for r in runs}
+    if len(tool_ids) != 1:
+        raise MixedTools(f"runs span multiple tools: {sorted(tool_ids)}")
+    rows = [(r.outcome, r.conflicts, r.decisions()) for r in runs]
+    return fuse_runs(runs[0].tool_id, rows, config)

@@ -2,8 +2,10 @@
 
 Confusion matrices with per-class precision/recall/F1, accuracy and
 macro-F1, confidence statistics over correct vs. incorrect predictions,
-and ROC curves with trapezoidal AUC. Zero-denominator metrics are
-encoded as None ("n/a" in reports) rather than raised mid-report.
+and ROC curves with trapezoidal AUC. Counts and the ROC sweep work on
+whole arrays of samples; means and the AUC are summed in Python floats.
+Zero-denominator metrics are encoded as None ("n/a" in reports) rather
+than raised mid-report.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import EmptyInput, ValidationError
 from .taxonomy import STAGE_CLASSES, StageId
@@ -70,6 +74,20 @@ class ConfusionMatrix:
 
     def total(self) -> int:
         return sum(sum(row) for row in self.counts)
+
+    @classmethod
+    def from_indices(
+        cls, stage: StageId, truth: np.ndarray, predicted: np.ndarray
+    ) -> "ConfusionMatrix":
+        """Counts of (truth, predicted) class-index pairs, one pair per sample."""
+        n = len(STAGE_CLASSES[stage])
+        truth, predicted = np.asarray(truth), np.asarray(predicted)
+        inside = (truth >= 0) & (truth < n) & (predicted >= 0) & (predicted < n)
+        if not inside.all():
+            i = int(np.argmin(inside))
+            raise IndexOutOfRange(f"indices ({truth[i]}, {predicted[i]}) outside 0..{n - 1}")
+        counts = np.bincount(truth * n + predicted, minlength=n * n).reshape(n, n)
+        return cls(stage, counts.tolist())
 
 
 def accumulate(cm: ConfusionMatrix, truth: int, predicted: int) -> ConfusionMatrix:
@@ -135,30 +153,36 @@ def roc_curve(
     stage: StageId = StageId.USAGE,
     positive_class: int = 0,
 ) -> RocCurve:
+    """ROC of (positive-class score, is_positive) samples; see roc_from_scores."""
+    scores = np.array([score for score, _ in samples], dtype=float)
+    positive = np.array([bool(pos) for _, pos in samples], dtype=bool)
+    return roc_from_scores(scores, positive, stage, positive_class)
+
+
+def roc_from_scores(
+    scores: np.ndarray,
+    positive: np.ndarray,
+    stage: StageId = StageId.USAGE,
+    positive_class: int = 0,
+) -> RocCurve:
     """Threshold sweep over descending unique scores.
 
-    samples are (positive-class score, is_positive). Equal scores are
-    processed as one step; AUC is the trapezoidal area under the
-    resulting (FPR, TPR) polyline.
+    scores[i] is sample i's positive-class score and positive[i] whether
+    it is positive. Equal scores are processed as one step; AUC is the
+    trapezoidal area under the resulting (FPR, TPR) polyline.
     """
-    n_pos = sum(1 for _, pos in samples if pos)
-    n_neg = len(samples) - n_pos
+    n_pos = int(np.count_nonzero(positive))
+    n_neg = len(scores) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateInput("need at least one positive and one negative sample")
 
-    ordered = sorted(samples, key=lambda s: -s[0])
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < len(ordered):
-        score = ordered[i][0]
-        while i < len(ordered) and ordered[i][0] == score:
-            if ordered[i][1]:
-                tp += 1
-            else:
-                fp += 1
-            i += 1
-        points.append((fp / n_neg, tp / n_pos))
+    order = np.argsort(-scores, kind="stable")
+    ordered = scores[order]
+    tp = np.cumsum(positive[order])
+    fp = np.arange(1, len(ordered) + 1) - tp
+    step_ends = np.flatnonzero(np.append(ordered[1:] != ordered[:-1], True))
+    fpr, tpr = (fp[step_ends] / n_neg).tolist(), (tp[step_ends] / n_pos).tolist()
+    points = [(0.0, 0.0), *zip(fpr, tpr)]
     if points[-1] != (1.0, 1.0):
         points.append((1.0, 1.0))
 

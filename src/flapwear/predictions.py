@@ -1,9 +1,14 @@
 """Ingestion and validation of per-image probability vectors.
 
 Upstream models emit one probability vector per image and stage. A
-ProbabilityVector is validated once, when constructed. This module also
-applies the argmax decision rule, parses/serializes the line-delimited
-prediction file format and splits datasets by tool so that no tool
+prediction file is parsed once into a per-stage table
+(``parse_prediction_table``): for each stage, the records' vectors as an
+N x k float64 array, with their tool ids, image ids, line numbers and
+truth indices. Rows are checked as a batch against the rules a
+ProbabilityVector checks when it is constructed, and an error names the
+first failing line. ``parse_prediction_file`` is an object view over the
+same table. The module also holds the argmax decision rule for a single
+vector, serializes records and splits datasets by tool so that no tool
 leaks across train/val/test.
 """
 
@@ -12,11 +17,14 @@ from __future__ import annotations
 import json
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Optional
 
-from .errors import EmptyInput, ParseError, ValidationError
+import numpy as np
+
+from .errors import EmptyInput, FlapwearError, ParseError, ValidationError
 from .taxonomy import STAGE_CLASSES, STAGE_VIEW, StageId, View
 
 SUM_TOLERANCE = 1e-6
@@ -50,7 +58,11 @@ class ProbabilityVector:
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
+        try:
+            probs = tuple(float(p) for p in self.probs)
+        except OverflowError as exc:
+            raise OutOfRange(f"probability outside [0, 1]: {exc}") from exc
+        object.__setattr__(self, "probs", probs)
         validate_vector(self)
 
 
@@ -117,44 +129,131 @@ class DatasetSplit:
     test_tools: frozenset[str]
 
 
-def _record_to_sample(rec: dict, line_no: int) -> LabeledSample | Prediction:
+@dataclass(frozen=True)
+class StageTable:
+    """One stage's records in file order, as columns."""
+
+    stage: StageId
+    probs: np.ndarray  # (n, k) float64; every row is a valid vector
+    tool_ids: list[str]
+    image_ids: list[str]
+    lines: np.ndarray  # (n,) 1-based line numbers
+    truth: np.ndarray  # (n,) truth class index, -1 for a record without truth
+
+
+# Every stage's table, in StageId order; a stage without records has an empty one.
+PredictionTable = dict[StageId, StageTable]
+
+_STAGE_BY_NAME = {stage.value: stage for stage in StageId}
+_VIEW_BY_NAME = {view.value: view for view in View}
+_NUMBER_TYPES = frozenset((int, float))
+# The batch screen flags a row whose sum is this close to the tolerance too,
+# so a sum rounded differently from the one validate_vector takes is confirmed by it.
+_SUM_SLACK = 1e-12
+
+
+class _StageColumns:
+    """A stage's columns while its file is read."""
+
+    __slots__ = ("stage", "classes", "view", "probs", "tool_ids", "image_ids", "lines", "truth")
+
+    def __init__(self, stage: StageId):
+        self.stage = stage
+        self.classes = STAGE_CLASSES[stage]
+        self.view = STAGE_VIEW[stage]
+        self.probs = array("d")
+        self.tool_ids: list[str] = []
+        self.image_ids: list[str] = []
+        self.lines = array("q")
+        self.truth = array("b")
+
+    def prob_rows(self) -> np.ndarray:
+        return np.frombuffer(self.probs, dtype=np.float64).reshape(-1, len(self.classes))
+
+    def table(self) -> StageTable:
+        return StageTable(
+            self.stage,
+            self.prob_rows(),
+            self.tool_ids,
+            self.image_ids,
+            np.frombuffer(self.lines, dtype=np.int64),
+            np.frombuffer(self.truth, dtype=np.int8),
+        )
+
+
+def _member(enum, by_name: dict, name):
+    member = by_name.get(name) if isinstance(name, str) else None
+    return member if member is not None else enum(name)  # enum() raises for a bad name
+
+
+def _record_fields(rec: dict, line_no: int):
+    """A record's stage, view, probs, image id and tool id; a ParseError if malformed."""
     try:
-        stage = StageId(rec["stage"])
-        view = View(rec["view"])
+        stage = _member(StageId, _STAGE_BY_NAME, rec["stage"])
+        view = _member(View, _VIEW_BY_NAME, rec["view"])
         probs = rec["probs"]
-        if not isinstance(probs, list) or not all(
-            isinstance(p, (int, float)) and not isinstance(p, bool) for p in probs
-        ):
+        if not isinstance(probs, list) or not _NUMBER_TYPES.issuperset(map(type, probs)):
             raise ParseError("probs must be an array of numbers", line_no)
         image_id, tool_id = str(rec["image_id"]), str(rec["tool_id"])
     except ParseError:
         raise
     except (KeyError, ValueError, TypeError) as exc:
         raise ParseError(str(exc), line_no) from exc
+    return stage, view, probs, image_id, tool_id
 
-    # Built here, not above: a VectorError is a ValueError, not a parse error.
+
+def _record_error(rec: dict, line_no: int, fields) -> FlapwearError:
+    """The error of a well-formed record whose vector, view or truth is bad.
+
+    The vector is checked first, then the view, then the truth class.
+    """
+    stage, view, probs, image_id, tool_id = fields
     try:
-        prediction = Prediction(image_id, tool_id, view, ProbabilityVector(stage, tuple(probs)))
-        if "truth" in rec and rec["truth"] is not None:
-            truth = STAGE_CLASSES[stage].index(rec["truth"])
-            return LabeledSample(prediction, truth)
+        Prediction(image_id, tool_id, view, ProbabilityVector(stage, tuple(probs)))
     except (VectorError, ViewMismatch) as exc:
-        raise ValidationError(str(exc), line_no) from exc
-    except ValueError as exc:
-        raise ParseError(f"unknown truth class {rec['truth']!r}", line_no) from exc
-    return prediction
+        return ValidationError(str(exc), line_no)
+    return ParseError(f"unknown truth class {rec['truth']!r}", line_no)
 
 
-def parse_prediction_file(path: str | Path) -> list[LabeledSample | Prediction]:
-    """Parse a line-delimited prediction file.
+def _first_invalid_row(columns: Iterable[_StageColumns]) -> Optional[ValidationError]:
+    """The error of the first line, over all stages, whose vector is invalid.
+
+    A vectorized screen flags every row that may break validate_vector's
+    rules; the flagged rows are then checked, in line order, by building
+    their ProbabilityVector.
+    """
+    flagged = []
+    for cols in columns:
+        rows = cols.prob_rows()
+        with np.errstate(all="ignore"):
+            total = rows[:, 0].copy()
+            for j in range(1, rows.shape[1]):
+                total += rows[:, j]
+            suspect = (~np.isfinite(rows) | (rows < 0.0) | (rows > 1.0)).any(axis=1)
+            suspect |= ~(np.abs(total - 1.0) <= SUM_TOLERANCE - _SUM_SLACK)
+        flagged.extend((cols.lines[i], cols, i) for i in np.flatnonzero(suspect).tolist())
+    for line_no, cols, i in sorted(flagged, key=lambda f: f[0]):
+        try:
+            ProbabilityVector(cols.stage, tuple(cols.prob_rows()[i].tolist()))
+        except VectorError as exc:
+            return ValidationError(str(exc), line_no)
+    return None
+
+
+def parse_prediction_table(path: str | Path) -> PredictionTable:
+    """Parse a line-delimited prediction file into one table per stage.
 
     Each line is a JSON record with fields image_id, tool_id, view,
-    stage, probs and optionally truth (canonical class name). Records
-    with a truth field come back as LabeledSample, others as Prediction.
-    Blank lines are skipped; errors carry the 1-based line number. A file
+    stage, probs and optionally truth (canonical class name). Blank lines
+    are skipped. The first failing line is reported, with its 1-based
+    number; within a line, a malformed record is a ParseError, then an
+    invalid vector or a view that does not match the stage a
+    ValidationError, then an unknown truth class a ParseError. A file
     that cannot be opened or is not UTF-8 text is a ParseError too.
+    Decoded records are not kept: each line goes straight into the
+    columns of its stage.
     """
-    samples: list[LabeledSample | Prediction] = []
+    columns = {stage: _StageColumns(stage) for stage in StageId}
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -163,13 +262,62 @@ def parse_prediction_file(path: str | Path) -> list[LabeledSample | Prediction]:
                     continue
                 try:
                     rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"invalid JSON: {exc.msg}", line_no) from exc
+                except (ValueError, RecursionError) as exc:
+                    msg = getattr(exc, "msg", exc)
+                    raise ParseError(f"invalid JSON: {msg}", line_no) from exc
                 if not isinstance(rec, dict):
                     raise ParseError("record must be a JSON object", line_no)
-                samples.append(_record_to_sample(rec, line_no))
+                fields = _record_fields(rec, line_no)
+                stage, view, probs, image_id, tool_id = fields
+                cols = columns[stage]
+                truth = rec.get("truth")
+                if (
+                    len(probs) != len(cols.classes)
+                    or view is not cols.view
+                    or (truth is not None and truth not in cols.classes)
+                ):
+                    raise _record_error(rec, line_no, fields)
+                try:
+                    cols.probs.extend(probs)
+                except OverflowError:  # an integer too large for a float
+                    del cols.probs[len(cols.lines) * len(cols.classes):]
+                    raise _record_error(rec, line_no, fields) from None
+                cols.tool_ids.append(tool_id)
+                cols.image_ids.append(image_id)
+                cols.lines.append(line_no)
+                cols.truth.append(-1 if truth is None else cols.classes.index(truth))
+    except FlapwearError as exc:
+        raise _first_invalid_row(columns.values()) or exc
     except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        earlier = _first_invalid_row(columns.values())
+        raise earlier or ParseError(f"cannot read {path}: {exc}") from exc
+    invalid = _first_invalid_row(columns.values())
+    if invalid is not None:
+        raise invalid
+    return {stage: cols.table() for stage, cols in columns.items()}
+
+
+def parse_prediction_file(path: str | Path) -> list[LabeledSample | Prediction]:
+    """Parse a line-delimited prediction file into objects, in file order.
+
+    The file is read by parse_prediction_table, with its format and
+    errors. Records with a truth field come back as LabeledSample, others
+    as Prediction.
+    """
+    tables = parse_prediction_table(path)
+    rows = sorted(
+        ((line_no, table, i) for table in tables.values()
+         for i, line_no in enumerate(table.lines.tolist())),
+        key=lambda row: row[0],
+    )
+    samples: list[LabeledSample | Prediction] = []
+    for _, table, i in rows:
+        vector = ProbabilityVector(table.stage, tuple(table.probs[i].tolist()))
+        prediction = Prediction(
+            table.image_ids[i], table.tool_ids[i], STAGE_VIEW[table.stage], vector
+        )
+        truth = int(table.truth[i])
+        samples.append(prediction if truth < 0 else LabeledSample(prediction, truth))
     return samples
 
 

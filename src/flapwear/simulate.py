@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import EngineConfig, RunInput, classify_run
+from .engine import EngineConfig, RunInput, classify_run, decide_runs
 from .errors import ValidationError
 from .propagation import ACCURACY_NAMES, StageAccuracies, path_accuracy
 from .synth import (
@@ -25,6 +25,8 @@ from .synth import (
 from .taxonomy import (
     BRANCH_STAGES,
     CONSISTENT_OUTCOMES,
+    SEVERITY_STAGE,
+    STAGE_CLASSES,
     FlapProfile,
     StageId,
     TearState,
@@ -73,29 +75,42 @@ def run_synthetic_batch(
     noise_sigma: float = 0.0,
     config: EngineConfig | None = None,
 ) -> dict:
-    """Round-robin over the 11 outcomes; measures hierarchy accuracy."""
+    """Round-robin over the 11 outcomes; measures hierarchy accuracy.
+
+    The wheels are generated one by one, their vectors kept as per-stage
+    arrays, and the hierarchy decides them in one batch.
+    """
     if n < 1:
         raise InvalidSpec("batch size must be >= 1")
     rng = np.random.default_rng(seed)
-    correct = 0
-    per_outcome: dict[int, list[int]] = {o.id: [0, 0] for o in CONSISTENT_OUTCOMES}
+    vectors = {stage: np.zeros((n, len(classes))) for stage, classes in STAGE_CLASSES.items()}
+    present = {stage: np.zeros(n, dtype=bool) for stage in SEVERITY_STAGE.values()}
+    expected = np.empty(n, dtype=np.int64)
     for k in range(n):
         outcome = CONSISTENT_OUTCOMES[k % len(CONSISTENT_OUTCOMES)]
         spec = spec_for_outcome(outcome, rng, noise_sigma)
-        result = classify_spec(spec, seed=int(rng.integers(0, 2**31)), config=config)
-        hit = result.outcome is not None and result.outcome.id == outcome.id
-        correct += hit
-        per_outcome[outcome.id][0] += hit
-        per_outcome[outcome.id][1] += 1
+        observation = generate_observation(spec, seed=int(rng.integers(0, 2**31)))
+        for stage, vector in observation_vectors(observation).items():
+            vectors[stage][k] = vector.probs
+            if stage in present:
+                present[stage][k] = True
+        expected[k] = outcome.id
+
+    decisions = decide_runs(vectors, present, config)
+    if decisions.rejected_row >= 0:
+        raise decisions.rejection()
+    hit = decisions.outcome_id == expected
+    correct = np.bincount(expected[hit], minlength=len(CONSISTENT_OUTCOMES) + 1).tolist()
+    total = np.bincount(expected, minlength=len(CONSISTENT_OUTCOMES) + 1).tolist()
     return {
         "mode": "synth",
         "n": n,
         "noise_sigma": noise_sigma,
-        "hierarchy_accuracy": correct / n,
+        "hierarchy_accuracy": int(np.count_nonzero(hit)) / n,
         "per_outcome": {
-            str(oid): {"correct": c, "total": t}
-            for oid, (c, t) in per_outcome.items()
-            if t
+            str(o.id): {"correct": correct[o.id], "total": total[o.id]}
+            for o in CONSISTENT_OUTCOMES
+            if total[o.id]
         },
     }
 

@@ -302,6 +302,15 @@ def _propagate(accuracies=None, ledger=None):
     return build
 
 
+def _propagate_payload(payload):
+    def build(tmp_path):
+        path = tmp_path / "prop.json"
+        path.write_text(json.dumps(payload))
+        return ["propagate", str(path)]
+
+    return build
+
+
 def _simulate(n_flag="10", matrices=ALL_MATRICES, **settings):
     def build(tmp_path):
         payload = {"mode": "oracle", "matrices": {s.value: m for s, m in matrices.items()}}
@@ -391,6 +400,24 @@ def _out_names_a_file(tmp_path):
         pytest.param(
             _propagate(accuracies=[0.9, 0.9, 0.9]),
             EXIT_CONFIG, "config error:", id="list-valued-accuracies",
+        ),
+        pytest.param(
+            _classify_file(record("usage", [10**400, 0]) + "\n"),
+            EXIT_VALIDATION, "validation error: line 1: probability outside [0, 1]",
+            id="integer-probability-too-large-for-a-float",
+        ),
+        pytest.param(
+            _propagate_payload({"ledger": {}}),
+            EXIT_CONFIG, "config error: propagation input needs an accuracies object",
+            id="propagate-without-accuracies",
+        ),
+        pytest.param(
+            _classify_file('{"image_id": ' + "1" * 5000 + "}\n"),
+            EXIT_PARSE, "parse error: line 1: invalid JSON", id="integer-literal-too-long",
+        ),
+        pytest.param(
+            _classify_file("[" * 100_000 + "\n"),
+            EXIT_PARSE, "parse error: line 1: invalid JSON", id="json-nested-too-deep",
         ),
     ],
 )

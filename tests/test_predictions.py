@@ -20,6 +20,7 @@ from flapwear.predictions import (
     argmax_class,
     confidence,
     parse_prediction_file,
+    parse_prediction_table,
     serialize_record,
     split_by_tool,
     validate_vector,
@@ -147,6 +148,39 @@ class TestPredictionFile:
         # serialize -> parse -> serialize is stable
         lines = [serialize_record(s) for s in samples]
         assert [serialize_record(s) for s in parse_prediction_file(out)] == lines
+
+    def test_table_columns_per_stage(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        path.write_text(
+            "\n".join(
+                [
+                    self._line(image_id="a", tool_id="t1", truth=None),
+                    self._line(image_id="b", stage="tear", view="axial", probs=[1, 0],
+                               truth="with_tear"),
+                    "",
+                    self._line(image_id="c", tool_id="t2", probs=[0.25, 0.75]),
+                ]
+            )
+        )
+        tables = parse_prediction_table(path)
+        assert list(tables) == list(StageId)
+        usage, tear = tables[StageId.USAGE], tables[StageId.TEAR]
+        assert usage.probs.tolist() == [[0.9, 0.1], [0.25, 0.75]]
+        assert (usage.tool_ids, usage.image_ids) == (["t1", "t2"], ["a", "c"])
+        assert usage.lines.tolist() == [1, 4]
+        assert usage.truth.tolist() == [-1, 1]
+        assert tear.probs.tolist() == [[1.0, 0.0]] and tear.truth.tolist() == [0]
+        assert tables[StageId.PROFILE].probs.shape == (0, 3)
+
+    def test_first_failing_line_wins(self, tmp_path):
+        # The bad vector on line 2 is reported, not the later malformed line.
+        path = tmp_path / "preds.jsonl"
+        path.write_text(
+            "\n".join([self._line(), self._line(probs=[0.7, 0.2]), "{broken", self._line()])
+        )
+        with pytest.raises(ValidationError, match="probabilities sum to") as excinfo:
+            parse_prediction_table(path)
+        assert excinfo.value.line == 2
 
 
 class TestSplitByTool:
