@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -133,10 +134,9 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _write_jsonl(path: Path, records) -> None:
-    encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(encode(rec) + "\n")
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 @dataclass(frozen=True)
@@ -200,30 +200,23 @@ def cmd_classify(args: argparse.Namespace, config: CliConfig) -> int:
 
     _make_report_dir(config.report_dir)
     decisions = engine.decide_runs(batch.vectors, batch.present, config.engine)
-    run_tools = (
-        (tool_id, i)
-        for tool_id, n in zip(batch.tool_ids, batch.run_counts.tolist())
-        for i in range(n)
-    )
-    runs, run_records = [], []
-    for (tool_id, i), (row, mask) in zip(run_tools, decisions.rows()):
-        labels = engine.flag_labels(mask)
-        rec = engine.run_record(tool_id, *row, labels)
-        rec["run_index"] = i
-        rec["needs_reevaluation"] = bool(labels)
-        run_records.append(rec)
-        runs.append(row)
-
+    rows = decisions.rows()
+    run_records, ensemble_records = [], []
     # Errors surface in tool order, a tool's rejected run before its ensemble.
-    ensemble_records = []
-    end = 0
     for tool_id, n in zip(batch.tool_ids, batch.run_counts.tolist()):
-        start, end = end, end + n
-        if start <= decisions.rejected_row < end:
+        start = len(run_records)
+        runs = []
+        for i, (row, mask) in enumerate(itertools.islice(rows, n)):
+            labels = engine.flag_labels(mask)
+            rec = engine.run_record(tool_id, *row, labels)
+            rec["run_index"] = i
+            rec["needs_reevaluation"] = bool(labels)
+            run_records.append(rec)
+            runs.append(row)
+        if start <= decisions.rejected_row < start + n:
             raise decisions.rejection()
         if n > 1:
-            ensemble = engine.fuse_runs(tool_id, runs[start:end], config.engine)
-            ensemble_records.append(ensemble.to_record())
+            ensemble_records.append(engine.fuse_runs(tool_id, runs, config.engine).to_record())
 
     _write_jsonl(config.report_dir / "runs.jsonl", run_records)
     if ensemble_records:

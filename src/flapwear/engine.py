@@ -183,9 +183,6 @@ class RunResult:
     def verdict(self) -> str:
         return _verdict(self.conflicts, self.outcome)
 
-    def mean_confidence(self) -> float:
-        return _mean([conf for _, conf in self.stage_decisions.values()])
-
     def decisions(self) -> StageDecisions:
         return [(stage, idx, conf) for stage, (idx, conf) in self.stage_decisions.items()]
 
