@@ -14,16 +14,10 @@ from .engine import (
     RunResult,
     classify_run,
     decide_runs,
-    ensemble_classify,
-    needs_reevaluation,
+    fuse_runs,
 )
 from .predictions import (
-    LabeledSample,
-    Prediction,
     ProbabilityVector,
-    argmax_class,
-    confidence,
-    parse_prediction_file,
     parse_prediction_table,
     split_by_tool,
     validate_vector,
@@ -50,8 +44,6 @@ __all__ = [
     "EngineConfig",
     "EnsembleResult",
     "FlapProfile",
-    "LabeledSample",
-    "Prediction",
     "ProbabilityVector",
     "RunInput",
     "RunResult",
@@ -61,16 +53,12 @@ __all__ = [
     "UsageState",
     "View",
     "WearOutcome",
-    "argmax_class",
     "check_consistency",
     "classify_run",
-    "confidence",
     "decide_runs",
-    "ensemble_classify",
     "enumerate_consistent_outcomes",
-    "needs_reevaluation",
+    "fuse_runs",
     "outcome_from_parts",
-    "parse_prediction_file",
     "parse_prediction_table",
     "split_by_tool",
     "validate_vector",

@@ -42,8 +42,10 @@ class CliConfig:
     rounding: int = 3
 
     def __post_init__(self):
-        if self.rounding < 1:
-            raise ConfigError("rounding must be >= 1 decimals")
+        if not 1 <= self.rounding <= metrics.MAX_DECIMALS:
+            raise ConfigError(f"rounding must be 1 to {metrics.MAX_DECIMALS} decimals")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _parse_config_file(path: Path) -> dict[str, str]:
@@ -205,14 +207,8 @@ def cmd_classify(args: argparse.Namespace, config: CliConfig) -> int:
     # Errors surface in tool order, a tool's rejected run before its ensemble.
     for tool_id, n in zip(batch.tool_ids, batch.run_counts.tolist()):
         start = len(run_records)
-        runs = []
-        for i, (row, mask) in enumerate(itertools.islice(rows, n)):
-            labels = engine.flag_labels(mask)
-            rec = engine.run_record(tool_id, *row, labels)
-            rec["run_index"] = i
-            rec["needs_reevaluation"] = bool(labels)
-            run_records.append(rec)
-            runs.append(row)
+        runs = list(itertools.islice(rows, n))
+        run_records.extend(run.to_record(tool_id, i) for i, run in enumerate(runs))
         if start <= decisions.rejected_row < start + n:
             raise decisions.rejection()
         if n > 1:

@@ -5,9 +5,13 @@ engine decides a whole batch of runs at once (``decide_runs``), one row
 per run, with array operations: argmax and maximum per stage, then
 lookups into tables derived from the taxonomy for the level-1/level-2
 conflicts and the outcome id, then the severity stage on the branch the
-profile decision selected, and per-stage confidence gating. The same
-batch code serves a single run (``classify_run``). Several runs of one
-tool can be fused by majority vote (``fuse_runs``).
+profile decision selected, and per-stage confidence gating. Each
+decided run comes out as a ``RunResult``, the one per-run type: the CLI
+writes its record, ``fuse_runs`` (the one ensemble) fuses several of a
+tool by majority vote, and ``classify_run`` decides one ``RunInput``
+through the same batch code. A run's flags are labels such as
+``low_confidence:usage``; in the batch they are a bit mask over
+``FLAG_LABELS``.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -55,26 +59,6 @@ class ConflictPolicy(Enum):
     REJECT_RUN = "reject_run"
 
 
-class FlagType(Enum):
-    LOW_CONFIDENCE = "low_confidence"
-    CONFLICT = "conflict"
-    MISSING_SEVERITY_INPUT = "missing_severity_input"
-
-
-@dataclass(frozen=True)
-class ReviewFlag:
-    type: FlagType
-    stage: Optional[StageId] = None
-    conflict: Optional[ConflictKind] = None
-
-    def label(self) -> str:
-        if self.type is FlagType.LOW_CONFIDENCE:
-            return f"low_confidence:{self.stage.value}"
-        if self.type is FlagType.CONFLICT:
-            return f"conflict:{self.conflict.value}"
-        return "missing_severity_input"
-
-
 class EngineError(ValidationError):
     pass
 
@@ -84,10 +68,6 @@ class MissingSeverityInput(EngineError):
 
 
 class TooFewRuns(EngineError):
-    pass
-
-
-class MixedTools(EngineError):
     pass
 
 
@@ -134,66 +114,44 @@ def _verdict(conflicts: Sequence[ConflictKind], outcome: Optional[WearOutcome]) 
     return "outcome" if outcome is not None else "incomplete"
 
 
-# A run's decided stages as (stage, class index, confidence), in stage order.
-StageDecisions = list[tuple[StageId, int, float]]
-# A decided run as plain values: outcome (None if none), conflicts, decisions.
-RunRow = tuple[Optional[WearOutcome], tuple[ConflictKind, ...], StageDecisions]
+class RunResult(NamedTuple):
+    """One decided run."""
 
-
-def run_record(
-    tool_id: str,
-    outcome: Optional[WearOutcome],
-    conflicts: Sequence[ConflictKind],
-    decisions: StageDecisions,
-    flag_labels: list[str],
-) -> dict:
-    """A run's report record."""
-    return {
-        "tool_id": tool_id,
-        "verdict": _verdict(conflicts, outcome),
-        "outcome_id": outcome.id if outcome else None,
-        "outcome": (
-            {
-                "usage": outcome.usage.value,
-                "profile": outcome.profile.value,
-                "tear": outcome.tear.value,
-                "severity": outcome.severity.value if outcome.severity else None,
-            }
-            if outcome
-            else None
-        ),
-        "conflicts": [c.value for c in conflicts],
-        "stages": {
-            stage.value: {"class": STAGE_CLASSES[stage][idx], "confidence": conf}
-            for stage, idx, conf in decisions
-        },
-        "flags": flag_labels,
-    }
-
-
-@dataclass(frozen=True)
-class RunResult:
-    tool_id: str
-    outcome: Optional[WearOutcome]
+    outcome: Optional[WearOutcome]  # None when conflicted or incomplete
     conflicts: tuple[ConflictKind, ...]
-    stage_decisions: dict[StageId, tuple[int, float]]
-    flags: frozenset[ReviewFlag]
+    decisions: list[tuple[StageId, int, float]]  # decided stages: (stage, class index, confidence)
+    flags: tuple[str, ...]  # sorted flag labels; empty when nothing asks for re-examination
 
     @property
     def verdict(self) -> str:
         return _verdict(self.conflicts, self.outcome)
 
-    def decisions(self) -> StageDecisions:
-        return [(stage, idx, conf) for stage, (idx, conf) in self.stage_decisions.items()]
-
-    def to_record(self) -> dict:
-        return run_record(
-            self.tool_id,
-            self.outcome,
-            self.conflicts,
-            self.decisions(),
-            sorted(f.label() for f in self.flags),
-        )
+    def to_record(self, tool_id: str, run_index: int) -> dict:
+        """The run's report record, as one line of runs.jsonl."""
+        outcome = self.outcome
+        return {
+            "tool_id": tool_id,
+            "run_index": run_index,
+            "verdict": _verdict(self.conflicts, outcome),
+            "outcome_id": outcome.id if outcome else None,
+            "outcome": (
+                {
+                    "usage": outcome.usage.value,
+                    "profile": outcome.profile.value,
+                    "tear": outcome.tear.value,
+                    "severity": outcome.severity.value if outcome.severity else None,
+                }
+                if outcome
+                else None
+            ),
+            "conflicts": [c.value for c in self.conflicts],
+            "stages": {
+                stage.value: {"class": STAGE_CLASSES[stage][idx], "confidence": conf}
+                for stage, idx, conf in self.decisions
+            },
+            "flags": list(self.flags),
+            "needs_reevaluation": bool(self.flags),
+        }
 
 
 @dataclass(frozen=True)
@@ -251,33 +209,28 @@ _SEVERITY_CHOICE = {
     for stage in SEVERITY_STAGE.values()
 }
 
-# Every flag a run can carry; bit i of a flag mask stands for _FLAGS[i].
-_FLAGS = (
-    *(ReviewFlag(FlagType.CONFLICT, conflict=kind) for kind in ConflictKind),
-    *(ReviewFlag(FlagType.LOW_CONFIDENCE, stage=stage) for stage in StageId),
-    *(
-        ReviewFlag(FlagType.MISSING_SEVERITY_INPUT, stage=stage)
-        for stage in SEVERITY_STAGE.values()
-    ),
+_MISSING_SEVERITY = "missing_severity_input"
+# Every flag label a run can carry, sorted; bit i of a flag mask stands for
+# FLAG_LABELS[i], so a mask decodes to its labels in sorted order.
+FLAG_LABELS = tuple(
+    sorted(
+        (
+            *(f"conflict:{kind.value}" for kind in ConflictKind),
+            *(f"low_confidence:{stage.value}" for stage in StageId),
+            _MISSING_SEVERITY,
+        )
+    )
 )
-_FLAG_BIT = {flag: bit for bit, flag in enumerate(_FLAGS)}
+_FLAG_BIT = {label: bit for bit, label in enumerate(FLAG_LABELS)}
 _CELL_HAS_CONFLICT = {
-    kind: np.array([kind in conflicts for conflicts in _CELL_CONFLICTS]) for kind in ConflictKind
+    f"conflict:{kind.value}": np.array([kind in conflicts for conflicts in _CELL_CONFLICTS])
+    for kind in ConflictKind
 }
 
 
-def _flag_set(mask: int) -> frozenset[ReviewFlag]:
-    return frozenset(flag for bit, flag in enumerate(_FLAGS) if mask >> bit & 1)
-
-
 @functools.cache
-def _sorted_labels(mask: int) -> tuple[str, ...]:
-    return tuple(sorted({flag.label() for flag in _flag_set(mask)}))
-
-
-def flag_labels(mask: int) -> list[str]:
-    """The sorted labels of the flags in a flag mask."""
-    return list(_sorted_labels(mask))
+def _flag_labels(mask: int) -> tuple[str, ...]:
+    return tuple(label for bit, label in enumerate(FLAG_LABELS) if mask >> bit & 1)
 
 
 @dataclass(frozen=True)
@@ -288,7 +241,7 @@ class RunDecisions:
     confidence: dict[StageId, np.ndarray]  # winning probability per stage
     cell: np.ndarray  # level-1/level-2 cell (see _CELL_PARTS)
     outcome_id: np.ndarray  # consistent outcome, 0 for none
-    flags: np.ndarray  # flag mask, bit i for _FLAGS[i]
+    flags: np.ndarray  # flag mask, bit i for FLAG_LABELS[i]
     rejected_row: int  # first run REJECT_RUN refuses (a severity vector missing), else -1
 
     @property
@@ -302,8 +255,8 @@ class RunDecisions:
             f"profile {profile.value} requires a {SEVERITY_STAGE[profile].value} vector"
         )
 
-    def rows(self) -> Iterator[tuple[RunRow, int]]:
-        """Per run, as plain values: (outcome or None, conflicts, decisions) and the flag mask."""
+    def rows(self) -> Iterator[RunResult]:
+        """Each run's RunResult, in row order."""
         stages = [
             (stage, idx.tolist(), self.confidence[stage].tolist())
             for stage, idx in self.index.items()
@@ -312,7 +265,9 @@ class RunDecisions:
             zip(self.outcome_id.tolist(), self.cell.tolist(), self.flags.tolist())
         ):
             decisions = [(stage, idx[r], conf[r]) for stage, idx, conf in stages if idx[r] >= 0]
-            yield (_OUTCOME_BY_ID.get(oid), _CELL_CONFLICTS[cell], decisions), mask
+            yield RunResult(
+                _OUTCOME_BY_ID.get(oid), _CELL_CONFLICTS[cell], decisions, _flag_labels(mask)
+            )
 
 
 def decide_runs(
@@ -343,10 +298,7 @@ def decide_runs(
     cell = np.ravel_multi_index(tuple(index[stage] for stage in REQUIRED_STAGES), _CELL_SHAPE)
     conflicted = _CONFLICTED[cell]
 
-    raised = {
-        ReviewFlag(FlagType.CONFLICT, conflict=kind): has[cell]
-        for kind, has in _CELL_HAS_CONFLICT.items()
-    }
+    raised = {label: has[cell] for label, has in _CELL_HAS_CONFLICT.items()}
     severity = np.full(len(cell), _NO_SEVERITY)
     missing = np.zeros(len(cell), dtype=bool)
     for profile, stage in SEVERITY_STAGE.items():
@@ -355,20 +307,20 @@ def decide_runs(
             branch &= ~conflicted
         taken = branch & present[stage]
         missing |= branch & ~present[stage]
-        if not reject:
-            raised[ReviewFlag(FlagType.MISSING_SEVERITY_INPUT, stage=stage)] = branch & ~taken
         idx = vectors[stage].argmax(axis=1)
         index[stage] = np.where(taken, idx, -1)
         confidence[stage] = vectors[stage].max(axis=1)
         severity = np.where(taken, _SEVERITY_CHOICE[stage][idx], severity)
+    if not reject:
+        raised[_MISSING_SEVERITY] = missing
     for stage, threshold in config.thresholds.items():
-        raised[ReviewFlag(FlagType.LOW_CONFIDENCE, stage=stage)] = (index[stage] >= 0) & (
+        raised[f"low_confidence:{stage.value}"] = (index[stage] >= 0) & (
             confidence[stage] < threshold
         )
 
     flags = np.zeros(len(cell), dtype=np.int64)
-    for flag, rows in raised.items():
-        flags |= rows.astype(np.int64) << _FLAG_BIT[flag]
+    for label, rows in raised.items():
+        flags |= rows.astype(np.int64) << _FLAG_BIT[label]
     rejected_row = int(np.argmax(missing)) if reject and missing.any() else -1
     return RunDecisions(index, confidence, cell, _OUTCOME_ID[cell, severity], flags, rejected_row)
 
@@ -387,19 +339,7 @@ def classify_run(run: RunInput, config: EngineConfig | None = None) -> RunResult
     decisions = decide_runs(vectors, present, config)
     if decisions.rejected_row >= 0:
         raise decisions.rejection()
-    (outcome, conflicts, decided), mask = next(decisions.rows())
-    return RunResult(
-        run.tool_id,
-        outcome,
-        conflicts,
-        {stage: (idx, conf) for stage, idx, conf in decided},
-        _flag_set(mask),
-    )
-
-
-def needs_reevaluation(result: RunResult) -> bool:
-    """True when any flag asks the caller to re-inspect the tool."""
-    return bool(result.flags)
+    return next(decisions.rows())
 
 
 def _vote_key(conflicts: Sequence[ConflictKind], outcome: Optional[WearOutcome]) -> Optional[str]:
@@ -407,17 +347,12 @@ def _vote_key(conflicts: Sequence[ConflictKind], outcome: Optional[WearOutcome])
     return None if verdict == "incomplete" else "conflicted" if conflicts else str(outcome.id)
 
 
-def _check_run_count(n_runs: int, config: EngineConfig) -> None:
-    if n_runs < config.ensemble_min_runs:
-        raise TooFewRuns(f"need at least {config.ensemble_min_runs} runs, got {n_runs}")
-
-
 def fuse_runs(
     tool_id: str,
-    runs: Sequence[RunRow],
+    runs: Sequence[RunResult],
     config: EngineConfig | None = None,
 ) -> EnsembleResult:
-    """Fuse the runs of one tool, each (outcome, conflicts, decisions), by majority vote.
+    """Fuse the runs of one tool by majority vote.
 
     Incomplete runs do not vote; conflicted runs pool into a single
     "conflicted" bucket. Ties are broken toward the candidate whose
@@ -426,14 +361,15 @@ def fuse_runs(
     """
     if config is None:
         config = EngineConfig()
-    _check_run_count(len(runs), config)
-    keys = [_vote_key(conflicts, outcome) for outcome, conflicts, _ in runs]
+    if len(runs) < config.ensemble_min_runs:
+        raise TooFewRuns(f"need at least {config.ensemble_min_runs} runs, got {len(runs)}")
+    keys = [_vote_key(run.conflicts, run.outcome) for run in runs]
     usable = [i for i, key in enumerate(keys) if key is not None]
     if not usable:
         raise TooFewRuns("no run produced a verdict (all incomplete)")
 
     votes = Counter(keys[i] for i in usable)
-    run_means = {i: _mean([conf for _, _, conf in runs[i][2]]) for i in usable}
+    run_means = {i: _mean([conf for _, _, conf in runs[i].decisions]) for i in usable}
     mean_conf_by_key = {
         key: _mean([run_means[i] for i in usable if keys[i] == key]) for key in votes
     }
@@ -445,8 +381,8 @@ def fuse_runs(
     winner = min(votes, key=rank)
 
     stage_confs: dict[StageId, list[float]] = {}
-    for _, _, decisions in runs:
-        for stage, _, conf in decisions:
+    for run in runs:
+        for stage, _, conf in run.decisions:
             stage_confs.setdefault(stage, []).append(conf)
 
     conflicted = winner == "conflicted"
@@ -458,15 +394,3 @@ def fuse_runs(
         mean_confidence_per_stage={s: _mean(v) for s, v in stage_confs.items()},
         runs_used=len(usable),
     )
-
-
-def ensemble_classify(runs: list[RunResult], config: EngineConfig | None = None) -> EnsembleResult:
-    """Fuse several RunResults of the same tool by majority vote (see fuse_runs)."""
-    if config is None:
-        config = EngineConfig()
-    _check_run_count(len(runs), config)
-    tool_ids = {r.tool_id for r in runs}
-    if len(tool_ids) != 1:
-        raise MixedTools(f"runs span multiple tools: {sorted(tool_ids)}")
-    rows = [(r.outcome, r.conflicts, r.decisions()) for r in runs]
-    return fuse_runs(runs[0].tool_id, rows, config)

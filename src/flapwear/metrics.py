@@ -2,10 +2,11 @@
 
 Confusion matrices with per-class precision/recall/F1, accuracy and
 macro-F1, confidence statistics over correct vs. incorrect predictions,
-and ROC curves with trapezoidal AUC. Counts and the ROC sweep work on
-whole arrays of samples; means and the AUC are summed in Python floats.
-Zero-denominator metrics are encoded as None ("n/a" in reports) rather
-than raised mid-report.
+and ROC curves with trapezoidal AUC. Confusion counts
+(``ConfusionMatrix.from_indices``) and the ROC sweep
+(``roc_from_scores``) work on whole arrays of samples; means and the AUC
+are summed in Python floats. Zero-denominator metrics are encoded as
+None ("n/a" in reports) rather than raised mid-report.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ class UndefinedClassMetric(MetricsError):
 
 class DegenerateInput(MetricsError):
     """ROC needs at least one positive and one negative sample."""
+
+
+# round_report quantizes in decimal's default 28-digit context, and a
+# report value can be 1.0, which takes 28 digits at 27 decimals.
+MAX_DECIMALS = 27
 
 
 def round_report(x: float, decimals: int = 3) -> float:
@@ -88,15 +94,6 @@ class ConfusionMatrix:
             raise IndexOutOfRange(f"indices ({truth[i]}, {predicted[i]}) outside 0..{n - 1}")
         counts = np.bincount(truth * n + predicted, minlength=n * n).reshape(n, n)
         return cls(stage, counts.tolist())
-
-
-def accumulate(cm: ConfusionMatrix, truth: int, predicted: int) -> ConfusionMatrix:
-    """Increment counts[truth][predicted]; returns the same matrix."""
-    n = cm.n_classes
-    if not (0 <= truth < n and 0 <= predicted < n):
-        raise IndexOutOfRange(f"indices ({truth}, {predicted}) outside 0..{n - 1}")
-    cm.counts[truth][predicted] += 1
-    return cm
 
 
 @dataclass(frozen=True)

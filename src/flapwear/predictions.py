@@ -2,14 +2,13 @@
 
 Upstream models emit one probability vector per image and stage. A
 prediction file is parsed once into a per-stage table
-(``parse_prediction_table``): for each stage, the records' vectors as an
-N x k float64 array, with their tool ids, image ids, line numbers and
-truth indices. Rows are checked as a batch against the rules a
-ProbabilityVector checks when it is constructed, and an error names the
-first failing line. ``parse_prediction_file`` is an object view over the
-same table. The module also holds the argmax decision rule for a single
-vector, serializes records and splits datasets by tool so that no tool
-leaks across train/val/test.
+(``parse_prediction_table``), the one representation of a prediction:
+for each stage, the records' vectors as an N x k float64 array, with
+their tool ids, image ids, line numbers and truth indices. Rows are
+checked as a batch against the rules a ProbabilityVector checks when it
+is constructed, and an error names the first failing line. The module
+also splits datasets by tool so that no tool leaks across
+train/val/test.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ class NotNormalized(VectorError):
 
 
 class ViewMismatch(ValidationError):
-    """Prediction view does not match the stage's required view."""
+    """A record's view does not match the view its stage requires."""
 
 
 @dataclass(frozen=True)
@@ -83,43 +82,6 @@ def validate_vector(v: ProbabilityVector) -> None:
     total = sum(v.probs)
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise NotNormalized(f"probabilities sum to {total} (deviation {total - 1.0:+g})")
-
-
-def argmax_class(v: ProbabilityVector) -> int:
-    """Index of the maximal probability; ties go to the lowest index."""
-    return max(range(len(v.probs)), key=lambda i: (v.probs[i], -i))
-
-
-def confidence(v: ProbabilityVector) -> float:
-    """Maximum class probability of the vector."""
-    return max(v.probs)
-
-
-@dataclass(frozen=True)
-class Prediction:
-    image_id: str
-    tool_id: str
-    view: View
-    vector: ProbabilityVector
-
-    def __post_init__(self):
-        required = STAGE_VIEW[self.vector.stage]
-        if self.view is not required:
-            raise ViewMismatch(
-                f"stage {self.vector.stage.value} requires the "
-                f"{required.value} view, got {self.view.value}"
-            )
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    prediction: Prediction
-    truth: int
-
-    def __post_init__(self):
-        n = len(STAGE_CLASSES[self.prediction.vector.stage])
-        if not 0 <= self.truth < n:
-            raise OutOfRange(f"truth index {self.truth} outside stage range 0..{n - 1}")
 
 
 @dataclass(frozen=True)
@@ -207,11 +169,16 @@ def _record_error(rec: dict, line_no: int, fields) -> FlapwearError:
 
     The vector is checked first, then the view, then the truth class.
     """
-    stage, view, probs, image_id, tool_id = fields
+    stage, view, probs, _, _ = fields
     try:
-        Prediction(image_id, tool_id, view, ProbabilityVector(stage, tuple(probs)))
-    except (VectorError, ViewMismatch) as exc:
+        ProbabilityVector(stage, tuple(probs))
+    except VectorError as exc:
         return ValidationError(str(exc), line_no)
+    required = STAGE_VIEW[stage]
+    if view is not required:
+        return ViewMismatch(
+            f"stage {stage.value} requires the {required.value} view, got {view.value}", line_no
+        )
     return ParseError(f"unknown truth class {rec['truth']!r}", line_no)
 
 
@@ -297,74 +264,24 @@ def parse_prediction_table(path: str | Path) -> PredictionTable:
     return {stage: cols.table() for stage, cols in columns.items()}
 
 
-def parse_prediction_file(path: str | Path) -> list[LabeledSample | Prediction]:
-    """Parse a line-delimited prediction file into objects, in file order.
-
-    The file is read by parse_prediction_table, with its format and
-    errors. Records with a truth field come back as LabeledSample, others
-    as Prediction.
-    """
-    tables = parse_prediction_table(path)
-    rows = sorted(
-        ((line_no, table, i) for table in tables.values()
-         for i, line_no in enumerate(table.lines.tolist())),
-        key=lambda row: row[0],
-    )
-    samples: list[LabeledSample | Prediction] = []
-    for _, table, i in rows:
-        vector = ProbabilityVector(table.stage, tuple(table.probs[i].tolist()))
-        prediction = Prediction(
-            table.image_ids[i], table.tool_ids[i], STAGE_VIEW[table.stage], vector
-        )
-        truth = int(table.truth[i])
-        samples.append(prediction if truth < 0 else LabeledSample(prediction, truth))
-    return samples
-
-
-def serialize_record(item: LabeledSample | Prediction) -> str:
-    """One prediction file line for a sample (inverse of parsing)."""
-    if isinstance(item, LabeledSample):
-        pred = item.prediction
-        truth = STAGE_CLASSES[pred.vector.stage][item.truth]
-    else:
-        pred, truth = item, None
-    rec = {
-        "image_id": pred.image_id,
-        "tool_id": pred.tool_id,
-        "view": pred.view.value,
-        "stage": pred.vector.stage.value,
-        "probs": list(pred.vector.probs),
-    }
-    if truth is not None:
-        rec["truth"] = truth
-    return json.dumps(rec, sort_keys=True)
-
-
-def write_prediction_file(path: str | Path, items: Iterable[LabeledSample | Prediction]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for item in items:
-            fh.write(serialize_record(item) + "\n")
-
-
 def split_by_tool(
-    samples: list[LabeledSample | Prediction],
+    tool_ids: Iterable[str],
     fractions: tuple[float, float, float],
     seed: int,
 ) -> DatasetSplit:
     """Assign every tool to exactly one of train/val/test.
 
-    The split is by tool, never by image, so no tool can leak between
-    subsets. Subset sizes follow the fractions by largest remainder;
-    assignment is deterministic for a given seed.
+    tool_ids names each sample's tool, e.g. a StageTable's tool_ids; a
+    tool may repeat. The split is by tool, never by image, so no tool can
+    leak between subsets. Subset sizes follow the fractions by largest
+    remainder; assignment is deterministic for a given seed.
     """
-    if not samples:
+    tools = sorted(set(tool_ids))
+    if not tools:
         raise EmptyInput("no samples to split")
     if abs(sum(fractions) - 1.0) > SUM_TOLERANCE:
         raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")
 
-    tools = sorted(
-        {(s.prediction if isinstance(s, LabeledSample) else s).tool_id for s in samples}
-    )
     random.Random(seed).shuffle(tools)
 
     n = len(tools)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import EngineConfig, RunInput, classify_run, decide_runs
+from .engine import EngineConfig, RunInput, RunResult, classify_run, decide_runs
 from .errors import ValidationError
 from .propagation import ACCURACY_NAMES, StageAccuracies, path_accuracy
 from .synth import (
@@ -61,11 +61,9 @@ def spec_for_outcome(
     )
 
 
-def classify_spec(
-    spec: WheelSpec, seed: int, config: EngineConfig | None = None, tool_id: str = "synthetic"
-):
+def classify_spec(spec: WheelSpec, seed: int, config: EngineConfig | None = None) -> RunResult:
     """Generate an observation for the spec and run the hierarchy on it."""
-    run = RunInput(tool_id, observation_vectors(generate_observation(spec, seed)))
+    run = RunInput("synthetic", observation_vectors(generate_observation(spec, seed)))
     return classify_run(run, config)
 
 

@@ -80,8 +80,8 @@ class WheelSpec:
             raise InvalidSpec("torn flap index outside 0..n_flaps-1")
         if not 0.0 <= self.profile_depth <= 0.5:
             raise InvalidSpec("profile_depth must be in [0, 0.5]")
-        if self.noise_sigma < 0.0:
-            raise InvalidSpec("noise_sigma must be non-negative")
+        if not 0.0 <= self.noise_sigma < math.inf:  # false for NaN too
+            raise InvalidSpec(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         shaped = self.profile in SEVERITY_STAGE
         if shaped and self.severity is None:
             raise InvalidSpec(f"{self.profile.value} profile requires a severity")

@@ -1,12 +1,19 @@
 """Scalar reference for the columnar classify and evaluate commands.
 
-This is the object-per-record implementation that the columnar one
-replaced, kept as an oracle for the differential tests: the file parser,
-run assembly by position, the per-run decision tree, the majority-vote
-ensemble, the report records, the ROC sweep and the two commands.
-``main`` mirrors ``flapwear.cli.main`` for ``classify`` and ``evaluate``.
-It shares only code that the rewrite left alone: vector validation,
-config handling, confusion-matrix metrics and report rounding.
+An object-per-record implementation of both commands, kept as an oracle
+for the differential tests: the file parser, run assembly by position,
+the per-run decision tree, the majority-vote ensemble, the report
+records, the ROC sweep and the two commands. ``main`` mirrors
+``flapwear.cli.main`` for ``classify`` and ``evaluate``.
+
+It holds its own containers, argmax rule, flag labels, confusion
+counting and ROC sweep, and imports from flapwear only what the columnar
+path does not implement: vector validation (``ProbabilityVector``),
+config handling and report-directory creation in ``cli``, the error
+kinds, the taxonomy's consistency and outcome rules, and the report
+rendering of confusion matrices (``ConfusionMatrix``,
+``matrix_summary``, ``confidence_stats``, ``write_confusion_csv``,
+``round_report``).
 """
 
 from __future__ import annotations
@@ -16,43 +23,53 @@ import json
 import sys
 from collections import Counter
 from statistics import fmean
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from flapwear import cli, metrics
-from flapwear.engine import (
-    ConflictPolicy,
-    EnsembleResult,
-    FlagType,
-    MissingSeverityInput,
-    MixedTools,
-    ReviewFlag,
-    RunInput,
-    RunResult,
-    TooFewRuns,
-)
 from flapwear.errors import FlapwearError, ParseError, ValidationError
-from flapwear.predictions import (
-    LabeledSample,
-    Prediction,
-    ProbabilityVector,
-    VectorError,
-    ViewMismatch,
-    argmax_class,
-    confidence,
-)
+from flapwear.predictions import ProbabilityVector, VectorError
 from flapwear.taxonomy import (
     REQUIRED_STAGES,
     SEVERITY_STAGE,
     STAGE_CLASSES,
     STAGE_STATES,
+    STAGE_VIEW,
     StageId,
     View,
+    WearOutcome,
     check_consistency,
     outcome_from_parts,
 )
 
 
-def _record_to_sample(rec: dict, line_no: int):
+class Sample(NamedTuple):
+    image_id: str
+    tool_id: str
+    stage: StageId
+    probs: tuple[float, ...]
+    truth: Optional[int]  # class index, None for a record without truth
+
+
+class Run(NamedTuple):
+    tool_id: str
+    outcome: Optional[WearOutcome]
+    conflicts: tuple
+    decisions: dict  # stage -> (class index, confidence), in decision order
+    flags: frozenset  # flag labels
+
+    @property
+    def verdict(self) -> str:
+        if self.conflicts:
+            return "conflicted"
+        return "outcome" if self.outcome is not None else "incomplete"
+
+
+def argmax(probs) -> int:
+    """Index of the maximal probability; ties go to the lowest index."""
+    return max(range(len(probs)), key=lambda i: (probs[i], -i))
+
+
+def _record_to_sample(rec: dict, line_no: int) -> Sample:
     try:
         stage = StageId(rec["stage"])
         view = View(rec["view"])
@@ -68,18 +85,24 @@ def _record_to_sample(rec: dict, line_no: int):
         raise ParseError(str(exc), line_no) from exc
 
     try:
-        prediction = Prediction(image_id, tool_id, view, ProbabilityVector(stage, tuple(probs)))
-        if "truth" in rec and rec["truth"] is not None:
-            truth = STAGE_CLASSES[stage].index(rec["truth"])
-            return LabeledSample(prediction, truth)
-    except (VectorError, ViewMismatch) as exc:
+        vector = ProbabilityVector(stage, tuple(probs))
+    except VectorError as exc:
         raise ValidationError(str(exc), line_no) from exc
-    except ValueError as exc:
-        raise ParseError(f"unknown truth class {rec['truth']!r}", line_no) from exc
-    return prediction
+    required = STAGE_VIEW[stage]
+    if view is not required:
+        raise ValidationError(
+            f"stage {stage.value} requires the {required.value} view, got {view.value}", line_no
+        )
+    truth = None
+    if rec.get("truth") is not None:
+        try:
+            truth = STAGE_CLASSES[stage].index(rec["truth"])
+        except ValueError as exc:
+            raise ParseError(f"unknown truth class {rec['truth']!r}", line_no) from exc
+    return Sample(image_id, tool_id, stage, vector.probs, truth)
 
 
-def parse_prediction_file(path):
+def parse_prediction_file(path) -> list[Sample]:
     samples = []
     try:
         with open(path, encoding="utf-8") as fh:
@@ -99,15 +122,13 @@ def parse_prediction_file(path):
     return samples
 
 
-def group_runs(samples) -> dict[str, list[RunInput]]:
+def group_runs(samples) -> dict[str, list[dict]]:
+    """Per tool (sorted), its runs as stage -> probs; the i-th vector of a stage is run i's."""
     by_tool: dict[str, dict[StageId, list]] = {}
-    for item in samples:
-        pred = item.prediction if isinstance(item, LabeledSample) else item
-        by_tool.setdefault(pred.tool_id, {}).setdefault(pred.vector.stage, []).append(
-            pred.vector
-        )
+    for sample in samples:
+        by_tool.setdefault(sample.tool_id, {}).setdefault(sample.stage, []).append(sample.probs)
 
-    runs: dict[str, list[RunInput]] = {}
+    runs: dict[str, list[dict]] = {}
     for tool_id, stages in sorted(by_tool.items()):
         counts = {s: len(stages.get(s, [])) for s in REQUIRED_STAGES}
         if len(set(counts.values())) != 1 or 0 in counts.values():
@@ -116,61 +137,57 @@ def group_runs(samples) -> dict[str, list[RunInput]]:
                 f"differ: { {s.value: c for s, c in counts.items()} }"
             )
         runs[tool_id] = [
-            RunInput(tool_id, {s: v[i] for s, v in stages.items() if i < len(v)})
+            {s: v[i] for s, v in stages.items() if i < len(v)}
             for i in range(counts[StageId.USAGE])
         ]
     return runs
 
 
-def classify_run(run: RunInput, config) -> RunResult:
+def classify_run(tool_id: str, vectors: dict, config) -> Run:
+    reject = config.conflict_policy.value == "reject_run"
     decisions: dict[StageId, tuple[int, float]] = {}
-    flags: set[ReviewFlag] = set()
+    flags: set[str] = set()
 
     for stage in REQUIRED_STAGES:
-        vector = run.vectors[stage]
-        decisions[stage] = (argmax_class(vector), confidence(vector))
+        probs = vectors[stage]
+        decisions[stage] = (argmax(probs), max(probs))
 
     usage, profile, tear = (STAGE_STATES[s][decisions[s][0]] for s in REQUIRED_STAGES)
 
     conflicts = check_consistency(usage, profile, tear)
-    for kind in conflicts:
-        flags.add(ReviewFlag(FlagType.CONFLICT, conflict=kind))
+    flags.update(f"conflict:{kind.value}" for kind in conflicts)
 
     severity = None
     severity_stage = SEVERITY_STAGE.get(profile)
-    take_level3 = severity_stage is not None and not (
-        conflicts and config.conflict_policy is ConflictPolicy.REJECT_RUN
-    )
-    if take_level3:
-        severity_vector = run.vectors.get(severity_stage)
-        if severity_vector is None:
-            if config.conflict_policy is ConflictPolicy.REJECT_RUN:
-                raise MissingSeverityInput(
+    if severity_stage is not None and not (conflicts and reject):
+        probs = vectors.get(severity_stage)
+        if probs is None:
+            if reject:
+                raise ValidationError(
                     f"profile {profile.value} requires a {severity_stage.value} vector"
                 )
-            flags.add(ReviewFlag(FlagType.MISSING_SEVERITY_INPUT, stage=severity_stage))
+            flags.add("missing_severity_input")
         else:
-            idx, conf = argmax_class(severity_vector), confidence(severity_vector)
-            decisions[severity_stage] = (idx, conf)
-            severity = STAGE_STATES[severity_stage][idx]
+            decisions[severity_stage] = (argmax(probs), max(probs))
+            severity = STAGE_STATES[severity_stage][decisions[severity_stage][0]]
 
     for stage, (_, conf) in decisions.items():
         threshold = config.thresholds.get(stage)
         if threshold is not None and conf < threshold:
-            flags.add(ReviewFlag(FlagType.LOW_CONFIDENCE, stage=stage))
+            flags.add(f"low_confidence:{stage.value}")
 
     outcome = None
     if not conflicts and (severity_stage is None or severity is not None):
         outcome = outcome_from_parts(usage, profile, tear, severity)
 
-    return RunResult(run.tool_id, outcome, conflicts, decisions, frozenset(flags))
+    return Run(tool_id, outcome, conflicts, decisions, frozenset(flags))
 
 
-def run_to_record(result: RunResult) -> dict:
-    outcome = result.outcome
+def run_to_record(run: Run) -> dict:
+    outcome = run.outcome
     return {
-        "tool_id": result.tool_id,
-        "verdict": result.verdict,
+        "tool_id": run.tool_id,
+        "verdict": run.verdict,
         "outcome_id": outcome.id if outcome else None,
         "outcome": (
             {
@@ -182,35 +199,30 @@ def run_to_record(result: RunResult) -> dict:
             if outcome
             else None
         ),
-        "conflicts": [c.value for c in result.conflicts],
+        "conflicts": [c.value for c in run.conflicts],
         "stages": {
             stage.value: {"class": STAGE_CLASSES[stage][idx], "confidence": conf}
-            for stage, (idx, conf) in result.stage_decisions.items()
+            for stage, (idx, conf) in run.decisions.items()
         },
-        "flags": sorted(f.label() for f in result.flags),
+        "flags": sorted(run.flags),
     }
 
 
-def ensemble_classify(runs: list[RunResult], config) -> EnsembleResult:
+def ensemble_record(runs: list[Run], config) -> dict:
     if len(runs) < config.ensemble_min_runs:
-        raise TooFewRuns(f"need at least {config.ensemble_min_runs} runs, got {len(runs)}")
-    tool_ids = {r.tool_id for r in runs}
-    if len(tool_ids) != 1:
-        raise MixedTools(f"runs span multiple tools: {sorted(tool_ids)}")
+        raise ValidationError(f"need at least {config.ensemble_min_runs} runs, got {len(runs)}")
 
-    def key_of(r: RunResult) -> str:
+    def key_of(r: Run) -> str:
         return "conflicted" if r.conflicts else str(r.outcome.id)
 
     usable = [r for r in runs if r.conflicts or r.outcome is not None]
     if not usable:
-        raise TooFewRuns("no run produced a verdict (all incomplete)")
+        raise ValidationError("no run produced a verdict (all incomplete)")
 
     votes = Counter(key_of(r) for r in usable)
     mean_conf_by_key = {
         key: fmean(
-            fmean(conf for _, conf in r.stage_decisions.values())
-            for r in usable
-            if key_of(r) == key
+            fmean(conf for _, conf in r.decisions.values()) for r in usable if key_of(r) == key
         )
         for key in votes
     }
@@ -223,44 +235,27 @@ def ensemble_classify(runs: list[RunResult], config) -> EnsembleResult:
 
     stage_confs: dict[StageId, list[float]] = {}
     for r in runs:
-        for stage, (_, conf) in r.stage_decisions.items():
+        for stage, (_, conf) in r.decisions.items():
             stage_confs.setdefault(stage, []).append(conf)
 
-    if winner == "conflicted":
-        outcome, conflicted = None, True
-    else:
-        outcome = next(r.outcome for r in usable if key_of(r) == winner)
-        conflicted = False
-
-    return EnsembleResult(
-        tool_id=runs[0].tool_id,
-        outcome=outcome,
-        conflicted=conflicted,
-        vote_counts=dict(votes),
-        mean_confidence_per_stage={s: fmean(v) for s, v in stage_confs.items()},
-        runs_used=len(usable),
-    )
-
-
-def ensemble_to_record(result: EnsembleResult) -> dict:
     return {
-        "tool_id": result.tool_id,
-        "verdict": result.verdict,
-        "outcome_id": result.outcome.id if result.outcome else None,
-        "vote_counts": dict(sorted(result.vote_counts.items())),
+        "tool_id": runs[0].tool_id,
+        "verdict": "conflicted" if winner == "conflicted" else "outcome",
+        "outcome_id": None if winner == "conflicted" else int(winner),
+        "vote_counts": dict(sorted(votes.items())),
         "mean_confidence_per_stage": {
-            s.value: c
-            for s, c in sorted(result.mean_confidence_per_stage.items(), key=lambda kv: kv[0].value)
+            s.value: fmean(v) for s, v in sorted(stage_confs.items(), key=lambda kv: kv[0].value)
         },
-        "runs_used": result.runs_used,
+        "runs_used": len(usable),
     }
 
 
-def roc_curve(samples, stage, positive_class) -> metrics.RocCurve:
+def roc_curve(samples):
+    """(points, AUC) of (score, is_positive) samples, or None without both classes."""
     n_pos = sum(1 for _, pos in samples if pos)
     n_neg = len(samples) - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise metrics.DegenerateInput("need at least one positive and one negative sample")
+        return None
 
     ordered = sorted(samples, key=lambda s: -s[0])
     points = [(0.0, 0.0)]
@@ -281,7 +276,7 @@ def roc_curve(samples, stage, positive_class) -> metrics.RocCurve:
     auc = 0.0
     for (x0, y0), (x1, y1) in zip(points, points[1:]):
         auc += (x1 - x0) * (y0 + y1) / 2.0
-    return metrics.RocCurve(stage, positive_class, tuple(points), auc)
+    return points, auc
 
 
 def _write_jsonl(path, records) -> None:
@@ -296,15 +291,15 @@ def cmd_classify(args, config) -> int:
     cli._make_report_dir(config.report_dir)
     run_records = []
     ensemble_records = []
-    for run_inputs in runs_by_tool.values():
-        results = [classify_run(run, config.engine) for run in run_inputs]
-        for i, result in enumerate(results):
-            rec = run_to_record(result)
+    for tool_id, run_vectors in runs_by_tool.items():
+        runs = [classify_run(tool_id, vectors, config.engine) for vectors in run_vectors]
+        for i, run in enumerate(runs):
+            rec = run_to_record(run)
             rec["run_index"] = i
-            rec["needs_reevaluation"] = bool(result.flags)
+            rec["needs_reevaluation"] = bool(run.flags)
             run_records.append(rec)
-        if len(results) > 1:
-            ensemble_records.append(ensemble_to_record(ensemble_classify(results, config.engine)))
+        if len(runs) > 1:
+            ensemble_records.append(ensemble_record(runs, config.engine))
 
     _write_jsonl(config.report_dir / "runs.jsonl", run_records)
     if ensemble_records:
@@ -321,14 +316,13 @@ def cmd_classify(args, config) -> int:
 
 
 def cmd_evaluate(args, config) -> int:
-    samples = parse_prediction_file(args.labeled_file)
-    labeled = [s for s in samples if isinstance(s, LabeledSample)]
+    labeled = [s for s in parse_prediction_file(args.labeled_file) if s.truth is not None]
     if not labeled:
         raise ValidationError("file contains no labeled samples")
 
-    by_stage: dict[StageId, list[LabeledSample]] = {}
+    by_stage: dict[StageId, list[Sample]] = {}
     for sample in labeled:
-        by_stage.setdefault(sample.prediction.vector.stage, []).append(sample)
+        by_stage.setdefault(sample.stage, []).append(sample)
 
     cli._make_report_dir(config.report_dir)
     summary = {"stages": {}, "warnings": []}
@@ -336,12 +330,14 @@ def cmd_evaluate(args, config) -> int:
         if stage not in by_stage:
             continue
         stage_samples = by_stage[stage]
-        cm = metrics.ConfusionMatrix(stage)
+        n = len(STAGE_CLASSES[stage])
+        counts = [[0] * n for _ in range(n)]
         conf_correct = []
         for sample in stage_samples:
-            pred = argmax_class(sample.prediction.vector)
-            metrics.accumulate(cm, sample.truth, pred)
-            conf_correct.append((confidence(sample.prediction.vector), pred == sample.truth))
+            pred = argmax(sample.probs)
+            counts[sample.truth][pred] += 1
+            conf_correct.append((max(sample.probs), pred == sample.truth))
+        cm = metrics.ConfusionMatrix(stage, counts)
 
         stage_summary = metrics.matrix_summary(cm, config.rounding)
         stats = metrics.confidence_stats(conf_correct)
@@ -362,16 +358,18 @@ def cmd_evaluate(args, config) -> int:
 
         roc_rows = []
         auc_by_class: dict[str, Optional[float]] = {}
-        for cls, name in enumerate(cm.class_names):
-            scored = [(s.prediction.vector.probs[cls], s.truth == cls) for s in stage_samples]
-            try:
-                curve = roc_curve(scored, stage, cls)
-            except metrics.DegenerateInput as exc:
-                summary["warnings"].append(f"{stage.value}/{name}: ROC skipped ({exc})")
+        for cls, name in enumerate(STAGE_CLASSES[stage]):
+            curve = roc_curve([(s.probs[cls], s.truth == cls) for s in stage_samples])
+            if curve is None:
+                summary["warnings"].append(
+                    f"{stage.value}/{name}: ROC skipped "
+                    "(need at least one positive and one negative sample)"
+                )
                 auc_by_class[name] = None
                 continue
-            auc_by_class[name] = metrics.round_report(curve.auc, config.rounding)
-            roc_rows.extend((name, fpr, tpr) for fpr, tpr in curve.points)
+            points, auc = curve
+            auc_by_class[name] = metrics.round_report(auc, config.rounding)
+            roc_rows.extend((name, fpr, tpr) for fpr, tpr in points)
         stage_summary["auc"] = auc_by_class
         if roc_rows:
             with open(

@@ -328,6 +328,15 @@ def _non_utf8_sim_config(tmp_path):
     return ["simulate", str(path)]
 
 
+def _with_config(build, text):
+    def wrapped(tmp_path):
+        path = tmp_path / "flapwear.cfg"
+        path.write_text(text)
+        return build(tmp_path) + ["--config", str(path)]
+
+    return wrapped
+
+
 def _out_names_a_file(tmp_path):
     # The test appends --out tmp_path/reports; make that path an existing file.
     (tmp_path / "reports").write_text("not a directory\n")
@@ -418,6 +427,23 @@ def _out_names_a_file(tmp_path):
         pytest.param(
             _classify_file("[" * 100_000 + "\n"),
             EXIT_PARSE, "parse error: line 1: invalid JSON", id="json-nested-too-deep",
+        ),
+        pytest.param(
+            _simulate(n_flag="11", mode="synth", noise_sigma=float("nan")),
+            EXIT_VALIDATION, "validation error: noise_sigma must be finite", id="nan-noise-sigma",
+        ),
+        pytest.param(
+            _simulate(n_flag="11", mode="synth", noise_sigma="inf"),
+            EXIT_VALIDATION, "validation error: noise_sigma must be finite",
+            id="infinite-noise-sigma",
+        ),
+        pytest.param(
+            _with_config(_propagate(), "rounding = 40\n"),
+            EXIT_CONFIG, "config error: rounding must be 1 to 27 decimals", id="rounding-40",
+        ),
+        pytest.param(
+            lambda tmp_path: _simulate(n_flag="11", mode="synth")(tmp_path) + ["--seed", "-1"],
+            EXIT_CONFIG, "config error: seed must be >= 0", id="negative-seed",
         ),
     ],
 )

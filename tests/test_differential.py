@@ -121,7 +121,9 @@ def prediction_files(draw):
                 records.append(rec)
     if draw(st.booleans()):
         draw(st.randoms(use_true_random=False)).shuffle(records)
-    lines = [json.dumps(rec) for rec in records]
+    # Records stay dicts until the end; malformed lines are inserted as
+    # strings and are not corrupted again.
+    lines = list(records)
     for _ in range(draw(st.integers(1, 2)) if broken else 0):
         i = draw(st.integers(0, len(lines) - 1))
         damage = draw(st.sampled_from([*CORRUPTIONS, "delete", "malformed"]))
@@ -129,11 +131,9 @@ def prediction_files(draw):
             del lines[i]
         elif damage == "malformed":
             lines.insert(i, draw(st.sampled_from(MALFORMED)))
-        else:
-            rec = json.loads(lines[i])
-            CORRUPTIONS[damage](rec)
-            lines[i] = json.dumps(rec)
-    return "\n".join(lines) + "\n"
+        elif isinstance(lines[i], dict):
+            CORRUPTIONS[damage](lines[i])
+    return "\n".join(line if isinstance(line, str) else json.dumps(line) for line in lines) + "\n"
 
 
 settings_flags = st.sampled_from([[], ["--no-thresholds"], ["--thresholds", "profile=0.6"]])

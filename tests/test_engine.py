@@ -4,14 +4,11 @@ from flapwear.engine import (
     ConflictPolicy,
     EngineConfig,
     EngineError,
-    FlagType,
     MissingSeverityInput,
-    MixedTools,
     RunInput,
     TooFewRuns,
     classify_run,
-    ensemble_classify,
-    needs_reevaluation,
+    fuse_runs,
 )
 from flapwear.predictions import ProbabilityVector, StageId
 from flapwear.taxonomy import ConflictKind
@@ -53,6 +50,10 @@ class TestRunInput:
 NO_THRESHOLDS = EngineConfig(thresholds={})
 
 
+def decided_stages(result):
+    return {stage for stage, _, _ in result.decisions}
+
+
 class TestClassifyRun:
     def test_used_concave_partially_is_outcome_4(self):
         result = classify_run(
@@ -61,8 +62,8 @@ class TestClassifyRun:
         )
         assert result.verdict == "outcome"
         assert result.outcome.id == 4
-        assert StageId.CONCAVE_SEVERITY in result.stage_decisions
-        assert not result.flags
+        assert StageId.CONCAVE_SEVERITY in decided_stages(result)
+        assert result.flags == ()
 
     def test_new_with_tear_is_conflicted(self):
         result = classify_run(
@@ -71,7 +72,7 @@ class TestClassifyRun:
         assert result.verdict == "conflicted"
         assert result.outcome is None
         assert result.conflicts == (ConflictKind.NEW_WITH_TEAR,)
-        assert any(f.type is FlagType.CONFLICT for f in result.flags)
+        assert result.flags == ("conflict:new_with_tear",)
 
     def test_low_confidence_flag_below_usage_threshold(self):
         config = EngineConfig(thresholds={StageId.USAGE: 0.91})
@@ -79,8 +80,7 @@ class TestClassifyRun:
             run_input([0.90, 0.10], [0.9, 0.05, 0.05], [0.03, 0.97]), config
         )
         assert result.outcome.id == 1
-        flags = {f.label() for f in result.flags}
-        assert flags == {"low_confidence:usage"}
+        assert result.flags == ("low_confidence:usage",)
 
     def test_default_thresholds_gate_usage_and_tear_only(self):
         config = EngineConfig()
@@ -90,7 +90,7 @@ class TestClassifyRun:
             run_input([0.05, 0.95], [0.4, 0.35, 0.25], [0.22, 0.78]),
             config,
         )
-        assert {f.label() for f in result.flags} == {"low_confidence:tear"}
+        assert result.flags == ("low_confidence:tear",)
 
     def test_rectangular_skips_level_3(self):
         result = classify_run(
@@ -99,8 +99,8 @@ class TestClassifyRun:
             NO_THRESHOLDS,
         )
         assert result.outcome.id == 2
-        assert StageId.CONCAVE_SEVERITY not in result.stage_decisions
-        assert StageId.CONVEX_SEVERITY not in result.stage_decisions
+        assert StageId.CONCAVE_SEVERITY not in decided_stages(result)
+        assert StageId.CONVEX_SEVERITY not in decided_stages(result)
 
     def test_branch_exclusivity(self):
         result = classify_run(
@@ -108,8 +108,8 @@ class TestClassifyRun:
                       concave=[0.5, 0.5], convex=[0.9, 0.1]),
             NO_THRESHOLDS,
         )
-        assert StageId.CONVEX_SEVERITY in result.stage_decisions
-        assert StageId.CONCAVE_SEVERITY not in result.stage_decisions
+        assert StageId.CONVEX_SEVERITY in decided_stages(result)
+        assert StageId.CONCAVE_SEVERITY not in decided_stages(result)
         assert result.outcome.id == 10
 
     def test_missing_severity_flag_only(self):
@@ -118,7 +118,7 @@ class TestClassifyRun:
         )
         assert result.verdict == "incomplete"
         assert result.outcome is None
-        assert {f.type for f in result.flags} == {FlagType.MISSING_SEVERITY_INPUT}
+        assert result.flags == ("missing_severity_input",)
 
     def test_missing_severity_reject_run_raises(self):
         config = EngineConfig(thresholds={}, conflict_policy=ConflictPolicy.REJECT_RUN)
@@ -130,12 +130,12 @@ class TestClassifyRun:
             [0.95, 0.05], [0.1, 0.85, 0.05], [0.2, 0.8], concave=[0.6, 0.4]
         )
         flag_only = classify_run(conflicted, NO_THRESHOLDS)
-        assert StageId.CONCAVE_SEVERITY in flag_only.stage_decisions
+        assert StageId.CONCAVE_SEVERITY in decided_stages(flag_only)
         rejecting = classify_run(
             conflicted, EngineConfig(thresholds={}, conflict_policy=ConflictPolicy.REJECT_RUN)
         )
         assert rejecting.verdict == "conflicted"
-        assert StageId.CONCAVE_SEVERITY not in rejecting.stage_decisions
+        assert StageId.CONCAVE_SEVERITY not in decided_stages(rejecting)
 
     def test_determinism(self):
         run = run_input([0.3, 0.7], [0.2, 0.5, 0.3], [0.6, 0.4], concave=[0.55, 0.45])
@@ -147,7 +147,11 @@ class TestClassifyRun:
         for high, low in [(0.95, 0.5), (0.91, 0.8), (0.86, 0.1)]:
             flags_high = classify_run(run, EngineConfig(thresholds={StageId.USAGE: high})).flags
             flags_low = classify_run(run, EngineConfig(thresholds={StageId.USAGE: low})).flags
-            assert flags_low <= flags_high
+            assert set(flags_low) <= set(flags_high)
+
+
+def needs_reevaluation(result):
+    return result.to_record("t1", 0)["needs_reevaluation"]
 
 
 class TestNeedsReevaluation:
@@ -173,12 +177,12 @@ class TestNeedsReevaluation:
         assert needs_reevaluation(result)
 
 
-def rect_run(tool="t1", usage_conf=0.95, tear_conf=0.9, tear_idx=1):
+def rect_run(usage_conf=0.95, tear_conf=0.9, tear_idx=1):
     tear = [0.0, 0.0]
     tear[tear_idx] = tear_conf
     tear[1 - tear_idx] = 1 - tear_conf
     return classify_run(
-        run_input([1 - usage_conf, usage_conf], [0.9, 0.05, 0.05], tear, tool=tool),
+        run_input([1 - usage_conf, usage_conf], [0.9, 0.05, 0.05], tear),
         NO_THRESHOLDS,
     )
 
@@ -186,14 +190,14 @@ def rect_run(tool="t1", usage_conf=0.95, tear_conf=0.9, tear_idx=1):
 class TestEnsemble:
     def test_strict_majority(self):
         runs = [rect_run(), rect_run(), rect_run(tear_idx=0)]  # ids 2, 2, 3
-        result = ensemble_classify(runs, NO_THRESHOLDS)
+        result = fuse_runs("t1", runs, NO_THRESHOLDS)
         assert result.outcome.id == 2
         assert result.vote_counts == {"2": 2, "3": 1}
         assert result.runs_used == 3
 
     def test_unanimity(self):
         runs = [rect_run(), rect_run()]
-        result = ensemble_classify(runs, NO_THRESHOLDS)
+        result = fuse_runs("t1", runs, NO_THRESHOLDS)
         assert result.outcome.id == 2
         assert result.vote_counts == {"2": 2}
 
@@ -205,13 +209,13 @@ class TestEnsemble:
             rect_run(usage_conf=0.80, tear_conf=0.75),
             rect_run(usage_conf=0.82, tear_conf=0.77),
         ]
-        result = ensemble_classify(runs, NO_THRESHOLDS)
+        result = fuse_runs("t1", runs, NO_THRESHOLDS)
         assert result.vote_counts == {"2": 2, "3": 2}
         assert result.outcome.id == 3
 
     def test_tie_with_equal_confidence_prefers_lowest_id(self):
         runs = [rect_run(), rect_run(tear_idx=0)]
-        result = ensemble_classify(runs, NO_THRESHOLDS)
+        result = fuse_runs("t1", runs, NO_THRESHOLDS)
         assert result.outcome.id == 2
 
     def test_order_invariance(self):
@@ -220,28 +224,24 @@ class TestEnsemble:
             rect_run(usage_conf=0.85, tear_idx=0),
             rect_run(usage_conf=0.90),
         ]
-        forward = ensemble_classify(runs, NO_THRESHOLDS)
-        backward = ensemble_classify(list(reversed(runs)), NO_THRESHOLDS)
+        forward = fuse_runs("t1", runs, NO_THRESHOLDS)
+        backward = fuse_runs("t1", list(reversed(runs)), NO_THRESHOLDS)
         assert forward == backward
 
     def test_conflicted_runs_pool(self):
         conflicted = classify_run(
             run_input([0.95, 0.05], [0.9, 0.05, 0.05], [0.97, 0.03]), NO_THRESHOLDS
         )
-        result = ensemble_classify([conflicted, conflicted, rect_run()], NO_THRESHOLDS)
+        result = fuse_runs("t1", [conflicted, conflicted, rect_run()], NO_THRESHOLDS)
         assert result.verdict == "conflicted"
         assert result.vote_counts == {"conflicted": 2, "2": 1}
 
     def test_too_few_runs(self):
         config = EngineConfig(thresholds={}, ensemble_min_runs=3)
         with pytest.raises(TooFewRuns):
-            ensemble_classify([rect_run(), rect_run()], config)
-
-    def test_mixed_tools(self):
-        with pytest.raises(MixedTools):
-            ensemble_classify([rect_run("a"), rect_run("b")], NO_THRESHOLDS)
+            fuse_runs("t1", [rect_run(), rect_run()], config)
 
     def test_vote_counts_sum_to_runs_used(self):
         runs = [rect_run(), rect_run(tear_idx=0), rect_run()]
-        result = ensemble_classify(runs, NO_THRESHOLDS)
+        result = fuse_runs("t1", runs, NO_THRESHOLDS)
         assert sum(result.vote_counts.values()) == result.runs_used

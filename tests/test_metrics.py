@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from flapwear.metrics import (
@@ -9,7 +10,6 @@ from flapwear.metrics import (
     EmptyMatrix,
     IndexOutOfRange,
     UndefinedClassMetric,
-    accumulate,
     accuracy,
     class_metrics,
     confidence_stats,
@@ -39,16 +39,15 @@ def matrix_to_pairs(counts):
 
 
 def from_pairs(stage, pairs):
-    cm = ConfusionMatrix(stage)
-    for truth, predicted in pairs:
-        accumulate(cm, truth, predicted)
-    return cm
+    truth, predicted = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    return ConfusionMatrix.from_indices(stage, truth, predicted)
 
 
 class TestAccumulate:
+    """Counting (truth, predicted) index pairs into a matrix (ConfusionMatrix.from_indices)."""
+
     def test_single_increment(self):
-        cm = ConfusionMatrix(StageId.USAGE)
-        accumulate(cm, 0, 0)
+        cm = from_pairs(StageId.USAGE, [(0, 0)])
         assert cm.counts == [[1, 0], [0, 0]]
 
     def test_usage_test_set_replay(self):
@@ -60,9 +59,8 @@ class TestAccumulate:
         assert cm.counts == TEAR_MATRIX
 
     def test_index_out_of_range(self):
-        cm = ConfusionMatrix(StageId.USAGE)
-        with pytest.raises(IndexOutOfRange):
-            accumulate(cm, 2, 0)
+        with pytest.raises(IndexOutOfRange, match=r"indices \(2, 0\) outside 0..1"):
+            from_pairs(StageId.USAGE, [(0, 0), (2, 0)])
 
 
 class TestClassMetrics:

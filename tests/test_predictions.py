@@ -1,31 +1,26 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from flapwear.engine import decide_runs
 from flapwear.predictions import (
     BadLength,
     EmptyInput,
-    LabeledSample,
     NotNormalized,
     OutOfRange,
     ParseError,
-    Prediction,
     ProbabilityVector,
     StageId,
     ValidationError,
-    View,
     ViewMismatch,
-    argmax_class,
-    confidence,
-    parse_prediction_file,
     parse_prediction_table,
-    serialize_record,
     split_by_tool,
     validate_vector,
-    write_prediction_file,
 )
+from flapwear.taxonomy import REQUIRED_STAGES, STAGE_CLASSES
 
 
 def vec(stage, probs):
@@ -56,109 +51,115 @@ class TestValidateVector:
         assert v.probs == (0.5000004, 0.5000001)
 
 
+def decide(stage, probs):
+    """The engine's (class index, confidence) for one vector of a level-1/2 stage."""
+    vectors = {s: np.eye(len(names))[:1] for s, names in STAGE_CLASSES.items()}
+    vectors[stage] = np.array([vec(stage, probs).probs])
+    decisions = decide_runs(vectors, {s: np.zeros(1, bool) for s in vectors})
+    return int(decisions.index[stage][0]), float(decisions.confidence[stage][0])
+
+
 class TestDecision:
     def test_argmax_strict(self):
-        assert argmax_class(vec(StageId.USAGE, [0.96, 0.04])) == 0
-        assert argmax_class(vec(StageId.PROFILE, [0.2, 0.5, 0.3])) == 1
+        assert decide(StageId.USAGE, [0.96, 0.04])[0] == 0
+        assert decide(StageId.PROFILE, [0.2, 0.5, 0.3])[0] == 1
 
     def test_argmax_tie_lowest_index(self):
-        assert argmax_class(vec(StageId.TEAR, [0.5, 0.5])) == 0
+        assert decide(StageId.TEAR, [0.5, 0.5])[0] == 0
+        assert decide(StageId.PROFILE, [0.2, 0.4, 0.4])[0] == 1
 
     def test_confidence(self):
-        assert confidence(vec(StageId.USAGE, [0.91, 0.09])) == pytest.approx(0.91)
-        assert confidence(vec(StageId.USAGE, [0.5, 0.5])) == 0.5
-        assert confidence(vec(StageId.PROFILE, [0.1, 0.1, 0.8])) == pytest.approx(0.8)
+        assert decide(StageId.USAGE, [0.91, 0.09])[1] == pytest.approx(0.91)
+        assert decide(StageId.USAGE, [0.5, 0.5])[1] == 0.5
+        assert decide(StageId.PROFILE, [0.1, 0.1, 0.8])[1] == pytest.approx(0.8)
 
-    @given(st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3))
-    def test_confidence_is_argmax_prob(self, raw):
+    @given(st.sampled_from(REQUIRED_STAGES), st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3))
+    def test_confidence_is_argmax_prob(self, stage, raw):
+        raw = raw[: len(STAGE_CLASSES[stage])]
         total = sum(raw)
-        v = vec(StageId.PROFILE, [x / total for x in raw])
-        assert v.probs[argmax_class(v)] == confidence(v)
+        v = vec(stage, [x / total for x in raw])
+        idx, conf = decide(stage, v.probs)
+        assert v.probs[idx] == conf == max(v.probs)
+        assert idx == min(i for i, p in enumerate(v.probs) if p == conf)
 
 
-def test_view_must_match_stage():
-    with pytest.raises(ViewMismatch):
-        Prediction("i", "t", View.RADIAL, vec(StageId.TEAR, [0.5, 0.5]))
-    Prediction("i", "t", View.AXIAL, vec(StageId.TEAR, [0.5, 0.5]))
+def _line(**overrides):
+    rec = {
+        "image_id": "img-1",
+        "tool_id": "tool-1",
+        "view": "radial",
+        "stage": "usage",
+        "probs": [0.9, 0.1],
+        "truth": "used",
+    }
+    rec.update(overrides)
+    return json.dumps(rec)
 
 
-def test_truth_index_in_range():
-    pred = Prediction("i", "t", View.RADIAL, vec(StageId.USAGE, [0.9, 0.1]))
-    with pytest.raises(OutOfRange):
-        LabeledSample(pred, 2)
+def test_view_must_match_stage(tmp_path):
+    path = tmp_path / "preds.jsonl"
+    path.write_text(_line(stage="tear", probs=[0.5, 0.5], truth=None) + "\n")
+    with pytest.raises(ViewMismatch, match="stage tear requires the axial view, got radial"):
+        parse_prediction_table(path)
+    path.write_text(_line(stage="tear", view="axial", probs=[0.5, 0.5], truth=None) + "\n")
+    assert len(parse_prediction_table(path)[StageId.TEAR].probs) == 1
+
+
+def test_truth_index_in_range(tmp_path):
+    path = tmp_path / "preds.jsonl"
+    path.write_text(_line(truth="maybe") + "\n")
+    with pytest.raises(ParseError, match="unknown truth class 'maybe'"):
+        parse_prediction_table(path)
 
 
 class TestPredictionFile:
-    def _line(self, **overrides):
-        rec = {
-            "image_id": "img-1",
-            "tool_id": "tool-1",
-            "view": "radial",
-            "stage": "usage",
-            "probs": [0.9, 0.1],
-            "truth": "used",
-        }
-        rec.update(overrides)
-        return json.dumps(rec)
-
     def test_parse_valid_file(self, tmp_path):
         path = tmp_path / "preds.jsonl"
         path.write_text(
             "\n".join(
                 [
-                    self._line(image_id="a"),
-                    self._line(image_id="b", truth="new"),
-                    self._line(image_id="c", stage="tear", view="axial", probs=[0.3, 0.7], truth="no_tear"),
+                    _line(image_id="a"),
+                    _line(image_id="b", truth="new"),
+                    _line(image_id="c", stage="tear", view="axial", probs=[0.3, 0.7], truth="no_tear"),
                 ]
             )
         )
-        samples = parse_prediction_file(path)
-        assert len(samples) == 3
-        assert all(isinstance(s, LabeledSample) for s in samples)
-        assert samples[1].truth == 0
+        tables = parse_prediction_table(path)
+        assert sum(len(table.probs) for table in tables.values()) == 3
+        assert tables[StageId.USAGE].truth.tolist() == [1, 0]
+        assert tables[StageId.TEAR].truth.tolist() == [1]
 
     def test_malformed_probability_reports_line(self, tmp_path):
         path = tmp_path / "preds.jsonl"
-        path.write_text(self._line() + "\n" + self._line(probs=["oops", 0.1]) + "\n")
+        path.write_text(_line() + "\n" + _line(probs=["oops", 0.1]) + "\n")
         with pytest.raises(ParseError) as excinfo:
-            parse_prediction_file(path)
+            parse_prediction_table(path)
         assert excinfo.value.line == 2
 
     def test_invalid_vector_reports_line(self, tmp_path):
         path = tmp_path / "preds.jsonl"
-        path.write_text(self._line() + "\n" + self._line(probs=[0.7, 0.2]) + "\n")
+        path.write_text(_line() + "\n" + _line(probs=[0.7, 0.2]) + "\n")
         with pytest.raises(ValidationError) as excinfo:
-            parse_prediction_file(path)
+            parse_prediction_table(path)
         assert excinfo.value.line == 2
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        assert parse_prediction_file(path) == []
-
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "preds.jsonl"
-        path.write_text(
-            self._line() + "\n" + self._line(image_id="b", truth=None) + "\n"
-        )
-        samples = parse_prediction_file(path)
-        out = tmp_path / "out.jsonl"
-        write_prediction_file(out, samples)
-        assert parse_prediction_file(out) == samples
-        # serialize -> parse -> serialize is stable
-        lines = [serialize_record(s) for s in samples]
-        assert [serialize_record(s) for s in parse_prediction_file(out)] == lines
+        tables = parse_prediction_table(path)
+        assert list(tables) == list(StageId)
+        assert all(len(table.probs) == 0 for table in tables.values())
 
     def test_table_columns_per_stage(self, tmp_path):
         path = tmp_path / "preds.jsonl"
         path.write_text(
             "\n".join(
                 [
-                    self._line(image_id="a", tool_id="t1", truth=None),
-                    self._line(image_id="b", stage="tear", view="axial", probs=[1, 0],
+                    _line(image_id="a", tool_id="t1", truth=None),
+                    _line(image_id="b", stage="tear", view="axial", probs=[1, 0],
                                truth="with_tear"),
                     "",
-                    self._line(image_id="c", tool_id="t2", probs=[0.25, 0.75]),
+                    _line(image_id="c", tool_id="t2", probs=[0.25, 0.75]),
                 ]
             )
         )
@@ -176,7 +177,7 @@ class TestPredictionFile:
         # The bad vector on line 2 is reported, not the later malformed line.
         path = tmp_path / "preds.jsonl"
         path.write_text(
-            "\n".join([self._line(), self._line(probs=[0.7, 0.2]), "{broken", self._line()])
+            "\n".join([_line(), _line(probs=[0.7, 0.2]), "{broken", _line()])
         )
         with pytest.raises(ValidationError, match="probabilities sum to") as excinfo:
             parse_prediction_table(path)
@@ -185,16 +186,8 @@ class TestPredictionFile:
 
 class TestSplitByTool:
     def _samples(self, n_tools, per_tool=3):
-        samples = []
-        for t in range(n_tools):
-            for i in range(per_tool):
-                samples.append(
-                    Prediction(
-                        f"img-{t}-{i}", f"tool-{t}", View.RADIAL,
-                        vec(StageId.USAGE, [0.9, 0.1]),
-                    )
-                )
-        return samples
+        """Each sample's tool id, as a table's tool_ids column holds them."""
+        return [f"tool-{t}" for t in range(n_tools) for _ in range(per_tool)]
 
     def test_sizes_and_determinism(self):
         samples = self._samples(10)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flapwear.predictions import StageId, argmax_class, confidence, validate_vector
+from flapwear.predictions import StageId, validate_vector
 from flapwear.synth import (
     AxialGapPattern,
     BadRow,
@@ -104,21 +104,21 @@ class TestProfileClassifier:
         radial = RadialProfile((0.85,) * 64, fringe=False)
         v = profile_feature_classifier(radial)
         validate_vector(v)
-        assert argmax_class(v) == 0
+        assert np.argmax(v.probs) == 0
 
     def test_central_depression_is_concave(self):
         obs = generate_observation(
             spec(profile=FlapProfile.CONCAVE, severity=Severity.FULLY, profile_depth=0.2),
             seed=1,
         )
-        assert argmax_class(profile_feature_classifier(obs.radial)) == 1
+        assert np.argmax(profile_feature_classifier(obs.radial).probs) == 1
 
     def test_central_bulge_is_convex(self):
         obs = generate_observation(
             spec(profile=FlapProfile.CONVEX, severity=Severity.FULLY, profile_depth=0.2),
             seed=1,
         )
-        assert argmax_class(profile_feature_classifier(obs.radial)) == 2
+        assert np.argmax(profile_feature_classifier(obs.radial).probs) == 2
 
 
 class TestSeverityClassifier:
@@ -134,11 +134,11 @@ class TestSeverityClassifier:
     def test_wide_span_is_fully(self):
         v = severity_feature_classifier(self._bump_profile(0.95), FlapProfile.CONCAVE)
         assert v.stage is StageId.CONCAVE_SEVERITY
-        assert argmax_class(v) == 0
+        assert np.argmax(v.probs) == 0
 
     def test_narrow_span_is_partially(self):
         v = severity_feature_classifier(self._bump_profile(0.40), FlapProfile.CONCAVE)
-        assert argmax_class(v) == 1
+        assert np.argmax(v.probs) == 1
 
     def test_boundary_is_uncertain(self):
         # step profile with exactly 75% of samples affected
@@ -157,33 +157,33 @@ class TestSeverityClassifier:
 class TestTearClassifier:
     def test_uniform_gaps_no_tear(self):
         v = tear_feature_classifier(AxialGapPattern((0.1,) * 20))
-        assert argmax_class(v) == 1
+        assert np.argmax(v.probs) == 1
 
     def test_tripled_gap_with_tear(self):
         gaps = [0.1] * 20
         gaps[5] = 0.3
         v = tear_feature_classifier(AxialGapPattern(tuple(gaps)))
-        assert argmax_class(v) == 0
+        assert np.argmax(v.probs) == 0
 
     def test_jitter_alone_does_not_trigger(self):
         rng = np.random.default_rng(0)
         gaps = 0.1 * (1 + rng.uniform(-0.1, 0.1, 24))
         v = tear_feature_classifier(AxialGapPattern(tuple(gaps)))
-        assert argmax_class(v) == 1
+        assert np.argmax(v.probs) == 1
 
 
 class TestUsageClassifier:
     def test_fringe_scores_new(self):
         obs = generate_observation(WheelSpec(UsageState.NEW, FlapProfile.RECTANGULAR), 3)
-        assert argmax_class(usage_feature_classifier(obs.radial)) == 0
+        assert np.argmax(usage_feature_classifier(obs.radial).probs) == 0
 
     def test_no_fringe_scores_used(self):
         obs = generate_observation(spec(), 3)
-        assert argmax_class(usage_feature_classifier(obs.radial)) == 1
+        assert np.argmax(usage_feature_classifier(obs.radial).probs) == 1
 
     def test_adversarial_fringe_misclassified_as_new(self):
         obs = generate_observation(ADVERSARIAL_FRINGE, 3)
-        assert argmax_class(usage_feature_classifier(obs.radial)) == 0
+        assert np.argmax(usage_feature_classifier(obs.radial).probs) == 0
 
 
 class TestStochasticOracle:
