@@ -20,7 +20,6 @@ from .predictions import (
     ProbabilityVector,
     parse_prediction_table,
     split_by_tool,
-    validate_vector,
 )
 from .taxonomy import (
     ConflictKind,
@@ -61,5 +60,4 @@ __all__ = [
     "outcome_from_parts",
     "parse_prediction_table",
     "split_by_tool",
-    "validate_vector",
 ]

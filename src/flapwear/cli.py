@@ -18,6 +18,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -319,6 +320,8 @@ def _sim_setting(sim_config: dict, key: str, convert, default):
 
 def _confidence_law(value) -> tuple[float, float, float]:
     mean_correct, mean_false, spread = (float(x) for x in value)
+    if not 0.0 <= spread < math.inf:  # false for NaN too
+        raise ValueError(f"spread must be finite and >= 0, got {spread}")
     return mean_correct, mean_false, spread
 
 

@@ -4,11 +4,12 @@ Upstream models emit one probability vector per image and stage. A
 prediction file is parsed once into a per-stage table
 (``parse_prediction_table``), the one representation of a prediction:
 for each stage, the records' vectors as an N x k float64 array, with
-their tool ids, image ids, line numbers and truth indices. Rows are
-checked as a batch against the rules a ProbabilityVector checks when it
-is constructed, and an error names the first failing line. The module
-also splits datasets by tool so that no tool leaks across
-train/val/test.
+their tool ids, image ids, line numbers and truth indices.
+``first_invalid_row`` is the one definition of a valid vector, stated
+on such arrays: the parser checks each stage's rows with it and names
+the first failing line, and a ProbabilityVector is a one-row call into
+it. The module also splits datasets by tool so that no tool leaks
+across train/val/test.
 """
 
 from __future__ import annotations
@@ -33,20 +34,50 @@ class VectorError(ValidationError):
     """A probability vector violates its invariants."""
 
 
-class BadLength(VectorError):
-    pass
-
-
-class OutOfRange(VectorError):
-    pass
-
-
-class NotNormalized(VectorError):
-    pass
-
-
 class ViewMismatch(ValidationError):
     """A record's view does not match the view its stage requires."""
+
+
+def first_invalid_row(rows: np.ndarray) -> Optional[tuple[int, str]]:
+    """The first invalid row of an (n, k) float64 array and its error text, or None.
+
+    A row is a valid probability vector when every entry is finite and in
+    [0, 1], and its entries, summed left to right from 0.0, are within
+    SUM_TOLERANCE of 1. Normalization is never applied silently: a
+    vector off by more is rejected with its sum and the deviation.
+    """
+    with np.errstate(all="ignore"):  # rows with infinite or huge entries
+        total = np.zeros(len(rows))
+        for j in range(rows.shape[1]):
+            total += rows[:, j]
+        out_of_range = ~((rows >= 0.0) & (rows <= 1.0))  # NaN fails both
+        invalid = out_of_range.any(axis=1) | (np.abs(total - 1.0) > SUM_TOLERANCE)
+    if not invalid.any():
+        return None
+    i = int(invalid.argmax())
+    if out_of_range[i].any():
+        p = rows[i, out_of_range[i].argmax()].item()
+        return i, f"probability {p} outside [0, 1]"
+    t = total[i].item()
+    return i, f"probabilities sum to {t} (deviation {t - 1.0:+g})"
+
+
+def _vector_row(stage: StageId, probs) -> list[float]:
+    """One vector as floats; a VectorError if it is not a valid vector of the stage.
+
+    Checked in order: conversion to float, length, then first_invalid_row.
+    """
+    try:
+        row = [float(p) for p in probs]
+    except OverflowError as exc:
+        raise VectorError(f"probability outside [0, 1]: {exc}") from exc
+    expected = len(STAGE_CLASSES[stage])
+    if len(row) != expected:
+        raise VectorError(f"stage {stage.value} expects {expected} classes, got {len(row)}")
+    invalid = first_invalid_row(np.array([row]))
+    if invalid is not None:
+        raise VectorError(invalid[1])
+    return row
 
 
 @dataclass(frozen=True)
@@ -57,31 +88,7 @@ class ProbabilityVector:
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        try:
-            probs = tuple(float(p) for p in self.probs)
-        except OverflowError as exc:
-            raise OutOfRange(f"probability outside [0, 1]: {exc}") from exc
-        object.__setattr__(self, "probs", probs)
-        validate_vector(self)
-
-
-def validate_vector(v: ProbabilityVector) -> None:
-    """Raise if the vector violates its invariants.
-
-    Normalization is never applied silently; a vector whose entries do
-    not sum to 1 within SUM_TOLERANCE is rejected with the deviation.
-    """
-    expected = len(STAGE_CLASSES[v.stage])
-    if len(v.probs) != expected:
-        raise BadLength(
-            f"stage {v.stage.value} expects {expected} classes, got {len(v.probs)}"
-        )
-    for p in v.probs:
-        if not math.isfinite(p) or p < 0.0 or p > 1.0:
-            raise OutOfRange(f"probability {p} outside [0, 1]")
-    total = sum(v.probs)
-    if abs(total - 1.0) > SUM_TOLERANCE:
-        raise NotNormalized(f"probabilities sum to {total} (deviation {total - 1.0:+g})")
+        object.__setattr__(self, "probs", tuple(_vector_row(self.stage, self.probs)))
 
 
 @dataclass(frozen=True)
@@ -109,9 +116,6 @@ PredictionTable = dict[StageId, StageTable]
 _STAGE_BY_NAME = {stage.value: stage for stage in StageId}
 _VIEW_BY_NAME = {view.value: view for view in View}
 _NUMBER_TYPES = frozenset((int, float))
-# The batch screen flags a row whose sum is this close to the tolerance too,
-# so a sum rounded differently from the one validate_vector takes is confirmed by it.
-_SUM_SLACK = 1e-12
 
 
 class _StageColumns:
@@ -171,7 +175,7 @@ def _record_error(rec: dict, line_no: int, fields) -> FlapwearError:
     """
     stage, view, probs, _, _ = fields
     try:
-        ProbabilityVector(stage, tuple(probs))
+        _vector_row(stage, probs)
     except VectorError as exc:
         return ValidationError(str(exc), line_no)
     required = STAGE_VIEW[stage]
@@ -182,29 +186,16 @@ def _record_error(rec: dict, line_no: int, fields) -> FlapwearError:
     return ParseError(f"unknown truth class {rec['truth']!r}", line_no)
 
 
-def _first_invalid_row(columns: Iterable[_StageColumns]) -> Optional[ValidationError]:
-    """The error of the first line, over all stages, whose vector is invalid.
-
-    A vectorized screen flags every row that may break validate_vector's
-    rules; the flagged rows are then checked, in line order, by building
-    their ProbabilityVector.
-    """
-    flagged = []
+def _first_invalid_line(columns: Iterable[_StageColumns]) -> Optional[ValidationError]:
+    """The error of the first line, over all stages, whose vector is invalid."""
+    first = None
     for cols in columns:
-        rows = cols.prob_rows()
-        with np.errstate(all="ignore"):
-            total = rows[:, 0].copy()
-            for j in range(1, rows.shape[1]):
-                total += rows[:, j]
-            suspect = (~np.isfinite(rows) | (rows < 0.0) | (rows > 1.0)).any(axis=1)
-            suspect |= ~(np.abs(total - 1.0) <= SUM_TOLERANCE - _SUM_SLACK)
-        flagged.extend((cols.lines[i], cols, i) for i in np.flatnonzero(suspect).tolist())
-    for line_no, cols, i in sorted(flagged, key=lambda f: f[0]):
-        try:
-            ProbabilityVector(cols.stage, tuple(cols.prob_rows()[i].tolist()))
-        except VectorError as exc:
-            return ValidationError(str(exc), line_no)
-    return None
+        invalid = first_invalid_row(cols.prob_rows())
+        if invalid is not None:
+            line_no = cols.lines[invalid[0]]
+            if first is None or line_no < first.line:
+                first = ValidationError(invalid[1], line_no)
+    return first
 
 
 def parse_prediction_table(path: str | Path) -> PredictionTable:
@@ -254,11 +245,11 @@ def parse_prediction_table(path: str | Path) -> PredictionTable:
                 cols.lines.append(line_no)
                 cols.truth.append(-1 if truth is None else cols.classes.index(truth))
     except FlapwearError as exc:
-        raise _first_invalid_row(columns.values()) or exc
+        raise _first_invalid_line(columns.values()) or exc
     except (OSError, UnicodeDecodeError) as exc:
-        earlier = _first_invalid_row(columns.values())
+        earlier = _first_invalid_line(columns.values())
         raise earlier or ParseError(f"cannot read {path}: {exc}") from exc
-    invalid = _first_invalid_row(columns.values())
+    invalid = _first_invalid_line(columns.values())
     if invalid is not None:
         raise invalid
     return {stage: cols.table() for stage, cols in columns.items()}
@@ -279,8 +270,9 @@ def split_by_tool(
     tools = sorted(set(tool_ids))
     if not tools:
         raise EmptyInput("no samples to split")
-    if abs(sum(fractions) - 1.0) > SUM_TOLERANCE:
-        raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")
+    invalid = first_invalid_row(np.array([fractions], dtype=np.float64))
+    if invalid is not None:
+        raise VectorError(f"fractions: {invalid[1]}")
 
     random.Random(seed).shuffle(tools)
 

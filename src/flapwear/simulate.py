@@ -13,6 +13,7 @@ import numpy as np
 
 from .engine import EngineConfig, RunInput, RunResult, classify_run, decide_runs
 from .errors import ValidationError
+from .predictions import ProbabilityVector, VectorError, first_invalid_row
 from .propagation import ACCURACY_NAMES, StageAccuracies, path_accuracy
 from .synth import (
     BadRow,
@@ -63,7 +64,8 @@ def spec_for_outcome(
 
 def classify_spec(spec: WheelSpec, seed: int, config: EngineConfig | None = None) -> RunResult:
     """Generate an observation for the spec and run the hierarchy on it."""
-    run = RunInput("synthetic", observation_vectors(generate_observation(spec, seed)))
+    rows = observation_vectors(generate_observation(spec, seed))
+    run = RunInput("synthetic", {stage: ProbabilityVector(stage, row) for stage, row in rows.items()})
     return classify_run(run, config)
 
 
@@ -76,7 +78,8 @@ def run_synthetic_batch(
     """Round-robin over the 11 outcomes; measures hierarchy accuracy.
 
     The wheels are generated one by one, their vectors kept as per-stage
-    arrays, and the hierarchy decides them in one batch.
+    arrays; each stage's filled rows are checked once, and the hierarchy
+    decides them in one batch.
     """
     if n < 1:
         raise InvalidSpec("batch size must be >= 1")
@@ -88,11 +91,15 @@ def run_synthetic_batch(
         outcome = CONSISTENT_OUTCOMES[k % len(CONSISTENT_OUTCOMES)]
         spec = spec_for_outcome(outcome, rng, noise_sigma)
         observation = generate_observation(spec, seed=int(rng.integers(0, 2**31)))
-        for stage, vector in observation_vectors(observation).items():
-            vectors[stage][k] = vector.probs
+        for stage, row in observation_vectors(observation).items():
+            vectors[stage][k] = row
             if stage in present:
                 present[stage][k] = True
         expected[k] = outcome.id
+    for stage, rows in vectors.items():
+        invalid = first_invalid_row(rows[present[stage]] if stage in present else rows)
+        if invalid is not None:
+            raise VectorError(invalid[1])
 
     decisions = decide_runs(vectors, present, config)
     if decisions.rejected_row >= 0:

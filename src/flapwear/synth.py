@@ -2,8 +2,10 @@
 
 Generates 1-D radial profile contours and axial gap patterns from a
 wheel spec, plus rule-based feature classifiers that turn those
-observations into probability vectors, and a vectorized stochastic
-oracle that imitates upstream models with a given confusion behavior.
+observations into probability rows (tuples of floats in their stage's
+class order, which the batch driver checks a stage at a time), and a
+vectorized stochastic oracle that imitates upstream models with a given
+confusion behavior.
 Together they close the loop around the hierarchy engine without images
 or trained networks.
 """
@@ -17,7 +19,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .predictions import ProbabilityVector
 from .taxonomy import (
     SEVERITY_STAGE,
     STAGE_CLASSES,
@@ -188,7 +189,7 @@ def _edge_stats(samples: np.ndarray) -> tuple[float, float]:
     return edge_mean, float(interior[idx])
 
 
-def profile_feature_classifier(radial: RadialProfile) -> ProbabilityVector:
+def profile_feature_classifier(radial: RadialProfile) -> tuple[float, ...]:
     """Score the flap profile from the contour's central deviation.
 
     The sign of the largest interior deviation from the edge mean picks
@@ -202,12 +203,10 @@ def profile_feature_classifier(radial: RadialProfile) -> ProbabilityVector:
         -_PROFILE_SCORE_GAIN * deviation,            # concave
         _PROFILE_SCORE_GAIN * deviation,             # convex
     )
-    return ProbabilityVector(StageId.PROFILE, _softmax(scores))
+    return _softmax(scores)
 
 
-def severity_feature_classifier(
-    radial: RadialProfile, branch: FlapProfile
-) -> ProbabilityVector:
+def severity_feature_classifier(radial: RadialProfile, branch: FlapProfile) -> tuple[float, ...]:
     """Score full vs partial profiling from the affected-width fraction.
 
     The baseline radius is the extreme opposite to the deformation (max
@@ -231,18 +230,18 @@ def severity_feature_classifier(
         affected_fraction = float(np.count_nonzero(affected)) / len(samples)
 
     p_fully = 1.0 / (1.0 + math.exp(-_SEVERITY_SLOPE * (affected_fraction - SEVERITY_BOUNDARY)))
-    return ProbabilityVector(SEVERITY_STAGE[branch], (p_fully, 1.0 - p_fully))
+    return (p_fully, 1.0 - p_fully)
 
 
-def tear_feature_classifier(axial: AxialGapPattern) -> ProbabilityVector:
+def tear_feature_classifier(axial: AxialGapPattern) -> tuple[float, ...]:
     """Score tear presence from the max-to-median gap ratio."""
     gaps = np.asarray(axial.gap_angles)
     ratio = float(np.max(gaps) / np.median(gaps))
     p_tear = 1.0 / (1.0 + math.exp(-_TEAR_LOGISTIC_SLOPE * (ratio - _TEAR_LOGISTIC_CENTER)))
-    return ProbabilityVector(StageId.TEAR, (p_tear, 1.0 - p_tear))
+    return (p_tear, 1.0 - p_tear)
 
 
-def usage_feature_classifier(radial: RadialProfile) -> ProbabilityVector:
+def usage_feature_classifier(radial: RadialProfile) -> tuple[float, ...]:
     """Score new vs used from the fringe marker.
 
     Contour roughness softens the confidence, mimicking how noisy
@@ -251,21 +250,19 @@ def usage_feature_classifier(radial: RadialProfile) -> ProbabilityVector:
     samples = np.asarray(radial.samples)
     roughness = float(np.std(np.diff(samples)))
     conf = min(0.98, max(0.60, 0.98 - 3.0 * roughness))
-    if radial.fringe:
-        return ProbabilityVector(StageId.USAGE, (conf, 1.0 - conf))
-    return ProbabilityVector(StageId.USAGE, (1.0 - conf, conf))
+    return (conf, 1.0 - conf) if radial.fringe else (1.0 - conf, conf)
 
 
-def observation_vectors(obs: SyntheticObservation) -> dict[StageId, ProbabilityVector]:
-    """All stage vectors the rule-based classifiers produce for one wheel."""
+def observation_vectors(obs: SyntheticObservation) -> dict[StageId, tuple[float, ...]]:
+    """Stage -> probability row, for every stage the rule-based classifiers score on one wheel."""
     vectors = {
         StageId.USAGE: usage_feature_classifier(obs.radial),
         StageId.PROFILE: profile_feature_classifier(obs.radial),
         StageId.TEAR: tear_feature_classifier(obs.axial),
     }
-    if obs.spec.profile in SEVERITY_STAGE:
-        vector = severity_feature_classifier(obs.radial, obs.spec.profile)
-        vectors[vector.stage] = vector
+    severity_stage = SEVERITY_STAGE.get(obs.spec.profile)
+    if severity_stage is not None:
+        vectors[severity_stage] = severity_feature_classifier(obs.radial, obs.spec.profile)
     return vectors
 
 

@@ -1,25 +1,26 @@
 """Scalar reference for the columnar classify and evaluate commands.
 
 An object-per-record implementation of both commands, kept as an oracle
-for the differential tests: the file parser, run assembly by position,
-the per-run decision tree, the majority-vote ensemble, the report
-records, the ROC sweep and the two commands. ``main`` mirrors
-``flapwear.cli.main`` for ``classify`` and ``evaluate``.
+for the differential tests: the file parser with its own vector rule
+(``vector_error``), run assembly by position, the per-run decision tree,
+the majority-vote ensemble, the report records, the ROC sweep and the
+two commands. ``main`` mirrors ``flapwear.cli.main`` for ``classify``
+and ``evaluate``.
 
-It holds its own containers, argmax rule, flag labels, confusion
-counting and ROC sweep, and imports from flapwear only what the columnar
-path does not implement: vector validation (``ProbabilityVector``),
-config handling and report-directory creation in ``cli``, the error
-kinds, the taxonomy's consistency and outcome rules, and the report
-rendering of confusion matrices (``ConfusionMatrix``,
-``matrix_summary``, ``confidence_stats``, ``write_confusion_csv``,
-``round_report``).
+It holds its own containers, vector rule, argmax rule, flag labels,
+confusion counting and ROC sweep, and imports from flapwear only what
+the columnar path does not implement: config handling and
+report-directory creation in ``cli``, the error kinds, the taxonomy's
+consistency and outcome rules, and the report rendering of confusion
+matrices (``ConfusionMatrix``, ``matrix_summary``, ``confidence_stats``,
+``write_confusion_csv``, ``round_report``).
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 from collections import Counter
 from statistics import fmean
@@ -27,7 +28,6 @@ from typing import NamedTuple, Optional
 
 from flapwear import cli, metrics
 from flapwear.errors import FlapwearError, ParseError, ValidationError
-from flapwear.predictions import ProbabilityVector, VectorError
 from flapwear.taxonomy import (
     REQUIRED_STAGES,
     SEVERITY_STAGE,
@@ -64,6 +64,34 @@ class Run(NamedTuple):
         return "outcome" if self.outcome is not None else "incomplete"
 
 
+SUM_TOLERANCE = 1e-6
+
+
+def vector_error(stage: StageId, probs) -> Optional[str]:
+    """The error text of an invalid vector of the stage, or None if it is valid.
+
+    Checked in order: every entry converts to float, the stage's class
+    count, each entry finite and in [0, 1], then the entries summed one
+    by one, left to right from 0.0, within SUM_TOLERANCE of 1.
+    """
+    try:
+        probs = [float(p) for p in probs]
+    except OverflowError as exc:
+        return f"probability outside [0, 1]: {exc}"
+    expected = len(STAGE_CLASSES[stage])
+    if len(probs) != expected:
+        return f"stage {stage.value} expects {expected} classes, got {len(probs)}"
+    for p in probs:
+        if not math.isfinite(p) or p < 0.0 or p > 1.0:
+            return f"probability {p} outside [0, 1]"
+    total = 0.0
+    for p in probs:  # not builtin sum, which compensates rounding from Python 3.12 on
+        total += p
+    if abs(total - 1.0) > SUM_TOLERANCE:
+        return f"probabilities sum to {total} (deviation {total - 1.0:+g})"
+    return None
+
+
 def argmax(probs) -> int:
     """Index of the maximal probability; ties go to the lowest index."""
     return max(range(len(probs)), key=lambda i: (probs[i], -i))
@@ -84,10 +112,9 @@ def _record_to_sample(rec: dict, line_no: int) -> Sample:
     except (KeyError, ValueError, TypeError) as exc:
         raise ParseError(str(exc), line_no) from exc
 
-    try:
-        vector = ProbabilityVector(stage, tuple(probs))
-    except VectorError as exc:
-        raise ValidationError(str(exc), line_no) from exc
+    error = vector_error(stage, probs)
+    if error is not None:
+        raise ValidationError(error, line_no)
     required = STAGE_VIEW[stage]
     if view is not required:
         raise ValidationError(
@@ -99,7 +126,7 @@ def _record_to_sample(rec: dict, line_no: int) -> Sample:
             truth = STAGE_CLASSES[stage].index(rec["truth"])
         except ValueError as exc:
             raise ParseError(f"unknown truth class {rec['truth']!r}", line_no) from exc
-    return Sample(image_id, tool_id, stage, vector.probs, truth)
+    return Sample(image_id, tool_id, stage, tuple(float(p) for p in probs), truth)
 
 
 def parse_prediction_file(path) -> list[Sample]:

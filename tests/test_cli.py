@@ -445,6 +445,27 @@ def _out_names_a_file(tmp_path):
             lambda tmp_path: _simulate(n_flag="11", mode="synth")(tmp_path) + ["--seed", "-1"],
             EXIT_CONFIG, "config error: seed must be >= 0", id="negative-seed",
         ),
+        pytest.param(
+            _simulate(confidence_law=[0.97, 0.89, -1]),
+            EXIT_CONFIG, "config error: bad simulation config value confidence_law: spread must",
+            id="negative-confidence-spread",
+        ),
+        pytest.param(
+            _simulate(confidence_law=[0.97, 0.89, float("nan")]),
+            EXIT_CONFIG, "config error: bad simulation config value confidence_law: spread must",
+            id="nan-confidence-spread",
+        ),
+        pytest.param(
+            _classify_file(record("usage", [-0.0, -0.0]) + "\n"),
+            EXIT_VALIDATION, "validation error: line 1: probabilities sum to 0.0 (deviation -1)\n",
+            id="negative-zero-probabilities",
+        ),
+        pytest.param(
+            _classify_file(record("usage", [10**400, 0, 0]) + "\n"),
+            EXIT_VALIDATION,
+            "validation error: line 1: probability outside [0, 1]: int too large to convert to float\n",
+            id="integer-too-large-in-a-vector-of-the-wrong-length",
+        ),
     ],
 )
 def test_bad_input_ends_in_exit_code_not_traceback(tmp_path, capsys, build, code, prefix):

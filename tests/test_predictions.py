@@ -1,24 +1,24 @@
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import scalar_oracle
 from flapwear.engine import decide_runs
 from flapwear.predictions import (
-    BadLength,
     EmptyInput,
-    NotNormalized,
-    OutOfRange,
     ParseError,
     ProbabilityVector,
     StageId,
     ValidationError,
+    VectorError,
     ViewMismatch,
+    first_invalid_row,
     parse_prediction_table,
     split_by_tool,
-    validate_vector,
 )
 from flapwear.taxonomy import REQUIRED_STAGES, STAGE_CLASSES
 
@@ -29,26 +29,100 @@ def vec(stage, probs):
 
 class TestValidateVector:
     def test_uniform_is_valid(self):
-        validate_vector(vec(StageId.USAGE, [0.5, 0.5]))
+        assert vec(StageId.USAGE, [0.5, 0.5]).probs == (0.5, 0.5)
 
     # An invalid vector cannot be constructed: ProbabilityVector itself raises.
     def test_not_normalized(self):
-        with pytest.raises(NotNormalized, match="deviation -0.1"):
+        with pytest.raises(VectorError, match=r"sum to 0.8999999999999999 \(deviation -0.1\)"):
             ProbabilityVector(StageId.USAGE, (0.7, 0.2))
 
     def test_bad_length(self):
-        with pytest.raises(BadLength):
+        with pytest.raises(VectorError, match="stage profile expects 3 classes, got 2"):
             ProbabilityVector(StageId.PROFILE, (1.0, 0.0))
 
     def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(VectorError, match=r"probability 1.2 outside \[0, 1\]"):
             ProbabilityVector(StageId.USAGE, (1.2, -0.2))
 
     def test_tolerance_is_not_silent_normalization(self):
         # within 1e-6 passes, but probs stay exactly as given
         v = vec(StageId.USAGE, [0.5000004, 0.5000001])
-        validate_vector(v)
         assert v.probs == (0.5000004, 0.5000001)
+
+
+# Entries at the edges of the vector rule: signed zeros, NaN, infinities,
+# subnormals, a huge value and the floats next to 0 and 1.
+EDGE_FLOATS = (
+    -0.0, 0.0, 1.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-300, -1e-300,
+    math.nextafter(1.0, 2.0), math.nextafter(0.0, -1.0), 1e308,
+)
+FLOAT_ENTRIES = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(-0.5, 1.5), st.floats(0.0, 1.0))
+# Integers too large for a float make the conversion itself fail.
+ANY_ENTRIES = st.one_of(FLOAT_ENTRIES, st.integers(-2, 2), st.sampled_from([10**400, -(10**400)]))
+
+
+@st.composite
+def boundary_rows(draw, k):
+    """k floats whose left-to-right sum lands a few ulp from 1 or from 1 +- SUM_TOLERANCE."""
+    head = draw(st.lists(st.floats(0.0, 1.0 / k), min_size=k - 1, max_size=k - 1))
+    last = 1.0 + draw(st.sampled_from((-1e-6, 0.0, 1e-6)))
+    for p in head:
+        last -= p
+    steps = draw(st.integers(-4, 4))
+    for _ in range(abs(steps)):
+        last = math.nextafter(last, math.copysign(math.inf, steps))
+    return [*head, last]
+
+
+def float_rows(k):
+    return st.one_of(boundary_rows(k), st.lists(FLOAT_ENTRIES, min_size=k, max_size=k))
+
+
+@st.composite
+def stage_vectors(draw):
+    """A stage and entries for its vector: of the stage's length, or of any length up to 4."""
+    stage = draw(st.sampled_from(list(StageId)))
+    k = len(STAGE_CLASSES[stage])
+    entries = st.one_of(
+        float_rows(k), st.lists(ANY_ENTRIES, min_size=k, max_size=k), st.lists(ANY_ENTRIES, max_size=4)
+    )
+    return stage, draw(entries)
+
+
+@st.composite
+def stage_row_batches(draw):
+    """A stage and 1 to 6 rows of its length, as the parser stacks them."""
+    stage = draw(st.sampled_from([StageId.USAGE, StageId.PROFILE]))
+    return stage, draw(st.lists(float_rows(len(STAGE_CLASSES[stage])), min_size=1, max_size=6))
+
+
+class TestVectorRule:
+    """The batch rule and ProbabilityVector against the scalar oracle's own statement of it."""
+
+    @given(stage_vectors())
+    @example((StageId.USAGE, [-0.0, -0.0]))  # the sum starts at +0.0
+    @example((StageId.USAGE, [10**400, 0, 0]))  # float conversion comes before length
+    @example((StageId.TEAR, [math.inf, -math.inf]))
+    def test_vector_matches_the_scalar_rule(self, stage_probs):
+        stage, probs = stage_probs
+        expected = scalar_oracle.vector_error(stage, probs)
+        try:
+            vector = ProbabilityVector(stage, tuple(probs))
+        except VectorError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+            assert vector.probs == tuple(float(p) for p in probs)
+            assert all(type(p) is float for p in vector.probs)
+
+    @given(stage_row_batches())
+    @example((StageId.USAGE, [[0.5, 0.5], [-0.0, -0.0], [0.7, 0.2]]))
+    @example((StageId.USAGE, [[0.3, 0.3], [math.inf, -math.inf]]))
+    def test_batch_rule_reports_the_first_invalid_row(self, stage_rows):
+        stage, rows = stage_rows
+        errors = [scalar_oracle.vector_error(stage, row) for row in rows]
+        expected = next(((i, e) for i, e in enumerate(errors) if e is not None), None)
+        assert first_invalid_row(np.array(rows, dtype=np.float64)) == expected
 
 
 def decide(stage, probs):
@@ -208,6 +282,11 @@ class TestSplitByTool:
     def test_fractions_must_sum_to_one(self):
         with pytest.raises(ValueError):
             split_by_tool(self._samples(4), (0.5, 0.1, 0.1), seed=0)
+        # The fractions are a probability vector: a negative or NaN one is rejected too.
+        with pytest.raises(VectorError, match=r"probability 1.5 outside \[0, 1\]"):
+            split_by_tool(self._samples(4), (1.5, -0.5, 0.0), seed=0)
+        with pytest.raises(VectorError, match=r"probability nan outside \[0, 1\]"):
+            split_by_tool(self._samples(4), (math.nan, 0.5, 0.5), seed=0)
 
     @given(st.integers(1, 40), st.integers(0, 2**32 - 1))
     def test_no_tool_leaks_between_subsets(self, n_tools, seed):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from flapwear.predictions import StageId, validate_vector
+from flapwear import predictions, simulate
+from flapwear.predictions import ProbabilityVector, StageId
 from flapwear.synth import (
     AxialGapPattern,
     BadRow,
@@ -9,6 +10,7 @@ from flapwear.synth import (
     RadialProfile,
     WheelSpec,
     generate_observation,
+    observation_vectors,
     profile_feature_classifier,
     sample_oracle_predictions,
     severity_feature_classifier,
@@ -102,23 +104,23 @@ class TestGenerator:
 class TestProfileClassifier:
     def test_constant_profile_is_rectangular(self):
         radial = RadialProfile((0.85,) * 64, fringe=False)
-        v = profile_feature_classifier(radial)
-        validate_vector(v)
-        assert np.argmax(v.probs) == 0
+        row = profile_feature_classifier(radial)
+        ProbabilityVector(StageId.PROFILE, row)
+        assert np.argmax(row) == 0
 
     def test_central_depression_is_concave(self):
         obs = generate_observation(
             spec(profile=FlapProfile.CONCAVE, severity=Severity.FULLY, profile_depth=0.2),
             seed=1,
         )
-        assert np.argmax(profile_feature_classifier(obs.radial).probs) == 1
+        assert np.argmax(profile_feature_classifier(obs.radial)) == 1
 
     def test_central_bulge_is_convex(self):
         obs = generate_observation(
             spec(profile=FlapProfile.CONVEX, severity=Severity.FULLY, profile_depth=0.2),
             seed=1,
         )
-        assert np.argmax(profile_feature_classifier(obs.radial).probs) == 2
+        assert np.argmax(profile_feature_classifier(obs.radial)) == 2
 
 
 class TestSeverityClassifier:
@@ -132,22 +134,25 @@ class TestSeverityClassifier:
         return RadialProfile(tuple(r), fringe=False)
 
     def test_wide_span_is_fully(self):
-        v = severity_feature_classifier(self._bump_profile(0.95), FlapProfile.CONCAVE)
-        assert v.stage is StageId.CONCAVE_SEVERITY
-        assert np.argmax(v.probs) == 0
+        row = severity_feature_classifier(self._bump_profile(0.95), FlapProfile.CONCAVE)
+        assert np.argmax(row) == 0
+        # A wheel's severity row is filed under its branch's stage.
+        obs = generate_observation(spec(profile=FlapProfile.CONCAVE, severity=Severity.FULLY), 1)
+        assert list(observation_vectors(obs)) == [
+            StageId.USAGE, StageId.PROFILE, StageId.TEAR, StageId.CONCAVE_SEVERITY
+        ]
 
     def test_narrow_span_is_partially(self):
-        v = severity_feature_classifier(self._bump_profile(0.40), FlapProfile.CONCAVE)
-        assert np.argmax(v.probs) == 1
+        row = severity_feature_classifier(self._bump_profile(0.40), FlapProfile.CONCAVE)
+        assert np.argmax(row) == 1
 
     def test_boundary_is_uncertain(self):
         # step profile with exactly 75% of samples affected
         n = 64
         r = np.full(n, 0.85)
         r[: int(0.75 * n)] -= 0.2
-        v = severity_feature_classifier(RadialProfile(tuple(r), False), FlapProfile.CONCAVE)
-        assert v.stage is StageId.CONCAVE_SEVERITY
-        assert abs(v.probs[0] - 0.5) <= 0.05
+        row = severity_feature_classifier(RadialProfile(tuple(r), False), FlapProfile.CONCAVE)
+        assert abs(row[0] - 0.5) <= 0.05
 
     def test_rectangular_branch_rejected(self):
         with pytest.raises(InvalidSpec):
@@ -156,34 +161,54 @@ class TestSeverityClassifier:
 
 class TestTearClassifier:
     def test_uniform_gaps_no_tear(self):
-        v = tear_feature_classifier(AxialGapPattern((0.1,) * 20))
-        assert np.argmax(v.probs) == 1
+        row = tear_feature_classifier(AxialGapPattern((0.1,) * 20))
+        assert np.argmax(row) == 1
 
     def test_tripled_gap_with_tear(self):
         gaps = [0.1] * 20
         gaps[5] = 0.3
-        v = tear_feature_classifier(AxialGapPattern(tuple(gaps)))
-        assert np.argmax(v.probs) == 0
+        row = tear_feature_classifier(AxialGapPattern(tuple(gaps)))
+        assert np.argmax(row) == 0
 
     def test_jitter_alone_does_not_trigger(self):
         rng = np.random.default_rng(0)
         gaps = 0.1 * (1 + rng.uniform(-0.1, 0.1, 24))
-        v = tear_feature_classifier(AxialGapPattern(tuple(gaps)))
-        assert np.argmax(v.probs) == 1
+        row = tear_feature_classifier(AxialGapPattern(tuple(gaps)))
+        assert np.argmax(row) == 1
 
 
 class TestUsageClassifier:
     def test_fringe_scores_new(self):
         obs = generate_observation(WheelSpec(UsageState.NEW, FlapProfile.RECTANGULAR), 3)
-        assert np.argmax(usage_feature_classifier(obs.radial).probs) == 0
+        assert np.argmax(usage_feature_classifier(obs.radial)) == 0
 
     def test_no_fringe_scores_used(self):
         obs = generate_observation(spec(), 3)
-        assert np.argmax(usage_feature_classifier(obs.radial).probs) == 1
+        assert np.argmax(usage_feature_classifier(obs.radial)) == 1
 
     def test_adversarial_fringe_misclassified_as_new(self):
         obs = generate_observation(ADVERSARIAL_FRINGE, 3)
-        assert np.argmax(usage_feature_classifier(obs.radial).probs) == 0
+        assert np.argmax(usage_feature_classifier(obs.radial)) == 0
+
+
+def test_synthetic_batch_checks_rows_without_building_vectors(monkeypatch):
+    built = []
+    original = ProbabilityVector.__post_init__
+    monkeypatch.setattr(
+        ProbabilityVector, "__post_init__", lambda self: built.append(original(self))
+    )
+    checked = []
+    monkeypatch.setattr(
+        simulate, "first_invalid_row",
+        lambda rows: checked.append(rows.shape) or predictions.first_invalid_row(rows),
+    )
+    report = simulate.run_synthetic_batch(22, seed=3)
+    assert report["hierarchy_accuracy"] == 1.0
+    assert built == []
+    # One check per stage, over the wheels whose row was filled: 8 concave, 8 convex.
+    assert checked == [(22, 2), (22, 3), (22, 2), (8, 2), (8, 2)]
+    simulate.classify_spec(spec(), seed=3)  # the one-run path builds its RunInput's vectors
+    assert len(built) == 3
 
 
 class TestStochasticOracle:
