@@ -338,40 +338,49 @@ def _check_oracle_matrices(matrices: dict[StageId, list]) -> None:
             raise ConfigError(f"oracle matrix for {stage.value} must be {k}x{k} counts >= 0")
 
 
+def _run_simulation(sim_config: dict, mode: str, n: int, config: CliConfig) -> dict:
+    """The report of an n-unit simulation in the given mode."""
+    if mode == "synth":
+        return simulate.run_synthetic_batch(
+            n,
+            config.seed,
+            noise_sigma=_sim_setting(sim_config, "noise_sigma", float, 0.0),
+            config=config.engine,
+        )
+    if mode != "oracle":
+        raise ConfigError(f"unknown simulation mode {mode!r}")
+    try:
+        matrices = {
+            StageId(name): counts
+            for name, counts in sim_config["matrices"].items()
+        }
+    except (KeyError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"oracle config needs per-stage matrices: {exc}") from exc
+    missing = [stage.value for stage in StageId if stage not in matrices]
+    if missing:
+        raise ConfigError(f"oracle config needs per-stage matrices, missing {missing}")
+    _check_oracle_matrices(matrices)
+    law = _sim_setting(
+        sim_config, "confidence_law", _confidence_law, simulate.DEFAULT_CONFIDENCE_LAW
+    )
+    report = simulate.run_oracle_batch(matrices, n, config.seed, law)
+    acc = simulate.matrices_to_accuracies(matrices)
+    report["propagation"] = propagation.propagation_report(acc, decimals=config.rounding)
+    return report
+
+
 def cmd_simulate(args: argparse.Namespace, config: CliConfig) -> int:
     sim_config = _load_simulation_config(Path(args.sim_config))
     mode = sim_config.get("mode", "synth")
     n = args.n if args.n is not None else _sim_setting(sim_config, "n", int, 1100)
     if n < 1:
         raise ConfigError("simulation size must be >= 1")
-
-    if mode == "synth":
-        report = simulate.run_synthetic_batch(
-            n,
-            config.seed,
-            noise_sigma=_sim_setting(sim_config, "noise_sigma", float, 0.0),
-            config=config.engine,
-        )
-    elif mode == "oracle":
-        try:
-            matrices = {
-                StageId(name): counts
-                for name, counts in sim_config["matrices"].items()
-            }
-        except (KeyError, ValueError, AttributeError) as exc:
-            raise ConfigError(f"oracle config needs per-stage matrices: {exc}") from exc
-        missing = [stage.value for stage in StageId if stage not in matrices]
-        if missing:
-            raise ConfigError(f"oracle config needs per-stage matrices, missing {missing}")
-        _check_oracle_matrices(matrices)
-        law = _sim_setting(
-            sim_config, "confidence_law", _confidence_law, simulate.DEFAULT_CONFIDENCE_LAW
-        )
-        report = simulate.run_oracle_batch(matrices, n, config.seed, law)
-        acc = simulate.matrices_to_accuracies(matrices)
-        report["propagation"] = propagation.propagation_report(acc, decimals=config.rounding)
-    else:
-        raise ConfigError(f"unknown simulation mode {mode!r}")
+    if n > np.iinfo(np.intp).max // 64:  # arrays past numpy's size limit, not failed allocations
+        raise ConfigError(f"simulation size {n} is too large")
+    try:
+        report = _run_simulation(sim_config, mode, n, config)
+    except MemoryError as exc:  # numpy could not allocate the per-unit arrays
+        raise ConfigError(f"simulation size {n} is too large: {exc}") from exc
 
     report["seed"] = config.seed
     _make_report_dir(config.report_dir)

@@ -270,7 +270,13 @@ def split_by_tool(
     tools = sorted(set(tool_ids))
     if not tools:
         raise EmptyInput("no samples to split")
-    invalid = first_invalid_row(np.array([fractions], dtype=np.float64))
+    try:
+        row = np.array([fractions], dtype=np.float64)
+    except OverflowError as exc:
+        raise VectorError(f"fractions: probability outside [0, 1]: {exc}") from exc
+    if row.shape[1] != 3:
+        raise VectorError(f"fractions: expected 3 (train, val, test), got {row.shape[1]}")
+    invalid = first_invalid_row(row)
     if invalid is not None:
         raise VectorError(f"fractions: {invalid[1]}")
 

@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import EngineConfig, RunInput, RunResult, classify_run, decide_runs
+from .engine import EngineConfig, RunDecisions, RunResult, decide_runs
 from .errors import ValidationError
-from .predictions import ProbabilityVector, VectorError, first_invalid_row
+from .predictions import VectorError, first_invalid_row
 from .propagation import ACCURACY_NAMES, StageAccuracies, path_accuracy
 from .synth import (
     BadRow,
     InvalidSpec,
     WheelSpec,
-    generate_observation,
-    observation_vectors,
     sample_oracle_predictions,
+    score_wheels,
 )
 from .taxonomy import (
     BRANCH_STAGES,
@@ -35,6 +34,8 @@ from .taxonomy import (
 )
 
 DEFAULT_CONFIDENCE_LAW = (0.97, 0.89, 0.03)
+# Wheels observed and scored together; bounds the block's working arrays.
+SYNTH_BLOCK = 256
 
 
 def spec_for_outcome(
@@ -62,11 +63,30 @@ def spec_for_outcome(
     )
 
 
+def _stage_arrays(n: int) -> tuple[dict[StageId, np.ndarray], dict[StageId, np.ndarray]]:
+    """Zeroed per-stage (n, k) arrays and severity present masks, as decide_runs takes them."""
+    vectors = {stage: np.zeros((n, len(classes))) for stage, classes in STAGE_CLASSES.items()}
+    present = {stage: np.zeros(n, dtype=bool) for stage in SEVERITY_STAGE.values()}
+    return vectors, present
+
+
+def _decide_checked(vectors, present, config: EngineConfig | None) -> RunDecisions:
+    """Check each stage's filled rows once, then decide them; a REJECT_RUN refusal raises."""
+    for stage, rows in vectors.items():
+        invalid = first_invalid_row(rows[present[stage]] if stage in present else rows)
+        if invalid is not None:
+            raise VectorError(invalid[1])
+    decisions = decide_runs(vectors, present, config)
+    if decisions.rejected_row >= 0:
+        raise decisions.rejection()
+    return decisions
+
+
 def classify_spec(spec: WheelSpec, seed: int, config: EngineConfig | None = None) -> RunResult:
-    """Generate an observation for the spec and run the hierarchy on it."""
-    rows = observation_vectors(generate_observation(spec, seed))
-    run = RunInput("synthetic", {stage: ProbabilityVector(stage, row) for stage, row in rows.items()})
-    return classify_run(run, config)
+    """Generate an observation for the spec and run the hierarchy on it (a block of one wheel)."""
+    vectors, present = _stage_arrays(1)
+    score_wheels([spec], [seed], vectors, present)
+    return next(_decide_checked(vectors, present, config).rows())
 
 
 def run_synthetic_batch(
@@ -77,33 +97,27 @@ def run_synthetic_batch(
 ) -> dict:
     """Round-robin over the 11 outcomes; measures hierarchy accuracy.
 
-    The wheels are generated one by one, their vectors kept as per-stage
-    arrays; each stage's filled rows are checked once, and the hierarchy
-    decides them in one batch.
+    Specs and wheel seeds are drawn one wheel at a time from the batch
+    RNG; the wheels are observed and scored SYNTH_BLOCK at a time into
+    per-stage arrays. Each stage's filled rows are then checked once,
+    and the hierarchy decides them in one batch.
     """
     if n < 1:
         raise InvalidSpec("batch size must be >= 1")
     rng = np.random.default_rng(seed)
-    vectors = {stage: np.zeros((n, len(classes))) for stage, classes in STAGE_CLASSES.items()}
-    present = {stage: np.zeros(n, dtype=bool) for stage in SEVERITY_STAGE.values()}
-    expected = np.empty(n, dtype=np.int64)
-    for k in range(n):
-        outcome = CONSISTENT_OUTCOMES[k % len(CONSISTENT_OUTCOMES)]
-        spec = spec_for_outcome(outcome, rng, noise_sigma)
-        observation = generate_observation(spec, seed=int(rng.integers(0, 2**31)))
-        for stage, row in observation_vectors(observation).items():
-            vectors[stage][k] = row
-            if stage in present:
-                present[stage][k] = True
-        expected[k] = outcome.id
-    for stage, rows in vectors.items():
-        invalid = first_invalid_row(rows[present[stage]] if stage in present else rows)
-        if invalid is not None:
-            raise VectorError(invalid[1])
+    vectors, present = _stage_arrays(n)
+    expected = np.resize([o.id for o in CONSISTENT_OUTCOMES], n)  # wheel k: outcome k mod 11
+    for start in range(0, n, SYNTH_BLOCK):
+        rows = slice(start, min(n, start + SYNTH_BLOCK))
+        specs, seeds = [], []
+        for k in range(rows.start, rows.stop):
+            outcome = CONSISTENT_OUTCOMES[k % len(CONSISTENT_OUTCOMES)]
+            specs.append(spec_for_outcome(outcome, rng, noise_sigma))
+            seeds.append(int(rng.integers(0, 2**31)))
+        block_vectors = {stage: v[rows] for stage, v in vectors.items()}
+        score_wheels(specs, seeds, block_vectors, {stage: m[rows] for stage, m in present.items()})
 
-    decisions = decide_runs(vectors, present, config)
-    if decisions.rejected_row >= 0:
-        raise decisions.rejection()
+    decisions = _decide_checked(vectors, present, config)
     hit = decisions.outcome_id == expected
     correct = np.bincount(expected[hit], minlength=len(CONSISTENT_OUTCOMES) + 1).tolist()
     total = np.bincount(expected, minlength=len(CONSISTENT_OUTCOMES) + 1).tolist()

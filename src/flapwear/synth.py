@@ -1,11 +1,11 @@
 """Synthetic flap-wheel observations with known ground truth.
 
-Generates 1-D radial profile contours and axial gap patterns from a
-wheel spec, plus rule-based feature classifiers that turn those
-observations into probability rows (tuples of floats in their stage's
-class order, which the batch driver checks a stage at a time), and a
-vectorized stochastic oracle that imitates upstream models with a given
-confusion behavior.
+Generates 1-D radial profile contours and axial gap patterns for a
+block of wheel specs, plus rule-based feature classifiers that turn a
+block's observations into probability rows (one (b, k) array per stage,
+in its class order, which the batch driver checks a stage at a time),
+and a vectorized stochastic oracle that imitates upstream models with a
+given confusion behavior.
 Together they close the loop around the hierarchy engine without images
 or trained networks.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -51,6 +51,13 @@ SEVERITY_BOUNDARY = 0.75
 _SEVERITY_SLOPE = 8.0
 
 _PROFILE_SCORE_GAIN = 30.0
+
+# Sample positions across the flap width, shared by every contour.
+_W = np.linspace(0.0, 1.0, PROFILE_SAMPLES)
+# Sign of the bump on the base radius: concave flaps are depressed, convex ones bulge.
+_BUMP_DIRECTION = {FlapProfile.RECTANGULAR: 0.0, FlapProfile.CONCAVE: -1.0, FlapProfile.CONVEX: 1.0}
+# Total gap angle around the wheel, shared out among its flaps.
+_GAP_ARC = (1.0 - FLAP_ARC_FRACTION) * 2.0 * math.pi
 
 
 class InvalidSpec(ValidationError):
@@ -107,24 +114,6 @@ class WheelSpec:
         return TearState.WITH_TEAR if self.torn_flaps else TearState.NO_TEAR
 
 
-@dataclass(frozen=True)
-class RadialProfile:
-    samples: tuple[float, ...]
-    fringe: bool
-
-
-@dataclass(frozen=True)
-class AxialGapPattern:
-    gap_angles: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class SyntheticObservation:
-    spec: WheelSpec
-    radial: RadialProfile
-    axial: AxialGapPattern
-
-
 def _severity_span(spec: WheelSpec, rng: np.random.Generator) -> tuple[float, float]:
     if spec.severity is Severity.FULLY:
         span = rng.uniform(0.90, 1.0)
@@ -135,79 +124,88 @@ def _severity_span(spec: WheelSpec, rng: np.random.Generator) -> tuple[float, fl
     return start, start + span
 
 
-def generate_observation(spec: WheelSpec, seed: int) -> SyntheticObservation:
-    """Deterministic synthetic observation for a wheel spec.
+def observe_wheels(
+    specs: Sequence[WheelSpec], seeds: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic synthetic observations of a block of wheels.
 
-    The radial contour is a constant base radius with a smooth bump of
-    depth profile_depth (depression for concave, bulge for convex) over
-    the severity span; gaussian noise_sigma perturbs the samples. Torn
-    flaps widen their axial gap well past the nominal jitter.
+    Row j is wheel specs[j], drawn from default_rng(seeds[j]): its
+    radial contour, a (b, PROFILE_SAMPLES) array, and its axial gaps, a
+    (b, max n_flaps) array whose row j is meaningful up to
+    specs[j].n_flaps. The contour is a constant base radius with a smooth
+    bump of depth profile_depth (depression for concave, bulge for
+    convex) over the severity span; gaussian noise_sigma perturbs the
+    samples. Torn flaps widen their gap well past the nominal jitter.
+    Each wheel draws its severity span, noise row, gap jitter and torn
+    widths (in sorted flap order) one after the other; the arithmetic on
+    the draws is done for the whole block.
     """
-    rng = np.random.default_rng(seed)
-    w = np.linspace(0.0, 1.0, PROFILE_SAMPLES)
-    r = np.full(PROFILE_SAMPLES, BASE_RADIUS)
+    b = len(specs)
+    n_flaps = np.array([spec.n_flaps for spec in specs])
+    lo, hi = np.zeros(b), np.ones(b)
+    noise = np.zeros((b, PROFILE_SAMPLES))
+    jitter = np.zeros((b, n_flaps.max()))
+    torn = np.zeros((b, n_flaps.max()))  # width factor of each torn flap, 0 elsewhere
+    for j, (spec, seed) in enumerate(zip(specs, seeds)):
+        rng = np.random.default_rng(seed)
+        if spec.profile is not FlapProfile.RECTANGULAR:
+            lo[j], hi[j] = _severity_span(spec, rng)
+        if spec.noise_sigma > 0:
+            noise[j] = rng.normal(0.0, spec.noise_sigma, PROFILE_SAMPLES)
+            jitter[j, : spec.n_flaps] = rng.uniform(-GAP_JITTER, GAP_JITTER, spec.n_flaps)
+        for i in sorted(spec.torn_flaps):
+            torn[j, i] = rng.uniform(*TORN_GAP_RANGE)
 
-    if spec.profile is not FlapProfile.RECTANGULAR:
-        lo, hi = _severity_span(spec, rng)
-        inside = (w >= lo) & (w <= hi)
-        t = (w[inside] - lo) / (hi - lo)
-        bump = spec.profile_depth * np.sin(math.pi * t)
-        if spec.profile is FlapProfile.CONCAVE:
-            r[inside] -= bump
-        else:
-            r[inside] += bump
+    direction = np.array([_BUMP_DIRECTION[spec.profile] for spec in specs])
+    depth = np.array([spec.profile_depth for spec in specs])
+    inside = (_W >= lo[:, None]) & (_W <= hi[:, None]) & (direction != 0.0)[:, None]
+    t = (_W - lo[:, None]) / (hi - lo)[:, None]
+    bump = depth[:, None] * np.sin(math.pi * t)
+    radial = BASE_RADIUS + np.where(inside, direction[:, None] * bump, 0.0) + noise
+    radial = np.clip(radial, 1e-6, 1.0)
 
-    if spec.noise_sigma > 0:
-        r = r + rng.normal(0.0, spec.noise_sigma, PROFILE_SAMPLES)
-    r = np.clip(r, 1e-6, 1.0)
-    radial = RadialProfile(tuple(float(x) for x in r), spec.has_fringe)
-
-    gap_nominal = (1.0 - FLAP_ARC_FRACTION) * 2.0 * math.pi / spec.n_flaps
-    gaps = np.full(spec.n_flaps, gap_nominal)
-    if spec.noise_sigma > 0:
-        gaps *= 1.0 + rng.uniform(-GAP_JITTER, GAP_JITTER, spec.n_flaps)
-    for i in sorted(spec.torn_flaps):
-        gaps[i] = gap_nominal * rng.uniform(*TORN_GAP_RANGE)
-    axial = AxialGapPattern(tuple(float(g) for g in gaps))
-
-    return SyntheticObservation(spec, radial, axial)
-
-
-def _softmax(scores: Sequence[float]) -> tuple[float, ...]:
-    m = max(scores)
-    exps = [math.exp(s - m) for s in scores]
-    total = sum(exps)
-    return tuple(e / total for e in exps)
+    nominal = _GAP_ARC / n_flaps
+    gaps = nominal[:, None] * np.where(torn > 0.0, torn, 1.0 + jitter)
+    return radial, gaps
 
 
-def _edge_stats(samples: np.ndarray) -> tuple[float, float]:
-    """(edge mean, signed interior extremum relative to edge mean)."""
-    k = max(2, int(round(EDGE_FRACTION * len(samples))))
-    edge_mean = float(np.mean(np.concatenate([samples[:k], samples[-k:]])))
-    interior = samples[k:-k] - edge_mean
-    idx = int(np.argmax(np.abs(interior)))
-    return edge_mean, float(interior[idx])
+def _logistic_rows(z: np.ndarray) -> np.ndarray:
+    """(1 / (1 + exp(z)), its complement) per row; math.exp on each element."""
+    p = 1.0 / (1.0 + np.array([math.exp(x) for x in z.tolist()]))
+    return np.column_stack([p, 1.0 - p])
 
 
-def profile_feature_classifier(radial: RadialProfile) -> tuple[float, ...]:
-    """Score the flap profile from the contour's central deviation.
+def _softmax_rows(scores: np.ndarray) -> np.ndarray:
+    """Row softmax: math.exp on each element, each row summed left to right."""
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    exps = np.array([math.exp(x) for x in shifted.ravel().tolist()]).reshape(scores.shape)
+    total = np.zeros(len(exps))
+    for j in range(exps.shape[1]):
+        total += exps[:, j]
+    return exps / total[:, None]
+
+
+def profile_rows(radial: np.ndarray) -> np.ndarray:
+    """Profile rows scored from each contour's central deviation.
 
     The sign of the largest interior deviation from the edge mean picks
     concave (negative) vs convex (positive); near-zero deviation leaves
     rectangular maximal.
     """
-    samples = np.asarray(radial.samples)
-    _, deviation = _edge_stats(samples)
-    scores = (
-        1.0 - _PROFILE_SCORE_GAIN * abs(deviation),  # rectangular
-        -_PROFILE_SCORE_GAIN * deviation,            # concave
-        _PROFILE_SCORE_GAIN * deviation,             # convex
-    )
-    return _softmax(scores)
+    k = max(2, int(round(EDGE_FRACTION * radial.shape[1])))
+    edge_mean = np.mean(np.concatenate([radial[:, :k], radial[:, -k:]], axis=1), axis=1)
+    interior = radial[:, k:-k] - edge_mean[:, None]
+    deviation = interior[np.arange(len(radial)), np.abs(interior).argmax(axis=1)]
+    scores = np.column_stack([
+        1.0 - _PROFILE_SCORE_GAIN * np.abs(deviation),  # rectangular
+        -_PROFILE_SCORE_GAIN * deviation,               # concave
+        _PROFILE_SCORE_GAIN * deviation,                # convex
+    ])
+    return _softmax_rows(scores)
 
 
-def severity_feature_classifier(radial: RadialProfile, branch: FlapProfile) -> tuple[float, ...]:
-    """Score full vs partial profiling from the affected-width fraction.
+def severity_rows(radial: np.ndarray, branch: FlapProfile) -> np.ndarray:
+    """Full vs partial profiling rows, scored from the affected-width fraction.
 
     The baseline radius is the extreme opposite to the deformation (max
     for concave, min for convex), so a deformation that touches the flap
@@ -219,51 +217,59 @@ def severity_feature_classifier(radial: RadialProfile, branch: FlapProfile) -> t
     """
     if branch not in SEVERITY_STAGE:
         raise InvalidSpec("severity is only defined for concave/convex branches")
-
-    samples = np.asarray(radial.samples)
-    baseline = float(np.max(samples) if branch is FlapProfile.CONCAVE else np.min(samples))
-    peak = float(np.max(np.abs(samples - baseline)))
-    if peak == 0.0:
-        affected_fraction = 0.0
-    else:
-        affected = np.abs(samples - baseline) > 0.1 * peak
-        affected_fraction = float(np.count_nonzero(affected)) / len(samples)
-
-    p_fully = 1.0 / (1.0 + math.exp(-_SEVERITY_SLOPE * (affected_fraction - SEVERITY_BOUNDARY)))
-    return (p_fully, 1.0 - p_fully)
+    baseline = radial.max(axis=1) if branch is FlapProfile.CONCAVE else radial.min(axis=1)
+    deviation = np.abs(radial - baseline[:, None])
+    affected = deviation > 0.1 * deviation.max(axis=1, keepdims=True)
+    fraction = np.count_nonzero(affected, axis=1) / radial.shape[1]
+    return _logistic_rows(-_SEVERITY_SLOPE * (fraction - SEVERITY_BOUNDARY))
 
 
-def tear_feature_classifier(axial: AxialGapPattern) -> tuple[float, ...]:
-    """Score tear presence from the max-to-median gap ratio."""
-    gaps = np.asarray(axial.gap_angles)
-    ratio = float(np.max(gaps) / np.median(gaps))
-    p_tear = 1.0 / (1.0 + math.exp(-_TEAR_LOGISTIC_SLOPE * (ratio - _TEAR_LOGISTIC_CENTER)))
-    return (p_tear, 1.0 - p_tear)
+def tear_rows(gaps: np.ndarray, n_flaps: np.ndarray) -> np.ndarray:
+    """Tear rows scored from each wheel's max-to-median gap ratio.
+
+    Row j's gaps are gaps[j, :n_flaps[j]]; the median is taken over the
+    wheels of one flap count at a time.
+    """
+    ratio = np.empty(len(gaps))
+    for count in np.unique(n_flaps).tolist():
+        rows = n_flaps == count
+        wheel_gaps = gaps[rows, :count]
+        ratio[rows] = wheel_gaps.max(axis=1) / np.median(wheel_gaps, axis=1)
+    return _logistic_rows(-_TEAR_LOGISTIC_SLOPE * (ratio - _TEAR_LOGISTIC_CENTER))
 
 
-def usage_feature_classifier(radial: RadialProfile) -> tuple[float, ...]:
-    """Score new vs used from the fringe marker.
+def usage_rows(radial: np.ndarray, fringe: np.ndarray) -> np.ndarray:
+    """New vs used rows scored from the fringe marker.
 
     Contour roughness softens the confidence, mimicking how noisy
     images lower the upstream model's certainty.
     """
-    samples = np.asarray(radial.samples)
-    roughness = float(np.std(np.diff(samples)))
-    conf = min(0.98, max(0.60, 0.98 - 3.0 * roughness))
-    return (conf, 1.0 - conf) if radial.fringe else (1.0 - conf, conf)
+    roughness = np.std(np.diff(radial, axis=1), axis=1)
+    conf = np.minimum(0.98, np.maximum(0.60, 0.98 - 3.0 * roughness))
+    rows = np.column_stack([conf, 1.0 - conf])
+    return np.where(fringe[:, None], rows, rows[:, ::-1])
 
 
-def observation_vectors(obs: SyntheticObservation) -> dict[StageId, tuple[float, ...]]:
-    """Stage -> probability row, for every stage the rule-based classifiers score on one wheel."""
-    vectors = {
-        StageId.USAGE: usage_feature_classifier(obs.radial),
-        StageId.PROFILE: profile_feature_classifier(obs.radial),
-        StageId.TEAR: tear_feature_classifier(obs.axial),
-    }
-    severity_stage = SEVERITY_STAGE.get(obs.spec.profile)
-    if severity_stage is not None:
-        vectors[severity_stage] = severity_feature_classifier(obs.radial, obs.spec.profile)
-    return vectors
+def score_wheels(
+    specs: Sequence[WheelSpec],
+    seeds: Sequence[int],
+    vectors: Mapping[StageId, np.ndarray],
+    present: Mapping[StageId, np.ndarray],
+) -> None:
+    """Observe a block of wheels and write every stage's rows in place.
+
+    vectors[stage] is the block's (b, k) slice of the per-stage arrays
+    decide_runs takes, and present[severity stage] its (b,) mask: a
+    wheel's severity row is scored on its own profile's branch.
+    """
+    radial, gaps = observe_wheels(specs, seeds)
+    vectors[StageId.USAGE][:] = usage_rows(radial, np.array([spec.has_fringe for spec in specs]))
+    vectors[StageId.PROFILE][:] = profile_rows(radial)
+    vectors[StageId.TEAR][:] = tear_rows(gaps, np.array([spec.n_flaps for spec in specs]))
+    for profile, stage in SEVERITY_STAGE.items():
+        rows = np.array([spec.profile is profile for spec in specs])
+        vectors[stage][rows] = severity_rows(radial[rows], profile)
+        present[stage][:] = rows
 
 
 def sample_oracle_predictions(

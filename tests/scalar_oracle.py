@@ -1,4 +1,5 @@
-"""Scalar reference for the columnar classify and evaluate commands.
+"""Scalar reference for the columnar classify and evaluate commands and
+for the block-wise synthetic wheel generator.
 
 An object-per-record implementation of both commands, kept as an oracle
 for the differential tests: the file parser with its own vector rule
@@ -14,6 +15,13 @@ report-directory creation in ``cli``, the error kinds, the taxonomy's
 consistency and outcome rules, and the report rendering of confusion
 matrices (``ConfusionMatrix``, ``matrix_summary``, ``confidence_stats``,
 ``write_confusion_csv``, ``round_report``).
+
+The synthetic part generates and scores one wheel at a time
+(``generate_observation``, the four ``*_feature_classifier`` functions,
+``observation_vectors``) and fills the per-stage arrays of a synthetic
+batch wheel by wheel (``synthetic_stage_rows``). It imports the
+generator's constants, ``WheelSpec`` and ``spec_for_outcome`` (the
+per-wheel spec draw the batch path keeps) from flapwear.
 """
 
 from __future__ import annotations
@@ -26,14 +34,20 @@ from collections import Counter
 from statistics import fmean
 from typing import NamedTuple, Optional
 
-from flapwear import cli, metrics
+import numpy as np
+
+from flapwear import cli, metrics, synth
 from flapwear.errors import FlapwearError, ParseError, ValidationError
+from flapwear.simulate import spec_for_outcome
 from flapwear.taxonomy import (
+    CONSISTENT_OUTCOMES,
     REQUIRED_STAGES,
     SEVERITY_STAGE,
     STAGE_CLASSES,
     STAGE_STATES,
     STAGE_VIEW,
+    FlapProfile,
+    Severity,
     StageId,
     View,
     WearOutcome,
@@ -426,3 +440,137 @@ def main(argv: list[str]) -> int:
     except FlapwearError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
+
+
+# ---------------------------------------------------------------------------
+# Synthetic wheels, one at a time.
+
+
+class RadialProfile(NamedTuple):
+    samples: tuple[float, ...]
+    fringe: bool
+
+
+class SyntheticObservation(NamedTuple):
+    spec: synth.WheelSpec
+    radial: RadialProfile
+    gap_angles: tuple[float, ...]
+
+
+def _severity_span(spec, rng) -> tuple[float, float]:
+    if spec.severity is Severity.FULLY:
+        span = rng.uniform(0.90, 1.0)
+        start = (1.0 - span) / 2.0
+    else:
+        span = rng.uniform(0.30, 0.60)
+        start = rng.uniform(0.0, 1.0 - span)
+    return start, start + span
+
+
+def generate_observation(spec, seed: int) -> SyntheticObservation:
+    """One wheel's radial contour and axial gaps, drawn from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    w = np.linspace(0.0, 1.0, synth.PROFILE_SAMPLES)
+    r = np.full(synth.PROFILE_SAMPLES, synth.BASE_RADIUS)
+
+    if spec.profile is not FlapProfile.RECTANGULAR:
+        lo, hi = _severity_span(spec, rng)
+        inside = (w >= lo) & (w <= hi)
+        t = (w[inside] - lo) / (hi - lo)
+        bump = spec.profile_depth * np.sin(math.pi * t)
+        if spec.profile is FlapProfile.CONCAVE:
+            r[inside] -= bump
+        else:
+            r[inside] += bump
+
+    if spec.noise_sigma > 0:
+        r = r + rng.normal(0.0, spec.noise_sigma, synth.PROFILE_SAMPLES)
+    r = np.clip(r, 1e-6, 1.0)
+    radial = RadialProfile(tuple(float(x) for x in r), spec.has_fringe)
+
+    gap_nominal = (1.0 - synth.FLAP_ARC_FRACTION) * 2.0 * math.pi / spec.n_flaps
+    gaps = np.full(spec.n_flaps, gap_nominal)
+    if spec.noise_sigma > 0:
+        gaps *= 1.0 + rng.uniform(-synth.GAP_JITTER, synth.GAP_JITTER, spec.n_flaps)
+    for i in sorted(spec.torn_flaps):
+        gaps[i] = gap_nominal * rng.uniform(*synth.TORN_GAP_RANGE)
+    return SyntheticObservation(spec, radial, tuple(float(g) for g in gaps))
+
+
+def _softmax(scores) -> tuple[float, ...]:
+    m = max(scores)
+    exps = [math.exp(s - m) for s in scores]
+    total = 0.0
+    for e in exps:  # not builtin sum, which compensates rounding from Python 3.12 on
+        total += e
+    return tuple(e / total for e in exps)
+
+
+def profile_feature_classifier(radial: RadialProfile) -> tuple[float, ...]:
+    samples = np.asarray(radial.samples)
+    k = max(2, int(round(synth.EDGE_FRACTION * len(samples))))
+    edge_mean = float(np.mean(np.concatenate([samples[:k], samples[-k:]])))
+    interior = samples[k:-k] - edge_mean
+    deviation = float(interior[int(np.argmax(np.abs(interior)))])
+    gain = synth._PROFILE_SCORE_GAIN
+    return _softmax((1.0 - gain * abs(deviation), -gain * deviation, gain * deviation))
+
+
+def severity_feature_classifier(radial: RadialProfile, branch: FlapProfile) -> tuple[float, ...]:
+    samples = np.asarray(radial.samples)
+    baseline = float(np.max(samples) if branch is FlapProfile.CONCAVE else np.min(samples))
+    peak = float(np.max(np.abs(samples - baseline)))
+    if peak == 0.0:
+        affected_fraction = 0.0
+    else:
+        affected = np.abs(samples - baseline) > 0.1 * peak
+        affected_fraction = float(np.count_nonzero(affected)) / len(samples)
+    p_fully = 1.0 / (
+        1.0 + math.exp(-synth._SEVERITY_SLOPE * (affected_fraction - synth.SEVERITY_BOUNDARY))
+    )
+    return (p_fully, 1.0 - p_fully)
+
+
+def tear_feature_classifier(gap_angles) -> tuple[float, ...]:
+    gaps = np.asarray(gap_angles)
+    ratio = float(np.max(gaps) / np.median(gaps))
+    p_tear = 1.0 / (
+        1.0 + math.exp(-synth._TEAR_LOGISTIC_SLOPE * (ratio - synth._TEAR_LOGISTIC_CENTER))
+    )
+    return (p_tear, 1.0 - p_tear)
+
+
+def usage_feature_classifier(radial: RadialProfile) -> tuple[float, ...]:
+    samples = np.asarray(radial.samples)
+    roughness = float(np.std(np.diff(samples)))
+    conf = min(0.98, max(0.60, 0.98 - 3.0 * roughness))
+    return (conf, 1.0 - conf) if radial.fringe else (1.0 - conf, conf)
+
+
+def observation_vectors(obs: SyntheticObservation) -> dict[StageId, tuple[float, ...]]:
+    """Stage -> probability row; the severity row on the wheel's own profile branch."""
+    vectors = {
+        StageId.USAGE: usage_feature_classifier(obs.radial),
+        StageId.PROFILE: profile_feature_classifier(obs.radial),
+        StageId.TEAR: tear_feature_classifier(obs.gap_angles),
+    }
+    severity_stage = SEVERITY_STAGE.get(obs.spec.profile)
+    if severity_stage is not None:
+        vectors[severity_stage] = severity_feature_classifier(obs.radial, obs.spec.profile)
+    return vectors
+
+
+def synthetic_stage_rows(n: int, seed: int, noise_sigma: float):
+    """Per-stage (n, k) rows and severity present masks of a synthetic batch, wheel by wheel."""
+    rng = np.random.default_rng(seed)
+    vectors = {stage: np.zeros((n, len(classes))) for stage, classes in STAGE_CLASSES.items()}
+    present = {stage: np.zeros(n, dtype=bool) for stage in SEVERITY_STAGE.values()}
+    for k in range(n):
+        outcome = CONSISTENT_OUTCOMES[k % len(CONSISTENT_OUTCOMES)]
+        spec = spec_for_outcome(outcome, rng, noise_sigma)
+        observation = generate_observation(spec, seed=int(rng.integers(0, 2**31)))
+        for stage, row in observation_vectors(observation).items():
+            vectors[stage][k] = row
+            if stage in present:
+                present[stage][k] = True
+    return vectors, present

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -200,6 +201,37 @@ class TestSimulate:
         config = tmp_path / "sim.json"
         config.write_text(json.dumps({"mode": "synth"}))
         assert main(["simulate", str(config), "--n", "0"]) == EXIT_CONFIG
+
+    # sha256 of simulation.json as written before the synthetic generator
+    # worked in blocks; n = 257 and 1100 cross block edges. Under reject_run
+    # the noise-0 reports are the same bytes; at noise 0.05 a run is refused.
+    SYNTH_REPORT_SHA256 = {
+        (0.0, 257): "0f5038df07ae9280db0055ef1388871497ce4f9536d507cdb8ef80eb35b69d28",
+        (0.0, 1100): "de5ef1317ef2183397b431c3dd416fa50d9b8f3eaf7d8eb12f269b6db14da639",
+        (0.05, 257): "7cd569cd1d6e6f7b770550a48a43c06363f6f473885708db1398de2add2e19a6",
+        (0.05, 1100): "fc60bba6e1145b93581276c02ab7d0e85b82abf2a48d686a7dc41fd257dbcdbc",
+    }
+
+    @pytest.mark.parametrize("policy", ["flag_only", "reject_run"])
+    @pytest.mark.parametrize("noise_sigma, n", list(SYNTH_REPORT_SHA256))
+    def test_synth_report_bytes_are_pinned(self, tmp_path, capsys, noise_sigma, n, policy):
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"mode": "synth", "noise_sigma": noise_sigma}))
+        engine_config = tmp_path / "engine.cfg"
+        engine_config.write_text(f"conflict_policy = {policy}\n")
+        out = tmp_path / "reports"
+        argv = ["simulate", str(config), "--n", str(n), "--config", str(engine_config)]
+        code = main(argv + ["--out", str(out)])
+        if policy == "reject_run" and noise_sigma > 0:
+            assert code == EXIT_VALIDATION
+            assert capsys.readouterr().err == (
+                "validation error: profile concave requires a concave_severity vector\n"
+            )
+            assert not (out / "simulation.json").exists()
+        else:
+            assert code == EXIT_OK
+            digest = hashlib.sha256((out / "simulation.json").read_bytes()).hexdigest()
+            assert digest == self.SYNTH_REPORT_SHA256[noise_sigma, n]
 
 
 class TestPropagate:
@@ -465,6 +497,21 @@ def _out_names_a_file(tmp_path):
             EXIT_VALIDATION,
             "validation error: line 1: probability outside [0, 1]: int too large to convert to float\n",
             id="integer-too-large-in-a-vector-of-the-wrong-length",
+        ),
+        pytest.param(
+            _simulate(n_flag=str(10**15), mode="synth"),
+            EXIT_CONFIG, f"config error: simulation size {10**15} is too large: ",
+            id="synth-n-too-large-to-allocate",
+        ),
+        pytest.param(
+            _simulate(n_flag=str(10**15)),
+            EXIT_CONFIG, f"config error: simulation size {10**15} is too large: ",
+            id="oracle-n-too-large-to-allocate",
+        ),
+        pytest.param(
+            _simulate(n_flag=str(10**30), mode="synth"),
+            EXIT_CONFIG, f"config error: simulation size {10**30} is too large\n",
+            id="n-past-the-array-size-limit",
         ),
     ],
 )

@@ -288,6 +288,21 @@ class TestSplitByTool:
         with pytest.raises(VectorError, match=r"probability nan outside \[0, 1\]"):
             split_by_tool(self._samples(4), (math.nan, 0.5, 0.5), seed=0)
 
+    def test_two_fractions_are_rejected(self):
+        with pytest.raises(VectorError, match=r"^fractions: expected 3 \(train, val, test\), got 2$"):
+            split_by_tool(self._samples(10), (0.5, 0.5), seed=0)
+
+    def test_four_fractions_are_rejected(self):
+        with pytest.raises(VectorError, match=r"^fractions: expected 3 \(train, val, test\), got 4$"):
+            split_by_tool(self._samples(10), (0.25, 0.25, 0.25, 0.25), seed=0)
+
+    def test_fraction_too_large_for_a_float_is_rejected(self):
+        with pytest.raises(
+            VectorError,
+            match=r"^fractions: probability outside \[0, 1\]: int too large to convert to float$",
+        ):
+            split_by_tool(self._samples(10), (10**400, 0, 0), seed=0)
+
     @given(st.integers(1, 40), st.integers(0, 2**32 - 1))
     def test_no_tool_leaks_between_subsets(self, n_tools, seed):
         samples = self._samples(n_tools, per_tool=2)

@@ -4,20 +4,18 @@ import pytest
 from flapwear import predictions, simulate
 from flapwear.predictions import ProbabilityVector, StageId
 from flapwear.synth import (
-    AxialGapPattern,
     BadRow,
     InvalidSpec,
-    RadialProfile,
     WheelSpec,
-    generate_observation,
-    observation_vectors,
-    profile_feature_classifier,
+    observe_wheels,
+    profile_rows,
     sample_oracle_predictions,
-    severity_feature_classifier,
-    tear_feature_classifier,
-    usage_feature_classifier,
+    score_wheels,
+    severity_rows,
+    tear_rows,
+    usage_rows,
 )
-from flapwear.taxonomy import FlapProfile, Severity, UsageState
+from flapwear.taxonomy import SEVERITY_STAGE, STAGE_CLASSES, FlapProfile, Severity, UsageState
 
 
 def spec(**kwargs):
@@ -58,69 +56,73 @@ class TestWheelSpec:
         assert adv.has_fringe
 
 
+def observe(wheel, seed):
+    """One wheel's contour and its gaps, from a block of one."""
+    radial, gaps = observe_wheels([wheel], [seed])
+    return radial[0], gaps[0, : wheel.n_flaps]
+
+
 class TestGenerator:
     def test_rectangular_zero_noise_is_constant(self):
-        obs = generate_observation(spec(), seed=4)
-        assert len(set(obs.radial.samples)) == 1
+        samples, _ = observe(spec(), seed=4)
+        assert len(set(samples.tolist())) == 1
 
     def test_fully_concave_depth(self):
-        obs = generate_observation(
+        samples, _ = observe(
             spec(profile=FlapProfile.CONCAVE, severity=Severity.FULLY, profile_depth=0.2),
             seed=4,
         )
-        samples = np.asarray(obs.radial.samples)
         assert samples.min() == pytest.approx(samples.max() - 0.2, abs=1e-3)
         center = np.argmin(samples) / (len(samples) - 1)
         assert 0.4 <= center <= 0.6
 
     def test_convex_bulges(self):
-        obs = generate_observation(
+        samples, _ = observe(
             spec(profile=FlapProfile.CONVEX, severity=Severity.FULLY, profile_depth=0.1),
             seed=4,
         )
-        samples = np.asarray(obs.radial.samples)
         assert samples.max() == pytest.approx(samples.min() + 0.1, abs=1e-3)
 
     def test_torn_gap_exceeds_all_untorn_gaps(self):
-        obs = generate_observation(spec(torn_flaps=frozenset({3})), seed=4)
-        gaps = obs.axial.gap_angles
+        _, gaps = observe(spec(torn_flaps=frozenset({3})), seed=4)
         torn = gaps[3]
         assert all(torn > g for i, g in enumerate(gaps) if i != 3)
 
     def test_radii_stay_in_unit_interval(self):
-        obs = generate_observation(
+        samples, _ = observe(
             spec(profile=FlapProfile.CONVEX, severity=Severity.FULLY,
                  profile_depth=0.5, noise_sigma=0.05),
             seed=8,
         )
-        assert all(0 < r <= 1 for r in obs.radial.samples)
+        assert all(0 < r <= 1 for r in samples)
 
     def test_deterministic_per_seed(self):
         s = spec(profile=FlapProfile.CONCAVE, severity=Severity.PARTIALLY, noise_sigma=0.01)
-        assert generate_observation(s, 7) == generate_observation(s, 7)
-        assert generate_observation(s, 7) != generate_observation(s, 8)
+        for a, b in zip(observe(s, 7), observe(s, 7)):
+            assert np.array_equal(a, b)
+        for a, b in zip(observe(s, 7), observe(s, 8)):
+            assert not np.array_equal(a, b)
 
 
 class TestProfileClassifier:
     def test_constant_profile_is_rectangular(self):
-        radial = RadialProfile((0.85,) * 64, fringe=False)
-        row = profile_feature_classifier(radial)
+        (row,) = profile_rows(np.full((1, 64), 0.85))
         ProbabilityVector(StageId.PROFILE, row)
         assert np.argmax(row) == 0
 
     def test_central_depression_is_concave(self):
-        obs = generate_observation(
+        samples, _ = observe(
             spec(profile=FlapProfile.CONCAVE, severity=Severity.FULLY, profile_depth=0.2),
             seed=1,
         )
-        assert np.argmax(profile_feature_classifier(obs.radial)) == 1
+        assert np.argmax(profile_rows(samples[None])[0]) == 1
 
     def test_central_bulge_is_convex(self):
-        obs = generate_observation(
+        samples, _ = observe(
             spec(profile=FlapProfile.CONVEX, severity=Severity.FULLY, profile_depth=0.2),
             seed=1,
         )
-        assert np.argmax(profile_feature_classifier(obs.radial)) == 2
+        assert np.argmax(profile_rows(samples[None])[0]) == 2
 
 
 class TestSeverityClassifier:
@@ -131,19 +133,23 @@ class TestSeverityClassifier:
         inside = (w >= lo) & (w <= lo + span)
         t = (w[inside] - lo) / span
         r[inside] -= depth * np.sin(np.pi * t)
-        return RadialProfile(tuple(r), fringe=False)
+        return r[None]
 
     def test_wide_span_is_fully(self):
-        row = severity_feature_classifier(self._bump_profile(0.95), FlapProfile.CONCAVE)
+        (row,) = severity_rows(self._bump_profile(0.95), FlapProfile.CONCAVE)
         assert np.argmax(row) == 0
         # A wheel's severity row is filed under its branch's stage.
-        obs = generate_observation(spec(profile=FlapProfile.CONCAVE, severity=Severity.FULLY), 1)
-        assert list(observation_vectors(obs)) == [
-            StageId.USAGE, StageId.PROFILE, StageId.TEAR, StageId.CONCAVE_SEVERITY
-        ]
+        vectors = {stage: np.zeros((1, len(c))) for stage, c in STAGE_CLASSES.items()}
+        present = {stage: np.zeros(1, dtype=bool) for stage in SEVERITY_STAGE.values()}
+        wheel = spec(profile=FlapProfile.CONCAVE, severity=Severity.FULLY)
+        score_wheels([wheel], [1], vectors, present)
+        assert {stage: mask.tolist() for stage, mask in present.items()} == {
+            StageId.CONCAVE_SEVERITY: [True], StageId.CONVEX_SEVERITY: [False]
+        }
+        assert vectors[StageId.CONVEX_SEVERITY].tolist() == [[0.0, 0.0]]
 
     def test_narrow_span_is_partially(self):
-        row = severity_feature_classifier(self._bump_profile(0.40), FlapProfile.CONCAVE)
+        (row,) = severity_rows(self._bump_profile(0.40), FlapProfile.CONCAVE)
         assert np.argmax(row) == 1
 
     def test_boundary_is_uncertain(self):
@@ -151,44 +157,52 @@ class TestSeverityClassifier:
         n = 64
         r = np.full(n, 0.85)
         r[: int(0.75 * n)] -= 0.2
-        row = severity_feature_classifier(RadialProfile(tuple(r), False), FlapProfile.CONCAVE)
+        (row,) = severity_rows(r[None], FlapProfile.CONCAVE)
         assert abs(row[0] - 0.5) <= 0.05
 
     def test_rectangular_branch_rejected(self):
         with pytest.raises(InvalidSpec):
-            severity_feature_classifier(self._bump_profile(0.5), FlapProfile.RECTANGULAR)
+            severity_rows(self._bump_profile(0.5), FlapProfile.RECTANGULAR)
 
 
 class TestTearClassifier:
     def test_uniform_gaps_no_tear(self):
-        row = tear_feature_classifier(AxialGapPattern((0.1,) * 20))
+        (row,) = tear_rows(np.full((1, 20), 0.1), np.array([20]))
         assert np.argmax(row) == 1
 
     def test_tripled_gap_with_tear(self):
-        gaps = [0.1] * 20
-        gaps[5] = 0.3
-        row = tear_feature_classifier(AxialGapPattern(tuple(gaps)))
+        gaps = np.full((1, 20), 0.1)
+        gaps[0, 5] = 0.3
+        (row,) = tear_rows(gaps, np.array([20]))
         assert np.argmax(row) == 0
 
     def test_jitter_alone_does_not_trigger(self):
         rng = np.random.default_rng(0)
-        gaps = 0.1 * (1 + rng.uniform(-0.1, 0.1, 24))
-        row = tear_feature_classifier(AxialGapPattern(tuple(gaps)))
+        gaps = 0.1 * (1 + rng.uniform(-0.1, 0.1, (1, 24)))
+        (row,) = tear_rows(gaps, np.array([24]))
         assert np.argmax(row) == 1
+
+    def test_gaps_past_a_wheels_flap_count_are_ignored(self):
+        gaps = np.full((2, 24), 0.1)
+        gaps[0, 20:] = 0.5  # past the first wheel's 20 flaps
+        rows = tear_rows(gaps, np.array([20, 24]))
+        assert rows[0].tolist() == tear_rows(np.full((1, 20), 0.1), np.array([20]))[0].tolist()
+        assert np.argmax(rows[1]) == 1
 
 
 class TestUsageClassifier:
+    def _usage(self, wheel):
+        samples, _ = observe(wheel, 3)
+        return usage_rows(samples[None], np.array([wheel.has_fringe]))[0]
+
     def test_fringe_scores_new(self):
-        obs = generate_observation(WheelSpec(UsageState.NEW, FlapProfile.RECTANGULAR), 3)
-        assert np.argmax(usage_feature_classifier(obs.radial)) == 0
+        assert np.argmax(self._usage(WheelSpec(UsageState.NEW, FlapProfile.RECTANGULAR))) == 0
 
     def test_no_fringe_scores_used(self):
-        obs = generate_observation(spec(), 3)
-        assert np.argmax(usage_feature_classifier(obs.radial)) == 1
+        assert np.argmax(self._usage(spec())) == 1
 
     def test_adversarial_fringe_misclassified_as_new(self):
-        obs = generate_observation(ADVERSARIAL_FRINGE, 3)
-        assert np.argmax(usage_feature_classifier(obs.radial)) == 0
+        assert np.argmax(self._usage(ADVERSARIAL_FRINGE)) == 0
 
 
 def test_synthetic_batch_checks_rows_without_building_vectors(monkeypatch):
@@ -207,8 +221,21 @@ def test_synthetic_batch_checks_rows_without_building_vectors(monkeypatch):
     assert built == []
     # One check per stage, over the wheels whose row was filled: 8 concave, 8 convex.
     assert checked == [(22, 2), (22, 3), (22, 2), (8, 2), (8, 2)]
-    simulate.classify_spec(spec(), seed=3)  # the one-run path builds its RunInput's vectors
-    assert len(built) == 3
+    # The one-run path is a batch of one wheel, a rectangular one.
+    simulate.classify_spec(spec(), seed=3)
+    assert built == []
+    assert checked[5:] == [(1, 2), (1, 3), (1, 2), (0, 2), (0, 2)]
+
+
+def test_synthetic_batch_scores_in_blocks(monkeypatch):
+    blocks = []
+    monkeypatch.setattr(
+        simulate, "score_wheels",
+        lambda specs, seeds, vectors, present: blocks.append(len(specs))
+        or score_wheels(specs, seeds, vectors, present),
+    )
+    simulate.run_synthetic_batch(2 * simulate.SYNTH_BLOCK + 1, seed=3)
+    assert blocks == [simulate.SYNTH_BLOCK, simulate.SYNTH_BLOCK, 1]
 
 
 class TestStochasticOracle:
