@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -132,14 +133,19 @@ def _make_report_dir(path: Path) -> None:
         raise ConfigError(f"cannot create report directory {path}: {exc}") from exc
 
 
+@contextmanager
+def _report_file(path: Path, newline: str | None = None) -> Iterator[TextIO]:
+    """Every report file is written through here; an OSError is a ConfigError."""
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", "utf-8")
-
-
-def _write_jsonl(path: Path, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    with _report_file(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 @dataclass(frozen=True)
@@ -203,26 +209,18 @@ def cmd_classify(args: argparse.Namespace, config: CliConfig) -> int:
 
     _make_report_dir(config.report_dir)
     decisions = engine.decide_runs(batch.vectors, batch.present, config.engine)
-    rows = decisions.rows()
-    run_records, ensemble_records = [], []
-    # Errors surface in tool order, a tool's rejected run before its ensemble.
-    for tool_id, n in zip(batch.tool_ids, batch.run_counts.tolist()):
-        start = len(run_records)
-        runs = list(itertools.islice(rows, n))
-        run_records.extend(run.to_record(tool_id, i) for i, run in enumerate(runs))
-        if start <= decisions.rejected_row < start + n:
-            raise decisions.rejection()
-        if n > 1:
-            ensemble_records.append(engine.fuse_runs(tool_id, runs, config.engine).to_record())
-
-    _write_jsonl(config.report_dir / "runs.jsonl", run_records)
-    if ensemble_records:
-        _write_jsonl(config.report_dir / "ensembles.jsonl", ensemble_records)
+    # Every error is raised, in tool order, before a file is written.
+    ensembles = decisions.ensembles(batch.tool_ids, batch.run_counts, config.engine)
+    with _report_file(config.report_dir / "runs.jsonl") as fh:
+        fh.writelines(decisions.run_lines(batch.tool_ids, batch.run_counts))
+    if ensembles:
+        with _report_file(config.report_dir / "ensembles.jsonl") as fh:
+            fh.writelines(json.dumps(e.to_record(), sort_keys=True) + "\n" for e in ensembles)
 
     n_conflicted = int(np.count_nonzero(decisions.conflicted))
     n_flagged = int(np.count_nonzero(decisions.flags))
     print(
-        f"classified {len(run_records)} runs over {len(batch.tool_ids)} tools: "
+        f"classified {len(decisions.cell)} runs over {len(batch.tool_ids)} tools: "
         f"{n_conflicted} conflicted, {n_flagged} flagged for re-examination"
     )
     print(f"reports written to {config.report_dir}")
@@ -260,9 +258,8 @@ def cmd_evaluate(args: argparse.Namespace, config: CliConfig) -> int:
             "count_false": stats.count_false,
         }
 
-        metrics.write_confusion_csv(
-            cm, config.report_dir / f"{stage.value}_confusion.csv", config.rounding
-        )
+        with _report_file(config.report_dir / f"{stage.value}_confusion.csv", "") as fh:
+            metrics.write_confusion_csv(cm, fh, config.rounding)
 
         roc_rows = []
         auc_by_class = {}
@@ -279,9 +276,7 @@ def cmd_evaluate(args: argparse.Namespace, config: CliConfig) -> int:
             roc_rows.extend((name, fpr, tpr) for fpr, tpr in curve.points)
         stage_summary["auc"] = auc_by_class
         if roc_rows:
-            with open(
-                config.report_dir / f"{stage.value}_roc.csv", "w", newline="", encoding="utf-8"
-            ) as fh:
+            with _report_file(config.report_dir / f"{stage.value}_roc.csv", "") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["class", "fpr", "tpr"])
                 writer.writerows(roc_rows)

@@ -5,24 +5,27 @@ engine decides a whole batch of runs at once (``decide_runs``), one row
 per run, with array operations: argmax and maximum per stage, then
 lookups into tables derived from the taxonomy for the level-1/level-2
 conflicts and the outcome id, then the severity stage on the branch the
-profile decision selected, and per-stage confidence gating. Each
-decided run comes out as a ``RunResult``, the one per-run type: the CLI
-writes its record, ``fuse_runs`` (the one ensemble) fuses several of a
-tool by majority vote, and ``classify_run`` decides one ``RunInput``
-through the same batch code. A run's flags are labels such as
-``low_confidence:usage``; in the batch they are a bit mask over
-``FLAG_LABELS``.
+profile decision selected, and per-stage confidence gating. A decided
+run is a ``RunResult``; its ``to_record`` is the one run-record format,
+from which ``RunDecisions.run_lines`` stamps a batch's runs.jsonl. One
+ensemble core votes for ``fuse_runs`` (one tool's runs) and for
+``RunDecisions.ensembles`` (every tool of a batch). ``classify_run``
+decides one ``RunInput`` through the batch code. Flags are labels such
+as ``low_confidence:usage``, in a batch a bit mask over ``FLAG_LABELS``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -255,19 +258,69 @@ class RunDecisions:
             f"profile {profile.value} requires a {SEVERITY_STAGE[profile].value} vector"
         )
 
-    def rows(self) -> Iterator[RunResult]:
-        """Each run's RunResult, in row order."""
-        stages = [
-            (stage, idx.tolist(), self.confidence[stage].tolist())
-            for stage, idx in self.index.items()
-        ]
-        for r, (oid, cell, mask) in enumerate(
-            zip(self.outcome_id.tolist(), self.cell.tolist(), self.flags.tolist())
-        ):
-            decisions = [(stage, idx[r], conf[r]) for stage, idx, conf in stages if idx[r] >= 0]
+    def rows(self, which: Iterable[int] | None = None) -> Iterator[RunResult]:
+        """The RunResult of each run in which (default all), in that order."""
+        for r in range(len(self.cell)) if which is None else which:
+            decisions = [
+                (stage, int(idx[r]), float(self.confidence[stage][r]))
+                for stage, idx in self.index.items()
+                if idx[r] >= 0
+            ]
             yield RunResult(
-                _OUTCOME_BY_ID.get(oid), _CELL_CONFLICTS[cell], decisions, _flag_labels(mask)
+                _OUTCOME_BY_ID.get(int(self.outcome_id[r])),
+                _CELL_CONFLICTS[self.cell[r]],
+                decisions,
+                _flag_labels(int(self.flags[r])),
             )
+
+    def run_lines(self, tool_ids: Sequence, run_counts: np.ndarray) -> Iterator[str]:
+        """Each run's runs.jsonl line, in row order; tool t owns the next run_counts[t] rows.
+
+        A line is fixed by the run's flag mask and decided classes but for
+        the tool id, run index and confidences, so each distinct line is
+        dumped from to_record once, with numbered placeholders for [tool id
+        as JSON, run index, each stage's confidence], and filled per run;
+        %s writes a float as float.__repr__, as json does.
+        """
+        stages = list(self.index)
+        keys = np.column_stack([self.flags, *self.index.values()])
+        _, first, line_of = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        lines = []
+        for run in self.rows(first.tolist()):
+            slots = [(s, i, f"\x00{2 + stages.index(s)}") for s, i, _ in run.decisions]
+            record = run._replace(decisions=slots).to_record("\x000", "\x001")
+            text = json.dumps(record, sort_keys=True).replace("%", "%%")
+            parts = re.split(r'"\\u0000(\d+)"', text)  # text, slot, text, ..., slot, text
+            lines.append(("%s".join(parts[::2]) + "\n", itemgetter(*map(int, parts[1::2]))))
+        confidence = np.column_stack([self.confidence[stage] for stage in stages]).tolist()
+        rows = zip(line_of.ravel().tolist(), confidence)
+        for tool_id, n in zip(tool_ids, run_counts.tolist()):
+            tool = json.dumps(tool_id)
+            for i, (line, conf) in zip(range(n), rows):
+                text, values = lines[line]
+                yield text % values([tool, i, *conf])
+
+    def ensembles(
+        self, tool_ids: Sequence, run_counts: np.ndarray, config: EngineConfig
+    ) -> list[EnsembleResult]:
+        """fuse_runs for each multi-run tool in order; tool t owns the next run_counts[t] rows.
+
+        Errors surface in tool order, a tool's rejected run before its TooFewRuns.
+        """
+        stop = self.rejected_row if self.rejected_row >= 0 else math.inf
+        tools = [
+            (tool_id, range(end - n, end))
+            for tool_id, n, end in zip(tool_ids, run_counts.tolist(), run_counts.cumsum().tolist())
+            if n > 1 and end <= stop
+        ]
+        votes = np.where(self.conflicted, -1, self.outcome_id).tolist()
+        conf = [
+            (s, np.where(i >= 0, self.confidence[s], None).tolist()) for s, i in self.index.items()
+        ]
+        ensembles = _fuse(tools, votes, conf, config)
+        if self.rejected_row >= 0:
+            raise self.rejection()
+        return ensembles
 
 
 def decide_runs(
@@ -342,9 +395,35 @@ def classify_run(run: RunInput, config: EngineConfig | None = None) -> RunResult
     return next(decisions.rows())
 
 
-def _vote_key(conflicts: Sequence[ConflictKind], outcome: Optional[WearOutcome]) -> Optional[str]:
-    verdict = _verdict(conflicts, outcome)
-    return None if verdict == "incomplete" else "conflicted" if conflicts else str(outcome.id)
+def _fuse(tools, votes: list[int], columns, config: EngineConfig) -> list[EnsembleResult]:
+    """The ensemble of each (tool id, rows) of tools, in order (see fuse_runs).
+
+    Run r votes votes[r]: its outcome id, -1 if conflicted, 0 if
+    incomplete. columns pairs each stage with every run's confidence in
+    it, None where the stage was not decided.
+    """
+    ensembles = []
+    for tool_id, rows in tools:
+        if len(rows) < config.ensemble_min_runs:
+            raise TooFewRuns(f"need at least {config.ensemble_min_runs} runs, got {len(rows)}")
+        usable = [r for r in rows if votes[r]]
+        if not usable:
+            raise TooFewRuns("no run produced a verdict (all incomplete)")
+        counts = Counter(votes[r] for r in usable)
+        tied = [vote for vote, n in counts.items() if n == max(counts.values())]
+
+        def rank(vote: int) -> tuple:  # only ties need the voters' mean confidences
+            voters = [r for r in usable if votes[r] == vote]
+            run_means = [_mean([c[r] for _, c in columns if c[r] is not None]) for r in voters]
+            return (-_mean(run_means), math.inf if vote < 0 else vote)
+
+        winner = min(tied, key=rank) if len(tied) > 1 else tied[0]
+        decided = [(s, [c[r] for r in rows if c[r] is not None]) for s, c in columns]
+        means = {s: _mean(v) for s, v in decided if v}
+        by_key = {"conflicted" if v < 0 else str(v): n for v, n in counts.items()}
+        outcome = _OUTCOME_BY_ID.get(winner)
+        ensembles.append(EnsembleResult(tool_id, outcome, winner < 0, by_key, means, len(usable)))
+    return ensembles
 
 
 def fuse_runs(
@@ -359,38 +438,8 @@ def fuse_runs(
     voters have the higher mean stage confidence, then toward the lowest
     outcome id (with the conflicted bucket last).
     """
-    if config is None:
-        config = EngineConfig()
-    if len(runs) < config.ensemble_min_runs:
-        raise TooFewRuns(f"need at least {config.ensemble_min_runs} runs, got {len(runs)}")
-    keys = [_vote_key(run.conflicts, run.outcome) for run in runs]
-    usable = [i for i, key in enumerate(keys) if key is not None]
-    if not usable:
-        raise TooFewRuns("no run produced a verdict (all incomplete)")
+    votes = [-1 if run.conflicts else run.outcome.id if run.outcome else 0 for run in runs]
+    decided = [{stage: conf for stage, _, conf in run.decisions} for run in runs]
+    columns = [(stage, [d.get(stage) for d in decided]) for stage in STAGE_CLASSES]
+    return _fuse([(tool_id, range(len(runs)))], votes, columns, config or EngineConfig())[0]
 
-    votes = Counter(keys[i] for i in usable)
-    run_means = {i: _mean([conf for _, _, conf in runs[i].decisions]) for i in usable}
-    mean_conf_by_key = {
-        key: _mean([run_means[i] for i in usable if keys[i] == key]) for key in votes
-    }
-
-    def rank(key: str) -> tuple:
-        outcome_order = math.inf if key == "conflicted" else int(key)
-        return (-votes[key], -mean_conf_by_key[key], outcome_order)
-
-    winner = min(votes, key=rank)
-
-    stage_confs: dict[StageId, list[float]] = {}
-    for run in runs:
-        for stage, _, conf in run.decisions:
-            stage_confs.setdefault(stage, []).append(conf)
-
-    conflicted = winner == "conflicted"
-    return EnsembleResult(
-        tool_id=tool_id,
-        outcome=None if conflicted else _OUTCOME_BY_ID[int(winner)],
-        conflicted=conflicted,
-        vote_counts=dict(votes),
-        mean_confidence_per_stage={s: _mean(v) for s, v in stage_confs.items()},
-        runs_used=len(usable),
-    )

@@ -14,8 +14,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
-from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -253,18 +252,15 @@ def matrix_summary(cm: ConfusionMatrix, decimals: int = 3) -> dict:
     }
 
 
-def write_confusion_csv(cm: ConfusionMatrix, path: str | Path, decimals: int = 3) -> None:
-    """Human-readable confusion table with per-class metric columns."""
+def write_confusion_csv(cm: ConfusionMatrix, fh: TextIO, decimals: int = 3) -> None:
+    """Human-readable confusion table with per-class metric columns, to a CSV text file."""
 
     def fmt(v: Optional[float]) -> str:
         return "n/a" if v is None else f"{round_report(v, decimals):.{decimals}f}"
 
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["true\\pred", *cm.class_names, "precision", "recall", "f1"])
-        for cls, name in enumerate(cm.class_names):
-            m = class_metrics(cm, cls)
-            writer.writerow(
-                [name, *cm.counts[cls], fmt(m.precision), fmt(m.recall), fmt(m.f1)]
-            )
+    writer = csv.writer(fh)
+    writer.writerow(["true\\pred", *cm.class_names, "precision", "recall", "f1"])
+    for cls, name in enumerate(cm.class_names):
+        m = class_metrics(cm, cls)
+        writer.writerow([name, *cm.counts[cls], fmt(m.precision), fmt(m.recall), fmt(m.f1)])
 

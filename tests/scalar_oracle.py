@@ -393,9 +393,9 @@ def cmd_evaluate(args, config) -> int:
             "count_false": stats.count_false,
         }
 
-        metrics.write_confusion_csv(
-            cm, config.report_dir / f"{stage.value}_confusion.csv", config.rounding
-        )
+        path = config.report_dir / f"{stage.value}_confusion.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            metrics.write_confusion_csv(cm, fh, config.rounding)
 
         roc_rows = []
         auc_by_class: dict[str, Optional[float]] = {}

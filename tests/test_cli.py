@@ -310,14 +310,14 @@ class TestDeterminism:
             assert self._read_all(dir_a) == self._read_all(dir_b)
 
 
-def _classify_file(content):
+def _classify_file(content, command="classify"):
     def build(tmp_path):
         path = tmp_path / "preds.jsonl"
         if isinstance(content, bytes):
             path.write_bytes(content)
         else:
             path.write_text(content)
-        return ["classify", str(path)]
+        return [command, str(path)]
 
     return build
 
@@ -373,6 +373,21 @@ def _out_names_a_file(tmp_path):
     # The test appends --out tmp_path/reports; make that path an existing file.
     (tmp_path / "reports").write_text("not a directory\n")
     return _propagate()(tmp_path)
+
+
+def _report_is_a_directory(build, name):
+    # The test appends --out tmp_path/reports; put a directory where the report goes.
+    def blocked(tmp_path):
+        (tmp_path / "reports" / name).mkdir(parents=True)
+        return build(tmp_path)
+
+    return blocked
+
+
+TWO_RUNS = "\n".join(consistent_tool_lines(run=0) + consistent_tool_lines(run=1)) + "\n"
+LABELED = "\n".join(
+    [record("usage", [0.2, 0.8], truth="used"), record("usage", [0.7, 0.3], image="b", truth="new")]
+) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -512,6 +527,34 @@ def _out_names_a_file(tmp_path):
             _simulate(n_flag=str(10**30), mode="synth"),
             EXIT_CONFIG, f"config error: simulation size {10**30} is too large\n",
             id="n-past-the-array-size-limit",
+        ),
+        pytest.param(
+            _report_is_a_directory(_classify_file(TWO_RUNS), "runs.jsonl"),
+            EXIT_CONFIG, "config error: cannot write ", id="runs.jsonl-is-a-directory",
+        ),
+        pytest.param(
+            _report_is_a_directory(_classify_file(TWO_RUNS), "ensembles.jsonl"),
+            EXIT_CONFIG, "config error: cannot write ", id="ensembles.jsonl-is-a-directory",
+        ),
+        pytest.param(
+            _report_is_a_directory(_classify_file(LABELED, "evaluate"), "summary.json"),
+            EXIT_CONFIG, "config error: cannot write ", id="summary.json-is-a-directory",
+        ),
+        pytest.param(
+            _report_is_a_directory(_classify_file(LABELED, "evaluate"), "usage_confusion.csv"),
+            EXIT_CONFIG, "config error: cannot write ", id="usage_confusion.csv-is-a-directory",
+        ),
+        pytest.param(
+            _report_is_a_directory(_classify_file(LABELED, "evaluate"), "usage_roc.csv"),
+            EXIT_CONFIG, "config error: cannot write ", id="usage_roc.csv-is-a-directory",
+        ),
+        pytest.param(
+            _report_is_a_directory(_simulate(n_flag="11", mode="synth"), "simulation.json"),
+            EXIT_CONFIG, "config error: cannot write ", id="simulation.json-is-a-directory",
+        ),
+        pytest.param(
+            _report_is_a_directory(_propagate(), "propagation.json"),
+            EXIT_CONFIG, "config error: cannot write ", id="propagation.json-is-a-directory",
         ),
     ],
 )

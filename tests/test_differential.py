@@ -2,10 +2,10 @@
 
 Random prediction files (exact ties, confidences exactly at a gate,
 sums off by up to 1.5e-6, integer probabilities, missing severity
-vectors, positional pairing across shuffled records, malformed lines)
-go through ``flapwear.cli.main`` and through ``scalar_oracle.main`` under
-random engine settings. Exit code, stdout, stderr and every report file
-must be byte-identical.
+vectors, positional pairing across shuffled records, malformed lines,
+tool ids that JSON must escape) go through ``flapwear.cli.main`` and
+through ``scalar_oracle.main`` under random engine settings. Exit
+code, stdout, stderr and every report file must be byte-identical.
 """
 
 import io
@@ -89,6 +89,14 @@ CORRUPTIONS = {
 }
 
 
+# Tool ids, some of which JSON must escape; an integer id is read as its text.
+tool_ids = st.one_of(
+    st.integers(0, 9).map("tool-{}".format),
+    st.sampled_from(['say "hi"', "back\\slash", "ünï", "line\u2028sep", "tab\there", "", 7]),
+    st.text(max_size=3),
+)
+
+
 @st.composite
 def prediction_files(draw):
     """A prediction file. Half of them are well-formed with sums within
@@ -98,8 +106,7 @@ def prediction_files(draw):
     broken = draw(st.booleans())
     tolerance = draw(st.sampled_from([1e-6, 1.5e-6])) if broken else 0.9e-6
     records = []
-    for t in range(draw(st.integers(1, 5))):
-        tool = f"tool-{t}"
+    for tool in draw(st.lists(tool_ids, min_size=1, max_size=5, unique_by=str)):
         for r in range(draw(st.integers(1, 4))):
             run = {stage: draw(vectors(len(CLASSES[stage]), tolerance)) for stage in REQUIRED}
             profile = CLASSES["profile"][run["profile"].index(max(run["profile"]))]
