@@ -143,6 +143,16 @@ def _report_file(path: Path, newline: str | None = None) -> Iterator[TextIO]:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
+def _remove_reports(report_dir: Path, names: list[str]) -> None:
+    """Unlink report files this command owns but did not write; an OSError is a ConfigError."""
+    for name in names:
+        path = report_dir / name
+        try:
+            path.unlink(missing_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot remove stale {path}: {exc}") from exc
+
+
 def _write_json(path: Path, payload) -> None:
     with _report_file(path) as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -216,6 +226,8 @@ def cmd_classify(args: argparse.Namespace, config: CliConfig) -> int:
     if ensembles:
         with _report_file(config.report_dir / "ensembles.jsonl") as fh:
             fh.writelines(json.dumps(e.to_record(), sort_keys=True) + "\n" for e in ensembles)
+    else:
+        _remove_reports(config.report_dir, ["ensembles.jsonl"])
 
     n_conflicted = int(np.count_nonzero(decisions.conflicted))
     n_flagged = int(np.count_nonzero(decisions.flags))
@@ -235,6 +247,8 @@ def cmd_evaluate(args: argparse.Namespace, config: CliConfig) -> int:
 
     _make_report_dir(config.report_dir)
     summary = {"stages": {}, "warnings": []}
+    # The per-stage reports this command owns; each one written is taken out.
+    stale = [f"{stage.value}_{kind}.csv" for stage in StageId for kind in ("confusion", "roc")]
     for stage, table in tables.items():
         if not labeled[stage].any():
             continue
@@ -260,6 +274,7 @@ def cmd_evaluate(args: argparse.Namespace, config: CliConfig) -> int:
 
         with _report_file(config.report_dir / f"{stage.value}_confusion.csv", "") as fh:
             metrics.write_confusion_csv(cm, fh, config.rounding)
+        stale.remove(f"{stage.value}_confusion.csv")
 
         roc_rows = []
         auc_by_class = {}
@@ -280,10 +295,12 @@ def cmd_evaluate(args: argparse.Namespace, config: CliConfig) -> int:
                 writer = csv.writer(fh)
                 writer.writerow(["class", "fpr", "tpr"])
                 writer.writerows(roc_rows)
+            stale.remove(f"{stage.value}_roc.csv")
 
         summary["stages"][stage.value] = stage_summary
 
     _write_json(config.report_dir / "summary.json", summary)
+    _remove_reports(config.report_dir, stale)
     for name, stage_summary in summary["stages"].items():
         print(
             f"{name}: accuracy {stage_summary['accuracy']}, "

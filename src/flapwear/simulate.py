@@ -137,6 +137,8 @@ def run_synthetic_batch(
 def row_probabilities(counts: list[list[int]]) -> np.ndarray:
     """Confusion-row distributions P(pred | truth)."""
     counts_arr = np.asarray(counts, dtype=float)
+    if not np.all(np.isfinite(counts_arr) & (counts_arr >= 0)):
+        raise BadRow("confusion counts must be finite and >= 0")
     totals = counts_arr.sum(axis=1, keepdims=True)
     if np.any(totals == 0):
         raise BadRow("confusion matrix has an empty truth row")
@@ -158,6 +160,22 @@ def matrices_to_accuracies(matrices: dict[StageId, list[list[int]]]) -> StageAcc
     return StageAccuracies.from_names({name: acc(s) for s, name in ACCURACY_NAMES.items()})
 
 
+def _draw_classes(p: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n classes drawn from distribution p: rng.choice(len(p), size=n, p=p), draw for draw.
+
+    The same uniforms and normalised CDF, with a class counting the CDF
+    values at or below its uniform one column at a time; the last value
+    is 1.0 and never counts.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(n)
+    classes = np.zeros(n, dtype=np.intp)
+    for edge in cdf[:-1]:
+        classes += u >= edge
+    return classes
+
+
 def oracle_branch_trials(
     matrices: dict[StageId, list[list[int]]],
     branch: FlapProfile,
@@ -170,32 +188,30 @@ def oracle_branch_trials(
     Per trial and stage, the truth class is drawn from the matrix's
     truth marginals and the prediction from the truth's confusion row,
     so each stage errs at exactly the matrix's overall error rate. A
-    trial is correct when every stage on the branch is.
+    trial is correct when every stage on the branch is. Each stage's
+    correct trials are counted as soon as they are drawn; no per-trial
+    array outlives its stage, and the sampled confidences are dropped
+    (their draws still advance the stream).
     """
     if n_trials < 1:
         raise ValidationError(f"n_trials must be >= 1, got {n_trials}")
     rng = np.random.default_rng(seed)
-    stage_results: dict[StageId, dict[str, np.ndarray]] = {}
+    stage_accuracy = {}
     all_correct = np.ones(n_trials, dtype=bool)
     for stage in BRANCH_STAGES[branch]:
         counts = matrices[stage]
         rows = row_probabilities(counts)
-        truths = rng.choice(len(rows), size=n_trials, p=truth_marginals(counts))
-        preds, confs = sample_oracle_predictions(stage, truths, rows, confidence_law, rng)
+        truths = _draw_classes(truth_marginals(counts), n_trials, rng)
+        preds, _ = sample_oracle_predictions(stage, truths, rows, confidence_law, rng)
         correct = preds == truths
         all_correct &= correct
-        stage_results[stage] = {"correct": correct, "confidence": confs}
+        stage_accuracy[stage.value] = int(np.count_nonzero(correct)) / n_trials
 
-    measured = float(np.count_nonzero(all_correct)) / n_trials
     return {
         "branch": branch.value,
         "n_trials": n_trials,
-        "measured_accuracy": measured,
-        "stage_accuracy": {
-            stage.value: float(np.mean(res["correct"]))
-            for stage, res in stage_results.items()
-        },
-        "stage_results": stage_results,
+        "measured_accuracy": int(np.count_nonzero(all_correct)) / n_trials,
+        "stage_accuracy": stage_accuracy,
     }
 
 
@@ -210,7 +226,6 @@ def run_oracle_batch(
     branches = {}
     for i, branch in enumerate(FlapProfile):
         trial = oracle_branch_trials(matrices, branch, n_trials, seed + i, confidence_law)
-        trial.pop("stage_results")
         trial["analytic_accuracy"] = path_accuracy(acc, branch)
         branches[branch.value] = trial
     return {

@@ -282,15 +282,19 @@ def sample_oracle_predictions(
     """Vectorized oracle core: sampled predicted classes and confidences.
 
     truths are class indices; row_probs[c] is the confusion-row
-    distribution over predictions for true class c. Confidences are
-    drawn around mean_correct or mean_false depending on correctness and
-    clamped to (1/n_classes, 1].
+    distribution over predictions for true class c. A trial's predicted
+    class is the number of its row's first k-1 CDF values below its
+    uniform draw, one column at a time, so it is below k even when a
+    row's sum ends just under 1. Confidences are one standard normal
+    draw per trial, scaled by spread around mean_correct or mean_false
+    depending on correctness (the draws and roundings of
+    rng.normal(means, spread)) and clamped to (1/n_classes, 1].
     """
     n_classes = len(STAGE_CLASSES[stage])
     row_probs = np.asarray(row_probs, dtype=float)
     if row_probs.shape != (n_classes, n_classes):
         raise BadRow(f"row matrix must be {n_classes}x{n_classes}")
-    if np.any(row_probs < 0) or np.any(np.abs(row_probs.sum(axis=1) - 1.0) > 1e-9):
+    if not np.all(row_probs >= 0) or np.any(np.abs(row_probs.sum(axis=1) - 1.0) > 1e-9):
         raise BadRow("each confusion row must be a probability distribution")
 
     mean_correct, mean_false, spread = confidence_law
@@ -298,13 +302,18 @@ def sample_oracle_predictions(
     for m in (mean_correct, mean_false):
         if not lo < m < 1.0:
             raise BadRow(f"confidence mean {m} outside (1/{n_classes}, 1)")
+    if not 0.0 <= spread < math.inf:  # false for NaN too; -0.0 is a spread of 0
+        raise BadRow(f"confidence spread {spread} must be finite and >= 0")
 
     truths = np.asarray(truths)
     u = rng.random(len(truths))
     cdf = np.cumsum(row_probs, axis=1)
-    preds = (u[:, None] > cdf[truths]).sum(axis=1)
+    preds = np.zeros(len(truths), dtype=np.intp)
+    for j in range(n_classes - 1):
+        preds += u > cdf[:, j].take(truths)
 
-    means = np.where(preds == truths, mean_correct, mean_false)
-    confs = rng.normal(means, spread)
-    return preds, np.clip(confs, lo + 1e-9, 1.0)
+    confs = rng.standard_normal(len(truths), out=u)  # u is spent; reuse its buffer
+    confs *= spread
+    confs += np.where(preds == truths, mean_correct, mean_false)
+    return preds, np.clip(confs, lo + 1e-9, 1.0, out=confs)
 

@@ -22,6 +22,13 @@ The synthetic part generates and scores one wheel at a time
 batch wheel by wheel (``synthetic_stage_rows``). It imports the
 generator's constants, ``WheelSpec`` and ``spec_for_outcome`` (the
 per-wheel spec draw the batch path keeps) from flapwear.
+
+The oracle part is the Monte-Carlo sampler and branch loop that
+gathered each trial's (k,) confusion-row CDF, drew truths with
+``Generator.choice`` and confidences with ``Generator.normal``, and
+kept every stage's per-trial arrays (``sample_oracle_predictions``,
+``oracle_branch_trials``). It imports the confusion-row helpers and
+the default confidence law from flapwear.
 """
 
 from __future__ import annotations
@@ -38,8 +45,14 @@ import numpy as np
 
 from flapwear import cli, metrics, synth
 from flapwear.errors import FlapwearError, ParseError, ValidationError
-from flapwear.simulate import spec_for_outcome
+from flapwear.simulate import (
+    DEFAULT_CONFIDENCE_LAW,
+    row_probabilities,
+    spec_for_outcome,
+    truth_marginals,
+)
 from flapwear.taxonomy import (
+    BRANCH_STAGES,
     CONSISTENT_OUTCOMES,
     REQUIRED_STAGES,
     SEVERITY_STAGE,
@@ -574,3 +587,85 @@ def synthetic_stage_rows(n: int, seed: int, noise_sigma: float):
             if stage in present:
                 present[stage][k] = True
     return vectors, present
+
+
+# ---------------------------------------------------------------------------
+# The oracle sampler and branch loop, gathering each trial's confusion-row CDF.
+
+
+def sample_oracle_predictions(
+    stage: StageId,
+    truths: np.ndarray,
+    row_probs: np.ndarray,
+    confidence_law: tuple[float, float, float],
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized oracle core: sampled predicted classes and confidences.
+
+    truths are class indices; row_probs[c] is the confusion-row
+    distribution over predictions for true class c. Confidences are
+    drawn around mean_correct or mean_false depending on correctness and
+    clamped to (1/n_classes, 1].
+    """
+    n_classes = len(STAGE_CLASSES[stage])
+    row_probs = np.asarray(row_probs, dtype=float)
+    if row_probs.shape != (n_classes, n_classes):
+        raise synth.BadRow(f"row matrix must be {n_classes}x{n_classes}")
+    if np.any(row_probs < 0) or np.any(np.abs(row_probs.sum(axis=1) - 1.0) > 1e-9):
+        raise synth.BadRow("each confusion row must be a probability distribution")
+
+    mean_correct, mean_false, spread = confidence_law
+    lo = 1.0 / n_classes
+    for m in (mean_correct, mean_false):
+        if not lo < m < 1.0:
+            raise synth.BadRow(f"confidence mean {m} outside (1/{n_classes}, 1)")
+
+    truths = np.asarray(truths)
+    u = rng.random(len(truths))
+    cdf = np.cumsum(row_probs, axis=1)
+    preds = (u[:, None] > cdf[truths]).sum(axis=1)
+
+    means = np.where(preds == truths, mean_correct, mean_false)
+    confs = rng.normal(means, spread)
+    return preds, np.clip(confs, lo + 1e-9, 1.0)
+
+
+def oracle_branch_trials(
+    matrices: dict[StageId, list[list[int]]],
+    branch: FlapProfile,
+    n_trials: int,
+    seed: int,
+    confidence_law: tuple[float, float, float] = DEFAULT_CONFIDENCE_LAW,
+) -> dict:
+    """Replay one branch through oracles calibrated to confusion matrices.
+
+    Per trial and stage, the truth class is drawn from the matrix's
+    truth marginals and the prediction from the truth's confusion row,
+    so each stage errs at exactly the matrix's overall error rate. A
+    trial is correct when every stage on the branch is.
+    """
+    if n_trials < 1:
+        raise ValidationError(f"n_trials must be >= 1, got {n_trials}")
+    rng = np.random.default_rng(seed)
+    stage_results: dict[StageId, dict[str, np.ndarray]] = {}
+    all_correct = np.ones(n_trials, dtype=bool)
+    for stage in BRANCH_STAGES[branch]:
+        counts = matrices[stage]
+        rows = row_probabilities(counts)
+        truths = rng.choice(len(rows), size=n_trials, p=truth_marginals(counts))
+        preds, confs = sample_oracle_predictions(stage, truths, rows, confidence_law, rng)
+        correct = preds == truths
+        all_correct &= correct
+        stage_results[stage] = {"correct": correct, "confidence": confs}
+
+    measured = float(np.count_nonzero(all_correct)) / n_trials
+    return {
+        "branch": branch.value,
+        "n_trials": n_trials,
+        "measured_accuracy": measured,
+        "stage_accuracy": {
+            stage.value: float(np.mean(res["correct"]))
+            for stage, res in stage_results.items()
+        },
+        "stage_results": stage_results,
+    }

@@ -89,6 +89,20 @@ class TestClassify:
         assert ensemble["outcome_id"] == 4
         assert ensemble["vote_counts"] == {"4": 2}
 
+    def test_reused_out_drops_stale_ensembles_only(self, tmp_path):
+        out = tmp_path / "reports"
+        (out / "kept").mkdir(parents=True)
+        (out / "notes.txt").write_text("mine\n")
+        two_runs, one_run = tmp_path / "two.jsonl", tmp_path / "one.jsonl"
+        write_lines(two_runs, consistent_tool_lines("t1", 0) + consistent_tool_lines("t1", 1))
+        write_lines(one_run, consistent_tool_lines("t2"))
+        assert main(["classify", str(two_runs), "--out", str(out)]) == EXIT_OK
+        assert (out / "ensembles.jsonl").exists()
+        assert main(["classify", str(one_run), "--out", str(out)]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == ["kept", "notes.txt", "runs.jsonl"]
+        assert json.loads((out / "runs.jsonl").read_text())["tool_id"] == "t2"
+        assert (out / "notes.txt").read_text() == "mine\n"
+
     def test_malformed_file_exit_code(self, tmp_path):
         preds = tmp_path / "preds.jsonl"
         preds.write_text('{"image_id": broken\n')
@@ -160,6 +174,26 @@ class TestEvaluate:
         assert summary["warnings"]
         assert not (out / "usage_roc.csv").exists()
 
+    def test_reused_out_drops_stale_stage_reports_only(self, tmp_path):
+        out = tmp_path / "reports"
+        out.mkdir()
+        (out / "tear_roc.csv.bak").write_text("mine\n")
+        both, one = tmp_path / "both.jsonl", tmp_path / "one.jsonl"
+        write_lines(both, usage_replay_lines() + [
+            record("tear", [0.2, 0.8], image="a", view="axial", truth="with_tear"),
+            record("tear", [0.7, 0.3], image="b", view="axial", truth="no_tear"),
+        ])
+        write_lines(one, [record("usage", [0.9, 0.1], truth="new")])
+        assert main(["evaluate", str(both), "--out", str(out)]) == EXIT_OK
+        assert {"tear_confusion.csv", "tear_roc.csv", "usage_roc.csv"} <= {
+            p.name for p in out.iterdir()
+        }
+        # One sample: usage keeps its confusion matrix but its ROC is skipped.
+        assert main(["evaluate", str(one), "--out", str(out)]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == [
+            "summary.json", "tear_roc.csv.bak", "usage_confusion.csv"
+        ]
+
     def test_unlabeled_file_is_validation_error(self, tmp_path):
         preds = tmp_path / "unlabeled.jsonl"
         write_lines(preds, [record("usage", [0.9, 0.1])])
@@ -196,6 +230,20 @@ class TestSimulate:
         rect = report["branches"]["rectangular"]
         assert abs(rect["measured_accuracy"] - rect["analytic_accuracy"]) < 0.05
         assert report["propagation"]["interval"] == [0.838, 0.882]
+
+    def test_negative_zero_spread_is_zero_spread(self, tmp_path):
+        reports = []
+        for spread in (0.0, -0.0):
+            config = tmp_path / "sim.json"
+            config.write_text(json.dumps({
+                "mode": "oracle",
+                "matrices": {s.value: m for s, m in ALL_MATRICES.items()},
+                "confidence_law": [0.97, 0.89, spread],
+            }))
+            out = tmp_path / f"reports{spread}"
+            assert main(["simulate", str(config), "--n", "50", "--out", str(out)]) == EXIT_OK
+            reports.append((out / "simulation.json").read_bytes())
+        assert reports[0] == reports[1]
 
     def test_zero_trials_is_config_error(self, tmp_path):
         config = tmp_path / "sim.json"
@@ -385,6 +433,7 @@ def _report_is_a_directory(build, name):
 
 
 TWO_RUNS = "\n".join(consistent_tool_lines(run=0) + consistent_tool_lines(run=1)) + "\n"
+ONE_RUN = "\n".join(consistent_tool_lines()) + "\n"
 LABELED = "\n".join(
     [record("usage", [0.2, 0.8], truth="used"), record("usage", [0.7, 0.3], image="b", truth="new")]
 ) + "\n"
@@ -535,6 +584,16 @@ LABELED = "\n".join(
         pytest.param(
             _report_is_a_directory(_classify_file(TWO_RUNS), "ensembles.jsonl"),
             EXIT_CONFIG, "config error: cannot write ", id="ensembles.jsonl-is-a-directory",
+        ),
+        pytest.param(
+            _report_is_a_directory(_classify_file(ONE_RUN), "ensembles.jsonl"),
+            EXIT_CONFIG, "config error: cannot remove stale ",
+            id="stale-ensembles.jsonl-is-a-directory",
+        ),
+        pytest.param(
+            _report_is_a_directory(_classify_file(LABELED, "evaluate"), "tear_roc.csv"),
+            EXIT_CONFIG, "config error: cannot remove stale ",
+            id="stale-tear_roc.csv-is-a-directory",
         ),
         pytest.param(
             _report_is_a_directory(_classify_file(LABELED, "evaluate"), "summary.json"),

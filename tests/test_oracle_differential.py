@@ -1,0 +1,109 @@
+"""The column-wise oracle sampler against the row-gathering one it replaced.
+
+``synth.sample_oracle_predictions`` compares each trial's uniform with
+its confusion row's CDF one column at a time and builds confidences from
+``standard_normal``; ``simulate._draw_classes`` draws truth classes the
+way ``Generator.choice(p=...)`` does. ``scalar_oracle`` keeps the code
+they replaced. Predictions, confidences (bit for bit) and the generator
+state afterwards must be equal, for two- and three-class stages, count
+matrices with zero cells, sizes on both sides of 65536, zero and
+positive spreads and any seed; and so must every branch's report.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import scalar_oracle
+from conftest import ALL_MATRICES
+from flapwear import simulate
+from flapwear.simulate import row_probabilities, sample_oracle_predictions, truth_marginals
+from flapwear.taxonomy import STAGE_CLASSES, FlapProfile, StageId
+
+SIZES = st.sampled_from([1, 2, 65535, 65536, 65537])
+SEEDS = st.integers(0, 2**32 - 1)
+STAGES = {2: StageId.USAGE, 3: StageId.PROFILE}
+# Zero cells often, paper-sized counts too.
+COUNTS = st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 2000))
+
+
+def count_rows(k):
+    """A k-cell count row with a nonzero total."""
+    return st.lists(COUNTS, min_size=k, max_size=k).filter(any)
+
+
+def count_matrices(k):
+    return st.lists(count_rows(k), min_size=k, max_size=k)
+
+
+@st.composite
+def confidence_laws(draw, k):
+    mean = st.floats(1.0 / k, 1.0, exclude_min=True, exclude_max=True)
+    spread = st.one_of(st.just(0.0), st.floats(0.0, 0.5, exclude_min=True))
+    return draw(mean), draw(mean), draw(spread)
+
+
+def generators(seed):
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.sampled_from([2, 3]), data=st.data(), n=SIZES, seed=SEEDS)
+def test_draw_classes_is_generator_choice(k, data, n, seed):
+    p = truth_marginals(data.draw(count_matrices(k)))
+    got_rng, want_rng = generators(seed)
+    got = simulate._draw_classes(p, n, got_rng)
+    want = want_rng.choice(k, size=n, p=p)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def assert_same_samples(stage, counts, truths, law, seed):
+    rows = row_probabilities(counts)
+    got_rng, want_rng = generators(seed)
+    got_preds, got_confs = sample_oracle_predictions(stage, truths, rows, law, got_rng)
+    want_preds, want_confs = scalar_oracle.sample_oracle_predictions(
+        stage, truths, rows, law, want_rng
+    )
+    assert got_preds.dtype == want_preds.dtype
+    assert np.array_equal(got_preds, want_preds)
+    assert got_confs.dtype == want_confs.dtype
+    assert got_confs.tobytes() == want_confs.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.sampled_from([2, 3]), data=st.data(), n=SIZES, seed=SEEDS)
+def test_sampler_matches_row_gathering_sampler(k, data, n, seed):
+    counts, law = data.draw(count_matrices(k)), data.draw(confidence_laws(k))
+    truths = np.random.default_rng(seed ^ 0x5EED).integers(0, k, size=n)
+    assert_same_samples(STAGES[k], counts, truths, law, seed)
+
+
+@pytest.mark.parametrize("stage", list(StageId), ids=lambda s: s.value)
+def test_sampler_matches_on_the_paper_matrices(stage):
+    k = len(STAGE_CLASSES[stage])
+    truths = np.random.default_rng(1).choice(k, size=65537, p=truth_marginals(ALL_MATRICES[stage]))
+    assert_same_samples(stage, ALL_MATRICES[stage], truths, simulate.DEFAULT_CONFIDENCE_LAW, 7)
+
+
+@st.composite
+def stage_matrices(draw):
+    return {stage: draw(count_matrices(len(classes))) for stage, classes in STAGE_CLASSES.items()}
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    matrices=stage_matrices(),
+    branch=st.sampled_from(list(FlapProfile)),
+    n=SIZES,
+    seed=SEEDS,
+    law=confidence_laws(2),  # its means suit the three-class stage too
+)
+def test_branch_trials_match_the_kept_array_loop(matrices, branch, n, seed, law):
+    got = simulate.oracle_branch_trials(matrices, branch, n, seed, law)
+    want = scalar_oracle.oracle_branch_trials(matrices, branch, n, seed, law)
+    want.pop("stage_results")
+    assert got == want

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from flapwear.errors import ValidationError
@@ -13,7 +15,7 @@ from flapwear.propagation import (
 )
 from flapwear.simulate import oracle_branch_trials
 from flapwear.synth import BadRow
-from flapwear.taxonomy import STAGE_CLASSES, FlapProfile
+from flapwear.taxonomy import BRANCH_STAGES, STAGE_CLASSES, FlapProfile
 
 from conftest import STAGE_ACCURACIES
 
@@ -175,6 +177,32 @@ class TestMonteCarlo:
         matrices[StageId.USAGE] = [[0, 0], [1, 1]]
         with pytest.raises(BadRow):
             oracle_branch_trials(matrices, FlapProfile.RECTANGULAR, 10, seed=0)
+        # Negative and non-finite counts, which no truth distribution is drawn from.
+        for bad in (-1, float("nan"), float("inf")):
+            matrices[StageId.USAGE] = [[bad, bad], [2, 2]]
+            with pytest.raises(BadRow, match="finite and >= 0"):
+                oracle_branch_trials(matrices, FlapProfile.RECTANGULAR, 10, seed=0)
+
+    def test_returns_accuracies_only(self):
+        trial = oracle_branch_trials(accuracy_matrices(PAPER_ACC), FlapProfile.CONCAVE, 100, 3)
+        assert set(trial) == {"branch", "n_trials", "measured_accuracy", "stage_accuracy"}
+        assert list(trial["stage_accuracy"]) == [
+            stage.value for stage in BRANCH_STAGES[FlapProfile.CONCAVE]
+        ]
+        assert all(type(v) is float for v in trial["stage_accuracy"].values())
+        assert type(trial["measured_accuracy"]) is float
+
+    def test_peak_memory_per_trial(self, all_matrices):
+        # Measured at 54.5 B/trial; gathering each trial's CDF row and keeping
+        # every stage's per-trial arrays took 87.5.
+        n_trials = 200_000
+        tracemalloc.start()
+        try:
+            oracle_branch_trials(all_matrices, FlapProfile.CONCAVE, n_trials, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n_trials <= 72
 
     def test_deterministic_per_seed(self):
         a = simulated_accuracy(PAPER_ACC, FlapProfile.CONCAVE, 10**4, seed=17)

@@ -1,4 +1,4 @@
-"""classify's report bytes, pinned.
+"""classify's and simulate's oracle report bytes, pinned.
 
 One prediction file, built here, reaches every (usage, profile, tear)
 cell, with exact ties (decided toward the lowest class index), winners
@@ -10,6 +10,11 @@ Several tool ids need JSON escapes. The sha256 of runs.jsonl,
 ensembles.jsonl and stdout is pinned under the defaults and under
 ``--no-thresholds`` with ``ensemble_min_runs = 2``; under
 ``conflict_policy = reject_run`` the command's exit-3 error line is.
+
+The sha256 of simulate's oracle-mode simulation.json is pinned for the
+paper's matrices at 1, 65537 and 300001 trials per branch, seeds 0 and
+7, under the default confidence law and under one of zero spread (whose
+confidence draws still advance the random stream).
 """
 
 import hashlib
@@ -19,6 +24,8 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+
+from conftest import ALL_MATRICES
 
 from flapwear.cli import EXIT_OK, EXIT_VALIDATION, main
 
@@ -198,3 +205,48 @@ def test_reject_run_error_is_pinned(tmp_path):
     assert (code, stdout) == (EXIT_VALIDATION, "")
     assert stderr == "validation error: profile concave requires a concave_severity vector\n"
     assert not (out / "runs.jsonl").exists()
+
+
+# simulate's oracle report bytes: the paper's matrices, at sizes either side
+# of 65536 trials, under the default confidence law and one of zero spread.
+ORACLE_LAWS = {"default": None, "zero-spread": [0.9, 0.6, 0.0]}
+
+
+def simulate_oracle(tmp_path, n, seed, law):
+    sim = {"mode": "oracle", "matrices": {s.value: m for s, m in ALL_MATRICES.items()}}
+    if ORACLE_LAWS[law] is not None:
+        sim["confidence_law"] = ORACLE_LAWS[law]
+    config = tmp_path / "oracle.json"
+    config.write_text(json.dumps(sim))
+    out = tmp_path / "reports"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(
+            ["simulate", str(config), "--n", str(n), "--seed", str(seed), "--out", str(out)]
+        )
+    assert (code, stderr.getvalue()) == (EXIT_OK, "")
+    return sha256((out / "simulation.json").read_bytes())
+
+
+# Computed when the sampler gathered each trial's (k,) confusion-row CDF and
+# drew confidences with rng.normal(means, spread).
+ORACLE_PINNED = {
+    (1, 0, "default"): "a3dd9ae1c8b8f2eba2f2e4a6edaa4160a3f8c34c0d99f6fc61ea00b40cc713d7",
+    (1, 0, "zero-spread"): "a3dd9ae1c8b8f2eba2f2e4a6edaa4160a3f8c34c0d99f6fc61ea00b40cc713d7",
+    (1, 7, "default"): "08bcf7ce4c40b8408fe1d2835c253194fd95760ea3ac76bc2d995f3031cf64aa",
+    (1, 7, "zero-spread"): "08bcf7ce4c40b8408fe1d2835c253194fd95760ea3ac76bc2d995f3031cf64aa",
+    (65537, 0, "default"): "1fa4533f101a24dafa1de77e45b025b016d1db59ba518f4f0d06faff25190d0d",
+    (65537, 0, "zero-spread"): "1fa4533f101a24dafa1de77e45b025b016d1db59ba518f4f0d06faff25190d0d",
+    (65537, 7, "default"): "6afae70b4b814e32c38a79b89e11f3db72c4e735f32c11b6e051741e69571a47",
+    (65537, 7, "zero-spread"): "6afae70b4b814e32c38a79b89e11f3db72c4e735f32c11b6e051741e69571a47",
+    (300001, 0, "default"): "5a5bebed435bfee9427d76c17550b83ae679cf2113e5c211347b77188146abc6",
+    (300001, 0, "zero-spread"): "5a5bebed435bfee9427d76c17550b83ae679cf2113e5c211347b77188146abc6",
+    (300001, 7, "default"): "3e9631bafab590db72131fe6c5194e1462c9ba9d1e9dc1168122859dd7191709",
+    (300001, 7, "zero-spread"): "3e9631bafab590db72131fe6c5194e1462c9ba9d1e9dc1168122859dd7191709",
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_PINNED, ids=lambda c: "-".join(map(str, c)))
+def test_oracle_simulation_bytes_are_pinned(tmp_path, case):
+    n, seed, law = case
+    assert simulate_oracle(tmp_path, n, seed, law) == ORACLE_PINNED[case]

@@ -281,6 +281,25 @@ class TestStochasticOracle:
         empirical = np.bincount(preds, minlength=3) / n
         assert 0.5 * np.abs(empirical - target).sum() < 0.01
 
+    def test_row_summing_just_under_one_never_yields_class_k(self):
+        class LastUniform:
+            """Every uniform is the largest float below 1.0; every normal draw is 0."""
+
+            def random(self, n):
+                return np.full(n, np.nextafter(1.0, 0.0))
+
+            def standard_normal(self, n, out):
+                out[:] = 0.0
+                return out
+
+        # Within the 1e-9 sum tolerance, but its CDF ends below the uniform.
+        rows = np.tile([0.5, 0.5 - 1e-10], (2, 1))
+        preds, confs = sample_oracle_predictions(
+            StageId.USAGE, np.array([0, 1, 1]), rows, (0.97, 0.89, 0.03), LastUniform()
+        )
+        assert preds.tolist() == [1, 1, 1]
+        assert confs.tolist() == [0.89, 0.97, 0.97]
+
     def test_bad_row_rejected(self):
         rng = np.random.default_rng(0)
         truths = np.zeros(1, dtype=int)
@@ -292,3 +311,12 @@ class TestStochasticOracle:
             sample_oracle_predictions(
                 StageId.USAGE, truths, [[0.5, 0.5], [0.5, 0.5]], (0.4, 0.89, 0.03), rng
             )
+        with pytest.raises(BadRow):
+            sample_oracle_predictions(
+                StageId.USAGE, truths, [[np.nan, np.nan], [0.5, 0.5]], (0.97, 0.89, 0.03), rng
+            )
+        for spread in (-1e-300, np.nan, np.inf):
+            with pytest.raises(BadRow, match="spread"):
+                sample_oracle_predictions(
+                    StageId.USAGE, truths, [[0.5, 0.5], [0.5, 0.5]], (0.97, 0.89, spread), rng
+                )
