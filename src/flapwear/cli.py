@@ -168,7 +168,6 @@ class RunBatch:
     tool_ids: list[str]  # every tool, sorted
     run_counts: np.ndarray  # runs per tool
     vectors: dict[StageId, np.ndarray]  # (runs, k) per stage; zeros where absent
-    present: dict[StageId, np.ndarray]  # which runs have a vector of the stage
 
 
 def _group_runs(tables: predictions.PredictionTable) -> RunBatch:
@@ -199,7 +198,7 @@ def _group_runs(tables: predictions.PredictionTable) -> RunBatch:
 
     run_counts = required[0]
     first_run = np.cumsum(run_counts) - run_counts
-    vectors, present = {}, {}
+    vectors = {}
     for stage, table in tables.items():
         order = np.argsort(codes[stage], kind="stable")
         code = codes[stage][order]
@@ -209,16 +208,14 @@ def _group_runs(tables: predictions.PredictionTable) -> RunBatch:
         runs = first_run[code[used]] + occurrence[used]
         vectors[stage] = np.zeros((int(run_counts.sum()), table.probs.shape[1]))
         vectors[stage][runs] = table.probs[order[used]]
-        present[stage] = np.zeros(len(vectors[stage]), dtype=bool)
-        present[stage][runs] = True
-    return RunBatch(tool_ids, run_counts, vectors, present)
+    return RunBatch(tool_ids, run_counts, vectors)
 
 
 def cmd_classify(args: argparse.Namespace, config: CliConfig) -> int:
     batch = _group_runs(predictions.parse_prediction_table(args.prediction_file))
 
     _make_report_dir(config.report_dir)
-    decisions = engine.decide_runs(batch.vectors, batch.present, config.engine)
+    decisions = engine.decide_runs(batch.vectors, config.engine)
     # Every error is raised, in tool order, before a file is written.
     ensembles = decisions.ensembles(batch.tool_ids, batch.run_counts, config.engine)
     with _report_file(config.report_dir / "runs.jsonl") as fh:
@@ -330,15 +327,23 @@ def _sim_setting(sim_config: dict, key: str, convert, default):
         raise ConfigError(f"bad simulation config value {key}: {exc}") from exc
 
 
+# The sampler needs each confidence mean in (1/k, 1) for every stage it draws,
+# and every branch draws the stage with the fewest classes.
+_FEWEST_CLASSES = min(len(classes) for classes in STAGE_CLASSES.values())
+
+
 def _confidence_law(value) -> tuple[float, float, float]:
     mean_correct, mean_false, spread = (float(x) for x in value)
+    for mean in (mean_correct, mean_false):
+        if not 1.0 / _FEWEST_CLASSES < mean < 1.0:  # false for NaN too
+            raise ValueError(f"mean must be in (1/{_FEWEST_CLASSES}, 1), got {mean}")
     if not 0.0 <= spread < math.inf:  # false for NaN too
         raise ValueError(f"spread must be finite and >= 0, got {spread}")
     return mean_correct, mean_false, spread
 
 
 def _check_oracle_matrices(matrices: dict[StageId, list]) -> None:
-    """Raise unless each stage's counts are a k x k array of finite, non-negative numbers."""
+    """Raise unless each stage's counts are k x k, finite and >= 0, with no all-zero row."""
     for stage, counts in matrices.items():
         k = len(STAGE_CLASSES[stage])
         try:
@@ -348,6 +353,8 @@ def _check_oracle_matrices(matrices: dict[StageId, list]) -> None:
             valid = False
         if not valid:
             raise ConfigError(f"oracle matrix for {stage.value} must be {k}x{k} counts >= 0")
+        if not arr.sum(axis=1).all():
+            raise ConfigError(f"oracle matrix for {stage.value} has an empty truth row")
 
 
 def _run_simulation(sim_config: dict, mode: str, n: int, config: CliConfig) -> dict:

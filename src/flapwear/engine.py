@@ -5,10 +5,11 @@ engine decides a whole batch of runs at once (``decide_runs``), one row
 per run, with array operations: argmax and maximum per stage, then
 lookups into tables derived from the taxonomy for the level-1/level-2
 conflicts and the outcome id, then the severity stage on the branch the
-profile decision selected, and per-stage confidence gating. A decided
-run is a ``RunResult``; its ``to_record`` is the one run-record format,
-from which ``RunDecisions.run_lines`` stamps a batch's runs.jsonl. One
-ensemble core votes for ``fuse_runs`` (one tool's runs) and for
+profile decision selected (a row of zeros there is a missing vector),
+and per-stage confidence gating. A decided run is a ``RunResult``; its
+``to_record`` is the one run-record format, from which
+``RunDecisions.run_lines`` stamps a batch's runs.jsonl. One ensemble
+core votes for ``fuse_runs`` (one tool's runs) and for
 ``RunDecisions.ensembles`` (every tool of a batch). ``classify_run``
 decides one ``RunInput`` through the batch code. Flags are labels such
 as ``low_confidence:usage``, in a batch a bit mask over ``FLAG_LABELS``.
@@ -324,20 +325,19 @@ class RunDecisions:
 
 
 def decide_runs(
-    vectors: Mapping[StageId, np.ndarray],
-    present: Mapping[StageId, np.ndarray],
-    config: EngineConfig | None = None,
+    vectors: Mapping[StageId, np.ndarray], config: EngineConfig | None = None
 ) -> RunDecisions:
     """Execute the full hierarchy for a batch of runs.
 
     vectors holds an (n, k) probability array for every stage, row r
-    belonging to run r; present[stage] says which rows of a severity
-    stage hold a vector. Levels 1 and 2 are decided by argmax (ties to
-    the lowest index); level 3 only on the branch the profile decision
-    selected (rectangular skips it), and under REJECT_RUN not after a
-    conflict. Every decided stage with a configured threshold is flagged
-    when its winning probability falls short. The rows are not checked
-    here: each must be a valid vector of its stage.
+    belonging to run r; a severity row of zeros means the run has no
+    vector of that stage (a valid vector sums to 1, so it is never
+    zeros). Levels 1 and 2 are decided by argmax (ties to the lowest
+    index); level 3 only on the branch the profile decision selected
+    (rectangular skips it), and under REJECT_RUN not after a conflict.
+    Every decided stage with a configured threshold is flagged when its
+    winning probability falls short. The rows are not checked here: each
+    must be a valid vector of its stage or, on a severity stage, zeros.
     """
     if config is None:
         config = EngineConfig()
@@ -358,8 +358,9 @@ def decide_runs(
         branch = index[StageId.PROFILE] == STAGE_STATES[StageId.PROFILE].index(profile)
         if reject:
             branch &= ~conflicted
-        taken = branch & present[stage]
-        missing |= branch & ~present[stage]
+        has_vector = vectors[stage].any(axis=1)  # a valid vector is never all zeros
+        taken = branch & has_vector
+        missing |= branch & ~has_vector
         idx = vectors[stage].argmax(axis=1)
         index[stage] = np.where(taken, idx, -1)
         confidence[stage] = vectors[stage].max(axis=1)
@@ -388,8 +389,7 @@ def classify_run(run: RunInput, config: EngineConfig | None = None) -> RunResult
         stage: np.array([run.vectors[stage].probs if stage in run.vectors else [0.0] * len(names)])
         for stage, names in STAGE_CLASSES.items()
     }
-    present = {stage: np.array([stage in run.vectors]) for stage in SEVERITY_STAGE.values()}
-    decisions = decide_runs(vectors, present, config)
+    decisions = decide_runs(vectors, config)
     if decisions.rejected_row >= 0:
         raise decisions.rejection()
     return next(decisions.rows())

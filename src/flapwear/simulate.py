@@ -25,7 +25,6 @@ from .synth import (
 from .taxonomy import (
     BRANCH_STAGES,
     CONSISTENT_OUTCOMES,
-    SEVERITY_STAGE,
     STAGE_CLASSES,
     FlapProfile,
     StageId,
@@ -63,20 +62,18 @@ def spec_for_outcome(
     )
 
 
-def _stage_arrays(n: int) -> tuple[dict[StageId, np.ndarray], dict[StageId, np.ndarray]]:
-    """Zeroed per-stage (n, k) arrays and severity present masks, as decide_runs takes them."""
-    vectors = {stage: np.zeros((n, len(classes))) for stage, classes in STAGE_CLASSES.items()}
-    present = {stage: np.zeros(n, dtype=bool) for stage in SEVERITY_STAGE.values()}
-    return vectors, present
+def _stage_arrays(n: int) -> dict[StageId, np.ndarray]:
+    """Zeroed per-stage (n, k) arrays, as decide_runs takes them."""
+    return {stage: np.zeros((n, len(classes))) for stage, classes in STAGE_CLASSES.items()}
 
 
-def _decide_checked(vectors, present, config: EngineConfig | None) -> RunDecisions:
-    """Check each stage's filled rows once, then decide them; a REJECT_RUN refusal raises."""
-    for stage, rows in vectors.items():
-        invalid = first_invalid_row(rows[present[stage]] if stage in present else rows)
+def _decide_checked(vectors, config: EngineConfig | None) -> RunDecisions:
+    """Check each stage's rows once, then decide them; a REJECT_RUN refusal raises."""
+    for rows in vectors.values():
+        invalid = first_invalid_row(rows)
         if invalid is not None:
             raise VectorError(invalid[1])
-    decisions = decide_runs(vectors, present, config)
+    decisions = decide_runs(vectors, config)
     if decisions.rejected_row >= 0:
         raise decisions.rejection()
     return decisions
@@ -84,9 +81,9 @@ def _decide_checked(vectors, present, config: EngineConfig | None) -> RunDecisio
 
 def classify_spec(spec: WheelSpec, seed: int, config: EngineConfig | None = None) -> RunResult:
     """Generate an observation for the spec and run the hierarchy on it (a block of one wheel)."""
-    vectors, present = _stage_arrays(1)
-    score_wheels([spec], [seed], vectors, present)
-    return next(_decide_checked(vectors, present, config).rows())
+    vectors = _stage_arrays(1)
+    score_wheels([spec], [seed], vectors)
+    return next(_decide_checked(vectors, config).rows())
 
 
 def run_synthetic_batch(
@@ -99,13 +96,15 @@ def run_synthetic_batch(
 
     Specs and wheel seeds are drawn one wheel at a time from the batch
     RNG; the wheels are observed and scored SYNTH_BLOCK at a time into
-    per-stage arrays. Each stage's filled rows are then checked once,
-    and the hierarchy decides them in one batch.
+    per-stage arrays, both severity stages for every wheel, so level 3
+    is judged on whichever branch the profile decision takes. Each
+    stage's rows are then checked once, and the hierarchy decides them
+    in one batch.
     """
     if n < 1:
         raise InvalidSpec("batch size must be >= 1")
     rng = np.random.default_rng(seed)
-    vectors, present = _stage_arrays(n)
+    vectors = _stage_arrays(n)
     expected = np.resize([o.id for o in CONSISTENT_OUTCOMES], n)  # wheel k: outcome k mod 11
     for start in range(0, n, SYNTH_BLOCK):
         rows = slice(start, min(n, start + SYNTH_BLOCK))
@@ -114,10 +113,9 @@ def run_synthetic_batch(
             outcome = CONSISTENT_OUTCOMES[k % len(CONSISTENT_OUTCOMES)]
             specs.append(spec_for_outcome(outcome, rng, noise_sigma))
             seeds.append(int(rng.integers(0, 2**31)))
-        block_vectors = {stage: v[rows] for stage, v in vectors.items()}
-        score_wheels(specs, seeds, block_vectors, {stage: m[rows] for stage, m in present.items()})
+        score_wheels(specs, seeds, {stage: v[rows] for stage, v in vectors.items()})
 
-    decisions = _decide_checked(vectors, present, config)
+    decisions = _decide_checked(vectors, config)
     hit = decisions.outcome_id == expected
     correct = np.bincount(expected[hit], minlength=len(CONSISTENT_OUTCOMES) + 1).tolist()
     total = np.bincount(expected, minlength=len(CONSISTENT_OUTCOMES) + 1).tolist()

@@ -251,25 +251,21 @@ def usage_rows(radial: np.ndarray, fringe: np.ndarray) -> np.ndarray:
 
 
 def score_wheels(
-    specs: Sequence[WheelSpec],
-    seeds: Sequence[int],
-    vectors: Mapping[StageId, np.ndarray],
-    present: Mapping[StageId, np.ndarray],
+    specs: Sequence[WheelSpec], seeds: Sequence[int], vectors: Mapping[StageId, np.ndarray]
 ) -> None:
     """Observe a block of wheels and write every stage's rows in place.
 
     vectors[stage] is the block's (b, k) slice of the per-stage arrays
-    decide_runs takes, and present[severity stage] its (b,) mask: a
-    wheel's severity row is scored on its own profile's branch.
+    decide_runs takes. Every wheel is scored on both severity stages,
+    whatever its true profile, as a deployed pipeline scores the branch
+    the engine routes it to.
     """
     radial, gaps = observe_wheels(specs, seeds)
     vectors[StageId.USAGE][:] = usage_rows(radial, np.array([spec.has_fringe for spec in specs]))
     vectors[StageId.PROFILE][:] = profile_rows(radial)
     vectors[StageId.TEAR][:] = tear_rows(gaps, np.array([spec.n_flaps for spec in specs]))
     for profile, stage in SEVERITY_STAGE.items():
-        rows = np.array([spec.profile is profile for spec in specs])
-        vectors[stage][rows] = severity_rows(radial[rows], profile)
-        present[stage][:] = rows
+        vectors[stage][:] = severity_rows(radial, profile)
 
 
 def sample_oracle_predictions(

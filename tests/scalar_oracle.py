@@ -561,32 +561,28 @@ def usage_feature_classifier(radial: RadialProfile) -> tuple[float, ...]:
 
 
 def observation_vectors(obs: SyntheticObservation) -> dict[StageId, tuple[float, ...]]:
-    """Stage -> probability row; the severity row on the wheel's own profile branch."""
+    """Stage -> probability row; both severity stages, whatever the wheel's own profile."""
     vectors = {
         StageId.USAGE: usage_feature_classifier(obs.radial),
         StageId.PROFILE: profile_feature_classifier(obs.radial),
         StageId.TEAR: tear_feature_classifier(obs.gap_angles),
     }
-    severity_stage = SEVERITY_STAGE.get(obs.spec.profile)
-    if severity_stage is not None:
-        vectors[severity_stage] = severity_feature_classifier(obs.radial, obs.spec.profile)
+    for branch, stage in SEVERITY_STAGE.items():
+        vectors[stage] = severity_feature_classifier(obs.radial, branch)
     return vectors
 
 
 def synthetic_stage_rows(n: int, seed: int, noise_sigma: float):
-    """Per-stage (n, k) rows and severity present masks of a synthetic batch, wheel by wheel."""
+    """Per-stage (n, k) rows of a synthetic batch, wheel by wheel."""
     rng = np.random.default_rng(seed)
     vectors = {stage: np.zeros((n, len(classes))) for stage, classes in STAGE_CLASSES.items()}
-    present = {stage: np.zeros(n, dtype=bool) for stage in SEVERITY_STAGE.values()}
     for k in range(n):
         outcome = CONSISTENT_OUTCOMES[k % len(CONSISTENT_OUTCOMES)]
         spec = spec_for_outcome(outcome, rng, noise_sigma)
         observation = generate_observation(spec, seed=int(rng.integers(0, 2**31)))
         for stage, row in observation_vectors(observation).items():
             vectors[stage][k] = row
-            if stage in present:
-                present[stage][k] = True
-    return vectors, present
+    return vectors
 
 
 # ---------------------------------------------------------------------------

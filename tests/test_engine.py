@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from flapwear.engine import (
@@ -8,10 +9,11 @@ from flapwear.engine import (
     RunInput,
     TooFewRuns,
     classify_run,
+    decide_runs,
     fuse_runs,
 )
 from flapwear.predictions import ProbabilityVector, StageId
-from flapwear.taxonomy import ConflictKind
+from flapwear.taxonomy import SEVERITY_STAGE, ConflictKind, FlapProfile
 
 
 def run_input(usage, profile, tear, concave=None, convex=None, tool="t1"):
@@ -175,6 +177,52 @@ class TestNeedsReevaluation:
         )
         assert ConflictKind.NEW_CONCAVE in result.conflicts
         assert needs_reevaluation(result)
+
+
+class TestZeroSeverityRow:
+    """A severity row of zeros is a missing vector; decide_runs states the rule."""
+
+    # One used, untorn run per profile: rectangular, concave, convex.
+    PROFILES = [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]
+    REJECT = EngineConfig(thresholds={}, conflict_policy=ConflictPolicy.REJECT_RUN)
+
+    def batch(self, zero_rows: dict[StageId, list[int]]):
+        vectors = {
+            StageId.USAGE: np.tile([0.05, 0.95], (3, 1)),
+            StageId.PROFILE: np.array(self.PROFILES),
+            StageId.TEAR: np.tile([0.1, 0.9], (3, 1)),
+            StageId.CONCAVE_SEVERITY: np.tile([0.7, 0.3], (3, 1)),
+            StageId.CONVEX_SEVERITY: np.tile([0.3, 0.7], (3, 1)),
+        }
+        for stage, rows in zero_rows.items():
+            vectors[stage][rows] = 0.0
+        return vectors
+
+    @pytest.mark.parametrize("profile", [FlapProfile.CONCAVE, FlapProfile.CONVEX])
+    def test_zero_row_on_the_decided_branch_is_missing(self, profile):
+        run = 1 if profile is FlapProfile.CONCAVE else 2
+        vectors = self.batch({SEVERITY_STAGE[profile]: [run]})
+        flagged = list(decide_runs(vectors, NO_THRESHOLDS).rows())
+        assert flagged[run].verdict == "incomplete"
+        assert flagged[run].flags == ("missing_severity_input",)
+        assert [r.flags for i, r in enumerate(flagged) if i != run] == [(), ()]
+
+        decisions = decide_runs(vectors, self.REJECT)
+        assert decisions.rejected_row == run
+        with pytest.raises(MissingSeverityInput, match=f"profile {profile.value} requires"):
+            raise decisions.rejection()
+
+    @pytest.mark.parametrize("config", [NO_THRESHOLDS, EngineConfig(), REJECT])
+    def test_zero_rows_off_the_branch_change_nothing(self, config):
+        full = decide_runs(self.batch({}), config)
+        # Rectangular (no branch), concave fully, convex partially.
+        assert [r.outcome.id for r in full.rows()] == [2, 6, 8]
+        off = {StageId.CONCAVE_SEVERITY: [0, 2], StageId.CONVEX_SEVERITY: [0, 1]}
+        sparse = decide_runs(self.batch(off), config)
+        assert list(sparse.rows()) == list(full.rows())
+        assert sparse.rejected_row == full.rejected_row == -1
+        counts = np.array([3])
+        assert list(sparse.run_lines(["t"], counts)) == list(full.run_lines(["t"], counts))
 
 
 def rect_run(usage_conf=0.95, tear_conf=0.9, tear_idx=1):

@@ -129,7 +129,7 @@ def decide(stage, probs):
     """The engine's (class index, confidence) for one vector of a level-1/2 stage."""
     vectors = {s: np.eye(len(names))[:1] for s, names in STAGE_CLASSES.items()}
     vectors[stage] = np.array([vec(stage, probs).probs])
-    decisions = decide_runs(vectors, {s: np.zeros(1, bool) for s in vectors})
+    decisions = decide_runs(vectors)
     return int(decisions.index[stage][0]), float(decisions.confidence[stage][0])
 
 

@@ -138,15 +138,14 @@ class TestSeverityClassifier:
     def test_wide_span_is_fully(self):
         (row,) = severity_rows(self._bump_profile(0.95), FlapProfile.CONCAVE)
         assert np.argmax(row) == 0
-        # A wheel's severity row is filed under its branch's stage.
+        # A wheel is scored on both severity stages, each by its own branch's rule.
         vectors = {stage: np.zeros((1, len(c))) for stage, c in STAGE_CLASSES.items()}
-        present = {stage: np.zeros(1, dtype=bool) for stage in SEVERITY_STAGE.values()}
         wheel = spec(profile=FlapProfile.CONCAVE, severity=Severity.FULLY)
-        score_wheels([wheel], [1], vectors, present)
-        assert {stage: mask.tolist() for stage, mask in present.items()} == {
-            StageId.CONCAVE_SEVERITY: [True], StageId.CONVEX_SEVERITY: [False]
-        }
-        assert vectors[StageId.CONVEX_SEVERITY].tolist() == [[0.0, 0.0]]
+        score_wheels([wheel], [1], vectors)
+        radial, _ = observe_wheels([wheel], [1])
+        for branch, stage in SEVERITY_STAGE.items():
+            assert vectors[stage].tolist() == severity_rows(radial, branch).tolist()
+        assert np.argmax(vectors[StageId.CONCAVE_SEVERITY][0]) == 0
 
     def test_narrow_span_is_partially(self):
         (row,) = severity_rows(self._bump_profile(0.40), FlapProfile.CONCAVE)
@@ -219,20 +218,20 @@ def test_synthetic_batch_checks_rows_without_building_vectors(monkeypatch):
     report = simulate.run_synthetic_batch(22, seed=3)
     assert report["hierarchy_accuracy"] == 1.0
     assert built == []
-    # One check per stage, over the wheels whose row was filled: 8 concave, 8 convex.
-    assert checked == [(22, 2), (22, 3), (22, 2), (8, 2), (8, 2)]
+    # One check per stage, over every wheel: each is scored on both severity stages.
+    assert checked == [(22, 2), (22, 3), (22, 2), (22, 2), (22, 2)]
     # The one-run path is a batch of one wheel, a rectangular one.
     simulate.classify_spec(spec(), seed=3)
     assert built == []
-    assert checked[5:] == [(1, 2), (1, 3), (1, 2), (0, 2), (0, 2)]
+    assert checked[5:] == [(1, 2), (1, 3), (1, 2), (1, 2), (1, 2)]
 
 
 def test_synthetic_batch_scores_in_blocks(monkeypatch):
     blocks = []
     monkeypatch.setattr(
         simulate, "score_wheels",
-        lambda specs, seeds, vectors, present: blocks.append(len(specs))
-        or score_wheels(specs, seeds, vectors, present),
+        lambda specs, seeds, vectors: blocks.append(len(specs))
+        or score_wheels(specs, seeds, vectors),
     )
     simulate.run_synthetic_batch(2 * simulate.SYNTH_BLOCK + 1, seed=3)
     assert blocks == [simulate.SYNTH_BLOCK, simulate.SYNTH_BLOCK, 1]

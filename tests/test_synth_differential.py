@@ -2,8 +2,8 @@
 
 ``simulate.run_synthetic_batch`` observes and scores wheels a block at a
 time; ``scalar_oracle.synthetic_stage_rows`` does it one wheel at a time.
-Every stage's rows and every severity present mask must be equal bit
-for bit, for batch sizes on both sides of the block edges and for zero,
+Every stage's rows, both severity stages for every wheel, must be equal
+bit for bit, for batch sizes on both sides of the block edges and for zero,
 small and any noise up to 0.3. Single blocks of arbitrary wheel specs
 (flap counts, torn sets, fringe overrides, depths, noise) are compared
 observation by observation.
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import scalar_oracle
 from flapwear import simulate, synth
-from flapwear.taxonomy import SEVERITY_STAGE, STAGE_CLASSES, FlapProfile, Severity, UsageState
+from flapwear.taxonomy import STAGE_CLASSES, FlapProfile, Severity, UsageState
 
 noise_sigmas = st.one_of(
     st.sampled_from([0.0, 0.05]), st.floats(0.0, 0.3, allow_nan=False, allow_infinity=False)
@@ -27,9 +27,9 @@ def batch_stage_rows(monkeypatch, n, seed, noise_sigma):
     """The per-stage arrays run_synthetic_batch hands to decide_runs."""
     seen = []
 
-    def capture(vectors, present, config=None):
-        seen.append((dict(vectors), dict(present)))
-        return decide_runs(vectors, present, config)
+    def capture(vectors, config=None):
+        seen.append(dict(vectors))
+        return decide_runs(vectors, config)
 
     decide_runs = simulate.decide_runs
     with monkeypatch.context() as m:
@@ -40,14 +40,9 @@ def batch_stage_rows(monkeypatch, n, seed, noise_sigma):
 
 
 def assert_same_rows(got, want):
-    got_vectors, got_present = got
-    want_vectors, want_present = want
-    assert list(got_vectors) == list(STAGE_CLASSES) == list(want_vectors)
+    assert list(got) == list(STAGE_CLASSES) == list(want)
     for stage in STAGE_CLASSES:
-        assert np.array_equal(got_vectors[stage], want_vectors[stage]), stage
-    assert list(got_present) == list(SEVERITY_STAGE.values()) == list(want_present)
-    for stage in got_present:
-        assert np.array_equal(got_present[stage], want_present[stage]), stage
+        assert np.array_equal(got[stage], want[stage]), stage
 
 
 @settings(max_examples=20, deadline=None,
@@ -90,17 +85,13 @@ def test_block_matches_per_wheel_observations(wheels):
     seeds = [seed for _, seed in wheels]
     radial, gaps = synth.observe_wheels(specs, seeds)
     vectors = {stage: np.zeros((len(specs), len(c))) for stage, c in STAGE_CLASSES.items()}
-    present = {stage: np.zeros(len(specs), dtype=bool) for stage in SEVERITY_STAGE.values()}
-    synth.score_wheels(specs, seeds, vectors, present)
+    synth.score_wheels(specs, seeds, vectors)
 
     want_vectors = {stage: np.zeros_like(v) for stage, v in vectors.items()}
-    want_present = {stage: np.zeros_like(m) for stage, m in present.items()}
     for j, (spec, seed) in enumerate(wheels):
         obs = scalar_oracle.generate_observation(spec, seed)
         assert np.array_equal(radial[j], obs.radial.samples)
         assert np.array_equal(gaps[j, : spec.n_flaps], obs.gap_angles)
         for stage, row in scalar_oracle.observation_vectors(obs).items():
             want_vectors[stage][j] = row
-            if stage in want_present:
-                want_present[stage][j] = True
-    assert_same_rows((vectors, present), (want_vectors, want_present))
+    assert_same_rows(vectors, want_vectors)
