@@ -17,18 +17,18 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterator, TextIO
 
 import numpy as np
 
 from . import engine, metrics, predictions, propagation, simulate
-from .errors import ConfigError, FlapwearError, ParseError, ValidationError
-from .taxonomy import REQUIRED_STAGES, STAGE_CLASSES, StageId
+from .errors import ConfigError, FlapwearError, ParseError, ValidationError, is_number
+from .synth import BadRow
+from .taxonomy import REQUIRED_STAGES, StageId
 
 EXIT_OK = 0
 EXIT_PARSE = ParseError.exit_code
@@ -68,62 +68,53 @@ def _parse_config_file(path: Path) -> dict[str, str]:
     return values
 
 
-def _threshold_spec(text: str) -> tuple[StageId, float]:
-    try:
-        name, value = text.split("=", 1)
-        return StageId(name.strip()), float(value)
-    except ValueError as exc:
-        raise ConfigError(f"bad threshold spec {text!r}, expected stage=value") from exc
+# The config file's keys besides threshold.<stage>, each an EngineConfig or CliConfig
+# field and its text's converter; a field no key or flag sets keeps its default.
+_CONFIG_KEYS = {
+    "conflict_policy": engine.ConflictPolicy,
+    "ensemble_min_runs": int,
+    "report_dir": Path,
+    "seed": int,
+    "rounding": int,
+}
+
+
+def _set_threshold(values: dict, stage: str, text: str) -> None:
+    """One stage's gate; the other stages keep their gates as set so far."""
+    values.setdefault("thresholds", dict(engine.DEFAULT_THRESHOLDS))[StageId(stage)] = float(text)
 
 
 def build_config(args: argparse.Namespace) -> CliConfig:
-    thresholds = dict(engine.DEFAULT_THRESHOLDS)
-    conflict_policy = engine.ConflictPolicy.FLAG_ONLY
-    ensemble_min_runs = 1
-    report_dir = Path("reports")
-    seed = 0
-    rounding = 3
-
-    if args.config:
-        raw = _parse_config_file(Path(args.config))
+    """The config file's values, then the flags', passed to the dataclasses that check them."""
+    values = {}
+    for key, text in (_parse_config_file(Path(args.config)) if args.config else {}).items():
+        stage = key.removeprefix("threshold.")
+        if stage == key and key not in _CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
         try:
-            for key, value in raw.items():
-                if key.startswith("threshold."):
-                    thresholds[StageId(key.removeprefix("threshold."))] = float(value)
-                elif key == "conflict_policy":
-                    conflict_policy = engine.ConflictPolicy(value)
-                elif key == "ensemble_min_runs":
-                    ensemble_min_runs = int(value)
-                elif key == "report_dir":
-                    report_dir = Path(value)
-                elif key == "seed":
-                    seed = int(value)
-                elif key == "rounding":
-                    rounding = int(value)
-                else:
-                    raise ConfigError(f"unknown config key {key!r}")
-        except ConfigError:
-            raise
-        except (ValueError, KeyError) as exc:
+            if stage != key:
+                _set_threshold(values, stage, text)
+            else:
+                values[key] = _CONFIG_KEYS[key](text)
+        except ValueError as exc:
             raise ConfigError(f"bad config value: {exc}") from exc
 
-    if getattr(args, "no_thresholds", False):
-        thresholds = {}
-    for spec in getattr(args, "thresholds", None) or []:
-        stage, value = _threshold_spec(spec)
-        thresholds[stage] = value
-
+    if args.no_thresholds:
+        values["thresholds"] = {}
+    for spec in args.thresholds or []:
+        try:
+            stage, text = spec.split("=", 1)
+            _set_threshold(values, stage.strip(), text)
+        except ValueError as exc:
+            raise ConfigError(f"bad threshold spec {spec!r}, expected stage=value") from exc
     if args.out is not None:
-        report_dir = Path(args.out)
+        values["report_dir"] = Path(args.out)
     if args.seed is not None:
-        seed = args.seed
+        values["seed"] = args.seed
 
-    engine_config = engine.EngineConfig(
-        thresholds=thresholds,
-        conflict_policy=conflict_policy,
-        ensemble_min_runs=ensemble_min_runs,
-    )
-    return CliConfig(engine_config, report_dir, seed, rounding)
+    names = [f.name for f in fields(engine.EngineConfig) if f.name in values]
+    engine_config = engine.EngineConfig(**{name: values.pop(name) for name in names})
+    return CliConfig(engine_config, **values)
 
 
 def _make_report_dir(path: Path) -> None:
@@ -307,91 +298,57 @@ def cmd_evaluate(args: argparse.Namespace, config: CliConfig) -> int:
     return EXIT_OK
 
 
-def _load_simulation_config(path: Path) -> dict:
+def _load_json_object(path: Path, what: str, keys: set[str]) -> dict:
+    """The JSON object in path; a key outside keys is refused."""
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc.msg}", exc.lineno) from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer, deep nesting
+        msg = getattr(exc, "msg", exc)
+        raise ParseError(f"invalid JSON in {path}: {msg}", getattr(exc, "lineno", None)) from exc
     if not isinstance(payload, dict):
-        raise ParseError("simulation config must be a JSON object")
+        raise ParseError(f"{what} must be a JSON object")
+    unknown = sorted(payload.keys() - keys)
+    if unknown:
+        raise ConfigError(f"unknown {what} key {unknown[0]!r}")
     return payload
 
 
-def _sim_setting(sim_config: dict, key: str, convert, default):
-    """A simulation config value passed through convert; failures are config errors."""
-    try:
-        return convert(sim_config.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad simulation config value {key}: {exc}") from exc
-
-
-# The sampler needs each confidence mean in (1/k, 1) for every stage it draws,
-# and every branch draws the stage with the fewest classes.
-_FEWEST_CLASSES = min(len(classes) for classes in STAGE_CLASSES.values())
-
-
-def _confidence_law(value) -> tuple[float, float, float]:
-    mean_correct, mean_false, spread = (float(x) for x in value)
-    for mean in (mean_correct, mean_false):
-        if not 1.0 / _FEWEST_CLASSES < mean < 1.0:  # false for NaN too
-            raise ValueError(f"mean must be in (1/{_FEWEST_CLASSES}, 1), got {mean}")
-    if not 0.0 <= spread < math.inf:  # false for NaN too
-        raise ValueError(f"spread must be finite and >= 0, got {spread}")
-    return mean_correct, mean_false, spread
-
-
-def _check_oracle_matrices(matrices: dict[StageId, list]) -> None:
-    """Raise unless each stage's counts are k x k, finite and >= 0, with no all-zero row."""
-    for stage, counts in matrices.items():
-        k = len(STAGE_CLASSES[stage])
-        try:
-            arr = np.asarray(counts, dtype=float)
-            valid = arr.shape == (k, k) and bool(np.all(np.isfinite(arr) & (arr >= 0)))
-        except (TypeError, ValueError):
-            valid = False
-        if not valid:
-            raise ConfigError(f"oracle matrix for {stage.value} must be {k}x{k} counts >= 0")
-        if not arr.sum(axis=1).all():
-            raise ConfigError(f"oracle matrix for {stage.value} has an empty truth row")
+# Each mode's optional settings, passed by name to its batch function, whose
+# default holds when one is absent; _SIM_KEYS are all the keys a config may hold.
+_MODE_SETTINGS = {"synth": {"noise_sigma"}, "oracle": {"confidence_law"}}
+_SIM_KEYS = {"mode", "n", "matrices"}.union(*_MODE_SETTINGS.values())
 
 
 def _run_simulation(sim_config: dict, mode: str, n: int, config: CliConfig) -> dict:
     """The report of an n-unit simulation in the given mode."""
+    settings = {key: v for key, v in sim_config.items() if key in _MODE_SETTINGS[mode]}
     if mode == "synth":
-        return simulate.run_synthetic_batch(
-            n,
-            config.seed,
-            noise_sigma=_sim_setting(sim_config, "noise_sigma", float, 0.0),
-            config=config.engine,
-        )
-    if mode != "oracle":
-        raise ConfigError(f"unknown simulation mode {mode!r}")
+        if "noise_sigma" in settings and not is_number(settings["noise_sigma"]):
+            raise ConfigError(f"noise_sigma must be a number, got {settings['noise_sigma']!r}")
+        return simulate.run_synthetic_batch(n, config.seed, config=config.engine, **settings)
     try:
-        matrices = {
-            StageId(name): counts
-            for name, counts in sim_config["matrices"].items()
-        }
+        matrices = {StageId(name): counts for name, counts in sim_config["matrices"].items()}
     except (KeyError, ValueError, AttributeError) as exc:
         raise ConfigError(f"oracle config needs per-stage matrices: {exc}") from exc
-    missing = [stage.value for stage in StageId if stage not in matrices]
-    if missing:
-        raise ConfigError(f"oracle config needs per-stage matrices, missing {missing}")
-    _check_oracle_matrices(matrices)
-    law = _sim_setting(
-        sim_config, "confidence_law", _confidence_law, simulate.DEFAULT_CONFIDENCE_LAW
-    )
-    report = simulate.run_oracle_batch(matrices, n, config.seed, law)
-    acc = simulate.matrices_to_accuracies(matrices)
+    try:
+        report = simulate.run_oracle_batch(matrices, n, config.seed, **settings)
+    except BadRow as exc:  # raised before any draw
+        raise ConfigError(str(exc)) from exc
+    acc = propagation.StageAccuracies.from_names(report["stage_accuracies"])
     report["propagation"] = propagation.propagation_report(acc, decimals=config.rounding)
     return report
 
 
 def cmd_simulate(args: argparse.Namespace, config: CliConfig) -> int:
-    sim_config = _load_simulation_config(Path(args.sim_config))
+    sim_config = _load_json_object(Path(args.sim_config), "simulation config", _SIM_KEYS)
     mode = sim_config.get("mode", "synth")
-    n = args.n if args.n is not None else _sim_setting(sim_config, "n", int, 1100)
+    if not isinstance(mode, str) or mode not in _MODE_SETTINGS:
+        raise ConfigError(f"unknown simulation mode {mode!r}")
+    n = sim_config.get("n", 1100) if args.n is None else args.n
+    if not (is_number(n) and isinstance(n, int)):
+        raise ConfigError(f"simulation size must be an integer, got {n!r}")
     if n < 1:
         raise ConfigError("simulation size must be >= 1")
     if n > np.iinfo(np.intp).max // 64:  # arrays past numpy's size limit, not failed allocations
@@ -417,34 +374,26 @@ def cmd_simulate(args: argparse.Namespace, config: CliConfig) -> int:
 
 
 def cmd_propagate(args: argparse.Namespace, config: CliConfig) -> int:
-    payload = _load_simulation_config(Path(args.input))
+    payload = _load_json_object(Path(args.input), "propagation input", {"accuracies", "ledger"})
     if "accuracies" not in payload:
         raise ConfigError("propagation input needs an accuracies object")
-    accuracies = payload["accuracies"]
-    if not isinstance(accuracies, dict):
-        raise ConfigError("propagation input accuracies must be a JSON object")
     try:
-        acc = propagation.StageAccuracies.from_names(accuracies)
-    except KeyError as exc:
-        raise ConfigError(f"propagation input needs accuracies.{exc.args[0]}") from exc
+        acc = propagation.StageAccuracies.from_names(payload["accuracies"])
+    except (AttributeError, TypeError) as exc:
+        raise ConfigError(f"bad accuracies: {exc}") from exc
 
     ledger = None
     if "ledger" in payload:
         raw = payload["ledger"]
         try:
-            ledger = propagation.CorrectionLedger(
-                total_runs=raw["total_runs"],
-                total_errors=raw["total_errors"],
-                threshold_caught={
-                    StageId(name): tuple(pair)
-                    for name, pair in raw.get("threshold_caught", {}).items()
-                },
-                conflict_caught=raw.get("conflict_caught", 0),
-                conflicts_overlap_thresholds=raw.get("conflicts_overlap_thresholds", False),
-            )
+            if "threshold_caught" in raw:
+                raw["threshold_caught"] = {
+                    StageId(name): tuple(pair) for name, pair in raw["threshold_caught"].items()
+                }
+            ledger = propagation.CorrectionLedger(**raw)
         except FlapwearError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad ledger: {exc}") from exc
 
     report = propagation.propagation_report(acc, ledger, config.rounding)

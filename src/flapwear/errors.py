@@ -8,7 +8,19 @@ command line needs a single handler for all of them.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from typing import Optional
+
+
+def is_number(value) -> bool:
+    """A real number and not a bool (JSON's true and false are not numbers)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_finite(value) -> bool:
+    """A number within float range: not NaN, not infinite, no int too large for a float."""
+    return is_number(value) and -sys.float_info.max <= value <= sys.float_info.max
 
 
 class FlapwearError(ValueError):

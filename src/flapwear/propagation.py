@@ -10,10 +10,10 @@ if every re-examination succeeded.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import ValidationError
+from .errors import ValidationError, is_finite, is_number
 from .taxonomy import BRANCH_STAGES, FlapProfile, StageId
 
 # Name of each stage's accuracy in reports and in propagate's input;
@@ -45,21 +45,16 @@ class StageAccuracies:
 
     def __post_init__(self):
         for name, v in self.by_name().items():
-            if not isinstance(v, (int, float)) or not 0.0 <= v <= 1.0:
-                raise PropagationError(f"j_{name} outside [0, 1]: {v!r}")
+            if not (is_number(v) and 0.0 <= v <= 1.0):  # false for NaN too
+                raise PropagationError(f"j_{name} must be a number in [0, 1], got {v!r}")
 
     @classmethod
     def from_names(cls, values: Mapping[str, float]) -> StageAccuracies:
         """Accuracies keyed by ACCURACY_NAMES; an absent name keeps its field default.
 
-        Raises KeyError with the name of an absent accuracy that has no default.
+        A missing required accuracy or an unknown name is a TypeError naming the field.
         """
-        kwargs = {}
-        for f in fields(cls):
-            name = f.name.removeprefix("j_")
-            if name in values or f.default is MISSING:
-                kwargs[f.name] = values[name]
-        return cls(**kwargs)
+        return cls(**{f"j_{name}": value for name, value in values.items()})
 
     def by_name(self) -> dict[str, float]:
         return {name: getattr(self, f"j_{name}") for name in ACCURACY_NAMES.values()}
@@ -100,14 +95,19 @@ class CorrectionLedger:
     conflicts_overlap_thresholds: bool = False
 
     def __post_init__(self):
+        for stage, pair in self.threshold_caught.items():
+            if len(pair) != 2:
+                raise LedgerInconsistent(f"threshold_caught for {stage.value} must be two counts")
         counts = (
             self.total_runs,
             self.total_errors,
             self.conflict_caught,
             *(c for pair in self.threshold_caught.values() for c in pair),
         )
-        if not all(isinstance(c, (int, float)) for c in counts):
-            raise LedgerInconsistent(f"ledger counts must be numbers, got {counts}")
+        if not all(is_finite(c) for c in counts):
+            raise LedgerInconsistent(f"ledger counts must be finite numbers, got {counts}")
+        if not isinstance(flag := self.conflicts_overlap_thresholds, bool):
+            raise LedgerInconsistent(f"conflicts_overlap_thresholds must be a bool, got {flag!r}")
         if self.total_runs <= 0:
             raise LedgerInconsistent("total_runs must be positive")
         if not 0 <= self.total_errors <= self.total_runs:

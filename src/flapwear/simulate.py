@@ -12,13 +12,14 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import EngineConfig, RunDecisions, RunResult, decide_runs
-from .errors import ValidationError
+from .errors import ValidationError, is_finite
 from .predictions import VectorError, first_invalid_row
 from .propagation import ACCURACY_NAMES, StageAccuracies, path_accuracy
 from .synth import (
     BadRow,
     InvalidSpec,
     WheelSpec,
+    check_oracle_inputs,
     sample_oracle_predictions,
     score_wheels,
 )
@@ -122,7 +123,7 @@ def run_synthetic_batch(
     return {
         "mode": "synth",
         "n": n,
-        "noise_sigma": noise_sigma,
+        "noise_sigma": float(noise_sigma),  # finite: every wheel's WheelSpec checked it
         "hierarchy_accuracy": int(np.count_nonzero(hit)) / n,
         "per_outcome": {
             str(o.id): {"correct": correct[o.id], "total": total[o.id]}
@@ -133,11 +134,20 @@ def run_synthetic_batch(
 
 
 def row_probabilities(counts: list[list[int]]) -> np.ndarray:
-    """Confusion-row distributions P(pred | truth)."""
-    counts_arr = np.asarray(counts, dtype=float)
-    if not np.all(np.isfinite(counts_arr) & (counts_arr >= 0)):
-        raise BadRow("confusion counts must be finite and >= 0")
-    totals = counts_arr.sum(axis=1, keepdims=True)
+    """Confusion-row distributions P(pred | truth); the one statement of valid counts.
+
+    counts is a matrix of numbers, each finite and >= 0, whose row totals
+    and total are finite, with no all-zero row; anything else is a BadRow.
+    """
+    cells = np.array(counts, dtype=object)  # ragged rows stay lists: a 1-D array
+    if cells.ndim != 2 or not all(is_finite(c) and c >= 0 for c in cells.flat):
+        raise BadRow("confusion counts must be a matrix of numbers, each finite and >= 0")
+    counts_arr = cells.astype(float)
+    with np.errstate(over="ignore"):  # an overflowing sum is refused below, not warned about
+        totals = counts_arr.sum(axis=1, keepdims=True)
+        sums_finite = np.isfinite(totals).all() and np.isfinite(counts_arr.sum())
+    if not sums_finite:
+        raise BadRow("confusion counts overflow when summed")
     if np.any(totals == 0):
         raise BadRow("confusion matrix has an empty truth row")
     return counts_arr / totals
@@ -219,7 +229,20 @@ def run_oracle_batch(
     seed: int,
     confidence_law: tuple[float, float, float] = DEFAULT_CONFIDENCE_LAW,
 ) -> dict:
-    """All three branches against their analytic path accuracies."""
+    """All three branches against their analytic path accuracies.
+
+    Before any draw, every stage's matrix must be present and pass
+    row_probabilities, and its rows and the law check_oracle_inputs; the
+    first failure is a BadRow.
+    """
+    for stage in StageId:
+        if stage not in matrices:
+            raise BadRow(f"oracle matrix for {stage.value} is missing")
+        try:
+            rows = row_probabilities(matrices[stage])
+        except BadRow as exc:
+            raise BadRow(f"oracle matrix for {stage.value}: {exc}") from exc
+        check_oracle_inputs(stage, rows, confidence_law)
     acc = matrices_to_accuracies(matrices)
     branches = {}
     for i, branch in enumerate(FlapProfile):

@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, is_finite, is_number
 from .taxonomy import (
     SEVERITY_STAGE,
     STAGE_CLASSES,
@@ -88,7 +88,7 @@ class WheelSpec:
             raise InvalidSpec("torn flap index outside 0..n_flaps-1")
         if not 0.0 <= self.profile_depth <= 0.5:
             raise InvalidSpec("profile_depth must be in [0, 0.5]")
-        if not 0.0 <= self.noise_sigma < math.inf:  # false for NaN too
+        if not (is_finite(self.noise_sigma) and self.noise_sigma >= 0):
             raise InvalidSpec(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         shaped = self.profile in SEVERITY_STAGE
         if shaped and self.severity is None:
@@ -268,6 +268,33 @@ def score_wheels(
         vectors[stage][:] = severity_rows(radial, profile)
 
 
+def check_oracle_inputs(
+    stage: StageId, row_probs, confidence_law
+) -> tuple[np.ndarray, tuple[float, float, float]]:
+    """The oracle's rows and law for a stage of k classes, as floats; else a BadRow.
+
+    row_probs must be k x k, each row a probability distribution. The law
+    (mean_correct, mean_false, spread) must be three numbers, each mean in
+    (1/k, 1) and the spread finite and >= 0.
+    """
+    n_classes = len(STAGE_CLASSES[stage])
+    rows = np.asarray(row_probs, dtype=float)
+    if rows.shape != (n_classes, n_classes):
+        raise BadRow(f"{stage.value} rows must be {n_classes}x{n_classes}, got shape {rows.shape}")
+    if not np.all(rows >= 0) or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-9):
+        raise BadRow("each confusion row must be a probability distribution")
+    law = tuple(confidence_law) if isinstance(confidence_law, (list, tuple)) else ()
+    if len(law) != 3 or not all(is_number(x) for x in law):
+        raise BadRow(f"confidence_law must be three numbers, got {confidence_law!r}")
+    mean_correct, mean_false, spread = law
+    for mean in (mean_correct, mean_false):
+        if not 1.0 / n_classes < mean < 1.0:  # false for NaN too
+            raise BadRow(f"confidence_law mean must be in (1/{n_classes}, 1), got {mean}")
+    if not (is_finite(spread) and spread >= 0):  # -0.0 is a spread of 0
+        raise BadRow(f"confidence_law spread must be finite and >= 0, got {spread}")
+    return rows, (float(mean_correct), float(mean_false), float(spread))
+
+
 def sample_oracle_predictions(
     stage: StageId,
     truths: np.ndarray,
@@ -286,20 +313,10 @@ def sample_oracle_predictions(
     depending on correctness (the draws and roundings of
     rng.normal(means, spread)) and clamped to (1/n_classes, 1].
     """
-    n_classes = len(STAGE_CLASSES[stage])
-    row_probs = np.asarray(row_probs, dtype=float)
-    if row_probs.shape != (n_classes, n_classes):
-        raise BadRow(f"row matrix must be {n_classes}x{n_classes}")
-    if not np.all(row_probs >= 0) or np.any(np.abs(row_probs.sum(axis=1) - 1.0) > 1e-9):
-        raise BadRow("each confusion row must be a probability distribution")
-
-    mean_correct, mean_false, spread = confidence_law
-    lo = 1.0 / n_classes
-    for m in (mean_correct, mean_false):
-        if not lo < m < 1.0:
-            raise BadRow(f"confidence mean {m} outside (1/{n_classes}, 1)")
-    if not 0.0 <= spread < math.inf:  # false for NaN too; -0.0 is a spread of 0
-        raise BadRow(f"confidence spread {spread} must be finite and >= 0")
+    row_probs, (mean_correct, mean_false, spread) = check_oracle_inputs(
+        stage, row_probs, confidence_law
+    )
+    n_classes = len(row_probs)
 
     truths = np.asarray(truths)
     u = rng.random(len(truths))
@@ -309,7 +326,8 @@ def sample_oracle_predictions(
         preds += u > cdf[:, j].take(truths)
 
     confs = rng.standard_normal(len(truths), out=u)  # u is spent; reuse its buffer
-    confs *= spread
+    with np.errstate(over="ignore"):  # a huge spread overflows to +-inf, which the clip bounds
+        confs *= spread
     confs += np.where(preds == truths, mean_correct, mean_false)
-    return preds, np.clip(confs, lo + 1e-9, 1.0, out=confs)
+    return preds, np.clip(confs, 1.0 / n_classes + 1e-9, 1.0, out=confs)
 

@@ -396,6 +396,15 @@ def _simulate(n_flag="10", matrices=ALL_MATRICES, **settings):
     return build
 
 
+def _sim_config_text(text):
+    def build(tmp_path):
+        path = tmp_path / "sim.json"
+        path.write_text(text)
+        return ["simulate", str(path), "--n", "10"]
+
+    return build
+
+
 def _non_utf8_sim_config(tmp_path):
     path = tmp_path / "sim.json"
     path.write_bytes(b'{"mode": "\xff"}')
@@ -466,39 +475,39 @@ LABELED = "\n".join(
         ),
         pytest.param(
             _simulate(matrices={**ALL_MATRICES, StageId.USAGE: [[0, 0], [19, 1021]]}),
-            EXIT_CONFIG, "config error: oracle matrix for usage has an empty truth row",
+            EXIT_CONFIG, "config error: oracle matrix for usage: confusion matrix has an empty truth row",
             id="oracle-all-zero-truth-row",
         ),
         pytest.param(
             _simulate(matrices={**ALL_MATRICES, StageId.USAGE: [[0, 0], [0, 0]]}),
-            EXIT_CONFIG, "config error: oracle matrix for usage has an empty truth row",
+            EXIT_CONFIG, "config error: oracle matrix for usage: confusion matrix has an empty truth row",
             id="oracle-all-zero-usage-matrix",
         ),
         pytest.param(
             _simulate(
                 matrices={**ALL_MATRICES, StageId.PROFILE: [[5, 1, 0], [0, 0, 0], [1, 2, 9]]}
             ),
-            EXIT_CONFIG, "config error: oracle matrix for profile has an empty truth row",
+            EXIT_CONFIG, "config error: oracle matrix for profile: confusion matrix has an empty truth row",
             id="oracle-empty-profile-row",
         ),
         pytest.param(
             _simulate(confidence_law=[0.4, 0.89, 0.03]),
-            EXIT_CONFIG, "config error: bad simulation config value confidence_law: mean must",
+            EXIT_CONFIG, "config error: confidence_law mean must be in (1/2, 1)",
             id="confidence-law-mean-below-one-half",
         ),
         pytest.param(
             _simulate(confidence_law=[0.97, 0.5, 0.03]),
-            EXIT_CONFIG, "config error: bad simulation config value confidence_law: mean must",
+            EXIT_CONFIG, "config error: confidence_law mean must be in (1/2, 1)",
             id="confidence-law-mean-of-one-half",
         ),
         pytest.param(
             _simulate(confidence_law=[1.0, 0.89, 0.03]),
-            EXIT_CONFIG, "config error: bad simulation config value confidence_law: mean must",
+            EXIT_CONFIG, "config error: confidence_law mean must be in (1/2, 1)",
             id="confidence-law-mean-of-one",
         ),
         pytest.param(
             _simulate(confidence_law=[0.97, float("nan"), 0.03]),
-            EXIT_CONFIG, "config error: bad simulation config value confidence_law: mean must",
+            EXIT_CONFIG, "config error: confidence_law mean must be in (1/2, 1)",
             id="confidence-law-nan-mean",
         ),
         pytest.param(
@@ -556,7 +565,7 @@ LABELED = "\n".join(
             EXIT_VALIDATION, "validation error: noise_sigma must be finite", id="nan-noise-sigma",
         ),
         pytest.param(
-            _simulate(n_flag="11", mode="synth", noise_sigma="inf"),
+            _simulate(n_flag="11", mode="synth", noise_sigma=float("inf")),
             EXIT_VALIDATION, "validation error: noise_sigma must be finite",
             id="infinite-noise-sigma",
         ),
@@ -570,12 +579,12 @@ LABELED = "\n".join(
         ),
         pytest.param(
             _simulate(confidence_law=[0.97, 0.89, -1]),
-            EXIT_CONFIG, "config error: bad simulation config value confidence_law: spread must",
+            EXIT_CONFIG, "config error: confidence_law spread must be finite and >= 0",
             id="negative-confidence-spread",
         ),
         pytest.param(
             _simulate(confidence_law=[0.97, 0.89, float("nan")]),
-            EXIT_CONFIG, "config error: bad simulation config value confidence_law: spread must",
+            EXIT_CONFIG, "config error: confidence_law spread must be finite and >= 0",
             id="nan-confidence-spread",
         ),
         pytest.param(
@@ -642,6 +651,133 @@ LABELED = "\n".join(
             _report_is_a_directory(_propagate(), "propagation.json"),
             EXIT_CONFIG, "config error: cannot write ", id="propagation.json-is-a-directory",
         ),
+        pytest.param(
+            _simulate(matrices={**ALL_MATRICES, StageId.USAGE: [[1e308, 1e308], [19, 1021]]}),
+            EXIT_CONFIG, "config error: oracle matrix for usage: confusion counts overflow",
+            id="oracle-row-total-overflows",
+        ),
+        pytest.param(
+            _simulate(matrices={**ALL_MATRICES, StageId.USAGE: [[1e308, 0], [0, 1e308]]}),
+            EXIT_CONFIG, "config error: oracle matrix for usage: confusion counts overflow",
+            id="oracle-matrix-total-overflows",
+        ),
+        pytest.param(
+            _simulate(matrices={**ALL_MATRICES, StageId.USAGE: [[458, True], [19, 1021]]}),
+            EXIT_CONFIG, "config error: oracle matrix for usage: confusion counts must be a matrix",
+            id="bool-oracle-count",
+        ),
+        pytest.param(
+            _simulate(matrices={**ALL_MATRICES, StageId.USAGE: [[458, "5"], [19, 1021]]}),
+            EXIT_CONFIG, "config error: oracle matrix for usage: confusion counts must be a matrix",
+            id="string-oracle-count",
+        ),
+        pytest.param(
+            _simulate(matrices={**ALL_MATRICES, StageId.PROFILE: ALL_MATRICES[StageId.USAGE]}),
+            EXIT_CONFIG, "config error: profile rows must be 3x3, got shape (2, 2)",
+            id="oracle-matrix-of-the-wrong-size",
+        ),
+        pytest.param(
+            _simulate(confidence_law=["0.97", 0.89, 0.03]),
+            EXIT_CONFIG, "config error: confidence_law must be three numbers",
+            id="string-confidence-mean",
+        ),
+        pytest.param(
+            _simulate(n_flag=None, n=2.7),
+            EXIT_CONFIG, "config error: simulation size must be an integer", id="fractional-n",
+        ),
+        pytest.param(
+            _simulate(n_flag=None, n=True),
+            EXIT_CONFIG, "config error: simulation size must be an integer", id="bool-n",
+        ),
+        pytest.param(
+            _simulate(n_flag=None, n="11"),
+            EXIT_CONFIG, "config error: simulation size must be an integer", id="numeric-string-n",
+        ),
+        pytest.param(
+            _simulate(n_flag=None, n=float("inf")),
+            EXIT_CONFIG, "config error: simulation size must be an integer", id="infinite-n",
+        ),
+        pytest.param(
+            _simulate(n_flag="11", mode="synth", noise_sigma=True),
+            EXIT_CONFIG, "config error: noise_sigma must be a number", id="bool-noise-sigma",
+        ),
+        pytest.param(
+            _simulate(n_flag="11", mode="synth", noise_sigma="inf"),
+            EXIT_CONFIG, "config error: noise_sigma must be a number", id="string-noise-sigma",
+        ),
+        pytest.param(
+            _simulate(confidence_laws=[0.97, 0.89, 0.03]),
+            EXIT_CONFIG, "config error: unknown simulation config key 'confidence_laws'",
+            id="unknown-simulation-config-key",
+        ),
+        pytest.param(
+            _simulate(mode=["oracle"]),
+            EXIT_CONFIG, "config error: unknown simulation mode ['oracle']", id="list-valued-mode",
+        ),
+        pytest.param(
+            _sim_config_text('{"n": ' + "1" * 5000 + "}"),
+            EXIT_PARSE, "parse error: invalid JSON in ", id="sim-config-integer-literal-too-long",
+        ),
+        pytest.param(
+            _sim_config_text("[" * 100_000),
+            EXIT_PARSE, "parse error: invalid JSON in ", id="sim-config-nested-too-deep",
+        ),
+        pytest.param(
+            _propagate_payload([0.986, 0.938, 0.954]),
+            EXIT_PARSE, "parse error: propagation input must be a JSON object",
+            id="propagation-input-not-an-object",
+        ),
+        pytest.param(
+            _propagate_payload({"accuracies": {"usage": 0.986, "tear": 0.938, "profile": 0.954},
+                                "legder": {}}),
+            EXIT_CONFIG, "config error: unknown propagation input key 'legder'",
+            id="unknown-propagation-input-key",
+        ),
+        pytest.param(
+            _propagate(accuracies={"usage": 0.986, "tear": 0.938, "profile": 0.954, "concav": 0.5}),
+            EXIT_CONFIG, "config error: bad accuracies: ", id="unknown-accuracy",
+        ),
+        pytest.param(
+            _propagate(accuracies={"usage": True, "tear": 0.938, "profile": 0.954}),
+            EXIT_VALIDATION, "validation error: j_usage must be a number in [0, 1], got True",
+            id="bool-accuracy",
+        ),
+        pytest.param(
+            _propagate(ledger={"total_runs": 360, "total_errors": 45, "threshold_caught": []}),
+            EXIT_CONFIG, "config error: bad ledger: ", id="list-valued-threshold-caught",
+        ),
+        pytest.param(
+            _propagate(ledger={"total_runs": 360, "total_errors": 45, "conflict_cought": 4}),
+            EXIT_CONFIG, "config error: bad ledger: ", id="unknown-ledger-key",
+        ),
+        pytest.param(
+            _propagate(ledger={"total_runs": 1e400, "total_errors": 45}),
+            EXIT_VALIDATION, "validation error: ledger counts must be finite numbers",
+            id="infinite-ledger-total-runs",
+        ),
+        pytest.param(
+            _propagate(ledger={"total_runs": True, "total_errors": 0}),
+            EXIT_VALIDATION, "validation error: ledger counts must be finite numbers",
+            id="bool-ledger-total-runs",
+        ),
+        pytest.param(
+            _propagate(ledger={"total_runs": 360, "total_errors": 45,
+                               "threshold_caught": {"usage": [float("nan"), 0]}}),
+            EXIT_VALIDATION, "validation error: ledger counts must be finite numbers",
+            id="nan-threshold-catch",
+        ),
+        pytest.param(
+            _propagate(ledger={"total_runs": 360, "total_errors": 45,
+                               "threshold_caught": {"usage": [11, 10, 9]}}),
+            EXIT_VALIDATION, "validation error: threshold_caught for usage must be two counts",
+            id="threshold-catch-of-three-counts",
+        ),
+        pytest.param(
+            _propagate(ledger={"total_runs": 360, "total_errors": 45,
+                               "conflicts_overlap_thresholds": "no"}),
+            EXIT_VALIDATION, "validation error: conflicts_overlap_thresholds must be a bool",
+            id="string-overlap-flag",
+        ),
     ],
 )
 def test_bad_input_ends_in_exit_code_not_traceback(tmp_path, capsys, build, code, prefix):
@@ -654,3 +790,25 @@ def test_bad_input_ends_in_exit_code_not_traceback(tmp_path, capsys, build, code
     err = capsys.readouterr().err
     assert err.startswith(prefix)
     assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
+@pytest.mark.parametrize(
+    "build, key",
+    [
+        pytest.param(
+            _propagate(accuracies={"usage": 0.986, "tear": 0.938, "profile": 0.954, "concav": 1}),
+            "concav", id="accuracy",
+        ),
+        pytest.param(
+            _propagate(ledger={"total_runs": 360, "total_errors": 45, "conflict_cought": 4}),
+            "conflict_cought", id="ledger",
+        ),
+        pytest.param(_simulate(confidence_laws=[0.97, 0.89, 0.03]), "confidence_laws", id="simulate"),
+        pytest.param(_with_config(_propagate(), "rounding_digits = 2\n"), "rounding_digits", id="config"),
+    ],
+)
+def test_unknown_key_is_named(tmp_path, capsys, build, key):
+    assert main(build(tmp_path) + ["--out", str(tmp_path / "reports")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err and err.count("\n") == 1
+    assert not (tmp_path / "reports").exists()

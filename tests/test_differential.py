@@ -85,7 +85,7 @@ CORRUPTIONS = {
     "length": lambda rec: rec["probs"].append(0),
     "truth": lambda rec: rec.update(truth="maybe"),
     "stage": lambda rec: rec.update(stage="bogus"),
-    "tool": lambda rec: rec.pop("tool_id"),
+    "tool": lambda rec: rec.pop("tool_id", None),  # a record may take this damage twice
 }
 
 

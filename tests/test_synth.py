@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from flapwear import predictions, simulate
+from flapwear.engine import DEFAULT_THRESHOLDS
 from flapwear.predictions import ProbabilityVector, StageId
 from flapwear.synth import (
+    TEAR_RATIO_BOUNDARY,
     BadRow,
     InvalidSpec,
     WheelSpec,
@@ -15,7 +17,14 @@ from flapwear.synth import (
     tear_rows,
     usage_rows,
 )
-from flapwear.taxonomy import SEVERITY_STAGE, STAGE_CLASSES, FlapProfile, Severity, UsageState
+from flapwear.taxonomy import (
+    SEVERITY_STAGE,
+    STAGE_CLASSES,
+    FlapProfile,
+    Severity,
+    TearState,
+    UsageState,
+)
 
 
 def spec(**kwargs):
@@ -187,6 +196,14 @@ class TestTearClassifier:
         rows = tear_rows(gaps, np.array([20, 24]))
         assert rows[0].tolist() == tear_rows(np.full((1, 20), 0.1), np.array([20]))[0].tolist()
         assert np.argmax(rows[1]) == 1
+
+    def test_gap_ratio_at_the_boundary_trips_the_tear_verdict(self):
+        gaps = np.ones((1, 20))
+        gaps[0, 5] = TEAR_RATIO_BOUNDARY  # max / median is the boundary exactly
+        (row,) = tear_rows(gaps, np.array([20]))
+        with_tear = row[STAGE_CLASSES[StageId.TEAR].index(TearState.WITH_TEAR.value)]
+        assert with_tear > 0.5
+        assert with_tear > DEFAULT_THRESHOLDS[StageId.TEAR]  # 0.818 against the 0.79 gate
 
 
 class TestUsageClassifier:
