@@ -46,6 +46,8 @@ class CliConfig:
     def __post_init__(self):
         if not 1 <= self.rounding <= metrics.MAX_DECIMALS:
             raise ConfigError(f"rounding must be 1 to {metrics.MAX_DECIMALS} decimals")
+        if not (is_number(self.seed) and isinstance(self.seed, int)):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -347,12 +349,6 @@ def cmd_simulate(args: argparse.Namespace, config: CliConfig) -> int:
     if not isinstance(mode, str) or mode not in _MODE_SETTINGS:
         raise ConfigError(f"unknown simulation mode {mode!r}")
     n = sim_config.get("n", 1100) if args.n is None else args.n
-    if not (is_number(n) and isinstance(n, int)):
-        raise ConfigError(f"simulation size must be an integer, got {n!r}")
-    if n < 1:
-        raise ConfigError("simulation size must be >= 1")
-    if n > np.iinfo(np.intp).max // 64:  # arrays past numpy's size limit, not failed allocations
-        raise ConfigError(f"simulation size {n} is too large")
     try:
         report = _run_simulation(sim_config, mode, n, config)
     except MemoryError as exc:  # numpy could not allocate the per-unit arrays
@@ -412,6 +408,18 @@ def cmd_propagate(args: argparse.Namespace, config: CliConfig) -> int:
     return EXIT_OK
 
 
+def _int_or_text(text: str):
+    """An integer flag's value; text that is no integer is passed on as is.
+
+    The setting's own check then refuses it as a config error (exit 4)
+    with one stderr line, as it refuses the same value from a file.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flapwear",
@@ -419,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key = value config file")
-    common.add_argument("--seed", type=int, default=None, help="RNG seed")
+    common.add_argument("--seed", type=_int_or_text, default=None, help="RNG seed")
     common.add_argument("--out", default=None, help="report output directory")
     common.add_argument(
         "--thresholds",
@@ -445,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common], help="synthetic or oracle simulation")
     p.add_argument("sim_config", help="JSON simulation config (mode: synth or oracle)")
-    p.add_argument("--n", type=int, default=None, help="number of trials/observations")
+    p.add_argument("--n", type=_int_or_text, default=None, help="number of trials/observations")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("propagate", parents=[common], help="accuracy propagation analysis")
@@ -462,7 +470,10 @@ def main(argv: list[str] | None = None) -> int:
         config = build_config(args)
         return args.func(args, config)
     except FlapwearError as exc:
-        print(f"{exc.label}: {exc}", file=sys.stderr)
+        # One stderr line per error, even when the message quotes a key or
+        # value from the input that holds a line break.
+        message = str(exc).replace("\r", "\\r").replace("\n", "\\n")
+        print(f"{exc.label}: {message}", file=sys.stderr)
         return exc.exit_code
 
 

@@ -10,11 +10,18 @@ on such arrays: the parser checks each stage's rows with it and names
 the first failing line, and a ProbabilityVector is a one-row call into
 it. The module also splits datasets by tool so that no tool leaks
 across train/val/test.
+
+The parser has two paths per line. The fast path (``_accept_line``)
+decodes a line with one call of json's C scanner and appends a record
+that passes every per-record rule. Any other line leaves the columns as
+they were and goes to the error path (``_parse_line``), which decodes it
+again with ``json.loads`` and is the one statement of each line error.
 """
 
 from __future__ import annotations
 
 import json
+import json.scanner
 import math
 import random
 from array import array
@@ -121,17 +128,35 @@ _NUMBER_TYPES = frozenset((int, float))
 class _StageColumns:
     """A stage's columns while its file is read."""
 
-    __slots__ = ("stage", "classes", "view", "probs", "tool_ids", "image_ids", "lines", "truth")
+    __slots__ = (
+        "stage", "classes", "view", "view_name", "truth_index",
+        "probs", "tool_ids", "image_ids", "lines", "truth",
+    )
 
     def __init__(self, stage: StageId):
         self.stage = stage
         self.classes = STAGE_CLASSES[stage]
         self.view = STAGE_VIEW[stage]
+        self.view_name = self.view.value
+        self.truth_index = {name: i for i, name in enumerate(self.classes)}
         self.probs = array("d")
         self.tool_ids: list[str] = []
         self.image_ids: list[str] = []
         self.lines = array("q")
         self.truth = array("b")
+
+    def append(self, probs: list, truth: int, image_id: str, tool_id: str, line_no: int) -> bool:
+        """Add one record; False, with the columns as they were, if a probability overflows."""
+        try:
+            self.probs.extend(probs)
+        except OverflowError:  # an integer too large for a float; extend stops part-way
+            del self.probs[len(self.lines) * len(self.classes):]
+            return False
+        self.tool_ids.append(tool_id)
+        self.image_ids.append(image_id)
+        self.lines.append(line_no)
+        self.truth.append(truth)
+        return True
 
     def prob_rows(self) -> np.ndarray:
         return np.frombuffer(self.probs, dtype=np.float64).reshape(-1, len(self.classes))
@@ -198,52 +223,88 @@ def _first_invalid_line(columns: Iterable[_StageColumns]) -> Optional[Validation
     return first
 
 
+def _accept_line(scan, by_name: dict[str, _StageColumns], line: str, line_no: int) -> bool:
+    """Append a well-formed line's record to its stage's columns; False, appending nothing, if not.
+
+    Well-formed is one JSON object that passes every rule of _parse_line:
+    a stage name, that stage's view, a list of as many ints or floats as
+    the stage has classes, each within float range, no truth or one of
+    the stage's classes, an image id and a tool id. The vector's values
+    are checked later.
+    """
+    try:
+        rec, end = scan(line, 0)
+        cols = by_name[rec["stage"]]  # a TypeError unless rec is a dict
+        probs, truth = rec["probs"], rec.get("truth")
+        image_id, tool_id = rec["image_id"], rec["tool_id"]
+        if (
+            end != len(line)
+            or rec["view"] != cols.view_name
+            or type(probs) is not list
+            or len(probs) != len(cols.classes)
+            or not _NUMBER_TYPES.issuperset(map(type, probs))
+        ):
+            return False
+        truth = -1 if truth is None else cols.truth_index[truth]
+        if type(image_id) is not str:
+            image_id = str(image_id)
+        if type(tool_id) is not str:
+            tool_id = str(tool_id)
+    except (StopIteration, ValueError, RecursionError, KeyError, TypeError):
+        return False
+    return cols.append(probs, truth, image_id, tool_id, line_no)
+
+
+def _parse_line(columns: dict[StageId, _StageColumns], line: str, line_no: int) -> None:
+    """Append one line's record to its stage's columns, or raise the line's error.
+
+    The error path: each per-line error, in the order that
+    parse_prediction_table states, is raised here and nowhere else.
+    """
+    try:
+        rec = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        msg = getattr(exc, "msg", exc)
+        raise ParseError(f"invalid JSON: {msg}", line_no) from exc
+    if not isinstance(rec, dict):
+        raise ParseError("record must be a JSON object", line_no)
+    fields = _record_fields(rec, line_no)
+    stage, view, probs, image_id, tool_id = fields
+    cols = columns[stage]
+    truth = rec.get("truth")
+    if (
+        len(probs) != len(cols.classes)
+        or view is not cols.view
+        or (truth is not None and truth not in cols.classes)
+    ):
+        raise _record_error(rec, line_no, fields)
+    truth = -1 if truth is None else cols.classes.index(truth)
+    if not cols.append(probs, truth, image_id, tool_id, line_no):
+        raise _record_error(rec, line_no, fields)
+
+
 def parse_prediction_table(path: str | Path) -> PredictionTable:
     """Parse a line-delimited prediction file into one table per stage.
 
     Each line is a JSON record with fields image_id, tool_id, view,
-    stage, probs and optionally truth (canonical class name). Blank lines
-    are skipped. The first failing line is reported, with its 1-based
-    number; within a line, a malformed record is a ParseError, then an
-    invalid vector or a view that does not match the stage a
-    ValidationError, then an unknown truth class a ParseError. A file
-    that cannot be opened or is not UTF-8 text is a ParseError too.
-    Decoded records are not kept: each line goes straight into the
-    columns of its stage.
+    stage, probs and optionally truth (canonical class name); a non-string
+    id is converted with str. Blank lines are skipped. The first failing
+    line is reported, with its 1-based number; within a line, a malformed
+    record is a ParseError, then an invalid vector or a view that does not
+    match the stage a ValidationError, then an unknown truth class a
+    ParseError. A file that cannot be opened or is not UTF-8 text is a
+    ParseError too. Decoded records are not kept: each line goes straight
+    into the columns of its stage, by the fast path or the error path.
     """
     columns = {stage: _StageColumns(stage) for stage in StageId}
+    by_name = {stage.value: cols for stage, cols in columns.items()}
+    scan = json.scanner.make_scanner(json.JSONDecoder())
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except (ValueError, RecursionError) as exc:
-                    msg = getattr(exc, "msg", exc)
-                    raise ParseError(f"invalid JSON: {msg}", line_no) from exc
-                if not isinstance(rec, dict):
-                    raise ParseError("record must be a JSON object", line_no)
-                fields = _record_fields(rec, line_no)
-                stage, view, probs, image_id, tool_id = fields
-                cols = columns[stage]
-                truth = rec.get("truth")
-                if (
-                    len(probs) != len(cols.classes)
-                    or view is not cols.view
-                    or (truth is not None and truth not in cols.classes)
-                ):
-                    raise _record_error(rec, line_no, fields)
-                try:
-                    cols.probs.extend(probs)
-                except OverflowError:  # an integer too large for a float
-                    del cols.probs[len(cols.lines) * len(cols.classes):]
-                    raise _record_error(rec, line_no, fields) from None
-                cols.tool_ids.append(tool_id)
-                cols.image_ids.append(image_id)
-                cols.lines.append(line_no)
-                cols.truth.append(-1 if truth is None else cols.classes.index(truth))
+                if line and not _accept_line(scan, by_name, line, line_no):
+                    _parse_line(columns, line, line_no)
     except FlapwearError as exc:
         raise _first_invalid_line(columns.values()) or exc
     except (OSError, UnicodeDecodeError) as exc:

@@ -12,12 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import EngineConfig, RunDecisions, RunResult, decide_runs
-from .errors import ValidationError, is_finite
+from .errors import ConfigError, is_finite, is_number
 from .predictions import VectorError, first_invalid_row
 from .propagation import ACCURACY_NAMES, StageAccuracies, path_accuracy
 from .synth import (
     BadRow,
-    InvalidSpec,
     WheelSpec,
     check_oracle_inputs,
     sample_oracle_predictions,
@@ -63,6 +62,21 @@ def spec_for_outcome(
     )
 
 
+def check_simulation_size(n) -> None:
+    """The one rule for a simulation's size; a ConfigError unless it holds.
+
+    The size is an integer, not a bool, at least 1 and small enough that
+    numpy can index its per-unit arrays (a size past that limit is
+    refused here, not left to fail an allocation).
+    """
+    if not (is_number(n) and isinstance(n, int)):
+        raise ConfigError(f"simulation size must be an integer, got {n!r}")
+    if n < 1:
+        raise ConfigError("simulation size must be >= 1")
+    if n > np.iinfo(np.intp).max // 64:
+        raise ConfigError(f"simulation size {n} is too large")
+
+
 def _stage_arrays(n: int) -> dict[StageId, np.ndarray]:
     """Zeroed per-stage (n, k) arrays, as decide_runs takes them."""
     return {stage: np.zeros((n, len(classes))) for stage, classes in STAGE_CLASSES.items()}
@@ -102,8 +116,7 @@ def run_synthetic_batch(
     stage's rows are then checked once, and the hierarchy decides them
     in one batch.
     """
-    if n < 1:
-        raise InvalidSpec("batch size must be >= 1")
+    check_simulation_size(n)
     rng = np.random.default_rng(seed)
     vectors = _stage_arrays(n)
     expected = np.resize([o.id for o in CONSISTENT_OUTCOMES], n)  # wheel k: outcome k mod 11
@@ -201,8 +214,7 @@ def oracle_branch_trials(
     array outlives its stage, and the sampled confidences are dropped
     (their draws still advance the stream).
     """
-    if n_trials < 1:
-        raise ValidationError(f"n_trials must be >= 1, got {n_trials}")
+    check_simulation_size(n_trials)
     rng = np.random.default_rng(seed)
     stage_accuracy = {}
     all_correct = np.ones(n_trials, dtype=bool)

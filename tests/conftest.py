@@ -33,3 +33,24 @@ STAGE_ACCURACIES = {
 @pytest.fixture
 def all_matrices():
     return dict(ALL_MATRICES)
+
+
+# A valid usage record with its probs left open, and lines at the edges of
+# JSON that a prediction file may hold, each a line of its own.
+USAGE_LINE = '{"image_id": "img", "tool_id": "t1", "view": "radial", "stage": "usage", "probs": %s}'
+VALID_LINE = USAGE_LINE % "[0.2, 0.8]"
+EDGE_LINES = {
+    "bom": "\ufeff" + VALID_LINE,
+    "nested-too-deep": USAGE_LINE % ("[" * 100_000),
+    "integer-literal-too-long": USAGE_LINE % ("[" + "1" * 5000 + ", 0]"),
+    "integer-too-large-for-a-float": USAGE_LINE % ("[0, " + "1" * 400 + "]"),
+    "nan": USAGE_LINE % "[NaN, 1]",
+    "infinity": USAGE_LINE % "[0, Infinity]",
+    "true": USAGE_LINE % "[true, 0]",
+    "two-objects": VALID_LINE + " " + VALID_LINE,
+    # The last of two keys wins: a usage record in the tear view.
+    "duplicate-stage": VALID_LINE.replace(
+        '"view": "radial", "stage": "usage"', '"view": "axial", "stage": "tear", "stage": "usage"'
+    ),
+    "integer-tool-id": VALID_LINE.replace('"t1"', "7"),
+}

@@ -23,6 +23,13 @@ batch wheel by wheel (``synthetic_stage_rows``). It imports the
 generator's constants, ``WheelSpec`` and ``spec_for_outcome`` (the
 per-wheel spec draw the batch path keeps) from flapwear.
 
+The table part is the prediction-table parser as it was before its
+scanner fast path (``parse_prediction_table``): every line decoded by
+``json.loads``, its stage and view looked up as enum members, and its
+record checked and appended in one body. It imports the table type, the
+vector rule (``first_invalid_row``, ``ProbabilityVector``) and the view
+error from flapwear.
+
 The oracle part is the Monte-Carlo sampler and branch loop that
 gathered each trial's (k,) confusion-row CDF, drew truths with
 ``Generator.choice`` and confidences with ``Generator.normal``, and
@@ -41,10 +48,20 @@ from collections import Counter
 from statistics import fmean
 from typing import NamedTuple, Optional
 
+from array import array
+from pathlib import Path
+
 import numpy as np
 
 from flapwear import cli, metrics, synth
 from flapwear.errors import FlapwearError, ParseError, ValidationError
+from flapwear.predictions import (
+    ProbabilityVector,
+    StageTable,
+    VectorError,
+    ViewMismatch,
+    first_invalid_row,
+)
 from flapwear.simulate import (
     DEFAULT_CONFIDENCE_LAW,
     row_probabilities,
@@ -665,3 +682,132 @@ def oracle_branch_trials(
         },
         "stage_results": stage_results,
     }
+
+
+# ---------------------------------------------------------------------------
+# The prediction-table parser, one json.loads and one body per line.
+
+_STAGE_BY_NAME = {stage.value: stage for stage in StageId}
+_VIEW_BY_NAME = {view.value: view for view in View}
+_NUMBER_TYPES = frozenset((int, float))
+
+
+class _StageColumns:
+    """A stage's columns while its file is read."""
+
+    def __init__(self, stage: StageId):
+        self.stage = stage
+        self.classes = STAGE_CLASSES[stage]
+        self.view = STAGE_VIEW[stage]
+        self.probs = array("d")
+        self.tool_ids: list[str] = []
+        self.image_ids: list[str] = []
+        self.lines = array("q")
+        self.truth = array("b")
+
+    def prob_rows(self) -> np.ndarray:
+        return np.frombuffer(self.probs, dtype=np.float64).reshape(-1, len(self.classes))
+
+    def table(self) -> StageTable:
+        return StageTable(
+            self.stage,
+            self.prob_rows(),
+            self.tool_ids,
+            self.image_ids,
+            np.frombuffer(self.lines, dtype=np.int64),
+            np.frombuffer(self.truth, dtype=np.int8),
+        )
+
+
+def _member(enum, by_name: dict, name):
+    member = by_name.get(name) if isinstance(name, str) else None
+    return member if member is not None else enum(name)  # enum() raises for a bad name
+
+
+def _record_fields(rec: dict, line_no: int):
+    """A record's stage, view, probs, image id and tool id; a ParseError if malformed."""
+    try:
+        stage = _member(StageId, _STAGE_BY_NAME, rec["stage"])
+        view = _member(View, _VIEW_BY_NAME, rec["view"])
+        probs = rec["probs"]
+        if not isinstance(probs, list) or not _NUMBER_TYPES.issuperset(map(type, probs)):
+            raise ParseError("probs must be an array of numbers", line_no)
+        image_id, tool_id = str(rec["image_id"]), str(rec["tool_id"])
+    except ParseError:
+        raise
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ParseError(str(exc), line_no) from exc
+    return stage, view, probs, image_id, tool_id
+
+
+def _record_error(rec: dict, line_no: int, fields) -> FlapwearError:
+    """The error of a well-formed record whose vector, view or truth is bad."""
+    stage, view, probs, _, _ = fields
+    try:
+        ProbabilityVector(stage, probs)
+    except VectorError as exc:
+        return ValidationError(str(exc), line_no)
+    required = STAGE_VIEW[stage]
+    if view is not required:
+        return ViewMismatch(
+            f"stage {stage.value} requires the {required.value} view, got {view.value}", line_no
+        )
+    return ParseError(f"unknown truth class {rec['truth']!r}", line_no)
+
+
+def _first_invalid_line(columns) -> Optional[ValidationError]:
+    """The error of the first line, over all stages, whose vector is invalid."""
+    first = None
+    for cols in columns:
+        invalid = first_invalid_row(cols.prob_rows())
+        if invalid is not None:
+            line_no = cols.lines[invalid[0]]
+            if first is None or line_no < first.line:
+                first = ValidationError(invalid[1], line_no)
+    return first
+
+
+def parse_prediction_table(path: str | Path) -> dict[StageId, StageTable]:
+    """One table per stage, or the error of the file's first failing line."""
+    columns = {stage: _StageColumns(stage) for stage in StageId}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    rec = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    msg = getattr(exc, "msg", exc)
+                    raise ParseError(f"invalid JSON: {msg}", line_no) from exc
+                if not isinstance(rec, dict):
+                    raise ParseError("record must be a JSON object", line_no)
+                fields = _record_fields(rec, line_no)
+                stage, view, probs, image_id, tool_id = fields
+                cols = columns[stage]
+                truth = rec.get("truth")
+                if (
+                    len(probs) != len(cols.classes)
+                    or view is not cols.view
+                    or (truth is not None and truth not in cols.classes)
+                ):
+                    raise _record_error(rec, line_no, fields)
+                try:
+                    cols.probs.extend(probs)
+                except OverflowError:  # an integer too large for a float
+                    del cols.probs[len(cols.lines) * len(cols.classes):]
+                    raise _record_error(rec, line_no, fields) from None
+                cols.tool_ids.append(tool_id)
+                cols.image_ids.append(image_id)
+                cols.lines.append(line_no)
+                cols.truth.append(-1 if truth is None else cols.classes.index(truth))
+    except FlapwearError as exc:
+        raise _first_invalid_line(columns.values()) or exc
+    except (OSError, UnicodeDecodeError) as exc:
+        earlier = _first_invalid_line(columns.values())
+        raise earlier or ParseError(f"cannot read {path}: {exc}") from exc
+    invalid = _first_invalid_line(columns.values())
+    if invalid is not None:
+        raise invalid
+    return {stage: cols.table() for stage, cols in columns.items()}

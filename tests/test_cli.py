@@ -6,7 +6,7 @@ import pytest
 from flapwear.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
 from flapwear.predictions import StageId
 
-from conftest import ALL_MATRICES, USAGE_MATRIX
+from conftest import ALL_MATRICES, EDGE_LINES, USAGE_MATRIX, VALID_LINE
 
 
 def record(stage, probs, tool="t1", image="img", view="radial", truth=None):
@@ -435,6 +435,11 @@ def _report_is_a_directory(build, name):
     return blocked
 
 
+def _edge_lines(*names):
+    """A classify call on a file of EDGE_LINES by name, None naming a valid line."""
+    return _classify_file("".join((VALID_LINE if n is None else EDGE_LINES[n]) + "\n" for n in names))
+
+
 TWO_RUNS = "\n".join(consistent_tool_lines(run=0) + consistent_tool_lines(run=1)) + "\n"
 ONE_RUN = "\n".join(consistent_tool_lines()) + "\n"
 LABELED = "\n".join(
@@ -778,6 +783,88 @@ LABELED = "\n".join(
             EXIT_VALIDATION, "validation error: conflicts_overlap_thresholds must be a bool",
             id="string-overlap-flag",
         ),
+        # The edge lines of JSON, each with the stderr that parsing every line
+        # with json.loads gave. NaN and Infinity are floats the fast path
+        # takes, refused by the vector rule; the others go through the error
+        # path. No line is accepted by the C scanner but refused by
+        # json.loads: both refuse a BOM, the only text json.loads rejects
+        # before scanning.
+        pytest.param(
+            _edge_lines("bom"),
+            EXIT_PARSE,
+            "parse error: line 1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)\n",
+            id="bom-on-line-1",
+        ),
+        pytest.param(
+            _edge_lines(None, None, "bom"),
+            EXIT_PARSE,
+            "parse error: line 3: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)\n",
+            id="bom-on-line-3",
+        ),
+        pytest.param(
+            _edge_lines(None, "nested-too-deep"),
+            EXIT_PARSE,
+            "parse error: line 2: invalid JSON: maximum recursion depth exceeded while decoding a"
+            " JSON array from a unicode string\n",
+            id="probs-nested-too-deep",
+        ),
+        pytest.param(
+            _edge_lines(None, "integer-literal-too-long"),
+            EXIT_PARSE,
+            "parse error: line 2: invalid JSON: Exceeds the limit (4300 digits) for integer string"
+            " conversion: value has 5000 digits; use sys.set_int_max_str_digits() to increase the"
+            " limit\n",
+            id="probability-literal-too-long",
+        ),
+        pytest.param(
+            _edge_lines(None, "integer-too-large-for-a-float"),
+            EXIT_VALIDATION,
+            "validation error: line 2: probability outside [0, 1]: int too large to convert to"
+            " float\n",
+            id="probability-too-large-for-a-float-after-a-valid-line",
+        ),
+        pytest.param(
+            _edge_lines(None, "nan"),
+            EXIT_VALIDATION, "validation error: line 2: probability nan outside [0, 1]\n",
+            id="nan-probability",
+        ),
+        pytest.param(
+            _edge_lines(None, "infinity"),
+            EXIT_VALIDATION, "validation error: line 2: probability inf outside [0, 1]\n",
+            id="infinite-probability",
+        ),
+        pytest.param(
+            _edge_lines(None, "true"),
+            EXIT_PARSE, "parse error: line 2: probs must be an array of numbers\n",
+            id="bool-probability",
+        ),
+        pytest.param(
+            _edge_lines(None, "two-objects"),
+            EXIT_PARSE, "parse error: line 2: invalid JSON: Extra data\n", id="two-objects-on-a-line",
+        ),
+        pytest.param(
+            _edge_lines(None, "duplicate-stage"),
+            EXIT_VALIDATION,
+            "validation error: line 2: stage usage requires the radial view, got axial\n",
+            id="duplicate-stage-key",
+        ),
+        pytest.param(
+            _propagate(accuracies={"usage": 0.986, "tear": 0.938, "profile": 0.954, "con\ncav": 1}),
+            EXIT_CONFIG, "config error: bad accuracies: ", id="accuracy-name-with-a-line-break",
+        ),
+        pytest.param(
+            _propagate(ledger={"total_runs": 360, "total_errors": 45, "conflict\ncaught": 4}),
+            EXIT_CONFIG, "config error: bad ledger: ", id="ledger-key-with-a-line-break",
+        ),
+        pytest.param(
+            _simulate(n_flag="2.5", mode="synth"),
+            EXIT_CONFIG, "config error: simulation size must be an integer, got '2.5'\n",
+            id="fractional-n-flag",
+        ),
+        pytest.param(
+            lambda tmp_path: _simulate(n_flag="11", mode="synth")(tmp_path) + ["--seed", "x"],
+            EXIT_CONFIG, "config error: seed must be an integer, got 'x'\n", id="non-numeric-seed-flag",
+        ),
     ],
 )
 def test_bad_input_ends_in_exit_code_not_traceback(tmp_path, capsys, build, code, prefix):
@@ -790,6 +877,15 @@ def test_bad_input_ends_in_exit_code_not_traceback(tmp_path, capsys, build, code
     err = capsys.readouterr().err
     assert err.startswith(prefix)
     assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
+def test_non_string_ids_are_converted_with_str(tmp_path):
+    preds = tmp_path / "preds.jsonl"
+    write_lines(preds, consistent_tool_lines(tool=7))
+    out = tmp_path / "reports"
+    assert main(["classify", str(preds), "--out", str(out)]) == EXIT_OK
+    (run,) = [json.loads(line) for line in (out / "runs.jsonl").read_text().splitlines()]
+    assert run["tool_id"] == "7" and run["verdict"] == "outcome"
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ import tracemalloc
 
 import pytest
 
-from flapwear.errors import ValidationError
+from flapwear.errors import ConfigError
 from flapwear.predictions import StageId
 from flapwear.propagation import (
     CorrectionLedger,
@@ -172,7 +172,7 @@ class TestMonteCarlo:
 
     def test_bad_mix(self):
         matrices = accuracy_matrices(PAPER_ACC)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError, match="simulation size must be >= 1"):
             oracle_branch_trials(matrices, FlapProfile.RECTANGULAR, 0, seed=0)
         matrices[StageId.USAGE] = [[0, 0], [1, 1]]
         with pytest.raises(BadRow):

@@ -1,9 +1,12 @@
-"""The README's Python examples run against the installed API."""
+"""The README's Python examples run against the installed API, and its
+tier-1 test command is the one CI runs."""
 
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
 def python_blocks():
@@ -16,3 +19,13 @@ def test_readme_python_examples_run(capsys):
     for i, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {i}", "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_readme_tier1_command_is_ci_command():
+    (ci,) = re.findall(
+        r"^ *- name: Tier-1 tests\n *run: (.+)$", WORKFLOW.read_text(encoding="utf-8"), re.M
+    )
+    (readme,) = re.findall(
+        r"^## Run the tests\n\n```sh\n(.+)\n```$", README.read_text(encoding="utf-8"), re.M
+    )
+    assert readme == ci

@@ -1,4 +1,4 @@
-"""classify's and simulate's oracle report bytes, pinned.
+"""classify's, evaluate's and simulate's oracle report bytes, pinned.
 
 One prediction file, built here, reaches every (usage, profile, tear)
 cell, with exact ties (decided toward the lowest class index), winners
@@ -11,6 +11,12 @@ ensembles.jsonl and stdout is pinned under the defaults and under
 ``--no-thresholds`` with ``ensemble_min_runs = 2``; under
 ``conflict_policy = reject_run`` the command's exit-3 error line is.
 
+The sha256 of evaluate's summary.json, of every per-stage confusion and
+ROC CSV and of stdout is pinned on a labeled file with repeated and
+tied scores, integer probabilities, a numeric tool id, unlabeled
+records, a stage with no labeled record and a class whose ROC is
+skipped as degenerate.
+
 The sha256 of simulate's oracle-mode simulation.json is pinned for the
 paper's matrices at 1, 65537 and 300001 trials per branch, seeds 0 and
 7, under the default confidence law and under one of zero spread (whose
@@ -21,6 +27,7 @@ import hashlib
 import io
 import itertools
 import json
+import random
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -250,3 +257,69 @@ ORACLE_PINNED = {
 def test_oracle_simulation_bytes_are_pinned(tmp_path, case):
     n, seed, law = case
     assert simulate_oracle(tmp_path, n, seed, law) == ORACLE_PINNED[case]
+
+
+# evaluate's report bytes. Vectors and truths are drawn by random.Random(12)
+# from short lists, so scores repeat and tie within and across classes; some
+# vectors are integers. One tool id in four is the
+# number 7, one record in five carries no truth, and concave_severity
+# carries none at all, so it has no report. No profile record is convex in
+# truth, so that class's ROC is skipped as degenerate.
+EVAL_VECTORS = {
+    2: ([0.5, 0.5], [0.2, 0.8], [0.8, 0.2], [1, 0], [0, 1], [0.2, 0.8], [0.91, 0.09], [1 / 3, 2 / 3]),
+    3: ([0.4, 0.4, 0.2], [1, 0, 0], [0.1, 0.85, 0.05], [0.2, 0.4, 0.4], [0, 1, 0], [0.5, 0.25, 0.25]),
+}
+EVAL_TRUTHS = {
+    "usage": ("new", "used", "used"),
+    "profile": ("rectangular", "concave", "concave"),
+    "tear": ("with_tear", "no_tear"),
+    "concave_severity": (None,),
+    "convex_severity": ("fully", "partially"),
+}
+
+
+def labeled_file():
+    rng = random.Random(12)
+    lines = []
+    for i in range(90):
+        for stage, truths in EVAL_TRUTHS.items():
+            rec = {
+                "image_id": f"img-{i}",
+                "tool_id": 7 if i % 4 == 0 else f"wheel-{i % 5}",
+                "view": "axial" if stage == "tear" else "radial",
+                "stage": stage,
+                "probs": rng.choice(EVAL_VECTORS[3 if stage == "profile" else 2]),
+            }
+            truth = rng.choice(truths)
+            if truth is not None and i % 5 != 3:
+                rec["truth"] = truth
+            lines.append(json.dumps(rec))
+    return "\n".join(lines) + "\n"
+
+
+# Computed when every line was decoded by json.loads.
+EVALUATE_PINNED = {
+    "convex_severity_confusion.csv": "9be887bdeef6b7840b1cf552fbf805103f4ca620966fc12f319e8c519486a042",
+    "convex_severity_roc.csv": "859bca23bf1ee13fe019eddf5f8c06c7f2638056e6abd527d69cf59bd2f7642c",
+    "profile_confusion.csv": "5378a6100a166882295c4cff613a45bbccc01ddc3a5f9f111659d75aed2f8bfd",
+    "profile_roc.csv": "dadc5e155fcabc60e5dc9e33e761789c6232317f73dfa7f020ead8b0669d1df7",
+    "summary.json": "64405a211856e015312476fab1dc50df2510cdaef30980b7a602e01f25ff1386",
+    "tear_confusion.csv": "dfe84dd8767a00d9ac602b2aee2c1f6b817732f0da4124518df6a96371010859",
+    "tear_roc.csv": "a159772da00f21d20c62f10742c0a5920d3adf85c82984d5e78a305a38b336f9",
+    "usage_confusion.csv": "e4b99672e9c355df3cbde858b8a89b6b4a7213a1a502f4e909404faa27a87e9f",
+    "usage_roc.csv": "094fb22e4d0069eaee9d56a3e51925ffba4fa98db6d888cc448e18401ab5e08b",
+    "stdout": "82e7b42ba1551e38005ebbed0d35f6d43583742a1d4931e528a1cbf3b7e0edf3",
+}
+
+
+def test_evaluate_report_bytes_are_pinned(tmp_path):
+    labeled = tmp_path / "labeled.jsonl"
+    labeled.write_text(labeled_file(), encoding="utf-8")
+    out = tmp_path / "reports"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(["evaluate", str(labeled), "--out", str(out)])
+    assert (code, stderr.getvalue()) == (EXIT_OK, "")
+    got = {path.name: sha256(path.read_bytes()) for path in sorted(out.iterdir())}
+    got["stdout"] = sha256(stdout.getvalue().replace(str(out), "OUT").encode())
+    assert got == EVALUATE_PINNED

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from flapwear import predictions, simulate
 from flapwear.engine import DEFAULT_THRESHOLDS
+from flapwear.errors import ConfigError
 from flapwear.predictions import ProbabilityVector, StageId
 from flapwear.synth import (
     TEAR_RATIO_BOUNDARY,
@@ -25,6 +28,8 @@ from flapwear.taxonomy import (
     TearState,
     UsageState,
 )
+
+from conftest import ALL_MATRICES
 
 
 def spec(**kwargs):
@@ -252,6 +257,23 @@ def test_synthetic_batch_scores_in_blocks(monkeypatch):
     )
     simulate.run_synthetic_batch(2 * simulate.SYNTH_BLOCK + 1, seed=3)
     assert blocks == [simulate.SYNTH_BLOCK, simulate.SYNTH_BLOCK, 1]
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        (0, "simulation size must be >= 1"),
+        (2.5, "simulation size must be an integer, got 2.5"),
+        (True, "simulation size must be an integer, got True"),
+        ("11", "simulation size must be an integer, got '11'"),
+        (10**30, f"simulation size {10**30} is too large"),
+    ],
+)
+def test_both_simulations_share_one_size_rule(n, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        simulate.run_synthetic_batch(n, seed=0)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        simulate.oracle_branch_trials(ALL_MATRICES, FlapProfile.CONCAVE, n, seed=0)
 
 
 class TestStochasticOracle:
