@@ -123,6 +123,10 @@ PredictionTable = dict[StageId, StageTable]
 _STAGE_BY_NAME = {stage.value: stage for stage in StageId}
 _VIEW_BY_NAME = {view.value: view for view in View}
 _NUMBER_TYPES = frozenset((int, float))
+# What json.loads decodes a value that is not an id to, by type.
+_JSON_TYPE_NAMES = {
+    type(None): "null", bool: "a boolean", float: "a float", list: "an array", dict: "an object"
+}
 
 
 class _StageColumns:
@@ -177,6 +181,18 @@ def _member(enum, by_name: dict, name):
     return member if member is not None else enum(name)  # enum() raises for a bad name
 
 
+def _record_id(rec: dict, key: str, line_no: int) -> str:
+    """rec[key] as an id: a string as it is, an integer (not a bool) by str; else a ParseError."""
+    value = rec[key]
+    if type(value) is str:
+        return value
+    if type(value) is int:
+        return str(value)
+    raise ParseError(
+        f"{key} must be a string or an integer, got {_JSON_TYPE_NAMES[type(value)]}", line_no
+    )
+
+
 def _record_fields(rec: dict, line_no: int):
     """A record's stage, view, probs, image id and tool id; a ParseError if malformed."""
     try:
@@ -185,7 +201,8 @@ def _record_fields(rec: dict, line_no: int):
         probs = rec["probs"]
         if not isinstance(probs, list) or not _NUMBER_TYPES.issuperset(map(type, probs)):
             raise ParseError("probs must be an array of numbers", line_no)
-        image_id, tool_id = str(rec["image_id"]), str(rec["tool_id"])
+        image_id = _record_id(rec, "image_id", line_no)
+        tool_id = _record_id(rec, "tool_id", line_no)
     except ParseError:
         raise
     except (KeyError, ValueError, TypeError) as exc:
@@ -229,8 +246,9 @@ def _accept_line(scan, by_name: dict[str, _StageColumns], line: str, line_no: in
     Well-formed is one JSON object that passes every rule of _parse_line:
     a stage name, that stage's view, a list of as many ints or floats as
     the stage has classes, each within float range, no truth or one of
-    the stage's classes, an image id and a tool id. The vector's values
-    are checked later.
+    the stage's classes, and a string image id and tool id (an integer
+    id, and any other id's error, is left to _parse_line). The vector's
+    values are checked later.
     """
     try:
         rec, end = scan(line, 0)
@@ -239,6 +257,8 @@ def _accept_line(scan, by_name: dict[str, _StageColumns], line: str, line_no: in
         image_id, tool_id = rec["image_id"], rec["tool_id"]
         if (
             end != len(line)
+            or type(image_id) is not str
+            or type(tool_id) is not str
             or rec["view"] != cols.view_name
             or type(probs) is not list
             or len(probs) != len(cols.classes)
@@ -246,10 +266,6 @@ def _accept_line(scan, by_name: dict[str, _StageColumns], line: str, line_no: in
         ):
             return False
         truth = -1 if truth is None else cols.truth_index[truth]
-        if type(image_id) is not str:
-            image_id = str(image_id)
-        if type(tool_id) is not str:
-            tool_id = str(tool_id)
     except (StopIteration, ValueError, RecursionError, KeyError, TypeError):
         return False
     return cols.append(probs, truth, image_id, tool_id, line_no)
@@ -287,8 +303,9 @@ def parse_prediction_table(path: str | Path) -> PredictionTable:
     """Parse a line-delimited prediction file into one table per stage.
 
     Each line is a JSON record with fields image_id, tool_id, view,
-    stage, probs and optionally truth (canonical class name); a non-string
-    id is converted with str. Blank lines are skipped. The first failing
+    stage, probs and optionally truth (canonical class name); an id is a
+    string or an integer (not a bool), which is converted with str, and
+    any other id is a ParseError. Blank lines are skipped. The first failing
     line is reported, with its 1-based number; within a line, a malformed
     record is a ParseError, then an invalid vector or a view that does not
     match the stage a ValidationError, then an unknown truth class a

@@ -9,6 +9,9 @@ the propagation model can be checked side by side.
 
 from __future__ import annotations
 
+import copy
+from types import SimpleNamespace
+
 import numpy as np
 
 from .engine import EngineConfig, RunDecisions, RunResult, decide_runs
@@ -35,6 +38,8 @@ from .taxonomy import (
 DEFAULT_CONFIDENCE_LAW = (0.97, 0.89, 0.03)
 # Wheels observed and scored together; bounds the block's working arrays.
 SYNTH_BLOCK = 256
+# Oracle trials drawn and scored together; bounds each stage's working arrays.
+ORACLE_BLOCK = 1 << 16
 
 
 def spec_for_outcome(
@@ -197,6 +202,11 @@ def _draw_classes(p: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray
     return classes
 
 
+def _cursor(rng: np.random.Generator, skip: int) -> np.random.Generator:
+    """A generator yielding what rng yields after rng.random(skip); rng itself does not move."""
+    return np.random.Generator(copy.deepcopy(rng.bit_generator).advance(skip))
+
+
 def oracle_branch_trials(
     matrices: dict[StageId, list[list[int]]],
     branch: FlapProfile,
@@ -209,10 +219,16 @@ def oracle_branch_trials(
     Per trial and stage, the truth class is drawn from the matrix's
     truth marginals and the prediction from the truth's confusion row,
     so each stage errs at exactly the matrix's overall error rate. A
-    trial is correct when every stage on the branch is. Each stage's
-    correct trials are counted as soon as they are drawn; no per-trial
-    array outlives its stage, and the sampled confidences are dropped
-    (their draws still advance the stream).
+    trial is correct when every stage on the branch is.
+
+    Each stage is drawn and scored ORACLE_BLOCK trials at a time, from
+    the same stream as one draw of all n: its n truth uniforms, then n
+    prediction uniforms, then the normal draws. Three cursors keep that
+    order: truths come from the stage's generator, predictions from a
+    copy advanced by n and normals from a copy advanced by 2n, where the
+    next stage starts. The sampled confidences are dropped (their draws
+    still advance the stream). Memory is one byte per trial, the
+    trials' running all-correct flags, plus a fixed block.
     """
     check_simulation_size(n_trials)
     rng = np.random.default_rng(seed)
@@ -221,11 +237,21 @@ def oracle_branch_trials(
     for stage in BRANCH_STAGES[branch]:
         counts = matrices[stage]
         rows = row_probabilities(counts)
-        truths = _draw_classes(truth_marginals(counts), n_trials, rng)
-        preds, _ = sample_oracle_predictions(stage, truths, rows, confidence_law, rng)
-        correct = preds == truths
-        all_correct &= correct
-        stage_accuracy[stage.value] = int(np.count_nonzero(correct)) / n_trials
+        marginals = truth_marginals(counts)
+        normals = _cursor(rng, 2 * n_trials)
+        split = SimpleNamespace(
+            random=_cursor(rng, n_trials).random, standard_normal=normals.standard_normal
+        )
+        n_correct = 0
+        for start in range(0, n_trials, ORACLE_BLOCK):
+            block = slice(start, min(n_trials, start + ORACLE_BLOCK))
+            truths = _draw_classes(marginals, block.stop - block.start, rng)
+            preds, _ = sample_oracle_predictions(stage, truths, rows, confidence_law, split)
+            correct = preds == truths
+            all_correct[block] &= correct
+            n_correct += int(np.count_nonzero(correct))
+        stage_accuracy[stage.value] = n_correct / n_trials
+        rng = normals
 
     return {
         "branch": branch.value,

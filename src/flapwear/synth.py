@@ -304,14 +304,15 @@ def sample_oracle_predictions(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized oracle core: sampled predicted classes and confidences.
 
-    truths are class indices; row_probs[c] is the confusion-row
-    distribution over predictions for true class c. A trial's predicted
-    class is the number of its row's first k-1 CDF values below its
-    uniform draw, one column at a time, so it is below k even when a
-    row's sum ends just under 1. Confidences are one standard normal
-    draw per trial, scaled by spread around mean_correct or mean_false
-    depending on correctness (the draws and roundings of
-    rng.normal(means, spread)) and clamped to (1/n_classes, 1].
+    truths are class indices in [0, k); any other index is a BadRow.
+    row_probs[c] is the confusion-row distribution over predictions for
+    true class c. A trial's predicted class is the number of its row's
+    first k-1 CDF values below its uniform draw, one column at a time,
+    so it is below k even when a row's sum ends just under 1. Confidences
+    are one standard normal draw per trial, scaled by spread around
+    mean_correct or mean_false depending on correctness (the draws and
+    roundings of rng.normal(means, spread)) and clamped to
+    (1/n_classes, 1]. Of rng, only random and standard_normal are used.
     """
     row_probs, (mean_correct, mean_false, spread) = check_oracle_inputs(
         stage, row_probs, confidence_law
@@ -319,6 +320,8 @@ def sample_oracle_predictions(
     n_classes = len(row_probs)
 
     truths = np.asarray(truths)
+    if len(truths) and not (0 <= truths.min() and truths.max() < n_classes):
+        raise BadRow(f"{stage.value} truth classes must be in [0, {n_classes})")
     u = rng.random(len(truths))
     cdf = np.cumsum(row_probs, axis=1)
     preds = np.zeros(len(truths), dtype=np.intp)

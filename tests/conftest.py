@@ -53,4 +53,5 @@ EDGE_LINES = {
         '"view": "radial", "stage": "usage"', '"view": "axial", "stage": "tear", "stage": "usage"'
     ),
     "integer-tool-id": VALID_LINE.replace('"t1"', "7"),
+    "null-tool-id": VALID_LINE.replace('"t1"', "null"),
 }

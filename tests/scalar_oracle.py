@@ -136,6 +136,22 @@ def vector_error(stage: StageId, probs) -> Optional[str]:
     return None
 
 
+def _record_id(rec: dict, key: str, line_no: int) -> str:
+    """An id field: a string, or an integer (not a bool) as its str; else a ParseError."""
+    value = rec[key]
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        return str(value)
+    if value is None:
+        kind = "null"
+    elif isinstance(value, bool):
+        kind = "a boolean"
+    elif isinstance(value, float):
+        kind = "a float"
+    else:
+        kind = "an array" if isinstance(value, list) else "an object"
+    raise ParseError(f"{key} must be a string or an integer, got {kind}", line_no)
+
+
 def argmax(probs) -> int:
     """Index of the maximal probability; ties go to the lowest index."""
     return max(range(len(probs)), key=lambda i: (probs[i], -i))
@@ -150,7 +166,8 @@ def _record_to_sample(rec: dict, line_no: int) -> Sample:
             isinstance(p, (int, float)) and not isinstance(p, bool) for p in probs
         ):
             raise ParseError("probs must be an array of numbers", line_no)
-        image_id, tool_id = str(rec["image_id"]), str(rec["tool_id"])
+        image_id = _record_id(rec, "image_id", line_no)
+        tool_id = _record_id(rec, "tool_id", line_no)
     except ParseError:
         raise
     except (KeyError, ValueError, TypeError) as exc:
@@ -732,7 +749,8 @@ def _record_fields(rec: dict, line_no: int):
         probs = rec["probs"]
         if not isinstance(probs, list) or not _NUMBER_TYPES.issuperset(map(type, probs)):
             raise ParseError("probs must be an array of numbers", line_no)
-        image_id, tool_id = str(rec["image_id"]), str(rec["tool_id"])
+        image_id = _record_id(rec, "image_id", line_no)
+        tool_id = _record_id(rec, "tool_id", line_no)
     except ParseError:
         raise
     except (KeyError, ValueError, TypeError) as exc:

@@ -888,6 +888,32 @@ def test_non_string_ids_are_converted_with_str(tmp_path):
     assert run["tool_id"] == "7" and run["verdict"] == "outcome"
 
 
+@pytest.mark.parametrize("key", ["tool_id", "image_id"])
+@pytest.mark.parametrize(
+    "value, kind",
+    [
+        (None, "null"),
+        (True, "a boolean"),
+        (7.0, "a float"),
+        ([1, 2], "an array"),
+        ({"id": 7}, "an object"),
+    ],
+    ids=["null", "bool", "float", "array", "object"],
+)
+def test_ids_other_than_strings_and_integers_are_parse_errors(tmp_path, capsys, key, value, kind):
+    # Converted with str, a null tool id would join the run of a tool named "None".
+    lines = consistent_tool_lines(tool="None")
+    bad = json.loads(lines[2])
+    bad[key] = value
+    lines[2] = json.dumps(bad)
+    preds = tmp_path / "preds.jsonl"
+    write_lines(preds, lines)
+    assert main(["classify", str(preds), "--out", str(tmp_path / "reports")]) == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        f"parse error: line 3: {key} must be a string or an integer, got {kind}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "build, key",
     [

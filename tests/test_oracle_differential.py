@@ -7,7 +7,9 @@ way ``Generator.choice(p=...)`` does. ``scalar_oracle`` keeps the code
 they replaced. Predictions, confidences (bit for bit) and the generator
 state afterwards must be equal, for two- and three-class stages, count
 matrices with zero cells, sizes on both sides of 65536, zero and
-positive spreads and any seed; and so must every branch's report.
+positive spreads and any seed; and so must every branch's report, which
+``simulate.oracle_branch_trials`` draws ``ORACLE_BLOCK`` (65536) trials
+at a time from three cursors into one stream.
 """
 
 import numpy as np
@@ -107,3 +109,25 @@ def test_branch_trials_match_the_kept_array_loop(matrices, branch, n, seed, law)
     want = scalar_oracle.oracle_branch_trials(matrices, branch, n, seed, law)
     want.pop("stage_results")
     assert got == want
+
+
+@pytest.mark.parametrize("branch", list(FlapProfile), ids=lambda b: b.value)
+def test_branch_trials_match_over_several_blocks(branch):
+    assert simulate.ORACLE_BLOCK == 65536  # so SIZES straddle a block edge
+    n = 3 * simulate.ORACLE_BLOCK + 1
+    got = simulate.oracle_branch_trials(ALL_MATRICES, branch, n, 5)
+    want = scalar_oracle.oracle_branch_trials(ALL_MATRICES, branch, n, 5)
+    want.pop("stage_results")
+    assert got == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(skip=st.integers(0, 3 * 65536), n=st.integers(1, 1000), seed=SEEDS)
+def test_cursor_starts_where_random_ends(skip, n, seed):
+    rng = np.random.default_rng(seed)
+    before = rng.bit_generator.state
+    cursor = simulate._cursor(rng, skip)
+    assert rng.bit_generator.state == before  # making a cursor draws nothing
+    rng.random(skip)
+    assert cursor.bit_generator.state == rng.bit_generator.state
+    assert cursor.random(n).tobytes() == rng.random(n).tobytes()

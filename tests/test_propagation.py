@@ -193,8 +193,8 @@ class TestMonteCarlo:
         assert type(trial["measured_accuracy"]) is float
 
     def test_peak_memory_per_trial(self, all_matrices):
-        # Measured at 54.5 B/trial; gathering each trial's CDF row and keeping
-        # every stage's per-trial arrays took 87.5.
+        # Measured at 21 B/trial: a byte per trial plus one fixed block. Gathering
+        # each trial's CDF row and keeping every stage's per-trial arrays took 87.5.
         n_trials = 200_000
         tracemalloc.start()
         try:
@@ -203,6 +203,17 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak / n_trials <= 72
+
+    @pytest.mark.parametrize("branch", list(FlapProfile), ids=lambda b: b.value)
+    def test_peak_memory_is_a_byte_per_trial_and_a_block(self, all_matrices, branch):
+        # About 4.1 MiB: 1 MB of all-correct flags and one ORACLE_BLOCK of draws.
+        tracemalloc.start()
+        try:
+            oracle_branch_trials(all_matrices, branch, 10**6, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_deterministic_per_seed(self):
         a = simulated_accuracy(PAPER_ACC, FlapProfile.CONCAVE, 10**4, seed=17)

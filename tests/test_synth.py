@@ -338,6 +338,18 @@ class TestStochasticOracle:
         assert preds.tolist() == [1, 1, 1]
         assert confs.tolist() == [0.89, 0.97, 0.97]
 
+    @pytest.mark.parametrize("truth", [-1, 2, np.iinfo(np.intp).min])
+    def test_truth_outside_the_stage_rejected(self, truth):
+        # take() would wrap -1 round to the last class and raise IndexError for 2.
+        with pytest.raises(BadRow, match=r"usage truth classes must be in \[0, 2\)"):
+            sample_oracle_predictions(
+                StageId.USAGE,
+                np.array([0, truth, 1]),
+                [[0.5, 0.5], [0.5, 0.5]],
+                (0.97, 0.89, 0.03),
+                np.random.default_rng(0),
+            )
+
     def test_bad_row_rejected(self):
         rng = np.random.default_rng(0)
         truths = np.zeros(1, dtype=int)
