@@ -213,9 +213,9 @@ def cmd_classify(args: argparse.Namespace, config: CliConfig) -> int:
     ensembles = decisions.ensembles(batch.tool_ids, batch.run_counts, config.engine)
     with _report_file(config.report_dir / "runs.jsonl") as fh:
         fh.writelines(decisions.run_lines(batch.tool_ids, batch.run_counts))
-    if ensembles:
+    if len(ensembles):
         with _report_file(config.report_dir / "ensembles.jsonl") as fh:
-            fh.writelines(json.dumps(e.to_record(), sort_keys=True) + "\n" for e in ensembles)
+            fh.writelines(ensembles.lines())
     else:
         _remove_reports(config.report_dir, ["ensembles.jsonl"])
 

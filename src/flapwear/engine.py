@@ -8,11 +8,19 @@ conflicts and the outcome id, then the severity stage on the branch the
 profile decision selected (a row of zeros there is a missing vector),
 and per-stage confidence gating. A decided run is a ``RunResult``; its
 ``to_record`` is the one run-record format, from which
-``RunDecisions.run_lines`` stamps a batch's runs.jsonl. One ensemble
-core votes for ``fuse_runs`` (one tool's runs) and for
-``RunDecisions.ensembles`` (every tool of a batch). ``classify_run``
+``RunDecisions.run_lines`` stamps a batch's runs.jsonl. ``classify_run``
 decides one ``RunInput`` through the batch code. Flags are labels such
 as ``low_confidence:usage``, in a batch a bit mask over ``FLAG_LABELS``.
+
+One columnar ensemble core (``_vote``) votes for ``fuse_runs`` (one
+tool's runs) and for ``RunDecisions.ensembles`` (every multi-run tool of
+a batch at once, straight from the decision columns): vote counts per
+tool from one bincount, the two ``TooFewRuns`` conditions as per-tool
+masks, and ties broken by grouped reductions. Its means equal
+``math.fsum(v) / len(v)`` bit for bit, from float sums that are exact
+(see ``_group_means``). ``EnsembleResult.to_record`` is the one
+ensemble-record format, from which ``Ensembles.lines`` stamps a batch's
+ensembles.jsonl, one template per distinct line shape.
 """
 
 from __future__ import annotations
@@ -22,9 +30,9 @@ import itertools
 import json
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -105,11 +113,6 @@ class RunInput:
         missing = [stage.value for stage in REQUIRED_STAGES if stage not in self.vectors]
         if missing:
             raise EngineError(f"run has no {'/'.join(missing)} vector")
-
-
-def _mean(values: Sequence[float]) -> float:
-    """Exactly rounded mean, as statistics.fmean computes it."""
-    return math.fsum(values) / len(values)
 
 
 def _verdict(conflicts: Sequence[ConflictKind], outcome: Optional[WearOutcome]) -> str:
@@ -237,6 +240,175 @@ def _flag_labels(mask: int) -> tuple[str, ...]:
     return tuple(label for bit, label in enumerate(FLAG_LABELS) if mask >> bit & 1)
 
 
+def _stamp(record: dict) -> tuple[str, itemgetter]:
+    """A report line as a %-template, and the getter of its values from a row.
+
+    Each string "\\x00<i>" in record is a slot for item i of the row: the
+    record is dumped once, and text % getter(row) is the line of that row.
+    %s writes a float as float.__repr__, as json does.
+    """
+    text = json.dumps(record, sort_keys=True).replace("%", "%%")
+    parts = re.split(r'"\\u0000(\d+)"', text)  # text, slot, text, ..., slot, text
+    return "%s".join(parts[::2]) + "\n", itemgetter(*map(int, parts[1::2]))
+
+
+# The ensemble core's columns: every stage, and a slot per vote + 1 (the
+# conflicted bucket, incomplete runs, then each outcome id).
+_STAGES = tuple(STAGE_CLASSES)
+_VOTE_SLOTS = max(_OUTCOME_BY_ID) + 2
+_INCOMPLETE = 1
+_VOTE_KEY = ("conflicted", None, *map(str, range(1, _VOTE_SLOTS - 1)))
+_CAST_SLOTS = [v for v in range(_VOTE_SLOTS) if v != _INCOMPLETE]  # the slots of votes cast
+_ROW_SLOTS = [f"\x00{i}" for i in range(_VOTE_SLOTS + len(_STAGES) + 2)]
+# Vote slots in the order a tie goes: the lowest outcome id, the conflicted bucket last.
+_PREFERENCE = np.array([*range(2, _VOTE_SLOTS), 0, _INCOMPLETE])
+
+
+def _group_means(values: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndarray:
+    """math.fsum(v) / len(v) over the values v of each group, bit for bit; nan for none.
+
+    A decided confidence, and so a mean of them, is at least (1 - 1e-6) / 3,
+    above 1/4, so it is a whole number of 2**-54 below 2. Times 2**27, its
+    whole part and its fraction each have at most 28 significant bits, so
+    their float sums are exact for fewer than 2**25 values a group; adding
+    the two exact sums rounds once, to the correctly rounded sum that fsum
+    returns. Values outside [1/4, 2) go through fsum itself.
+    """
+    counts = np.bincount(groups, minlength=n_groups)
+    if values.size == 0 or (values.min() >= 0.25 and values.max() < 2.0):
+        scaled = np.ldexp(values, 27)
+        high = np.floor(scaled)
+        sums = np.bincount(groups, high, n_groups) + np.bincount(groups, scaled - high, n_groups)
+        sums = np.ldexp(sums, -27)
+    else:
+        filled = np.flatnonzero(counts)
+        ordered = values[np.argsort(groups, kind="stable")]
+        sums = np.zeros(n_groups)
+        sums[filled] = list(map(math.fsum, np.split(ordered, np.cumsum(counts[filled])[:-1])))
+    return np.divide(sums, counts, out=np.full(n_groups, np.nan), where=counts > 0)
+
+
+@dataclass(frozen=True)
+class Ensembles:
+    """The ensemble core's result: row t of every array is tool t."""
+
+    tool_ids: Sequence[str]
+    runs: np.ndarray  # runs per tool
+    counts: np.ndarray  # (tools, _VOTE_SLOTS) runs per vote + 1
+    winner: np.ndarray  # the winning vote + 1
+    means: np.ndarray  # (tools, _STAGES) mean confidence per stage, nan where never decided
+    min_runs: int
+
+    def __len__(self) -> int:
+        return len(self.runs)
+
+    @property
+    def too_few(self) -> np.ndarray:
+        return self.runs < self.min_runs
+
+    @property
+    def all_incomplete(self) -> np.ndarray:
+        return self.counts[:, _INCOMPLETE] == self.runs
+
+    def error(self, t: int) -> TooFewRuns:
+        """Why tool t has no ensemble (too_few or all_incomplete holds)."""
+        if self.too_few[t]:
+            return TooFewRuns(f"need at least {self.min_runs} runs, got {self.runs[t]}")
+        return TooFewRuns("no run produced a verdict (all incomplete)")
+
+    def result(self, t: int) -> EnsembleResult:
+        """Tool t's ensemble (too_few and all_incomplete must not hold)."""
+        (row,) = self._rows([self.tool_ids[t]], slice(t, t + 1))
+        return _ensemble(int(self.winner[t]), row, row)
+
+    def _rows(self, tool_ids: Sequence, which: slice = slice(None)) -> list[list]:
+        """Per tool of which: [tool id, count per vote slot, mean per stage, runs used]."""
+        used = (self.runs - self.counts[:, _INCOMPLETE])[which].tolist()
+        rows = zip(tool_ids, self.counts[which].tolist(), self.means[which].tolist(), used)
+        return [[tool, *counts, *means, n] for tool, counts, means, n in rows]
+
+    def lines(self) -> Iterator[str]:
+        """Each tool's ensembles.jsonl line, in order.
+
+        A line is fixed by the winner, the votes cast and the stages
+        decided but for the tool id, vote counts, means and runs used, so
+        each distinct line is stamped from to_record once, with a slot for
+        each item of the tool's row (see _rows), and filled per tool.
+        """
+        cast = (self.counts[:, _CAST_SLOTS] > 0) @ (1 << np.arange(_VOTE_SLOTS - 1))
+        decided = ~np.isnan(self.means) @ (1 << np.arange(len(_STAGES)))
+        key = (self.winner << _VOTE_SLOTS | cast) << len(_STAGES) | decided
+        _, first, line_of = np.unique(key, return_index=True, return_inverse=True)
+        rows = self._rows(list(map(encode_basestring_ascii, self.tool_ids)))
+        winner = self.winner.tolist()
+        lines = [
+            _stamp(_ensemble(winner[t], rows[t], _ROW_SLOTS).to_record()) for t in first.tolist()
+        ]
+        for line, row in zip(line_of.tolist(), rows):
+            text, values = lines[line]
+            yield text % values(row)
+
+
+def _ensemble(winner: int, values: Sequence, row: Sequence) -> EnsembleResult:
+    """The EnsembleResult of a tool's values (see Ensembles._rows), each item taken from row.
+
+    Only the votes cast (a count above 0) and the stages decided (a mean
+    that is not nan) are kept.
+    """
+    vote = winner - 1
+    return EnsembleResult(
+        row[0],
+        _OUTCOME_BY_ID.get(vote),
+        vote < 0,
+        {_VOTE_KEY[v]: row[1 + v] for v in _CAST_SLOTS if values[1 + v]},
+        {s: row[i] for i, s in enumerate(_STAGES, 1 + _VOTE_SLOTS) if not math.isnan(values[i])},
+        row[-1],
+    )
+
+
+def _vote(
+    tool_ids: Sequence[str],
+    run_counts: np.ndarray,
+    votes: np.ndarray,
+    confidence: Sequence[np.ndarray],
+    decided: Sequence[np.ndarray],
+    min_runs: int,
+) -> Ensembles:
+    """The ensemble core: majority votes of every tool at once (see fuse_runs).
+
+    Tool t owns the next run_counts[t] rows. Run r votes votes[r] (its
+    outcome id, -1 if conflicted, 0 if incomplete) and decided stage
+    _STAGES[s] with confidence[s][r] where decided[s][r].
+    """
+    n_tools = len(run_counts)
+    tool = np.repeat(np.arange(n_tools), run_counts)
+    cell = tool * _VOTE_SLOTS + votes + 1
+    counts = np.bincount(cell, minlength=n_tools * _VOTE_SLOTS).reshape(n_tools, _VOTE_SLOTS)
+    cast = counts.copy()
+    cast[:, _INCOMPLETE] = 0
+    top = cast.max(axis=1, keepdims=True)
+    tied = (cast == top) & (top > 0)
+    # Only ties need the mean over the voters of each one's mean confidence.
+    contested = tied & (tied.sum(axis=1, keepdims=True) > 1)
+    voters = np.flatnonzero(contested.ravel()[cell])
+    taken = [d[voters] for d in decided]
+    run_means = _group_means(
+        np.concatenate([c[voters][d] for c, d in zip(confidence, taken)]),
+        np.concatenate([np.flatnonzero(d) for d in taken]),
+        len(voters),
+    )
+    cell_means = _group_means(run_means, cell[voters], counts.size).reshape(counts.shape)
+    # A voter that decided no stage (only a hand-made RunResult) has no mean
+    # confidence, and its candidate ranks last among the tied ones.
+    score = np.where(contested, np.nan_to_num(cell_means, nan=-np.inf), 0.0)
+    best = tied & (score == np.where(tied, score, -np.inf).max(axis=1, keepdims=True))
+    winner = _PREFERENCE[np.argmax(best[:, _PREFERENCE], axis=1)]
+    means = np.column_stack(
+        [_group_means(c[d], tool[d], n_tools) for c, d in zip(confidence, decided)]
+    )
+    return Ensembles(tool_ids, run_counts, counts, winner, means, min_runs)
+
+
 @dataclass(frozen=True)
 class RunDecisions:
     """A batch of runs through the hierarchy; row r of every array is run r."""
@@ -274,51 +446,55 @@ class RunDecisions:
                 _flag_labels(int(self.flags[r])),
             )
 
-    def run_lines(self, tool_ids: Sequence, run_counts: np.ndarray) -> Iterator[str]:
+    def run_lines(self, tool_ids: Sequence[str], run_counts: np.ndarray) -> Iterator[str]:
         """Each run's runs.jsonl line, in row order; tool t owns the next run_counts[t] rows.
 
         A line is fixed by the run's flag mask and decided classes but for
         the tool id, run index and confidences, so each distinct line is
-        dumped from to_record once, with numbered placeholders for [tool id
-        as JSON, run index, each stage's confidence], and filled per run;
-        %s writes a float as float.__repr__, as json does.
+        stamped from to_record once, with slots for [tool id as JSON, run
+        index, each stage's confidence]. A line's key is the flag mask,
+        then each stage's class index + 1 as a base-4 digit.
         """
         stages = list(self.index)
-        keys = np.column_stack([self.flags, *self.index.values()])
-        _, first, line_of = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        key = self.flags
+        for idx in self.index.values():
+            key = key << 2 | idx + 1
+        _, first, line_of = np.unique(key, return_index=True, return_inverse=True)
         lines = []
         for run in self.rows(first.tolist()):
             slots = [(s, i, f"\x00{2 + stages.index(s)}") for s, i, _ in run.decisions]
-            record = run._replace(decisions=slots).to_record("\x000", "\x001")
-            text = json.dumps(record, sort_keys=True).replace("%", "%%")
-            parts = re.split(r'"\\u0000(\d+)"', text)  # text, slot, text, ..., slot, text
-            lines.append(("%s".join(parts[::2]) + "\n", itemgetter(*map(int, parts[1::2]))))
+            lines.append(_stamp(run._replace(decisions=slots).to_record("\x000", "\x001")))
         confidence = np.column_stack([self.confidence[stage] for stage in stages]).tolist()
-        rows = zip(line_of.ravel().tolist(), confidence)
+        rows = zip(line_of.tolist(), confidence)
         for tool_id, n in zip(tool_ids, run_counts.tolist()):
-            tool = json.dumps(tool_id)
+            tool = encode_basestring_ascii(tool_id)
             for i, (line, conf) in zip(range(n), rows):
                 text, values = lines[line]
                 yield text % values([tool, i, *conf])
 
     def ensembles(
-        self, tool_ids: Sequence, run_counts: np.ndarray, config: EngineConfig
-    ) -> list[EnsembleResult]:
-        """fuse_runs for each multi-run tool in order; tool t owns the next run_counts[t] rows.
+        self, tool_ids: Sequence[str], run_counts: np.ndarray, config: EngineConfig
+    ) -> Ensembles:
+        """The ensemble of each multi-run tool, in order; tool t owns the next run_counts[t] rows.
 
         Errors surface in tool order, a tool's rejected run before its TooFewRuns.
         """
-        stop = self.rejected_row if self.rejected_row >= 0 else math.inf
-        tools = [
-            (tool_id, range(end - n, end))
-            for tool_id, n, end in zip(tool_ids, run_counts.tolist(), run_counts.cumsum().tolist())
-            if n > 1 and end <= stop
-        ]
-        votes = np.where(self.conflicted, -1, self.outcome_id).tolist()
-        conf = [
-            (s, np.where(i >= 0, self.confidence[s], None).tolist()) for s, i in self.index.items()
-        ]
-        ensembles = _fuse(tools, votes, conf, config)
+        multi = run_counts > 1
+        rows = np.repeat(multi, run_counts)
+        ensembles = _vote(
+            [tool_ids[t] for t in np.flatnonzero(multi).tolist()],
+            run_counts[multi],
+            np.where(self.conflicted, -1, self.outcome_id)[rows],
+            [self.confidence[s][rows] for s in _STAGES],
+            [self.index[s][rows] >= 0 for s in _STAGES],
+            config.ensemble_min_runs,
+        )
+        # Tools from the rejected run on are not checked: the rejection comes first.
+        stop = self.rejected_row if self.rejected_row >= 0 else len(self.cell)
+        checked = run_counts.cumsum()[multi] <= stop
+        failed = np.flatnonzero((ensembles.too_few | ensembles.all_incomplete) & checked)
+        if failed.size:
+            raise ensembles.error(int(failed[0]))
         if self.rejected_row >= 0:
             raise self.rejection()
         return ensembles
@@ -395,37 +571,6 @@ def classify_run(run: RunInput, config: EngineConfig | None = None) -> RunResult
     return next(decisions.rows())
 
 
-def _fuse(tools, votes: list[int], columns, config: EngineConfig) -> list[EnsembleResult]:
-    """The ensemble of each (tool id, rows) of tools, in order (see fuse_runs).
-
-    Run r votes votes[r]: its outcome id, -1 if conflicted, 0 if
-    incomplete. columns pairs each stage with every run's confidence in
-    it, None where the stage was not decided.
-    """
-    ensembles = []
-    for tool_id, rows in tools:
-        if len(rows) < config.ensemble_min_runs:
-            raise TooFewRuns(f"need at least {config.ensemble_min_runs} runs, got {len(rows)}")
-        usable = [r for r in rows if votes[r]]
-        if not usable:
-            raise TooFewRuns("no run produced a verdict (all incomplete)")
-        counts = Counter(votes[r] for r in usable)
-        tied = [vote for vote, n in counts.items() if n == max(counts.values())]
-
-        def rank(vote: int) -> tuple:  # only ties need the voters' mean confidences
-            voters = [r for r in usable if votes[r] == vote]
-            run_means = [_mean([c[r] for _, c in columns if c[r] is not None]) for r in voters]
-            return (-_mean(run_means), math.inf if vote < 0 else vote)
-
-        winner = min(tied, key=rank) if len(tied) > 1 else tied[0]
-        decided = [(s, [c[r] for r in rows if c[r] is not None]) for s, c in columns]
-        means = {s: _mean(v) for s, v in decided if v}
-        by_key = {"conflicted" if v < 0 else str(v): n for v, n in counts.items()}
-        outcome = _OUTCOME_BY_ID.get(winner)
-        ensembles.append(EnsembleResult(tool_id, outcome, winner < 0, by_key, means, len(usable)))
-    return ensembles
-
-
 def fuse_runs(
     tool_id: str,
     runs: Sequence[RunResult],
@@ -435,11 +580,21 @@ def fuse_runs(
 
     Incomplete runs do not vote; conflicted runs pool into a single
     "conflicted" bucket. Ties are broken toward the candidate whose
-    voters have the higher mean stage confidence, then toward the lowest
-    outcome id (with the conflicted bucket last).
+    voters have the higher mean of their mean stage confidences, then
+    toward the lowest outcome id (with the conflicted bucket last). The
+    mean confidence of a stage is over every run that decided it.
     """
     votes = [-1 if run.conflicts else run.outcome.id if run.outcome else 0 for run in runs]
-    decided = [{stage: conf for stage, _, conf in run.decisions} for run in runs]
-    columns = [(stage, [d.get(stage) for d in decided]) for stage in STAGE_CLASSES]
-    return _fuse([(tool_id, range(len(runs)))], votes, columns, config or EngineConfig())[0]
+    confidence = np.zeros((len(_STAGES), len(runs)))
+    decided = np.zeros(confidence.shape, dtype=bool)
+    for r, run in enumerate(runs):
+        for stage, _, conf in run.decisions:
+            confidence[_STAGES.index(stage), r] = conf
+            decided[_STAGES.index(stage), r] = True
+    votes = np.array(votes, dtype=np.int64)
+    min_runs = (config or EngineConfig()).ensemble_min_runs
+    ensembles = _vote([tool_id], np.array([len(runs)]), votes, confidence, decided, min_runs)
+    if ensembles.too_few[0] or ensembles.all_incomplete[0]:
+        raise ensembles.error(0)
+    return ensembles.result(0)
 

@@ -207,6 +207,13 @@ def _cursor(rng: np.random.Generator, skip: int) -> np.random.Generator:
     return np.random.Generator(copy.deepcopy(rng.bit_generator).advance(skip))
 
 
+def _oracle_counts(matrices: dict[StageId, list[list[int]]], stage: StageId) -> list[list[int]]:
+    """The stage's confusion counts; a BadRow when matrices has none for it."""
+    if stage not in matrices:
+        raise BadRow(f"oracle matrix for {stage.value} is missing")
+    return matrices[stage]
+
+
 def oracle_branch_trials(
     matrices: dict[StageId, list[list[int]]],
     branch: FlapProfile,
@@ -231,11 +238,11 @@ def oracle_branch_trials(
     trials' running all-correct flags, plus a fixed block.
     """
     check_simulation_size(n_trials)
+    branch_counts = {stage: _oracle_counts(matrices, stage) for stage in BRANCH_STAGES[branch]}
     rng = np.random.default_rng(seed)
     stage_accuracy = {}
     all_correct = np.ones(n_trials, dtype=bool)
-    for stage in BRANCH_STAGES[branch]:
-        counts = matrices[stage]
+    for stage, counts in branch_counts.items():
         rows = row_probabilities(counts)
         marginals = truth_marginals(counts)
         normals = _cursor(rng, 2 * n_trials)
@@ -274,10 +281,9 @@ def run_oracle_batch(
     first failure is a BadRow.
     """
     for stage in StageId:
-        if stage not in matrices:
-            raise BadRow(f"oracle matrix for {stage.value} is missing")
+        counts = _oracle_counts(matrices, stage)
         try:
-            rows = row_probabilities(matrices[stage])
+            rows = row_probabilities(counts)
         except BadRow as exc:
             raise BadRow(f"oracle matrix for {stage.value}: {exc}") from exc
         check_oracle_inputs(stage, rows, confidence_law)

@@ -1,19 +1,29 @@
+from statistics import fmean
+
 import numpy as np
 import pytest
 
 from flapwear.engine import (
+    FLAG_LABELS,
     ConflictPolicy,
     EngineConfig,
     EngineError,
     MissingSeverityInput,
     RunInput,
+    RunResult,
     TooFewRuns,
     classify_run,
     decide_runs,
     fuse_runs,
 )
 from flapwear.predictions import ProbabilityVector, StageId
-from flapwear.taxonomy import SEVERITY_STAGE, ConflictKind, FlapProfile
+from flapwear.taxonomy import (
+    CONSISTENT_OUTCOMES,
+    SEVERITY_STAGE,
+    STAGE_CLASSES,
+    ConflictKind,
+    FlapProfile,
+)
 
 
 def run_input(usage, profile, tear, concave=None, convex=None, tool="t1"):
@@ -225,6 +235,13 @@ class TestZeroSeverityRow:
         assert list(sparse.run_lines(["t"], counts)) == list(full.run_lines(["t"], counts))
 
 
+def test_run_line_key_fits_in_62_bits():
+    # run_lines keys a line on its flag mask, then two bits per stage (class
+    # index + 1, in 0..3) in an int64; a new flag or stage must not overflow it.
+    assert all(len(classes) <= 3 for classes in STAGE_CLASSES.values())
+    assert len(FLAG_LABELS) + 2 * len(STAGE_CLASSES) <= 62
+
+
 def rect_run(usage_conf=0.95, tear_conf=0.9, tear_idx=1):
     tear = [0.0, 0.0]
     tear[tear_idx] = tear_conf
@@ -288,6 +305,44 @@ class TestEnsemble:
         config = EngineConfig(thresholds={}, ensemble_min_runs=3)
         with pytest.raises(TooFewRuns):
             fuse_runs("t1", [rect_run(), rect_run()], config)
+
+    def test_confidences_far_below_a_quarter_get_fsum_means(self):
+        # Hand-made runs with confidences far below 1/4, whose sums split at
+        # 2**-27 would not be exact; ids 2 and 3 tie and the mean of run means
+        # decides. The last run decided no usage.
+        outcome = {o.id: o for o in CONSISTENT_OUTCOMES}
+        stages = (StageId.USAGE, StageId.PROFILE, StageId.TEAR)
+
+        def run(oid, *confs):
+            decisions = [(s, 0, c) for s, c in zip(stages, confs) if c is not None]
+            return RunResult(outcome[oid], (), decisions, ())
+
+        runs = [
+            run(2, 1e-20, 0.2, 0.3),
+            run(3, 6.806905539754961e-10, 0.2, 0.30000000000000004),
+            run(2, 6.011389845517674e-10, 0.7, 0.1),
+            run(3, None, 0.1, 0.1),
+        ]
+        result = fuse_runs("t1", runs, NO_THRESHOLDS)
+        means = {
+            stage: fmean(d[2] for r in runs for d in r.decisions if d[0] is stage)
+            for stage in stages
+        }
+        assert result.mean_confidence_per_stage == means
+        rank = {
+            oid: fmean(fmean(d[2] for d in r.decisions) for r in runs if r.outcome.id == oid)
+            for oid in (2, 3)
+        }
+        assert result.outcome.id == max(rank, key=rank.get)
+
+    def test_tied_voters_without_decided_stages_rank_last(self):
+        # Hand-made runs that decided no stage have no mean confidence; the
+        # winner is still one of the tied candidates.
+        outcome = {o.id: o for o in CONSISTENT_OUTCOMES}
+        bare = [RunResult(outcome[oid], (), [], ()) for oid in (2, 3)]
+        assert fuse_runs("t1", bare, NO_THRESHOLDS).outcome.id == 2
+        decided = RunResult(outcome[3], (), [(StageId.USAGE, 1, 0.9)], ())
+        assert fuse_runs("t1", [bare[0], decided], NO_THRESHOLDS).outcome.id == 3
 
     def test_vote_counts_sum_to_runs_used(self):
         runs = [rect_run(), rect_run(tear_idx=0), rect_run()]

@@ -183,6 +183,16 @@ class TestMonteCarlo:
             with pytest.raises(BadRow, match="finite and >= 0"):
                 oracle_branch_trials(matrices, FlapProfile.RECTANGULAR, 10, seed=0)
 
+    @pytest.mark.parametrize("branch", list(FlapProfile))
+    def test_missing_matrix_is_a_bad_row(self, branch):
+        with pytest.raises(BadRow, match="^oracle matrix for usage is missing$"):
+            oracle_branch_trials({}, branch, 10, 0)
+        matrices = accuracy_matrices(PAPER_ACC)
+        last = BRANCH_STAGES[branch][-1]
+        del matrices[last]
+        with pytest.raises(BadRow, match=f"^oracle matrix for {last.value} is missing$"):
+            oracle_branch_trials(matrices, branch, 10, 0)
+
     def test_returns_accuracies_only(self):
         trial = oracle_branch_trials(accuracy_matrices(PAPER_ACC), FlapProfile.CONCAVE, 100, 3)
         assert set(trial) == {"branch", "n_trials", "measured_accuracy", "stage_accuracy"}

@@ -155,9 +155,9 @@ def prediction_file():
     return "\n".join(json.dumps(rec) for rec in lines) + "\n"
 
 
-def classify(tmp_path, config_text, *flags):
+def classify(tmp_path, config_text, *flags, content=None):
     preds = tmp_path / "predictions.jsonl"
-    preds.write_text(prediction_file(), encoding="utf-8")
+    preds.write_text(prediction_file() if content is None else content, encoding="utf-8")
     config = tmp_path / "engine.conf"
     config.write_text(config_text)
     out = tmp_path / "reports"
@@ -212,6 +212,89 @@ def test_reject_run_error_is_pinned(tmp_path):
     assert (code, stdout) == (EXIT_VALIDATION, "")
     assert stderr == "validation error: profile concave requires a concave_severity vector\n"
     assert not (out / "runs.jsonl").exists()
+
+
+# A tie-heavy file. Each tool has 2 to 8 runs of two or three kinds, and
+# every run takes one of the tool's two confidence tuples, so votes tie
+# often and the voters' mean confidences tie exactly or differ in their
+# last bits; the conflicted bucket ties outcomes, runs missing their
+# severity vector do not vote, and one tool has 600 runs.
+TIE_KINDS = (  # decided (usage, profile, tear, severity) classes
+    (1, 0, 1, 0), (1, 0, 0, 1), (0, 0, 1, 0), (1, 1, 1, 0), (1, 1, 0, 1),
+    (1, 2, 1, 1), (1, 2, 0, 0), (0, 1, 1, 0), (0, 2, 0, 1),
+)
+INCOMPLETE_KIND = (1, 1, 1, None)  # no severity vector
+TIE_CONFIDENCES = {2: (0.55, 0.7000000000000001, 0.8, 0.91, 0.95, 1.0), 3: (0.4, 0.6, 0.85, 1.0)}
+
+
+def decided(k, cls, conf):
+    """A k-class vector deciding class cls with probability conf."""
+    return [conf if i == cls else (1 - conf) / (k - 1) for i in range(k)]
+
+
+def tie_run(kind, confs):
+    u, p, t, s = kind
+    vectors = run(decided(2, u, confs[0]), decided(3, p, confs[1]), decided(2, t, confs[2]))
+    if s is not None:
+        vectors["concave_severity"] = vectors["convex_severity"] = decided(2, s, confs[3])
+    return vectors
+
+
+def tie_heavy_file():
+    rng = random.Random(14)
+    confidence_tuple = lambda: [rng.choice(TIE_CONFIDENCES[k]) for k in (2, 3, 2, 2)]
+    lines = []
+    for t in range(150):
+        kinds = rng.sample(TIE_KINDS, rng.choice([2, 2, 3])) + [INCOMPLETE_KIND] * rng.randint(0, 1)
+        confs = [confidence_tuple(), confidence_tuple()]
+        if rng.random() < 0.5:  # as many runs of the first two kinds
+            chosen = kinds[:2] * rng.randint(1, 4)
+        else:
+            chosen = [kinds[0], *rng.choices(kinds, k=rng.randint(1, 7))]
+        runs = [tie_run(kind, rng.choice(confs)) for kind in chosen]
+        # Runs without severity vectors last, so that vector i of each stage is run i's.
+        runs.sort(key=lambda r: "concave_severity" not in r)
+        lines += records(f"tie{t:03d}", runs)
+    confs = confidence_tuple()
+    lines += records("many-runs", [tie_run(TIE_KINDS[i % 2], confs) for i in range(600)])
+    return "\n".join(json.dumps(rec) for rec in lines) + "\n"
+
+
+# Computed when every ensembles.jsonl line was encoded by json.dumps from
+# its record dict, and every mean was a math.fsum over a Python list.
+TIE_PINNED = {
+    "defaults": (
+        "",
+        (),
+        {
+            "runs.jsonl": "1ebd1ccace734db5b2f56efd73074c8859911af1dc72cf3b890e5bfd55699715",
+            "ensembles.jsonl": "e2d5fb712d18ef3bf1f5eb9c3359cd3ff2f58b5e0d47e6d69e038b53f6423fea",
+            "stdout": "9c8e248362e38dad25504b515327101aad7a6563c310d3e4b200c8dd415c27a8",
+        },
+    ),
+    "no-thresholds-min-runs-2": (
+        "ensemble_min_runs = 2\n",
+        ("--no-thresholds",),
+        {
+            "runs.jsonl": "c5d4ed465e54ec37ff08b85abe72b1e43338bdeacb08d381c6dcc465da93638f",
+            "ensembles.jsonl": "e2d5fb712d18ef3bf1f5eb9c3359cd3ff2f58b5e0d47e6d69e038b53f6423fea",
+            "stdout": "58520955e9d5198b64eccad0d4e5a6b635b9f811664f59f6ad722c74767aca53",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", TIE_PINNED)
+def test_tie_heavy_classify_bytes_are_pinned(tmp_path, name):
+    config_text, flags, want = TIE_PINNED[name]
+    code, stdout, stderr, out = classify(tmp_path, config_text, *flags, content=tie_heavy_file())
+    assert (code, stderr) == (EXIT_OK, "")
+    got = {
+        "runs.jsonl": sha256((out / "runs.jsonl").read_bytes()),
+        "ensembles.jsonl": sha256((out / "ensembles.jsonl").read_bytes()),
+        "stdout": sha256(stdout.encode()),
+    }
+    assert got == want
 
 
 # simulate's oracle report bytes: the paper's matrices, at sizes either side
