@@ -10,7 +10,6 @@ the propagation model can be checked side by side.
 from __future__ import annotations
 
 import copy
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -22,7 +21,9 @@ from .synth import (
     BadRow,
     WheelSpec,
     check_oracle_inputs,
-    sample_oracle_predictions,
+    hit_cells,
+    hits,
+    sample_oracle_predictions,  # re-exported: the library's per-trial sampler
     score_wheels,
 )
 from .taxonomy import (
@@ -190,16 +191,16 @@ def _draw_classes(p: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray
     """n classes drawn from distribution p: rng.choice(len(p), size=n, p=p), draw for draw.
 
     The same uniforms and normalised CDF, with a class counting the CDF
-    values at or below its uniform one column at a time; the last value
-    is 1.0 and never counts.
+    values at or below its uniform one column at a time, in bytes (p has
+    fewer than 256 classes); the last value is 1.0 and never counts.
     """
     cdf = p.cumsum()
     cdf /= cdf[-1]
     u = rng.random(n)
-    classes = np.zeros(n, dtype=np.intp)
+    classes = np.zeros(n, dtype=np.uint8)
     for edge in cdf[:-1]:
-        classes += u >= edge
-    return classes
+        classes += (u >= edge).view(np.uint8)
+    return classes.astype(np.intp)
 
 
 def _cursor(rng: np.random.Generator, skip: int) -> np.random.Generator:
@@ -226,39 +227,50 @@ def oracle_branch_trials(
     Per trial and stage, the truth class is drawn from the matrix's
     truth marginals and the prediction from the truth's confusion row,
     so each stage errs at exactly the matrix's overall error rate. A
-    trial is correct when every stage on the branch is.
+    trial is correct when every stage on the branch is. Before any draw,
+    each stage's matrix must be present and pass row_probabilities, and
+    its rows and the law check_oracle_inputs; the first failure is a
+    BadRow.
 
     Each stage is drawn and scored ORACLE_BLOCK trials at a time, from
     the same stream as one draw of all n: its n truth uniforms, then n
-    prediction uniforms, then the normal draws. Three cursors keep that
-    order: truths come from the stage's generator, predictions from a
-    copy advanced by n and normals from a copy advanced by 2n, where the
-    next stage starts. The sampled confidences are dropped (their draws
-    still advance the stream). Memory is one byte per trial, the
-    trials' running all-correct flags, plus a fixed block.
+    prediction uniforms, then n standard normals, after which the next
+    stage starts. Truths come from the stage's generator and prediction
+    uniforms from a copy advanced by n. A trial's prediction is right
+    when its uniform falls in its truth's cell (synth.hits), so no
+    predicted class is built. The normals would set the trials'
+    confidences, which no report reads; they are drawn into one reused
+    buffer from a copy advanced by 2n only to reach the next stage's
+    start, so the last stage draws none. Memory is one byte per trial,
+    the trials' running all-correct flags, plus a fixed block.
     """
     check_simulation_size(n_trials)
-    branch_counts = {stage: _oracle_counts(matrices, stage) for stage in BRANCH_STAGES[branch]}
+    stages = BRANCH_STAGES[branch]
+    branch_counts = {stage: _oracle_counts(matrices, stage) for stage in stages}
+    oracles = {}
+    for stage, counts in branch_counts.items():
+        rows, _ = check_oracle_inputs(stage, row_probabilities(counts), confidence_law)
+        oracles[stage] = (truth_marginals(counts), hit_cells(rows))
     rng = np.random.default_rng(seed)
+    normals = np.empty(min(n_trials, ORACLE_BLOCK))
     stage_accuracy = {}
     all_correct = np.ones(n_trials, dtype=bool)
-    for stage, counts in branch_counts.items():
-        rows = row_probabilities(counts)
-        marginals = truth_marginals(counts)
-        normals = _cursor(rng, 2 * n_trials)
-        split = SimpleNamespace(
-            random=_cursor(rng, n_trials).random, standard_normal=normals.standard_normal
-        )
+    for stage, (marginals, cells) in oracles.items():
+        predictions = _cursor(rng, n_trials)
+        next_stage = None if stage is stages[-1] else _cursor(rng, 2 * n_trials)
         n_correct = 0
         for start in range(0, n_trials, ORACLE_BLOCK):
             block = slice(start, min(n_trials, start + ORACLE_BLOCK))
-            truths = _draw_classes(marginals, block.stop - block.start, rng)
-            preds, _ = sample_oracle_predictions(stage, truths, rows, confidence_law, split)
-            correct = preds == truths
+            size = block.stop - block.start
+            truths = _draw_classes(marginals, size, rng)
+            u = predictions.random(size)
+            correct = hits(cells, truths, u)
             all_correct[block] &= correct
             n_correct += int(np.count_nonzero(correct))
+            if next_stage is not None:
+                next_stage.standard_normal(size, out=normals[:size])
         stage_accuracy[stage.value] = n_correct / n_trials
-        rng = normals
+        rng = next_stage
 
     return {
         "branch": branch.value,

@@ -295,6 +295,34 @@ def check_oracle_inputs(
     return rows, (float(mean_correct), float(mean_false), float(spread))
 
 
+def hit_cells(row_probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each truth class's CDF cell: where its uniform lands when the sampler is right.
+
+    sample_oracle_predictions predicts class t for truth t exactly when
+    the trial's uniform u has lo[t] < u <= hi[t], with lo[t] = cdf[t, t-1]
+    (-inf for t = 0) and hi[t] = cdf[t, t] (+inf for the last class), cdf
+    being the cumsum of row_probs along each row. Its predicted class is
+    the count of a row's first k-1 CDF values below u, and a cumsum of
+    non-negative floats never decreases, so that count is t just when
+    the values below u are the first t. row_probs are rows as
+    check_oracle_inputs returns them.
+    """
+    cdf = np.cumsum(row_probs, axis=1)
+    lo = np.concatenate(([-np.inf], cdf.diagonal(-1)))
+    hi = np.concatenate((cdf.diagonal()[:-1], [np.inf]))
+    return lo, hi
+
+
+def hits(cells: tuple[np.ndarray, np.ndarray], truths: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Whether the sampler would predict each trial's truth from its uniform u.
+
+    cells are hit_cells(row_probs); a trial is a hit when lo[t] < u <= hi[t]
+    for its truth t. Two gathers, and no predicted class is built.
+    """
+    lo, hi = cells
+    return (u > lo.take(truths)) & (u <= hi.take(truths))
+
+
 def sample_oracle_predictions(
     stage: StageId,
     truths: np.ndarray,
@@ -313,6 +341,7 @@ def sample_oracle_predictions(
     mean_correct or mean_false depending on correctness (the draws and
     roundings of rng.normal(means, spread)) and clamped to
     (1/n_classes, 1]. Of rng, only random and standard_normal are used.
+    hit_cells states when the predicted class is the truth.
     """
     row_probs, (mean_correct, mean_false, spread) = check_oracle_inputs(
         stage, row_probs, confidence_law

@@ -9,18 +9,21 @@ state afterwards must be equal, for two- and three-class stages, count
 matrices with zero cells, sizes on both sides of 65536, zero and
 positive spreads and any seed; and so must every branch's report, which
 ``simulate.oracle_branch_trials`` draws ``ORACLE_BLOCK`` (65536) trials
-at a time from three cursors into one stream.
+at a time from three cursors into one stream. ``synth.hits``, by which
+that replay scores a trial without building its prediction, must hold
+exactly where the sampler predicts the truth, at every CDF edge.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalar_oracle
 from conftest import ALL_MATRICES
 from flapwear import simulate
 from flapwear.simulate import row_probabilities, sample_oracle_predictions, truth_marginals
+from flapwear.synth import hit_cells, hits
 from flapwear.taxonomy import STAGE_CLASSES, FlapProfile, StageId
 
 SIZES = st.sampled_from([1, 2, 65535, 65536, 65537])
@@ -89,6 +92,54 @@ def test_sampler_matches_on_the_paper_matrices(stage):
     k = len(STAGE_CLASSES[stage])
     truths = np.random.default_rng(1).choice(k, size=65537, p=truth_marginals(ALL_MATRICES[stage]))
     assert_same_samples(stage, ALL_MATRICES[stage], truths, simulate.DEFAULT_CONFIDENCE_LAW, 7)
+
+
+class ChosenUniforms:
+    """Hands out the given uniforms; every normal draw is 0."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        assert n == len(self.u)
+        return self.u.copy()
+
+    def standard_normal(self, n, out):
+        out[:] = 0.0
+        return out
+
+
+def edge_uniforms(rows):
+    """Every CDF value of rows, its two float neighbours, 0.0 and the last float below 1.
+
+    Only values a uniform draw can take, in [0, 1), are kept.
+    """
+    cdf = np.cumsum(rows, axis=1).ravel()
+    u = np.concatenate([
+        cdf, np.nextafter(cdf, -np.inf), np.nextafter(cdf, np.inf), [0.0, np.nextafter(1.0, 0.0)]
+    ])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(counts=st.sampled_from([2, 3]).flatmap(count_matrices))
+@example(counts=[[0, 5], [3, 0]])
+@example(counts=[[4, 0], [0, 9]])
+@example(counts=[[0, 0, 4], [2, 0, 2], [0, 7, 0]])
+@example(counts=[[1, 0, 0], [0, 0, 3], [0, 0, 1]])
+def test_hit_cells_are_where_the_sampler_predicts_the_truth(counts):
+    k = len(counts)
+    rows = row_probabilities(counts)
+    lo, hi = hit_cells(rows)
+    u = edge_uniforms(rows)
+    for t in range(k):
+        truths = np.full(len(u), t)
+        preds, _ = sample_oracle_predictions(
+            STAGES[k], truths, rows, simulate.DEFAULT_CONFIDENCE_LAW, ChosenUniforms(u)
+        )
+        hit = hits((lo, hi), truths, u)
+        assert np.array_equal(hit, preds == t)
+        assert np.array_equal(hit, (lo[t] < u) & (u <= hi[t]))
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from flapwear.errors import ConfigError
@@ -193,6 +194,26 @@ class TestMonteCarlo:
         with pytest.raises(BadRow, match=f"^oracle matrix for {last.value} is missing$"):
             oracle_branch_trials(matrices, branch, 10, 0)
 
+    @pytest.mark.parametrize("branch", list(FlapProfile), ids=lambda b: b.value)
+    @pytest.mark.parametrize(
+        "law, message",
+        [
+            ((0.4, 0.89, 0.03), r"mean must be in \(1/2, 1\), got 0.4"),
+            ((0.97, 0.89, -1.0), "spread must be finite and >= 0, got -1.0"),
+            ((0.97, 0.89, float("nan")), "spread must be finite and >= 0, got nan"),
+        ],
+        ids=["mean-0.4", "spread-minus-1", "spread-nan"],
+    )
+    def test_bad_confidence_law_is_a_bad_row_before_any_draw(
+        self, all_matrices, monkeypatch, branch, law, message
+    ):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a generator was made before the law was checked")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(BadRow, match=message):
+            oracle_branch_trials(all_matrices, branch, 10, 0, law)
+
     def test_returns_accuracies_only(self):
         trial = oracle_branch_trials(accuracy_matrices(PAPER_ACC), FlapProfile.CONCAVE, 100, 3)
         assert set(trial) == {"branch", "n_trials", "measured_accuracy", "stage_accuracy"}
@@ -203,7 +224,7 @@ class TestMonteCarlo:
         assert type(trial["measured_accuracy"]) is float
 
     def test_peak_memory_per_trial(self, all_matrices):
-        # Measured at 21 B/trial: a byte per trial plus one fixed block. Gathering
+        # Measured at 14.8 B/trial: a byte per trial plus one fixed block. Gathering
         # each trial's CDF row and keeping every stage's per-trial arrays took 87.5.
         n_trials = 200_000
         tracemalloc.start()
@@ -216,7 +237,7 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("branch", list(FlapProfile), ids=lambda b: b.value)
     def test_peak_memory_is_a_byte_per_trial_and_a_block(self, all_matrices, branch):
-        # About 4.1 MiB: 1 MB of all-correct flags and one ORACLE_BLOCK of draws.
+        # About 3.6 MiB: 1 MB of all-correct flags and one ORACLE_BLOCK of draws.
         tracemalloc.start()
         try:
             oracle_branch_trials(all_matrices, branch, 10**6, 0)

@@ -333,6 +333,9 @@ ORACLE_PINNED = {
     (300001, 0, "zero-spread"): "5a5bebed435bfee9427d76c17550b83ae679cf2113e5c211347b77188146abc6",
     (300001, 7, "default"): "3e9631bafab590db72131fe6c5194e1462c9ba9d1e9dc1168122859dd7191709",
     (300001, 7, "zero-spread"): "3e9631bafab590db72131fe6c5194e1462c9ba9d1e9dc1168122859dd7191709",
+    # The benchmark's size: fifteen whole blocks and a partial one of 16,960
+    # trials. Computed when the replay still called the column-wise sampler.
+    (10**6, 8, "default"): "9334af63086dfb9144d51dd9542f106462727e2026d88840b4a394424c741dcd",
 }
 
 
