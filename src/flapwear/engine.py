@@ -18,9 +18,9 @@ a batch at once, straight from the decision columns): vote counts per
 tool from one bincount, the two ``TooFewRuns`` conditions as per-tool
 masks, and ties broken by grouped reductions. Its means equal
 ``math.fsum(v) / len(v)`` bit for bit, from float sums that are exact
-(see ``_group_means``). ``EnsembleResult.to_record`` is the one
-ensemble-record format, from which ``Ensembles.lines`` stamps a batch's
-ensembles.jsonl, one template per distinct line shape.
+(see ``_group_means``). ``_ensemble_record`` is the one ensemble-record
+format: ``EnsembleResult.to_record`` returns it, and ``Ensembles.lines``
+dumps it for each tool of a batch as a line of ensembles.jsonl.
 """
 
 from __future__ import annotations
@@ -175,16 +175,33 @@ class EnsembleResult:
         return "conflicted" if self.conflicted else "outcome"
 
     def to_record(self) -> dict:
-        return {
-            "tool_id": self.tool_id,
-            "verdict": self.verdict,
-            "outcome_id": self.outcome.id if self.outcome else None,
-            "vote_counts": dict(sorted(self.vote_counts.items())),
-            "mean_confidence_per_stage": dict(
-                sorted((s.value, c) for s, c in self.mean_confidence_per_stage.items())
-            ),
-            "runs_used": self.runs_used,
-        }
+        return _ensemble_record(
+            self.tool_id,
+            self.conflicted,
+            self.outcome.id if self.outcome else None,
+            dict(sorted(self.vote_counts.items())),
+            dict(sorted((s.value, c) for s, c in self.mean_confidence_per_stage.items())),
+            self.runs_used,
+        )
+
+
+def _ensemble_record(
+    tool_id: str,
+    conflicted: bool,
+    outcome_id: Optional[int],
+    vote_counts: dict[str, int],
+    means: dict[str, float],
+    runs_used: int,
+) -> dict:
+    """A tool's ensemble report record, as one line of ensembles.jsonl; means by stage name."""
+    return {
+        "tool_id": tool_id,
+        "verdict": "conflicted" if conflicted else "outcome",
+        "outcome_id": outcome_id,
+        "vote_counts": vote_counts,
+        "mean_confidence_per_stage": means,
+        "runs_used": runs_used,
+    }
 
 
 # The tree's level-1/level-2 cells: every (usage, profile, tear) class-index
@@ -255,11 +272,11 @@ def _stamp(record: dict) -> tuple[str, itemgetter]:
 # The ensemble core's columns: every stage, and a slot per vote + 1 (the
 # conflicted bucket, incomplete runs, then each outcome id).
 _STAGES = tuple(STAGE_CLASSES)
+_STAGE_NAMES = tuple(stage.value for stage in _STAGES)
 _VOTE_SLOTS = max(_OUTCOME_BY_ID) + 2
 _INCOMPLETE = 1
 _VOTE_KEY = ("conflicted", None, *map(str, range(1, _VOTE_SLOTS - 1)))
 _CAST_SLOTS = [v for v in range(_VOTE_SLOTS) if v != _INCOMPLETE]  # the slots of votes cast
-_ROW_SLOTS = [f"\x00{i}" for i in range(_VOTE_SLOTS + len(_STAGES) + 2)]
 # Vote slots in the order a tie goes: the lowest outcome id, the conflicted bucket last.
 _PREFERENCE = np.array([*range(2, _VOTE_SLOTS), 0, _INCOMPLETE])
 
@@ -318,52 +335,34 @@ class Ensembles:
 
     def result(self, t: int) -> EnsembleResult:
         """Tool t's ensemble (too_few and all_incomplete must not hold)."""
-        (row,) = self._rows([self.tool_ids[t]], slice(t, t + 1))
-        return _ensemble(int(self.winner[t]), row, row)
-
-    def _rows(self, tool_ids: Sequence, which: slice = slice(None)) -> list[list]:
-        """Per tool of which: [tool id, count per vote slot, mean per stage, runs used]."""
-        used = (self.runs - self.counts[:, _INCOMPLETE])[which].tolist()
-        rows = zip(tool_ids, self.counts[which].tolist(), self.means[which].tolist(), used)
-        return [[tool, *counts, *means, n] for tool, counts, means, n in rows]
+        vote = int(self.winner[t]) - 1
+        counts = self.counts[t].tolist()
+        return EnsembleResult(
+            self.tool_ids[t],
+            _OUTCOME_BY_ID.get(vote),
+            vote < 0,
+            _votes_cast(counts),
+            {s: m for s, m in zip(_STAGES, self.means[t].tolist()) if not math.isnan(m)},
+            int(self.runs[t]) - counts[_INCOMPLETE],
+        )
 
     def lines(self) -> Iterator[str]:
-        """Each tool's ensembles.jsonl line, in order.
-
-        A line is fixed by the winner, the votes cast and the stages
-        decided but for the tool id, vote counts, means and runs used, so
-        each distinct line is stamped from to_record once, with a slot for
-        each item of the tool's row (see _rows), and filled per tool.
-        """
-        cast = (self.counts[:, _CAST_SLOTS] > 0) @ (1 << np.arange(_VOTE_SLOTS - 1))
-        decided = ~np.isnan(self.means) @ (1 << np.arange(len(_STAGES)))
-        key = (self.winner << _VOTE_SLOTS | cast) << len(_STAGES) | decided
-        _, first, line_of = np.unique(key, return_index=True, return_inverse=True)
-        rows = self._rows(list(map(encode_basestring_ascii, self.tool_ids)))
-        winner = self.winner.tolist()
-        lines = [
-            _stamp(_ensemble(winner[t], rows[t], _ROW_SLOTS).to_record()) for t in first.tolist()
-        ]
-        for line, row in zip(line_of.tolist(), rows):
-            text, values = lines[line]
-            yield text % values(row)
+        """Each tool's ensembles.jsonl line, in order: its record, dumped with sorted keys."""
+        encode = json.JSONEncoder(sort_keys=True).encode
+        used = (self.runs - self.counts[:, _INCOMPLETE]).tolist()
+        columns = (self.winner.tolist(), self.counts.tolist(), self.means.tolist(), used)
+        for tool_id, winner, counts, means, n in zip(self.tool_ids, *columns):
+            vote = winner - 1
+            decided = {name: m for name, m in zip(_STAGE_NAMES, means) if not math.isnan(m)}
+            record = _ensemble_record(
+                tool_id, vote < 0, vote if vote > 0 else None, _votes_cast(counts), decided, n
+            )
+            yield encode(record) + "\n"
 
 
-def _ensemble(winner: int, values: Sequence, row: Sequence) -> EnsembleResult:
-    """The EnsembleResult of a tool's values (see Ensembles._rows), each item taken from row.
-
-    Only the votes cast (a count above 0) and the stages decided (a mean
-    that is not nan) are kept.
-    """
-    vote = winner - 1
-    return EnsembleResult(
-        row[0],
-        _OUTCOME_BY_ID.get(vote),
-        vote < 0,
-        {_VOTE_KEY[v]: row[1 + v] for v in _CAST_SLOTS if values[1 + v]},
-        {s: row[i] for i, s in enumerate(_STAGES, 1 + _VOTE_SLOTS) if not math.isnan(values[i])},
-        row[-1],
-    )
+def _votes_cast(counts: list[int]) -> dict[str, int]:
+    """A tool's runs per vote cast (a count above 0), from its count per vote slot."""
+    return {_VOTE_KEY[v]: counts[v] for v in _CAST_SLOTS if counts[v]}
 
 
 def _vote(

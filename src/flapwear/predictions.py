@@ -11,11 +11,11 @@ the first failing line, and a ProbabilityVector is a one-row call into
 it. The module also splits datasets by tool so that no tool leaks
 across train/val/test.
 
-The parser has two paths per line. The fast path (``_accept_line``)
-decodes a line with one call of json's C scanner and appends a record
-that passes every per-record rule. Any other line leaves the columns as
-they were and goes to the error path (``_parse_line``), which decodes it
-again with ``json.loads`` and is the one statement of each line error.
+A line's record is accepted in one place (``_accept_line``): one call of
+json's C scanner, then every per-record rule, the id rule
+(``_record_id``) included. A line it declines leaves the columns as they
+were and goes to ``_parse_line``, which decodes it again with
+``json.loads`` and raises the line's error; it accepts nothing.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ import random
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, NoReturn, Optional
 
 import numpy as np
 
-from .errors import EmptyInput, FlapwearError, ParseError, ValidationError
+from .errors import EmptyInput, FlapwearError, ParseError, ValidationError, is_number
 from .taxonomy import STAGE_CLASSES, STAGE_VIEW, StageId, View
 
 SUM_TOLERANCE = 1e-6
@@ -69,15 +69,25 @@ def first_invalid_row(rows: np.ndarray) -> Optional[tuple[int, str]]:
     return i, f"probabilities sum to {t} (deviation {t - 1.0:+g})"
 
 
+def _floats(entries) -> list[float]:
+    """entries as floats; a VectorError for an entry that is not a number or overflows a float."""
+    entries = list(entries)
+    for p in entries:
+        if not is_number(p):
+            raise VectorError(f"probability {p!r} is not a number")
+    try:
+        return [float(p) for p in entries]
+    except OverflowError as exc:
+        raise VectorError(f"probability outside [0, 1]: {exc}") from exc
+
+
 def _vector_row(stage: StageId, probs) -> list[float]:
     """One vector as floats; a VectorError if it is not a valid vector of the stage.
 
-    Checked in order: conversion to float, length, then first_invalid_row.
+    Checked in order: each entry a number (errors.is_number) within float
+    range, length, then first_invalid_row.
     """
-    try:
-        row = [float(p) for p in probs]
-    except OverflowError as exc:
-        raise VectorError(f"probability outside [0, 1]: {exc}") from exc
+    row = _floats(probs)
     expected = len(STAGE_CLASSES[stage])
     if len(row) != expected:
         raise VectorError(f"stage {stage.value} expects {expected} classes, got {len(row)}")
@@ -120,8 +130,6 @@ class StageTable:
 # Every stage's table, in StageId order; a stage without records has an empty one.
 PredictionTable = dict[StageId, StageTable]
 
-_STAGE_BY_NAME = {stage.value: stage for stage in StageId}
-_VIEW_BY_NAME = {view.value: view for view in View}
 _NUMBER_TYPES = frozenset((int, float))
 # What json.loads decodes a value that is not an id to, by type.
 _JSON_TYPE_NAMES = {
@@ -133,15 +141,14 @@ class _StageColumns:
     """A stage's columns while its file is read."""
 
     __slots__ = (
-        "stage", "classes", "view", "view_name", "truth_index",
+        "stage", "classes", "view_name", "truth_index",
         "probs", "tool_ids", "image_ids", "lines", "truth",
     )
 
     def __init__(self, stage: StageId):
         self.stage = stage
         self.classes = STAGE_CLASSES[stage]
-        self.view = STAGE_VIEW[stage]
-        self.view_name = self.view.value
+        self.view_name = STAGE_VIEW[stage].value
         self.truth_index = {name: i for i, name in enumerate(self.classes)}
         self.probs = array("d")
         self.tool_ids: list[str] = []
@@ -176,11 +183,6 @@ class _StageColumns:
         )
 
 
-def _member(enum, by_name: dict, name):
-    member = by_name.get(name) if isinstance(name, str) else None
-    return member if member is not None else enum(name)  # enum() raises for a bad name
-
-
 def _record_id(rec: dict, key: str, line_no: int) -> str:
     """rec[key] as an id: a string as it is, an integer (not a bool) by str; else a ParseError."""
     value = rec[key]
@@ -194,38 +196,20 @@ def _record_id(rec: dict, key: str, line_no: int) -> str:
 
 
 def _record_fields(rec: dict, line_no: int):
-    """A record's stage, view, probs, image id and tool id; a ParseError if malformed."""
+    """A record's stage, view and probs; a ParseError if it, ids included, is malformed."""
     try:
-        stage = _member(StageId, _STAGE_BY_NAME, rec["stage"])
-        view = _member(View, _VIEW_BY_NAME, rec["view"])
+        stage = StageId(rec["stage"])
+        view = View(rec["view"])
         probs = rec["probs"]
         if not isinstance(probs, list) or not _NUMBER_TYPES.issuperset(map(type, probs)):
             raise ParseError("probs must be an array of numbers", line_no)
-        image_id = _record_id(rec, "image_id", line_no)
-        tool_id = _record_id(rec, "tool_id", line_no)
+        _record_id(rec, "image_id", line_no)
+        _record_id(rec, "tool_id", line_no)
     except ParseError:
         raise
     except (KeyError, ValueError, TypeError) as exc:
         raise ParseError(str(exc), line_no) from exc
-    return stage, view, probs, image_id, tool_id
-
-
-def _record_error(rec: dict, line_no: int, fields) -> FlapwearError:
-    """The error of a well-formed record whose vector, view or truth is bad.
-
-    The vector is checked first, then the view, then the truth class.
-    """
-    stage, view, probs, _, _ = fields
-    try:
-        _vector_row(stage, probs)
-    except VectorError as exc:
-        return ValidationError(str(exc), line_no)
-    required = STAGE_VIEW[stage]
-    if view is not required:
-        return ViewMismatch(
-            f"stage {stage.value} requires the {required.value} view, got {view.value}", line_no
-        )
-    return ParseError(f"unknown truth class {rec['truth']!r}", line_no)
+    return stage, view, probs
 
 
 def _first_invalid_line(columns: Iterable[_StageColumns]) -> Optional[ValidationError]:
@@ -246,19 +230,17 @@ def _accept_line(scan, by_name: dict[str, _StageColumns], line: str, line_no: in
     Well-formed is one JSON object that passes every rule of _parse_line:
     a stage name, that stage's view, a list of as many ints or floats as
     the stage has classes, each within float range, no truth or one of
-    the stage's classes, and a string image id and tool id (an integer
-    id, and any other id's error, is left to _parse_line). The vector's
-    values are checked later.
+    the stage's classes, and an image id and a tool id by _record_id.
+    The vector's values are checked later.
     """
     try:
         rec, end = scan(line, 0)
         cols = by_name[rec["stage"]]  # a TypeError unless rec is a dict
         probs, truth = rec["probs"], rec.get("truth")
-        image_id, tool_id = rec["image_id"], rec["tool_id"]
+        image_id = _record_id(rec, "image_id", line_no)  # a ParseError is a ValueError
+        tool_id = _record_id(rec, "tool_id", line_no)
         if (
             end != len(line)
-            or type(image_id) is not str
-            or type(tool_id) is not str
             or rec["view"] != cols.view_name
             or type(probs) is not list
             or len(probs) != len(cols.classes)
@@ -271,11 +253,12 @@ def _accept_line(scan, by_name: dict[str, _StageColumns], line: str, line_no: in
     return cols.append(probs, truth, image_id, tool_id, line_no)
 
 
-def _parse_line(columns: dict[StageId, _StageColumns], line: str, line_no: int) -> None:
-    """Append one line's record to its stage's columns, or raise the line's error.
+def _parse_line(line: str, line_no: int) -> NoReturn:
+    """Raise the error of a line that _accept_line declined.
 
-    The error path: each per-line error, in the order that
-    parse_prediction_table states, is raised here and nowhere else.
+    Each per-line error, in the order that parse_prediction_table
+    states, is raised here and nowhere else: of a well-formed record, the
+    vector is checked first, then the view, then the truth class.
     """
     try:
         rec = json.loads(line)
@@ -284,19 +267,17 @@ def _parse_line(columns: dict[StageId, _StageColumns], line: str, line_no: int) 
         raise ParseError(f"invalid JSON: {msg}", line_no) from exc
     if not isinstance(rec, dict):
         raise ParseError("record must be a JSON object", line_no)
-    fields = _record_fields(rec, line_no)
-    stage, view, probs, image_id, tool_id = fields
-    cols = columns[stage]
-    truth = rec.get("truth")
-    if (
-        len(probs) != len(cols.classes)
-        or view is not cols.view
-        or (truth is not None and truth not in cols.classes)
-    ):
-        raise _record_error(rec, line_no, fields)
-    truth = -1 if truth is None else cols.classes.index(truth)
-    if not cols.append(probs, truth, image_id, tool_id, line_no):
-        raise _record_error(rec, line_no, fields)
+    stage, view, probs = _record_fields(rec, line_no)
+    try:
+        _vector_row(stage, probs)
+    except VectorError as exc:
+        raise ValidationError(str(exc), line_no) from exc
+    required = STAGE_VIEW[stage]
+    if view is not required:
+        raise ViewMismatch(
+            f"stage {stage.value} requires the {required.value} view, got {view.value}", line_no
+        )
+    raise ParseError(f"unknown truth class {rec['truth']!r}", line_no)
 
 
 def parse_prediction_table(path: str | Path) -> PredictionTable:
@@ -310,26 +291,25 @@ def parse_prediction_table(path: str | Path) -> PredictionTable:
     record is a ParseError, then an invalid vector or a view that does not
     match the stage a ValidationError, then an unknown truth class a
     ParseError. A file that cannot be opened or is not UTF-8 text is a
-    ParseError too. Decoded records are not kept: each line goes straight
-    into the columns of its stage, by the fast path or the error path.
+    ParseError too. Decoded records are not kept: each accepted line goes
+    straight into the columns of its stage.
     """
     columns = {stage: _StageColumns(stage) for stage in StageId}
     by_name = {stage.value: cols for stage, cols in columns.items()}
     scan = json.scanner.make_scanner(json.JSONDecoder())
+    error = None
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
                 if line and not _accept_line(scan, by_name, line, line_no):
-                    _parse_line(columns, line, line_no)
+                    _parse_line(line, line_no)
     except FlapwearError as exc:
-        raise _first_invalid_line(columns.values()) or exc
+        error = exc
     except (OSError, UnicodeDecodeError) as exc:
-        earlier = _first_invalid_line(columns.values())
-        raise earlier or ParseError(f"cannot read {path}: {exc}") from exc
-    invalid = _first_invalid_line(columns.values())
-    if invalid is not None:
-        raise invalid
+        error = ParseError(f"cannot read {path}: {exc}")
+    if error := _first_invalid_line(columns.values()) or error:  # an earlier bad vector first
+        raise error
     return {stage: cols.table() for stage, cols in columns.items()}
 
 
@@ -349,12 +329,12 @@ def split_by_tool(
     if not tools:
         raise EmptyInput("no samples to split")
     try:
-        row = np.array([fractions], dtype=np.float64)
-    except OverflowError as exc:
-        raise VectorError(f"fractions: probability outside [0, 1]: {exc}") from exc
-    if row.shape[1] != 3:
-        raise VectorError(f"fractions: expected 3 (train, val, test), got {row.shape[1]}")
-    invalid = first_invalid_row(row)
+        fractions = _floats(fractions)
+    except VectorError as exc:
+        raise VectorError(f"fractions: {exc}") from exc
+    if len(fractions) != 3:
+        raise VectorError(f"fractions: expected 3 (train, val, test), got {len(fractions)}")
+    invalid = first_invalid_row(np.array([fractions]))
     if invalid is not None:
         raise VectorError(f"fractions: {invalid[1]}")
 

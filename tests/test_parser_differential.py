@@ -11,14 +11,16 @@ NaN and Infinity, two objects on a line, a duplicate key), text, blank
 lines, Unicode whitespace around lines, CR and CRLF line ends and bytes
 that are not UTF-8. Both parsers must return the same tables (the
 probability bytes, ids, line numbers and truth indices of every stage)
-or raise the same error class with the same message and line.
+or raise the same error class with the same message and line. A file
+that the reference accepts must parse without reaching the error path.
 """
 
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import scalar_oracle
@@ -35,9 +37,9 @@ VECTORS = {
     2: ([0.5, 0.5], [0.2, 0.8], [1, 0], [0, 1], [0.91, 0.09], [1 / 3, 2 / 3]),
     3: ([0.4, 0.4, 0.2], [1, 0, 0], [0.1, 0.85, 0.05], [0, 0.5, 0.5]),
 }
+valid_ids = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6) | st.integers()
 ids = st.one_of(
-    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
-    st.integers(),
+    valid_ids,
     st.floats(),
     st.booleans(),
     st.none(),
@@ -46,23 +48,25 @@ ids = st.one_of(
 
 
 @st.composite
-def valid_records(draw):
-    """A record of any stage, valid or nearly so, its keys in any order."""
+def valid_records(draw, only_valid=False):
+    """A record of any stage, valid or (unless only_valid) nearly so, its keys in any order."""
     stage = draw(st.sampled_from(sorted(STAGES)))
     view, classes = STAGES[stage]
     k = len(classes)
+    probs = st.sampled_from(VECTORS[k])
+    truths = classes + (None,)
+    if not only_valid:
+        probs |= st.lists(st.floats(0, 1) | st.integers(0, 1), min_size=k, max_size=k)
+        truths += ("new", 1)
     rec = {
-        "image_id": draw(ids),
-        "tool_id": draw(ids),
+        "image_id": draw(valid_ids if only_valid else ids),
+        "tool_id": draw(valid_ids if only_valid else ids),
         "view": view,
         "stage": stage,
-        "probs": draw(
-            st.sampled_from(VECTORS[k])
-            | st.lists(st.floats(0, 1) | st.integers(0, 1), min_size=k, max_size=k)
-        ),
+        "probs": draw(probs),
     }
     if draw(st.booleans()):
-        rec["truth"] = draw(st.sampled_from(classes + (None, "new", 1)))
+        rec["truth"] = draw(st.sampled_from(truths))
     keys = draw(st.permutations(sorted(rec)))
     return json.dumps({key: rec[key] for key in keys}, ensure_ascii=draw(st.booleans()))
 
@@ -81,13 +85,13 @@ line_ends = st.sampled_from(["\n", "\n", "\r\n", "\r"])
 
 
 @st.composite
-def prediction_files(draw):
+def prediction_files(draw, lines=lines, bad_bytes=True):
     parts = []
     for line in draw(st.lists(lines, max_size=12)):
         parts.append((draw(padding) + line + draw(padding) + draw(line_ends)).encode(
             "utf-8", "surrogatepass"
         ))
-    if parts and draw(st.integers(0, 9)) == 0:
+    if bad_bytes and parts and draw(st.integers(0, 9)) == 0:
         parts.insert(draw(st.integers(0, len(parts))), b"\xff\n")
     return b"".join(parts)
 
@@ -120,3 +124,24 @@ def test_parser_matches_reference(content):
         assert outcome(predictions.parse_prediction_table, path) == outcome(
             scalar_oracle.parse_prediction_table, path
         )
+
+
+accepted_files = prediction_files(valid_records(only_valid=True) | st.just(""), bad_bytes=False)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(accepted_files)
+@example(
+    b'{"image_id": 12, "tool_id": -3, "view": "radial", "stage": "usage", "probs": [1, 0]}\n'
+    b'{"image_id": "12", "tool_id": 0, "view": "axial", "stage": "tear", "probs": [0.5, 0.5]}\n'
+)
+def test_no_valid_line_reaches_the_error_path(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "predictions.jsonl"
+        path.write_bytes(content)
+        expected = outcome(scalar_oracle.parse_prediction_table, path)
+        assert expected[0] == "tables"
+        with mock.patch.object(
+            predictions, "_parse_line", side_effect=AssertionError("a valid line was declined")
+        ):
+            assert outcome(predictions.parse_prediction_table, path) == expected

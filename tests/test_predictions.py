@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -48,6 +49,13 @@ class TestValidateVector:
         # within 1e-6 passes, but probs stay exactly as given
         v = vec(StageId.USAGE, [0.5000004, 0.5000001])
         assert v.probs == (0.5000004, 0.5000001)
+
+    # Entries float() would convert, or numpy would stack, are still not numbers.
+    @pytest.mark.parametrize("entry", ["0.5", True, (0.5, 0.5)])
+    def test_entry_that_is_not_a_number(self, entry):
+        message = rf"^probability {re.escape(repr(entry))} is not a number$"
+        with pytest.raises(VectorError, match=message):
+            ProbabilityVector(StageId.USAGE, (entry, 0.5))
 
 
 # Entries at the edges of the vector rule: signed zeros, NaN, infinities,
@@ -302,6 +310,13 @@ class TestSplitByTool:
             match=r"^fractions: probability outside \[0, 1\]: int too large to convert to float$",
         ):
             split_by_tool(self._samples(10), (10**400, 0, 0), seed=0)
+
+    @pytest.mark.parametrize("entry", ["0.5", True, [0.5]])
+    def test_fraction_that_is_not_a_number_is_rejected(self, entry):
+        with pytest.raises(
+            VectorError, match=rf"^fractions: probability {re.escape(repr(entry))} is not a number$"
+        ):
+            split_by_tool(self._samples(10), (entry, 0.5, 0), seed=0)
 
     @given(st.integers(1, 40), st.integers(0, 2**32 - 1))
     def test_no_tool_leaks_between_subsets(self, n_tools, seed):
