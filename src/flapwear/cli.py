@@ -15,13 +15,11 @@ raised error (see errors.py).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Callable, Mapping, TextIO
 
 import numpy as np
 
@@ -119,36 +117,37 @@ def build_config(args: argparse.Namespace) -> CliConfig:
     return CliConfig(engine_config, **values)
 
 
-def _make_report_dir(path: Path) -> None:
+def _write_reports(
+    directory: Path, writers: Mapping[str, Callable[[TextIO], object] | None]
+) -> None:
+    """Write the report files one call owns, in order, into directory, which is made here.
+
+    writers maps each owned file name to the function that writes its
+    text; a name mapped to None has nothing to write this time, and a
+    file left under it is removed. A .csv file is opened with newline=""
+    for the csv module. An OSError is a ConfigError.
+    """
     try:
-        path.mkdir(parents=True, exist_ok=True)
+        directory.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create report directory {path}: {exc}") from exc
-
-
-@contextmanager
-def _report_file(path: Path, newline: str | None = None) -> Iterator[TextIO]:
-    """Every report file is written through here; an OSError is a ConfigError."""
-    try:
-        with open(path, "w", encoding="utf-8", newline=newline) as fh:
-            yield fh
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
-
-
-def _remove_reports(report_dir: Path, names: list[str]) -> None:
-    """Unlink report files this command owns but did not write; an OSError is a ConfigError."""
-    for name in names:
-        path = report_dir / name
+        raise ConfigError(f"cannot create report directory {directory}: {exc}") from exc
+    for name, write in writers.items():
+        path = directory / name
         try:
-            path.unlink(missing_ok=True)
+            if write is None:
+                path.unlink(missing_ok=True)
+                continue
+            newline = "" if name.endswith(".csv") else None
+            with open(path, "w", encoding="utf-8", newline=newline) as fh:
+                write(fh)
         except OSError as exc:
-            raise ConfigError(f"cannot remove stale {path}: {exc}") from exc
+            action = "remove stale" if write is None else "write"
+            raise ConfigError(f"cannot {action} {path}: {exc}") from exc
 
 
-def _write_json(path: Path, payload) -> None:
-    with _report_file(path) as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _json_report(payload) -> Callable[[TextIO], object]:
+    """The writer of a JSON report: payload indented, keys sorted, one final newline."""
+    return lambda fh: fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 @dataclass(frozen=True)
@@ -207,17 +206,16 @@ def _group_runs(tables: predictions.PredictionTable) -> RunBatch:
 def cmd_classify(args: argparse.Namespace, config: CliConfig) -> int:
     batch = _group_runs(predictions.parse_prediction_table(args.prediction_file))
 
-    _make_report_dir(config.report_dir)
     decisions = engine.decide_runs(batch.vectors, config.engine)
     # Every error is raised, in tool order, before a file is written.
     ensembles = decisions.ensembles(batch.tool_ids, batch.run_counts, config.engine)
-    with _report_file(config.report_dir / "runs.jsonl") as fh:
-        fh.writelines(decisions.run_lines(batch.tool_ids, batch.run_counts))
-    if len(ensembles):
-        with _report_file(config.report_dir / "ensembles.jsonl") as fh:
-            fh.writelines(ensembles.lines())
-    else:
-        _remove_reports(config.report_dir, ["ensembles.jsonl"])
+    run_lines = decisions.run_lines(batch.tool_ids, batch.run_counts)
+    _write_reports(config.report_dir, {
+        "runs.jsonl": lambda fh: fh.writelines(run_lines),
+        "ensembles.jsonl": (
+            (lambda fh: fh.writelines(ensembles.lines())) if len(ensembles) else None
+        ),
+    })
 
     n_conflicted = int(np.count_nonzero(decisions.conflicted))
     n_flagged = int(np.count_nonzero(decisions.flags))
@@ -235,12 +233,11 @@ def cmd_evaluate(args: argparse.Namespace, config: CliConfig) -> int:
     if not any(mask.any() for mask in labeled.values()):
         raise ValidationError("file contains no labeled samples")
 
-    _make_report_dir(config.report_dir)
     summary = {"stages": {}, "warnings": []}
-    # The per-stage reports this command owns; each one written is taken out.
-    stale = [f"{stage.value}_{kind}.csv" for stage in StageId for kind in ("confusion", "roc")]
     for stage, table in tables.items():
+        confusion, roc = f"{stage.value}_confusion.csv", f"{stage.value}_roc.csv"
         if not labeled[stage].any():
+            _write_reports(config.report_dir, {confusion: None, roc: None})
             continue
         probs = table.probs[labeled[stage]]
         truth = table.truth[labeled[stage]].astype(np.intp)
@@ -262,15 +259,11 @@ def cmd_evaluate(args: argparse.Namespace, config: CliConfig) -> int:
             "count_false": stats.count_false,
         }
 
-        with _report_file(config.report_dir / f"{stage.value}_confusion.csv", "") as fh:
-            metrics.write_confusion_csv(cm, fh, config.rounding)
-        stale.remove(f"{stage.value}_confusion.csv")
-
         roc_rows = []
         auc_by_class = {}
         for cls, name in enumerate(cm.class_names):
             try:
-                curve = metrics.roc_from_scores(probs[:, cls], truth == cls, stage, cls)
+                curve = metrics.roc_from_scores(probs[:, cls], truth == cls)
             except metrics.DegenerateInput as exc:
                 summary["warnings"].append(
                     f"{stage.value}/{name}: ROC skipped ({exc})"
@@ -280,17 +273,14 @@ def cmd_evaluate(args: argparse.Namespace, config: CliConfig) -> int:
             auc_by_class[name] = metrics.round_report(curve.auc, config.rounding)
             roc_rows.extend((name, fpr, tpr) for fpr, tpr in curve.points)
         stage_summary["auc"] = auc_by_class
-        if roc_rows:
-            with _report_file(config.report_dir / f"{stage.value}_roc.csv", "") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["class", "fpr", "tpr"])
-                writer.writerows(roc_rows)
-            stale.remove(f"{stage.value}_roc.csv")
+        _write_reports(config.report_dir, {
+            confusion: lambda fh: metrics.write_confusion_csv(cm, fh, config.rounding),
+            roc: (lambda fh: metrics.write_roc_csv(roc_rows, fh)) if roc_rows else None,
+        })
 
         summary["stages"][stage.value] = stage_summary
 
-    _write_json(config.report_dir / "summary.json", summary)
-    _remove_reports(config.report_dir, stale)
+    _write_reports(config.report_dir, {"summary.json": _json_report(summary)})
     for name, stage_summary in summary["stages"].items():
         print(
             f"{name}: accuracy {stage_summary['accuracy']}, "
@@ -355,8 +345,7 @@ def cmd_simulate(args: argparse.Namespace, config: CliConfig) -> int:
         raise ConfigError(f"simulation size {n} is too large: {exc}") from exc
 
     report["seed"] = config.seed
-    _make_report_dir(config.report_dir)
-    _write_json(config.report_dir / "simulation.json", report)
+    _write_reports(config.report_dir, {"simulation.json": _json_report(report)})
     if mode == "synth":
         print(f"synthetic batch of {n}: hierarchy accuracy {report['hierarchy_accuracy']:.4f}")
     else:
@@ -393,8 +382,7 @@ def cmd_propagate(args: argparse.Namespace, config: CliConfig) -> int:
             raise ConfigError(f"bad ledger: {exc}") from exc
 
     report = propagation.propagation_report(acc, ledger, config.rounding)
-    _make_report_dir(config.report_dir)
-    _write_json(config.report_dir / "propagation.json", report)
+    _write_reports(config.report_dir, {"propagation.json": _json_report(report)})
 
     paths = report["path_accuracy"]
     print(

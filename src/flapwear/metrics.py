@@ -138,29 +138,18 @@ def macro_f1(cm: ConfusionMatrix) -> float:
 
 @dataclass(frozen=True)
 class RocCurve:
-    stage: StageId
-    positive_class: int
     points: tuple[tuple[float, float], ...]
     auc: float
 
 
-def roc_curve(
-    samples: Sequence[tuple[float, bool]],
-    stage: StageId = StageId.USAGE,
-    positive_class: int = 0,
-) -> RocCurve:
+def roc_curve(samples: Sequence[tuple[float, bool]]) -> RocCurve:
     """ROC of (positive-class score, is_positive) samples; see roc_from_scores."""
     scores = np.array([score for score, _ in samples], dtype=float)
     positive = np.array([bool(pos) for _, pos in samples], dtype=bool)
-    return roc_from_scores(scores, positive, stage, positive_class)
+    return roc_from_scores(scores, positive)
 
 
-def roc_from_scores(
-    scores: np.ndarray,
-    positive: np.ndarray,
-    stage: StageId = StageId.USAGE,
-    positive_class: int = 0,
-) -> RocCurve:
+def roc_from_scores(scores: np.ndarray, positive: np.ndarray) -> RocCurve:
     """Threshold sweep over descending unique scores.
 
     scores[i] is sample i's positive-class score and positive[i] whether
@@ -185,7 +174,7 @@ def roc_from_scores(
     auc = 0.0
     for (x0, y0), (x1, y1) in zip(points, points[1:]):
         auc += (x1 - x0) * (y0 + y1) / 2.0
-    return RocCurve(stage, positive_class, tuple(points), auc)
+    return RocCurve(tuple(points), auc)
 
 
 def pairwise_auc(samples: Sequence[tuple[float, bool]]) -> float:
@@ -264,3 +253,9 @@ def write_confusion_csv(cm: ConfusionMatrix, fh: TextIO, decimals: int = 3) -> N
         m = class_metrics(cm, cls)
         writer.writerow([name, *cm.counts[cls], fmt(m.precision), fmt(m.recall), fmt(m.f1)])
 
+
+def write_roc_csv(rows: Sequence[tuple[str, float, float]], fh: TextIO) -> None:
+    """A stage's ROC points as (class, fpr, tpr) rows under a header, to a CSV text file."""
+    writer = csv.writer(fh)
+    writer.writerow(["class", "fpr", "tpr"])
+    writer.writerows(rows)

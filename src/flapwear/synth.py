@@ -25,8 +25,10 @@ from .taxonomy import (
     FlapProfile,
     Severity,
     StageId,
+    TaxonomyError,
     TearState,
     UsageState,
+    outcome_from_parts,
 )
 
 PROFILE_SAMPLES = 64
@@ -90,18 +92,12 @@ class WheelSpec:
             raise InvalidSpec("profile_depth must be in [0, 0.5]")
         if not (is_finite(self.noise_sigma) and self.noise_sigma >= 0):
             raise InvalidSpec(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        shaped = self.profile in SEVERITY_STAGE
-        if shaped and self.severity is None:
-            raise InvalidSpec(f"{self.profile.value} profile requires a severity")
-        if not shaped and self.severity is not None:
-            raise InvalidSpec("rectangular profile must not carry a severity")
-        if self.usage is UsageState.NEW:
-            if self.profile is not FlapProfile.RECTANGULAR:
-                raise InvalidSpec("a new wheel has a rectangular flap shape")
-            if self.torn_flaps:
-                raise InvalidSpec("a new wheel has no torn flaps")
-            if self.fringe is False:
-                raise InvalidSpec("a new wheel carries its textile fringes")
+        try:
+            outcome_from_parts(self.usage, self.profile, self.tear, self.severity)
+        except TaxonomyError as exc:
+            raise InvalidSpec(str(exc)) from exc
+        if self.usage is UsageState.NEW and self.fringe is False:
+            raise InvalidSpec("a new wheel carries its textile fringes")
 
     @property
     def has_fringe(self) -> bool:

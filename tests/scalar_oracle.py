@@ -10,11 +10,11 @@ and ``evaluate``.
 
 It holds its own containers, vector rule, argmax rule, flag labels,
 confusion counting and ROC sweep, and imports from flapwear only what
-the columnar path does not implement: config handling and
-report-directory creation in ``cli``, the error kinds, the taxonomy's
-consistency and outcome rules, and the report rendering of confusion
-matrices (``ConfusionMatrix``, ``matrix_summary``, ``confidence_stats``,
-``write_confusion_csv``, ``round_report``).
+the columnar path does not implement: config handling in ``cli``, the
+error kinds, the taxonomy's consistency and outcome rules, and the
+report rendering of confusion matrices (``ConfusionMatrix``,
+``matrix_summary``, ``confidence_stats``, ``write_confusion_csv``,
+``round_report``).
 
 The synthetic part generates and scores one wheel at a time
 (``generate_observation``, the four ``*_feature_classifier`` functions,
@@ -376,7 +376,6 @@ def _write_jsonl(path, records) -> None:
 def cmd_classify(args, config) -> int:
     runs_by_tool = group_runs(parse_prediction_file(args.prediction_file))
 
-    cli._make_report_dir(config.report_dir)
     run_records = []
     ensemble_records = []
     for tool_id, run_vectors in runs_by_tool.items():
@@ -389,6 +388,7 @@ def cmd_classify(args, config) -> int:
         if len(runs) > 1:
             ensemble_records.append(ensemble_record(runs, config.engine))
 
+    config.report_dir.mkdir(parents=True, exist_ok=True)
     _write_jsonl(config.report_dir / "runs.jsonl", run_records)
     if ensemble_records:
         _write_jsonl(config.report_dir / "ensembles.jsonl", ensemble_records)
@@ -412,7 +412,7 @@ def cmd_evaluate(args, config) -> int:
     for sample in labeled:
         by_stage.setdefault(sample.stage, []).append(sample)
 
-    cli._make_report_dir(config.report_dir)
+    config.report_dir.mkdir(parents=True, exist_ok=True)
     summary = {"stages": {}, "warnings": []}
     for stage in StageId:
         if stage not in by_stage:
@@ -469,7 +469,9 @@ def cmd_evaluate(args, config) -> int:
 
         summary["stages"][stage.value] = stage_summary
 
-    cli._write_json(config.report_dir / "summary.json", summary)
+    (config.report_dir / "summary.json").write_text(
+        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
     for name, stage_summary in summary["stages"].items():
         print(f"{name}: accuracy {stage_summary['accuracy']}, macro-F1 {stage_summary['macro_f1']}")
     print(f"reports written to {config.report_dir}")

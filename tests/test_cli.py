@@ -103,6 +103,35 @@ class TestClassify:
         assert json.loads((out / "runs.jsonl").read_text())["tool_id"] == "t2"
         assert (out / "notes.txt").read_text() == "mine\n"
 
+    @pytest.mark.parametrize(
+        "setting, lines",
+        [
+            pytest.param(
+                "conflict_policy = reject_run",
+                consistent_tool_lines()[:3],
+                id="concave-run-without-severity",
+            ),
+            pytest.param(
+                "ensemble_min_runs = 3",
+                consistent_tool_lines(run=0) + consistent_tool_lines(run=1),
+                id="two-run-tool",
+            ),
+        ],
+    )
+    def test_failed_run_leaves_no_report_directory(self, tmp_path, capsys, setting, lines):
+        preds, config = tmp_path / "preds.jsonl", tmp_path / "flapwear.conf"
+        write_lines(preds, lines)
+        config.write_text(setting + "\n")
+        argv = ["classify", str(preds), "--config", str(config), "--out"]
+        assert main(argv + [str(tmp_path / "new" / "reports")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ")
+        assert not (tmp_path / "new").exists()
+        # The input's error comes before an --out that names a file.
+        (tmp_path / "file").write_text("")
+        assert main(argv + [str(tmp_path / "file")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == err
+
     def test_malformed_file_exit_code(self, tmp_path):
         preds = tmp_path / "preds.jsonl"
         preds.write_text('{"image_id": broken\n')

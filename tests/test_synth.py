@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -21,6 +22,7 @@ from flapwear.synth import (
     usage_rows,
 )
 from flapwear.taxonomy import (
+    CONSISTENT_OUTCOMES,
     SEVERITY_STAGE,
     STAGE_CLASSES,
     FlapProfile,
@@ -59,6 +61,17 @@ class TestWheelSpec:
             spec(profile=FlapProfile.CONVEX)
         with pytest.raises(InvalidSpec):
             spec(severity=Severity.FULLY)
+
+    def test_accepts_exactly_the_consistent_outcomes(self):
+        consistent = {o.parts() for o in CONSISTENT_OUTCOMES}
+        for parts in itertools.product(UsageState, FlapProfile, TearState, (None, *Severity)):
+            usage, profile, tear, severity = parts
+            torn = frozenset({0}) if tear is TearState.WITH_TEAR else frozenset()
+            if parts in consistent:
+                assert WheelSpec(usage, profile, severity, torn_flaps=torn).tear is tear
+            else:
+                with pytest.raises(InvalidSpec):
+                    WheelSpec(usage, profile, severity, torn_flaps=torn)
 
     def test_new_has_fringe_by_default(self):
         assert WheelSpec(UsageState.NEW, FlapProfile.RECTANGULAR).has_fringe
