@@ -2,15 +2,16 @@
 
 A run is one tool observation: a probability vector per stage. The
 engine decides a whole batch of runs at once (``decide_runs``), one row
-per run, with array operations: argmax and maximum per stage, then
-lookups into tables derived from the taxonomy for the level-1/level-2
-conflicts and the outcome id, then the severity stage on the branch the
-profile decision selected (a row of zeros there is a missing vector),
-and per-stage confidence gating. A decided run is a ``RunResult``; its
-``to_record`` is the one run-record format, from which
-``RunDecisions.run_lines`` stamps a batch's runs.jsonl. ``classify_run``
-decides one ``RunInput`` through the batch code. Flags are labels such
-as ``low_confidence:usage``, in a batch a bit mask over ``FLAG_LABELS``.
+per run, with array operations: argmax and maximum per stage, then the
+severity stage on the branch the profile decision selected (a row of
+zeros there is a missing vector), and per-stage confidence gating; the
+outcome id is looked up in a table over the level-1/level-2 cells.
+Flags are labels such as ``low_confidence:usage``, in a batch a bit
+mask over ``FLAG_LABELS`` that starts from the cell's conflict bits, a
+second per-cell table (``_CELL_FLAGS``). A decided run is a
+``RunResult``; its ``to_record`` is the one run-record format, from
+which ``RunDecisions.run_lines`` stamps a batch's runs.jsonl.
+``classify_run`` decides one ``RunInput`` through the batch code.
 
 One columnar ensemble core (``_vote``) votes for ``fuse_runs`` (one
 tool's runs) and for ``RunDecisions.ensembles`` (every multi-run tool of
@@ -115,12 +116,6 @@ class RunInput:
             raise EngineError(f"run has no {'/'.join(missing)} vector")
 
 
-def _verdict(conflicts: Sequence[ConflictKind], outcome: Optional[WearOutcome]) -> str:
-    if conflicts:
-        return "conflicted"
-    return "outcome" if outcome is not None else "incomplete"
-
-
 class RunResult(NamedTuple):
     """One decided run."""
 
@@ -131,7 +126,9 @@ class RunResult(NamedTuple):
 
     @property
     def verdict(self) -> str:
-        return _verdict(self.conflicts, self.outcome)
+        if self.conflicts:
+            return "conflicted"
+        return "outcome" if self.outcome is not None else "incomplete"
 
     def to_record(self, tool_id: str, run_index: int) -> dict:
         """The run's report record, as one line of runs.jsonl."""
@@ -139,7 +136,7 @@ class RunResult(NamedTuple):
         return {
             "tool_id": tool_id,
             "run_index": run_index,
-            "verdict": _verdict(self.conflicts, outcome),
+            "verdict": self.verdict,
             "outcome_id": outcome.id if outcome else None,
             "outcome": (
                 {
@@ -205,15 +202,10 @@ def _ensemble_record(
 
 
 # The tree's level-1/level-2 cells: every (usage, profile, tear) class-index
-# triple, numbered in C order. Per cell, the conflicts check_consistency
-# reports and, per severity (no severity last), the consistent outcome's id
-# (0 for none).
+# triple, numbered in C order, and the conflicts check_consistency reports.
 _CELL_SHAPE = tuple(len(STAGE_STATES[stage]) for stage in REQUIRED_STAGES)
 _CELL_PARTS = tuple(itertools.product(*(STAGE_STATES[stage] for stage in REQUIRED_STAGES)))
 _CELL_CONFLICTS = tuple(check_consistency(*parts) for parts in _CELL_PARTS)
-_CONFLICTED = np.array([bool(conflicts) for conflicts in _CELL_CONFLICTS])
-_SEVERITY_CHOICES = (*Severity, None)
-_NO_SEVERITY = _SEVERITY_CHOICES.index(None)
 
 
 def _outcome_id(parts: tuple, severity: Optional[Severity]) -> int:
@@ -223,15 +215,13 @@ def _outcome_id(parts: tuple, severity: Optional[Severity]) -> int:
         return 0
 
 
+# Per cell and severity, the consistent outcome's id (0 for none). Both
+# severity stages list Severity in enum order, so a severity stage's class
+# index is its column; the last column, -1, is no severity.
 _OUTCOME_ID = np.array(
-    [[_outcome_id(parts, severity) for severity in _SEVERITY_CHOICES] for parts in _CELL_PARTS]
+    [[_outcome_id(parts, severity) for severity in (*Severity, None)] for parts in _CELL_PARTS]
 )
 _OUTCOME_BY_ID = {outcome.id: outcome for outcome in CONSISTENT_OUTCOMES}
-# Per severity stage: its class index -> index into _SEVERITY_CHOICES.
-_SEVERITY_CHOICE = {
-    stage: np.array([_SEVERITY_CHOICES.index(state) for state in STAGE_STATES[stage]])
-    for stage in SEVERITY_STAGE.values()
-}
 
 _MISSING_SEVERITY = "missing_severity_input"
 # Every flag label a run can carry, sorted; bit i of a flag mask stands for
@@ -246,10 +236,14 @@ FLAG_LABELS = tuple(
     )
 )
 _FLAG_BIT = {label: bit for bit, label in enumerate(FLAG_LABELS)}
-_CELL_HAS_CONFLICT = {
-    f"conflict:{kind.value}": np.array([kind in conflicts for conflicts in _CELL_CONFLICTS])
-    for kind in ConflictKind
-}
+# Per cell, the flag mask of its conflicts: every run's flags start from it.
+_CELL_FLAGS = np.array(
+    [
+        sum(1 << _FLAG_BIT[f"conflict:{kind.value}"] for kind in conflicts)
+        for conflicts in _CELL_CONFLICTS
+    ],
+    dtype=np.int64,
+)
 
 
 @functools.cache
@@ -421,7 +415,7 @@ class RunDecisions:
 
     @property
     def conflicted(self) -> np.ndarray:
-        return _CONFLICTED[self.cell]
+        return _CELL_FLAGS[self.cell] != 0
 
     def rejection(self) -> MissingSeverityInput:
         """The error for rejected_row."""
@@ -524,32 +518,24 @@ def decide_runs(
         index[stage] = vectors[stage].argmax(axis=1)
         confidence[stage] = vectors[stage].max(axis=1)
     cell = np.ravel_multi_index(tuple(index[stage] for stage in REQUIRED_STAGES), _CELL_SHAPE)
-    conflicted = _CONFLICTED[cell]
-
-    raised = {label: has[cell] for label, has in _CELL_HAS_CONFLICT.items()}
-    severity = np.full(len(cell), _NO_SEVERITY)
+    flags = _CELL_FLAGS[cell]  # the cell's conflict bits; the other flags are ORed in below
+    severity = np.full(len(cell), -1)  # the _OUTCOME_ID column of no severity
     missing = np.zeros(len(cell), dtype=bool)
     for profile, stage in SEVERITY_STAGE.items():
         branch = index[StageId.PROFILE] == STAGE_STATES[StageId.PROFILE].index(profile)
         if reject:
-            branch &= ~conflicted
+            branch &= flags == 0
         has_vector = vectors[stage].any(axis=1)  # a valid vector is never all zeros
         taken = branch & has_vector
         missing |= branch & ~has_vector
-        idx = vectors[stage].argmax(axis=1)
-        index[stage] = np.where(taken, idx, -1)
+        index[stage] = np.where(taken, vectors[stage].argmax(axis=1), -1)
         confidence[stage] = vectors[stage].max(axis=1)
-        severity = np.where(taken, _SEVERITY_CHOICE[stage][idx], severity)
+        severity = np.where(taken, index[stage], severity)
     if not reject:
-        raised[_MISSING_SEVERITY] = missing
+        flags |= missing.astype(np.int64) << _FLAG_BIT[_MISSING_SEVERITY]
     for stage, threshold in config.thresholds.items():
-        raised[f"low_confidence:{stage.value}"] = (index[stage] >= 0) & (
-            confidence[stage] < threshold
-        )
-
-    flags = np.zeros(len(cell), dtype=np.int64)
-    for label, rows in raised.items():
-        flags |= rows.astype(np.int64) << _FLAG_BIT[label]
+        low = (index[stage] >= 0) & (confidence[stage] < threshold)
+        flags |= low.astype(np.int64) << _FLAG_BIT[f"low_confidence:{stage.value}"]
     rejected_row = int(np.argmax(missing)) if reject and missing.any() else -1
     return RunDecisions(index, confidence, cell, _OUTCOME_ID[cell, severity], flags, rejected_row)
 

@@ -12,7 +12,7 @@ None ("n/a" in reports) rather than raised mid-report.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Optional, Sequence, TextIO
 
@@ -58,12 +58,10 @@ class ConfusionMatrix:
     """Truth-vs-prediction counts; rows = true class, cols = predicted."""
 
     stage: StageId
-    counts: list[list[int]] = field(default_factory=list)
+    counts: list[list[int]]
 
     def __post_init__(self):
         n = len(STAGE_CLASSES[self.stage])
-        if not self.counts:
-            self.counts = [[0] * n for _ in range(n)]
         if len(self.counts) != n or any(len(row) != n for row in self.counts):
             raise IndexOutOfRange(f"matrix for {self.stage.value} must be {n}x{n}")
         if any(c < 0 for row in self.counts for c in row):

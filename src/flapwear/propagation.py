@@ -10,10 +10,11 @@ if every re-examination succeeded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Mapping
 
 from .errors import ValidationError, is_finite, is_number
+from .metrics import round_report
 from .taxonomy import BRANCH_STAGES, FlapProfile, StageId
 
 # Name of each stage's accuracy in reports and in propagate's input;
@@ -52,8 +53,16 @@ class StageAccuracies:
     def from_names(cls, values: Mapping[str, float]) -> StageAccuracies:
         """Accuracies keyed by ACCURACY_NAMES; an absent name keeps its field default.
 
-        A missing required accuracy or an unknown name is a TypeError naming the field.
+        An unknown name, then a missing required accuracy, is a TypeError
+        that names it as values does, not by its field.
         """
+        for name in values.keys():
+            if name not in ACCURACY_NAMES.values():
+                raise TypeError(f"unknown accuracy {name!r}")
+        required = [f.name.removeprefix("j_") for f in fields(cls) if f.default is MISSING]
+        for name in required:
+            if name not in values:
+                raise TypeError(f"missing accuracy {name!r}")
         return cls(**{f"j_{name}": value for name, value in values.items()})
 
     def by_name(self) -> dict[str, float]:
@@ -148,8 +157,6 @@ def propagation_report(
     ledger: CorrectionLedger | None = None,
     decimals: int = 3,
 ) -> dict:
-    from .metrics import round_report
-
     report = {
         "stage_accuracies": acc.by_name(),
         "path_accuracy": {

@@ -772,6 +772,18 @@ LABELED = "\n".join(
             EXIT_CONFIG, "config error: bad accuracies: ", id="unknown-accuracy",
         ),
         pytest.param(
+            # Named as the input names it, not as the StageAccuracies field j_concave_severity.
+            _propagate(accuracies={"usage": 0.986, "tear": 0.938, "profile": 0.954,
+                                   "concave_severity": 0.95}),
+            EXIT_CONFIG, "config error: bad accuracies: unknown accuracy 'concave_severity'\n",
+            id="stage-id-as-accuracy-name",
+        ),
+        pytest.param(
+            _propagate(accuracies={"usage": 0.986, "tear": 0.938}),
+            EXIT_CONFIG, "config error: bad accuracies: missing accuracy 'profile'\n",
+            id="missing-accuracy",
+        ),
+        pytest.param(
             _propagate(accuracies={"usage": True, "tear": 0.938, "profile": 0.954}),
             EXIT_VALIDATION, "validation error: j_usage must be a number in [0, 1], got True",
             id="bool-accuracy",

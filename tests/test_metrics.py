@@ -132,7 +132,7 @@ class TestAccuracyAndMacroF1:
 
     def test_empty_matrix(self):
         with pytest.raises(EmptyMatrix):
-            accuracy(ConfusionMatrix(StageId.USAGE))
+            accuracy(ConfusionMatrix(StageId.USAGE, [[0, 0], [0, 0]]))
 
     def test_macro_f1_undefined_class(self):
         with pytest.raises(UndefinedClassMetric):

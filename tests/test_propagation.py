@@ -14,7 +14,7 @@ from flapwear.propagation import (
     path_accuracy,
     propagation_report,
 )
-from flapwear.simulate import oracle_branch_trials
+from flapwear.simulate import oracle_branch_trials, run_oracle_batch
 from flapwear.synth import BadRow
 from flapwear.taxonomy import BRANCH_STAGES, STAGE_CLASSES, FlapProfile
 
@@ -213,6 +213,28 @@ class TestMonteCarlo:
         monkeypatch.setattr(np.random, "default_rng", no_draws)
         with pytest.raises(BadRow, match=message):
             oracle_branch_trials(all_matrices, branch, 10, 0, law)
+
+    @pytest.mark.parametrize(
+        "convex, message",
+        [
+            (None, "^oracle matrix for convex_severity is missing$"),
+            ([[0, 0], [0, 220]], "^oracle matrix for convex_severity: .* empty truth row$"),
+        ],
+        ids=["missing", "all-zero-row"],
+    )
+    def test_oracle_batch_checks_every_matrix_before_any_draw(
+        self, all_matrices, monkeypatch, convex, message
+    ):
+        # convex_severity is the last stage checked and only the last branch samples it.
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a generator was made before every matrix was checked")
+
+        del all_matrices[StageId.CONVEX_SEVERITY]
+        if convex is not None:
+            all_matrices[StageId.CONVEX_SEVERITY] = convex
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(BadRow, match=message):
+            run_oracle_batch(all_matrices, 10, 0)
 
     def test_returns_accuracies_only(self):
         trial = oracle_branch_trials(accuracy_matrices(PAPER_ACC), FlapProfile.CONCAVE, 100, 3)
