@@ -25,7 +25,6 @@ import numpy as np
 
 from . import engine, metrics, predictions, propagation, simulate
 from .errors import ConfigError, FlapwearError, ParseError, ValidationError, is_number
-from .synth import BadRow
 from .taxonomy import REQUIRED_STAGES, StageId
 
 EXIT_OK = 0
@@ -326,7 +325,7 @@ def _run_simulation(sim_config: dict, mode: str, n: int, config: CliConfig) -> d
         raise ConfigError(f"oracle config needs per-stage matrices: {exc}") from exc
     try:
         report = simulate.run_oracle_batch(matrices, n, config.seed, **settings)
-    except BadRow as exc:  # raised before any draw
+    except simulate.BadRow as exc:  # raised before any draw
         raise ConfigError(str(exc)) from exc
     acc = propagation.StageAccuracies.from_names(report["stage_accuracies"])
     report["propagation"] = propagation.propagation_report(acc, decimals=config.rounding)

@@ -47,7 +47,7 @@ class StageAccuracies:
     def __post_init__(self):
         for name, v in self.by_name().items():
             if not (is_number(v) and 0.0 <= v <= 1.0):  # false for NaN too
-                raise PropagationError(f"j_{name} must be a number in [0, 1], got {v!r}")
+                raise PropagationError(f"accuracy {name!r} must be a number in [0, 1], got {v!r}")
 
     @classmethod
     def from_names(cls, values: Mapping[str, float]) -> StageAccuracies:

@@ -4,28 +4,24 @@ Two ways to exercise the full hierarchy without real images: generate
 synthetic wheels and push them through the rule-based classifiers, or
 replay stochastic oracles calibrated to published confusion matrices.
 Both report measured accuracies next to the analytic path products so
-the propagation model can be checked side by side.
+the propagation model can be checked side by side. The oracle lives here
+whole: the rules its matrices and law must meet, its per-trial sampler,
+the hit cells that score a trial without a predicted class, and the
+replay.
 """
 
 from __future__ import annotations
 
 import copy
+from typing import Iterable
 
 import numpy as np
 
 from .engine import EngineConfig, RunDecisions, RunResult, decide_runs
-from .errors import ConfigError, is_finite, is_number
+from .errors import ConfigError, ValidationError, is_finite, is_number
 from .predictions import VectorError, first_invalid_row
 from .propagation import ACCURACY_NAMES, StageAccuracies, path_accuracy
-from .synth import (
-    BadRow,
-    WheelSpec,
-    check_oracle_inputs,
-    hit_cells,
-    hits,
-    sample_oracle_predictions,  # re-exported: the library's per-trial sampler
-    score_wheels,
-)
+from .synth import WheelSpec, score_wheels
 from .taxonomy import (
     BRANCH_STAGES,
     CONSISTENT_OUTCOMES,
@@ -41,6 +37,10 @@ DEFAULT_CONFIDENCE_LAW = (0.97, 0.89, 0.03)
 SYNTH_BLOCK = 256
 # Oracle trials drawn and scored together; bounds each stage's working arrays.
 ORACLE_BLOCK = 1 << 16
+
+
+class BadRow(ValidationError):
+    pass
 
 
 def spec_for_outcome(
@@ -172,6 +172,33 @@ def row_probabilities(counts: list[list[int]]) -> np.ndarray:
     return counts_arr / totals
 
 
+def check_oracle_inputs(
+    stage: StageId, row_probs, confidence_law
+) -> tuple[np.ndarray, tuple[float, float, float]]:
+    """The oracle's rows and law for a stage of k classes, as floats; else a BadRow.
+
+    row_probs must be k x k, each row a probability distribution. The law
+    (mean_correct, mean_false, spread) must be three numbers, each mean in
+    (1/k, 1) and the spread finite and >= 0.
+    """
+    n_classes = len(STAGE_CLASSES[stage])
+    rows = np.asarray(row_probs, dtype=float)
+    if rows.shape != (n_classes, n_classes):
+        raise BadRow(f"{stage.value} rows must be {n_classes}x{n_classes}, got shape {rows.shape}")
+    if not np.all(rows >= 0) or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-9):
+        raise BadRow("each confusion row must be a probability distribution")
+    law = tuple(confidence_law) if isinstance(confidence_law, (list, tuple)) else ()
+    if len(law) != 3 or not all(is_number(x) for x in law):
+        raise BadRow(f"confidence_law must be three numbers, got {confidence_law!r}")
+    mean_correct, mean_false, spread = law
+    for mean in (mean_correct, mean_false):
+        if not 1.0 / n_classes < mean < 1.0:  # false for NaN too
+            raise BadRow(f"confidence_law mean must be in (1/{n_classes}, 1), got {mean}")
+    if not (is_finite(spread) and spread >= 0):  # -0.0 is a spread of 0
+        raise BadRow(f"confidence_law spread must be finite and >= 0, got {spread}")
+    return rows, (float(mean_correct), float(mean_false), float(spread))
+
+
 def truth_marginals(counts: list[list[int]]) -> np.ndarray:
     """Truth-class distribution from confusion-matrix row totals."""
     counts_arr = np.asarray(counts, dtype=float)
@@ -185,6 +212,75 @@ def matrices_to_accuracies(matrices: dict[StageId, list[list[int]]]) -> StageAcc
         return float(np.trace(counts_arr) / counts_arr.sum())
 
     return StageAccuracies.from_names({name: acc(s) for s, name in ACCURACY_NAMES.items()})
+
+
+def hit_cells(row_probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each truth class's CDF cell: where its uniform lands when the sampler is right.
+
+    sample_oracle_predictions predicts class t for truth t exactly when
+    the trial's uniform u has lo[t] < u <= hi[t], with lo[t] = cdf[t, t-1]
+    (-inf for t = 0) and hi[t] = cdf[t, t] (+inf for the last class), cdf
+    being the cumsum of row_probs along each row. Its predicted class is
+    the count of a row's first k-1 CDF values below u, and a cumsum of
+    non-negative floats never decreases, so that count is t just when
+    the values below u are the first t. row_probs are rows as
+    check_oracle_inputs returns them.
+    """
+    cdf = np.cumsum(row_probs, axis=1)
+    lo = np.concatenate(([-np.inf], cdf.diagonal(-1)))
+    hi = np.concatenate((cdf.diagonal()[:-1], [np.inf]))
+    return lo, hi
+
+
+def hits(cells: tuple[np.ndarray, np.ndarray], truths: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Whether the sampler would predict each trial's truth from its uniform u.
+
+    cells are hit_cells(row_probs); a trial is a hit when lo[t] < u <= hi[t]
+    for its truth t. Two gathers, and no predicted class is built.
+    """
+    lo, hi = cells
+    return (u > lo.take(truths)) & (u <= hi.take(truths))
+
+
+def sample_oracle_predictions(
+    stage: StageId,
+    truths: np.ndarray,
+    row_probs: np.ndarray,
+    confidence_law: tuple[float, float, float],
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized oracle core: sampled predicted classes and confidences.
+
+    truths are class indices in [0, k); any other index is a BadRow.
+    row_probs[c] is the confusion-row distribution over predictions for
+    true class c. A trial's predicted class is the number of its row's
+    first k-1 CDF values below its uniform draw, one column at a time,
+    so it is below k even when a row's sum ends just under 1. Confidences
+    are one standard normal draw per trial, scaled by spread around
+    mean_correct or mean_false depending on correctness (the draws and
+    roundings of rng.normal(means, spread)) and clamped to
+    (1/n_classes, 1]. Of rng, only random and standard_normal are used.
+    hit_cells states when the predicted class is the truth.
+    """
+    row_probs, (mean_correct, mean_false, spread) = check_oracle_inputs(
+        stage, row_probs, confidence_law
+    )
+    n_classes = len(row_probs)
+
+    truths = np.asarray(truths)
+    if len(truths) and not (0 <= truths.min() and truths.max() < n_classes):
+        raise BadRow(f"{stage.value} truth classes must be in [0, {n_classes})")
+    u = rng.random(len(truths))
+    cdf = np.cumsum(row_probs, axis=1)
+    preds = np.zeros(len(truths), dtype=np.intp)
+    for j in range(n_classes - 1):
+        preds += u > cdf[:, j].take(truths)
+
+    confs = rng.standard_normal(len(truths), out=u)  # u is spent; reuse its buffer
+    with np.errstate(over="ignore"):  # a huge spread overflows to +-inf, which the clip bounds
+        confs *= spread
+    confs += np.where(preds == truths, mean_correct, mean_false)
+    return preds, np.clip(confs, 1.0 / n_classes + 1e-9, 1.0, out=confs)
 
 
 def _draw_classes(p: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -208,11 +304,27 @@ def _cursor(rng: np.random.Generator, skip: int) -> np.random.Generator:
     return np.random.Generator(copy.deepcopy(rng.bit_generator).advance(skip))
 
 
-def _oracle_counts(matrices: dict[StageId, list[list[int]]], stage: StageId) -> list[list[int]]:
-    """The stage's confusion counts; a BadRow when matrices has none for it."""
-    if stage not in matrices:
-        raise BadRow(f"oracle matrix for {stage.value} is missing")
-    return matrices[stage]
+def _stage_oracles(
+    matrices: dict[StageId, list[list[int]]], stages: Iterable[StageId], confidence_law
+) -> dict:
+    """Each stage's (truth marginals, hit cells); the one check of an oracle's inputs.
+
+    Stage by stage, in order: its matrix must be present and pass
+    row_probabilities, whose message then gets the prefix "oracle matrix
+    for <stage>: ", and its rows and the law check_oracle_inputs. The
+    first failure is a BadRow.
+    """
+    oracles = {}
+    for stage in stages:
+        if stage not in matrices:
+            raise BadRow(f"oracle matrix for {stage.value} is missing")
+        try:
+            rows = row_probabilities(matrices[stage])
+        except BadRow as exc:
+            raise BadRow(f"oracle matrix for {stage.value}: {exc}") from exc
+        rows, _ = check_oracle_inputs(stage, rows, confidence_law)
+        oracles[stage] = (truth_marginals(matrices[stage]), hit_cells(rows))
+    return oracles
 
 
 def oracle_branch_trials(
@@ -228,16 +340,14 @@ def oracle_branch_trials(
     truth marginals and the prediction from the truth's confusion row,
     so each stage errs at exactly the matrix's overall error rate. A
     trial is correct when every stage on the branch is. Before any draw,
-    each stage's matrix must be present and pass row_probabilities, and
-    its rows and the law check_oracle_inputs; the first failure is a
-    BadRow.
+    _stage_oracles checks the branch's stages.
 
     Each stage is drawn and scored ORACLE_BLOCK trials at a time, from
     the same stream as one draw of all n: its n truth uniforms, then n
     prediction uniforms, then n standard normals, after which the next
     stage starts. Truths come from the stage's generator and prediction
     uniforms from a copy advanced by n. A trial's prediction is right
-    when its uniform falls in its truth's cell (synth.hits), so no
+    when its uniform falls in its truth's cell (hits), so no
     predicted class is built. The normals would set the trials'
     confidences, which no report reads; they are drawn into one reused
     buffer from a copy advanced by 2n only to reach the next stage's
@@ -246,11 +356,7 @@ def oracle_branch_trials(
     """
     check_simulation_size(n_trials)
     stages = BRANCH_STAGES[branch]
-    branch_counts = {stage: _oracle_counts(matrices, stage) for stage in stages}
-    oracles = {}
-    for stage, counts in branch_counts.items():
-        rows, _ = check_oracle_inputs(stage, row_probabilities(counts), confidence_law)
-        oracles[stage] = (truth_marginals(counts), hit_cells(rows))
+    oracles = _stage_oracles(matrices, stages, confidence_law)
     rng = np.random.default_rng(seed)
     normals = np.empty(min(n_trials, ORACLE_BLOCK))
     stage_accuracy = {}
@@ -288,17 +394,9 @@ def run_oracle_batch(
 ) -> dict:
     """All three branches against their analytic path accuracies.
 
-    Before any draw, every stage's matrix must be present and pass
-    row_probabilities, and its rows and the law check_oracle_inputs; the
-    first failure is a BadRow.
+    Before any draw, _stage_oracles checks all five stages.
     """
-    for stage in StageId:
-        counts = _oracle_counts(matrices, stage)
-        try:
-            rows = row_probabilities(counts)
-        except BadRow as exc:
-            raise BadRow(f"oracle matrix for {stage.value}: {exc}") from exc
-        check_oracle_inputs(stage, rows, confidence_law)
+    _stage_oracles(matrices, StageId, confidence_law)
     acc = matrices_to_accuracies(matrices)
     branches = {}
     for i, branch in enumerate(FlapProfile):

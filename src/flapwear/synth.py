@@ -3,9 +3,7 @@
 Generates 1-D radial profile contours and axial gap patterns for a
 block of wheel specs, plus rule-based feature classifiers that turn a
 block's observations into probability rows (one (b, k) array per stage,
-in its class order, which the batch driver checks a stage at a time),
-and a vectorized stochastic oracle that imitates upstream models with a
-given confusion behavior.
+in its class order, which the batch driver checks a stage at a time).
 Together they close the loop around the hierarchy engine without images
 or trained networks.
 """
@@ -18,10 +16,9 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, is_finite, is_number
+from .errors import ValidationError, is_finite
 from .taxonomy import (
     SEVERITY_STAGE,
-    STAGE_CLASSES,
     FlapProfile,
     Severity,
     StageId,
@@ -63,10 +60,6 @@ _GAP_ARC = (1.0 - FLAP_ARC_FRACTION) * 2.0 * math.pi
 
 
 class InvalidSpec(ValidationError):
-    pass
-
-
-class BadRow(ValidationError):
     pass
 
 
@@ -262,100 +255,3 @@ def score_wheels(
     vectors[StageId.TEAR][:] = tear_rows(gaps, np.array([spec.n_flaps for spec in specs]))
     for profile, stage in SEVERITY_STAGE.items():
         vectors[stage][:] = severity_rows(radial, profile)
-
-
-def check_oracle_inputs(
-    stage: StageId, row_probs, confidence_law
-) -> tuple[np.ndarray, tuple[float, float, float]]:
-    """The oracle's rows and law for a stage of k classes, as floats; else a BadRow.
-
-    row_probs must be k x k, each row a probability distribution. The law
-    (mean_correct, mean_false, spread) must be three numbers, each mean in
-    (1/k, 1) and the spread finite and >= 0.
-    """
-    n_classes = len(STAGE_CLASSES[stage])
-    rows = np.asarray(row_probs, dtype=float)
-    if rows.shape != (n_classes, n_classes):
-        raise BadRow(f"{stage.value} rows must be {n_classes}x{n_classes}, got shape {rows.shape}")
-    if not np.all(rows >= 0) or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-9):
-        raise BadRow("each confusion row must be a probability distribution")
-    law = tuple(confidence_law) if isinstance(confidence_law, (list, tuple)) else ()
-    if len(law) != 3 or not all(is_number(x) for x in law):
-        raise BadRow(f"confidence_law must be three numbers, got {confidence_law!r}")
-    mean_correct, mean_false, spread = law
-    for mean in (mean_correct, mean_false):
-        if not 1.0 / n_classes < mean < 1.0:  # false for NaN too
-            raise BadRow(f"confidence_law mean must be in (1/{n_classes}, 1), got {mean}")
-    if not (is_finite(spread) and spread >= 0):  # -0.0 is a spread of 0
-        raise BadRow(f"confidence_law spread must be finite and >= 0, got {spread}")
-    return rows, (float(mean_correct), float(mean_false), float(spread))
-
-
-def hit_cells(row_probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each truth class's CDF cell: where its uniform lands when the sampler is right.
-
-    sample_oracle_predictions predicts class t for truth t exactly when
-    the trial's uniform u has lo[t] < u <= hi[t], with lo[t] = cdf[t, t-1]
-    (-inf for t = 0) and hi[t] = cdf[t, t] (+inf for the last class), cdf
-    being the cumsum of row_probs along each row. Its predicted class is
-    the count of a row's first k-1 CDF values below u, and a cumsum of
-    non-negative floats never decreases, so that count is t just when
-    the values below u are the first t. row_probs are rows as
-    check_oracle_inputs returns them.
-    """
-    cdf = np.cumsum(row_probs, axis=1)
-    lo = np.concatenate(([-np.inf], cdf.diagonal(-1)))
-    hi = np.concatenate((cdf.diagonal()[:-1], [np.inf]))
-    return lo, hi
-
-
-def hits(cells: tuple[np.ndarray, np.ndarray], truths: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Whether the sampler would predict each trial's truth from its uniform u.
-
-    cells are hit_cells(row_probs); a trial is a hit when lo[t] < u <= hi[t]
-    for its truth t. Two gathers, and no predicted class is built.
-    """
-    lo, hi = cells
-    return (u > lo.take(truths)) & (u <= hi.take(truths))
-
-
-def sample_oracle_predictions(
-    stage: StageId,
-    truths: np.ndarray,
-    row_probs: np.ndarray,
-    confidence_law: tuple[float, float, float],
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized oracle core: sampled predicted classes and confidences.
-
-    truths are class indices in [0, k); any other index is a BadRow.
-    row_probs[c] is the confusion-row distribution over predictions for
-    true class c. A trial's predicted class is the number of its row's
-    first k-1 CDF values below its uniform draw, one column at a time,
-    so it is below k even when a row's sum ends just under 1. Confidences
-    are one standard normal draw per trial, scaled by spread around
-    mean_correct or mean_false depending on correctness (the draws and
-    roundings of rng.normal(means, spread)) and clamped to
-    (1/n_classes, 1]. Of rng, only random and standard_normal are used.
-    hit_cells states when the predicted class is the truth.
-    """
-    row_probs, (mean_correct, mean_false, spread) = check_oracle_inputs(
-        stage, row_probs, confidence_law
-    )
-    n_classes = len(row_probs)
-
-    truths = np.asarray(truths)
-    if len(truths) and not (0 <= truths.min() and truths.max() < n_classes):
-        raise BadRow(f"{stage.value} truth classes must be in [0, {n_classes})")
-    u = rng.random(len(truths))
-    cdf = np.cumsum(row_probs, axis=1)
-    preds = np.zeros(len(truths), dtype=np.intp)
-    for j in range(n_classes - 1):
-        preds += u > cdf[:, j].take(truths)
-
-    confs = rng.standard_normal(len(truths), out=u)  # u is spent; reuse its buffer
-    with np.errstate(over="ignore"):  # a huge spread overflows to +-inf, which the clip bounds
-        confs *= spread
-    confs += np.where(preds == truths, mean_correct, mean_false)
-    return preds, np.clip(confs, 1.0 / n_classes + 1e-9, 1.0, out=confs)
-

@@ -53,7 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
-from flapwear import cli, metrics, synth
+from flapwear import cli, metrics, simulate, synth
 from flapwear.errors import FlapwearError, ParseError, ValidationError
 from flapwear.predictions import (
     ProbabilityVector,
@@ -642,15 +642,15 @@ def sample_oracle_predictions(
     n_classes = len(STAGE_CLASSES[stage])
     row_probs = np.asarray(row_probs, dtype=float)
     if row_probs.shape != (n_classes, n_classes):
-        raise synth.BadRow(f"row matrix must be {n_classes}x{n_classes}")
+        raise simulate.BadRow(f"row matrix must be {n_classes}x{n_classes}")
     if np.any(row_probs < 0) or np.any(np.abs(row_probs.sum(axis=1) - 1.0) > 1e-9):
-        raise synth.BadRow("each confusion row must be a probability distribution")
+        raise simulate.BadRow("each confusion row must be a probability distribution")
 
     mean_correct, mean_false, spread = confidence_law
     lo = 1.0 / n_classes
     for m in (mean_correct, mean_false):
         if not lo < m < 1.0:
-            raise synth.BadRow(f"confidence mean {m} outside (1/{n_classes}, 1)")
+            raise simulate.BadRow(f"confidence mean {m} outside (1/{n_classes}, 1)")
 
     truths = np.asarray(truths)
     u = rng.random(len(truths))

@@ -785,7 +785,7 @@ LABELED = "\n".join(
         ),
         pytest.param(
             _propagate(accuracies={"usage": True, "tear": 0.938, "profile": 0.954}),
-            EXIT_VALIDATION, "validation error: j_usage must be a number in [0, 1], got True",
+            EXIT_VALIDATION, "validation error: accuracy 'usage' must be a number in [0, 1], got True",
             id="bool-accuracy",
         ),
         pytest.param(

@@ -1,6 +1,6 @@
 """The column-wise oracle sampler against the row-gathering one it replaced.
 
-``synth.sample_oracle_predictions`` compares each trial's uniform with
+``simulate.sample_oracle_predictions`` compares each trial's uniform with
 its confusion row's CDF one column at a time and builds confidences from
 ``standard_normal``; ``simulate._draw_classes`` draws truth classes the
 way ``Generator.choice(p=...)`` does. ``scalar_oracle`` keeps the code
@@ -9,7 +9,7 @@ state afterwards must be equal, for two- and three-class stages, count
 matrices with zero cells, sizes on both sides of 65536, zero and
 positive spreads and any seed; and so must every branch's report, which
 ``simulate.oracle_branch_trials`` draws ``ORACLE_BLOCK`` (65536) trials
-at a time from three cursors into one stream. ``synth.hits``, by which
+at a time from three cursors into one stream. ``simulate.hits``, by which
 that replay scores a trial without building its prediction, must hold
 exactly where the sampler predicts the truth, at every CDF edge.
 """
@@ -22,8 +22,13 @@ from hypothesis import strategies as st
 import scalar_oracle
 from conftest import ALL_MATRICES
 from flapwear import simulate
-from flapwear.simulate import row_probabilities, sample_oracle_predictions, truth_marginals
-from flapwear.synth import hit_cells, hits
+from flapwear.simulate import (
+    hit_cells,
+    hits,
+    row_probabilities,
+    sample_oracle_predictions,
+    truth_marginals,
+)
 from flapwear.taxonomy import STAGE_CLASSES, FlapProfile, StageId
 
 SIZES = st.sampled_from([1, 2, 65535, 65536, 65537])

@@ -14,8 +14,7 @@ from flapwear.propagation import (
     path_accuracy,
     propagation_report,
 )
-from flapwear.simulate import oracle_branch_trials, run_oracle_batch
-from flapwear.synth import BadRow
+from flapwear.simulate import BadRow, oracle_branch_trials, run_oracle_batch
 from flapwear.taxonomy import BRANCH_STAGES, STAGE_CLASSES, FlapProfile
 
 from conftest import STAGE_ACCURACIES
@@ -233,6 +232,16 @@ class TestMonteCarlo:
         if convex is not None:
             all_matrices[StageId.CONVEX_SEVERITY] = convex
         monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(BadRow, match=message):
+            run_oracle_batch(all_matrices, 10, 0)
+
+    def test_one_fault_has_one_message(self, all_matrices):
+        # The branch replay and the batch check a stage by the same rule, word for word.
+        all_matrices[StageId.USAGE] = [[0, 0], [104, 1349]]
+        message = "^oracle matrix for usage: confusion matrix has an empty truth row$"
+        for branch in FlapProfile:
+            with pytest.raises(BadRow, match=message):
+                oracle_branch_trials(all_matrices, branch, 10, 0)
         with pytest.raises(BadRow, match=message):
             run_oracle_batch(all_matrices, 10, 0)
 

@@ -8,14 +8,13 @@ from flapwear import predictions, simulate
 from flapwear.engine import DEFAULT_THRESHOLDS
 from flapwear.errors import ConfigError
 from flapwear.predictions import ProbabilityVector, StageId
+from flapwear.simulate import BadRow, sample_oracle_predictions
 from flapwear.synth import (
     TEAR_RATIO_BOUNDARY,
-    BadRow,
     InvalidSpec,
     WheelSpec,
     observe_wheels,
     profile_rows,
-    sample_oracle_predictions,
     score_wheels,
     severity_rows,
     tear_rows,

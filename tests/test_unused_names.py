@@ -13,8 +13,6 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "flapwear"
 MODULES = sorted(PACKAGE.glob("*.py"))
-# (module, name): imported for the library's users, not read by the module itself.
-RE_EXPORTS = {("simulate", "sample_oracle_predictions")}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -77,11 +75,7 @@ def _private_definitions(tree: ast.Module) -> list[str]:
 def test_every_import_is_used(path):
     tree = _tree(path)
     read = _loads(tree) | _exported(tree)
-    unused = [
-        name for name in _imports(tree)
-        if name not in read and (path.stem, name) not in RE_EXPORTS
-    ]
-    assert unused == []
+    assert [name for name in _imports(tree) if name not in read] == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
