@@ -12,7 +12,9 @@ replay.
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import threading
 from typing import Iterable
 
 import numpy as np
@@ -304,6 +306,31 @@ def _cursor(rng: np.random.Generator, skip: int) -> np.random.Generator:
     return np.random.Generator(copy.deepcopy(rng.bit_generator).advance(skip))
 
 
+@contextlib.contextmanager
+def _beside(fn, *args):
+    """Run fn(*args) on one helper thread while the with-block runs.
+
+    The helper is joined when the block ends, however it ends. If the
+    block ended normally and fn raised, fn's exception is raised here.
+    """
+    raised = []
+
+    def run():
+        try:
+            fn(*args)
+        except BaseException as exc:  # raised in the caller, not printed by the thread
+            raised.append(exc)
+
+    helper = threading.Thread(target=run)
+    helper.start()
+    try:
+        yield
+    finally:
+        helper.join()
+    if raised:
+        raise raised.pop()
+
+
 def _stage_oracles(
     matrices: dict[StageId, list[list[int]]], stages: Iterable[StageId], confidence_law
 ) -> dict:
@@ -325,6 +352,33 @@ def _stage_oracles(
         rows, _ = check_oracle_inputs(stage, rows, confidence_law)
         oracles[stage] = (truth_marginals(matrices[stage]), hit_cells(rows))
     return oracles
+
+
+def _skip_normals(rng: np.random.Generator, n: int) -> None:
+    """Move rng past n standard normals, drawn into one buffer ORACLE_BLOCK at a time."""
+    buffer = np.empty(min(n, ORACLE_BLOCK))
+    for start in range(0, n, ORACLE_BLOCK):
+        size = min(n - start, ORACLE_BLOCK)
+        rng.standard_normal(size, out=buffer[:size])
+
+
+def _score_stage(oracle, rng, predictions, all_correct: np.ndarray) -> int:
+    """Draw and score one stage's trials ORACLE_BLOCK at a time; the count of hits.
+
+    Truths come from rng and prediction uniforms from predictions; each
+    trial's all-correct flag is cleared where it misses.
+    """
+    marginals, cells = oracle
+    n_trials = len(all_correct)
+    n_correct = 0
+    for start in range(0, n_trials, ORACLE_BLOCK):
+        block = slice(start, min(n_trials, start + ORACLE_BLOCK))
+        size = block.stop - block.start
+        truths = _draw_classes(marginals, size, rng)
+        correct = hits(cells, truths, predictions.random(size))
+        all_correct[block] &= correct
+        n_correct += int(np.count_nonzero(correct))
+    return n_correct
 
 
 def oracle_branch_trials(
@@ -349,34 +403,33 @@ def oracle_branch_trials(
     uniforms from a copy advanced by n. A trial's prediction is right
     when its uniform falls in its truth's cell (hits), so no
     predicted class is built. The normals would set the trials'
-    confidences, which no report reads; they are drawn into one reused
-    buffer from a copy advanced by 2n only to reach the next stage's
-    start, so the last stage draws none. Memory is one byte per trial,
-    the trials' running all-correct flags, plus a fixed block.
+    confidences, which no report reads; they are drawn only to reach the
+    next stage's start, so the last stage draws none. They come from a
+    copy advanced by 2n, taken before the stage draws anything, and are
+    drawn on one helper thread while this thread scores the stage's
+    uniforms; numpy releases the GIL for both, so on two cores they
+    overlap. The next stage starts from that copy once the helper is
+    joined, which it is on every path; an exception it raised is raised
+    here. At most two threads run, and nothing sets their number.
+    Memory is one byte per trial, the trials' running all-correct flags,
+    plus this thread's block and the helper's normals buffer.
     """
     check_simulation_size(n_trials)
     stages = BRANCH_STAGES[branch]
     oracles = _stage_oracles(matrices, stages, confidence_law)
     rng = np.random.default_rng(seed)
-    normals = np.empty(min(n_trials, ORACLE_BLOCK))
     stage_accuracy = {}
     all_correct = np.ones(n_trials, dtype=bool)
-    for stage, (marginals, cells) in oracles.items():
+    for stage, oracle in oracles.items():
         predictions = _cursor(rng, n_trials)
-        next_stage = None if stage is stages[-1] else _cursor(rng, 2 * n_trials)
-        n_correct = 0
-        for start in range(0, n_trials, ORACLE_BLOCK):
-            block = slice(start, min(n_trials, start + ORACLE_BLOCK))
-            size = block.stop - block.start
-            truths = _draw_classes(marginals, size, rng)
-            u = predictions.random(size)
-            correct = hits(cells, truths, u)
-            all_correct[block] &= correct
-            n_correct += int(np.count_nonzero(correct))
-            if next_stage is not None:
-                next_stage.standard_normal(size, out=normals[:size])
+        if stage is stages[-1]:
+            n_correct = _score_stage(oracle, rng, predictions, all_correct)
+        else:
+            next_stage = _cursor(rng, 2 * n_trials)
+            with _beside(_skip_normals, next_stage, n_trials):
+                n_correct = _score_stage(oracle, rng, predictions, all_correct)
+            rng = next_stage
         stage_accuracy[stage.value] = n_correct / n_trials
-        rng = next_stage
 
     return {
         "branch": branch.value,

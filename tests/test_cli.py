@@ -1,8 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+import flapwear
+from flapwear import simulate
 from flapwear.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
 from flapwear.predictions import StageId
 
@@ -303,6 +310,28 @@ class TestSimulate:
         assert capsys.readouterr().err == ""
         digest = hashlib.sha256((out / "simulation.json").read_bytes()).hexdigest()
         assert digest == self.SYNTH_REPORT_SHA256[noise_sigma, n]
+
+
+    def test_oracle_helper_out_of_memory_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        def no_room(*args):
+            raise MemoryError("no room for the normals")
+
+        monkeypatch.setattr(simulate, "_skip_normals", no_room)
+        threads = threading.active_count()
+        argv = _simulate(n_flag="1000")(tmp_path) + ["--out", str(tmp_path / "reports")]
+        assert main(argv) == EXIT_CONFIG == 4
+        assert capsys.readouterr().err == (
+            "config error: simulation size 1000 is too large: no room for the normals\n"
+        )
+        assert threading.active_count() == threads
+
+
+def test_cli_import_loads_no_pool_or_logging():
+    # Both would add to every command's start-up; the oracle's helper is a plain thread.
+    code = "import sys, flapwear.cli; print(sorted({'concurrent.futures', 'logging'} & {*sys.modules}))"
+    env = {**os.environ, "PYTHONPATH": str(Path(flapwear.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
 
 
 class TestPropagate:

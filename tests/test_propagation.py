@@ -1,8 +1,11 @@
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from flapwear import simulate
 from flapwear.errors import ConfigError
 from flapwear.predictions import StageId
 from flapwear.propagation import (
@@ -268,7 +271,8 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("branch", list(FlapProfile), ids=lambda b: b.value)
     def test_peak_memory_is_a_byte_per_trial_and_a_block(self, all_matrices, branch):
-        # About 3.6 MiB: 1 MB of all-correct flags and one ORACLE_BLOCK of draws.
+        # About 3.2 MiB (3.8 on the rectangular branch): 1 MB of all-correct flags, one
+        # ORACLE_BLOCK of draws and the helper thread's buffer of normals.
         tracemalloc.start()
         try:
             oracle_branch_trials(all_matrices, branch, 10**6, 0)
@@ -281,6 +285,60 @@ class TestMonteCarlo:
         a = simulated_accuracy(PAPER_ACC, FlapProfile.CONCAVE, 10**4, seed=17)
         b = simulated_accuracy(PAPER_ACC, FlapProfile.CONCAVE, 10**4, seed=17)
         assert a == b
+
+
+class TestSkipNormalsThread:
+    """The stream-skipping normals drawn on a helper thread beside the scoring."""
+
+    def test_helper_exception_is_raised_in_the_caller(self, all_matrices, monkeypatch):
+        def no_room(*args):
+            raise MemoryError("no room for the normals")
+
+        monkeypatch.setattr(simulate, "_skip_normals", no_room)
+        threads = threading.active_count()
+        with pytest.raises(MemoryError, match="no room for the normals"):
+            oracle_branch_trials(all_matrices, FlapProfile.CONCAVE, 1000, 0)
+        assert threading.active_count() == threads
+
+    def test_helper_is_joined_when_scoring_raises(self, all_matrices, monkeypatch):
+        # The helper outlasts the failed block; the call still waits for it.
+        skip_normals, finished = simulate._skip_normals, []
+
+        def slow_skip(*args):
+            time.sleep(0.2)
+            skip_normals(*args)
+            finished.append(True)
+
+        def broken_hits(*args):
+            raise RuntimeError("scoring failed")
+
+        monkeypatch.setattr(simulate, "_skip_normals", slow_skip)
+        monkeypatch.setattr(simulate, "hits", broken_hits)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="scoring failed"):
+            oracle_branch_trials(all_matrices, FlapProfile.CONCAVE, 1000, 0)
+        assert finished == [True]
+        assert threading.active_count() == threads
+
+    def test_concurrent_batches_match_serial_ones(self, all_matrices):
+        # No buffer or generator is shared between calls: two at once each
+        # return what one alone does, over a block edge.
+        n_trials = simulate.ORACLE_BLOCK + 3
+        serial = [run_oracle_batch(all_matrices, n_trials, seed) for seed in (1, 2)]
+        start = threading.Barrier(2, timeout=60)
+        results = [None, None]
+
+        def replay(i):
+            start.wait()
+            results[i] = run_oracle_batch(all_matrices, n_trials, i + 1)
+
+        threads = [threading.Thread(target=replay, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert results == serial
 
 
 def test_propagation_report_contents():
