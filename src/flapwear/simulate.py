@@ -23,7 +23,7 @@ from .engine import EngineConfig, RunDecisions, RunResult, decide_runs
 from .errors import ConfigError, ValidationError, is_finite, is_number
 from .predictions import VectorError, first_invalid_row
 from .propagation import ACCURACY_NAMES, StageAccuracies, path_accuracy
-from .synth import WheelSpec, score_wheels
+from .synth import Wheels, WheelSpec, check_noise_sigma, score_block, score_wheels
 from .taxonomy import (
     BRANCH_STAGES,
     CONSISTENT_OUTCOMES,
@@ -45,26 +45,33 @@ class BadRow(ValidationError):
     pass
 
 
+def _draw_wheel(outcome: WearOutcome, rng: np.random.Generator) -> tuple[int, list[int], float]:
+    """A random wheel realizing outcome: its flap count, torn flap indices and depth.
+
+    The one statement of the draw, from rng in this order: the flap
+    count, integers(12, 33); for a torn outcome the number torn,
+    integers(1, 4), and which, choice(n_flaps, n_torn, replace=False);
+    then the depth, uniform(0.08, 0.4). These ranges are ones where the
+    rule-based classifiers resolve the wear state at zero noise.
+    """
+    n_flaps = int(rng.integers(12, 33))
+    torn: list[int] = []
+    if outcome.tear is TearState.WITH_TEAR:
+        torn = rng.choice(n_flaps, int(rng.integers(1, 4)), replace=False).tolist()
+    return n_flaps, torn, float(rng.uniform(0.08, 0.4))
+
+
 def spec_for_outcome(
     outcome: WearOutcome, rng: np.random.Generator, noise_sigma: float = 0.0
 ) -> WheelSpec:
-    """Randomized wheel spec realizing a given outcome.
-
-    Geometry parameters are sampled within ranges where the rule-based
-    classifiers resolve the wear state at zero noise.
-    """
-    n_flaps = int(rng.integers(12, 33))
-    torn: frozenset[int] = frozenset()
-    if outcome.tear is TearState.WITH_TEAR:
-        n_torn = int(rng.integers(1, 4))
-        torn = frozenset(int(i) for i in rng.choice(n_flaps, n_torn, replace=False))
-    depth = float(rng.uniform(0.08, 0.4))
+    """Randomized wheel spec realizing a given outcome, drawn as _draw_wheel draws it."""
+    n_flaps, torn, depth = _draw_wheel(outcome, rng)
     return WheelSpec(
         usage=outcome.usage,
         profile=outcome.profile,
         severity=outcome.severity,
         n_flaps=n_flaps,
-        torn_flaps=torn,
+        torn_flaps=frozenset(torn),
         profile_depth=depth,
         noise_sigma=noise_sigma,
     )
@@ -117,25 +124,37 @@ def run_synthetic_batch(
 ) -> dict:
     """Round-robin over the 11 outcomes; measures hierarchy accuracy.
 
-    Specs and wheel seeds are drawn one wheel at a time from the batch
-    RNG; the wheels are observed and scored SYNTH_BLOCK at a time into
-    per-stage arrays, both severity stages for every wheel, so level 3
-    is judged on whichever branch the profile decision takes. Each
-    stage's rows are then checked once, and the hierarchy decides them
-    in one batch.
+    noise_sigma is checked once, by check_noise_sigma. Wheels are drawn
+    SYNTH_BLOCK at a time, one wheel after another from the batch RNG:
+    _draw_wheel, then the wheel's seed, integers(0, 2**31). Each block
+    goes into columns (outcome, flap count, torn flags, depth, seed) and
+    is observed and scored into per-stage arrays, both severity stages
+    for every wheel, so level 3 is judged on whichever branch the
+    profile decision takes. Each stage's rows are then checked once, and
+    the hierarchy decides them in one batch.
     """
     check_simulation_size(n)
+    check_noise_sigma(noise_sigma)
     rng = np.random.default_rng(seed)
     vectors = _stage_arrays(n)
-    expected = np.resize([o.id for o in CONSISTENT_OUTCOMES], n)  # wheel k: outcome k mod 11
+    outcome = np.resize(np.arange(len(CONSISTENT_OUTCOMES)), n)  # wheel k: outcome k mod 11
+    expected = np.array([o.id for o in CONSISTENT_OUTCOMES])[outcome]
     for start in range(0, n, SYNTH_BLOCK):
         rows = slice(start, min(n, start + SYNTH_BLOCK))
-        specs, seeds = [], []
-        for k in range(rows.start, rows.stop):
-            outcome = CONSISTENT_OUTCOMES[k % len(CONSISTENT_OUTCOMES)]
-            specs.append(spec_for_outcome(outcome, rng, noise_sigma))
+        n_flaps, depth, seeds, torn_rows, torn_flaps = [], [], [], [], []
+        for j, index in enumerate(outcome[rows].tolist()):
+            flaps, torn, wheel_depth = _draw_wheel(CONSISTENT_OUTCOMES[index], rng)
+            n_flaps.append(flaps)
+            depth.append(wheel_depth)
+            torn_rows += [j] * len(torn)
+            torn_flaps += torn
             seeds.append(int(rng.integers(0, 2**31)))
-        score_wheels(specs, seeds, {stage: v[rows] for stage, v in vectors.items()})
+        torn_mask = np.zeros((len(n_flaps), max(n_flaps)), dtype=bool)
+        torn_mask[torn_rows, torn_flaps] = True
+        wheels = Wheels(
+            outcome[rows], np.array(n_flaps), torn_mask, np.array(depth), seeds, float(noise_sigma)
+        )
+        score_block(wheels, {stage: v[rows] for stage, v in vectors.items()})
 
     decisions = _decide_checked(vectors, config)
     hit = decisions.outcome_id == expected
@@ -144,7 +163,7 @@ def run_synthetic_batch(
     return {
         "mode": "synth",
         "n": n,
-        "noise_sigma": float(noise_sigma),  # finite: every wheel's WheelSpec checked it
+        "noise_sigma": float(noise_sigma),  # finite: check_noise_sigma refused any other
         "hierarchy_accuracy": int(np.count_nonzero(hit)) / n,
         "per_outcome": {
             str(o.id): {"correct": correct[o.id], "total": total[o.id]}

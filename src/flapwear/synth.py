@@ -1,9 +1,11 @@
 """Synthetic flap-wheel observations with known ground truth.
 
 Generates 1-D radial profile contours and axial gap patterns for a
-block of wheel specs, plus rule-based feature classifiers that turn a
-block's observations into probability rows (one (b, k) array per stage,
-in its class order, which the batch driver checks a stage at a time).
+block of wheels held as columns (``Wheels``), plus rule-based feature
+classifiers that turn a block's observations into probability rows (one
+(b, k) array per stage, in its class order, which the batch driver
+checks a stage at a time). ``WheelSpec`` describes one wheel; the
+``*_wheels`` functions take a list of them and build the columns.
 Together they close the loop around the hierarchy engine without images
 or trained networks.
 """
@@ -11,13 +13,15 @@ or trained networks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import ValidationError, is_finite
 from .taxonomy import (
+    CONSISTENT_OUTCOMES,
     SEVERITY_STAGE,
     FlapProfile,
     Severity,
@@ -25,6 +29,7 @@ from .taxonomy import (
     TaxonomyError,
     TearState,
     UsageState,
+    WearOutcome,
     outcome_from_parts,
 )
 
@@ -57,10 +62,24 @@ _W = np.linspace(0.0, 1.0, PROFILE_SAMPLES)
 _BUMP_DIRECTION = {FlapProfile.RECTANGULAR: 0.0, FlapProfile.CONCAVE: -1.0, FlapProfile.CONVEX: 1.0}
 # Total gap angle around the wheel, shared out among its flaps.
 _GAP_ARC = (1.0 - FLAP_ARC_FRACTION) * 2.0 * math.pi
+# Per position in CONSISTENT_OUTCOMES: bump sign, full severity, new wheel.
+_OUTCOME_DIRECTION = np.array([_BUMP_DIRECTION[o.profile] for o in CONSISTENT_OUTCOMES])
+_OUTCOME_FULLY = np.array([o.severity is Severity.FULLY for o in CONSISTENT_OUTCOMES])
+_OUTCOME_NEW = np.array([o.usage is UsageState.NEW for o in CONSISTENT_OUTCOMES])
 
 
 class InvalidSpec(ValidationError):
     pass
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_noise_sigma(noise_sigma) -> None:
+    """The one rule for a noise level: finite and >= 0; else an InvalidSpec."""
+    if not (is_finite(noise_sigma) and noise_sigma >= 0):
+        raise InvalidSpec(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
 
 
 @dataclass(frozen=True)
@@ -77,16 +96,20 @@ class WheelSpec:
     fringe: Optional[bool] = None  # default derived from usage
 
     def __post_init__(self):
+        if not _is_integer(self.n_flaps):
+            raise InvalidSpec(f"n_flaps must be an integer, got {self.n_flaps!r}")
         if self.n_flaps < 8:
             raise InvalidSpec("n_flaps must be >= 8")
-        if any(not 0 <= i < self.n_flaps for i in self.torn_flaps):
-            raise InvalidSpec("torn flap index outside 0..n_flaps-1")
+        for i in self.torn_flaps:
+            if not _is_integer(i):
+                raise InvalidSpec(f"torn flap index must be an integer, got {i!r}")
+            if not 0 <= i < self.n_flaps:
+                raise InvalidSpec("torn flap index outside 0..n_flaps-1")
         if not 0.0 <= self.profile_depth <= 0.5:
             raise InvalidSpec("profile_depth must be in [0, 0.5]")
-        if not (is_finite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise InvalidSpec(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        check_noise_sigma(self.noise_sigma)
         try:
-            outcome_from_parts(self.usage, self.profile, self.tear, self.severity)
+            self.outcome  # looked up for its refusal of an inconsistent combination
         except TaxonomyError as exc:
             raise InvalidSpec(str(exc)) from exc
         if self.usage is UsageState.NEW and self.fringe is False:
@@ -102,9 +125,50 @@ class WheelSpec:
     def tear(self) -> TearState:
         return TearState.WITH_TEAR if self.torn_flaps else TearState.NO_TEAR
 
+    @property
+    def outcome(self) -> WearOutcome:
+        return outcome_from_parts(self.usage, self.profile, self.tear, self.severity)
 
-def _severity_span(spec: WheelSpec, rng: np.random.Generator) -> tuple[float, float]:
-    if spec.severity is Severity.FULLY:
+
+class Wheels(NamedTuple):
+    """A block of b wheels as columns; row j of each is wheel j.
+
+    outcome holds positions in CONSISTENT_OUTCOMES, which fix each
+    wheel's profile and severity; torn[j, i] is whether flap i of wheel
+    j is torn, and its width is the block's largest flap count. A wheel
+    is observed from default_rng(seeds[j]). noise_sigma is one level for
+    the block or one per wheel; fringe None means a wheel carries its
+    fringes exactly when it is new, as in WheelSpec.
+    """
+
+    outcome: np.ndarray
+    n_flaps: np.ndarray
+    torn: np.ndarray
+    depth: np.ndarray
+    seeds: Sequence[int]
+    noise_sigma: Union[float, np.ndarray] = 0.0
+    fringe: Optional[np.ndarray] = None
+
+
+def wheel_columns(specs: Sequence[WheelSpec], seeds: Sequence[int]) -> Wheels:
+    """The block of specs[j], each observed from seeds[j], as columns."""
+    n_flaps = np.array([spec.n_flaps for spec in specs])
+    torn = np.zeros((len(specs), n_flaps.max()), dtype=bool)
+    for j, spec in enumerate(specs):
+        torn[j, list(spec.torn_flaps)] = True
+    return Wheels(
+        outcome=np.array([CONSISTENT_OUTCOMES.index(spec.outcome) for spec in specs]),
+        n_flaps=n_flaps,
+        torn=torn,
+        depth=np.array([spec.profile_depth for spec in specs], dtype=float),
+        seeds=list(seeds),
+        noise_sigma=np.array([spec.noise_sigma for spec in specs], dtype=float),
+        fringe=np.array([spec.has_fringe for spec in specs]),
+    )
+
+
+def _severity_span(fully: bool, rng: np.random.Generator) -> tuple[float, float]:
+    if fully:
         span = rng.uniform(0.90, 1.0)
         start = (1.0 - span) / 2.0
     else:
@@ -113,49 +177,60 @@ def _severity_span(spec: WheelSpec, rng: np.random.Generator) -> tuple[float, fl
     return start, start + span
 
 
-def observe_wheels(
-    specs: Sequence[WheelSpec], seeds: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
+def observe_block(wheels: Wheels) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic synthetic observations of a block of wheels.
 
-    Row j is wheel specs[j], drawn from default_rng(seeds[j]): its
-    radial contour, a (b, PROFILE_SAMPLES) array, and its axial gaps, a
-    (b, max n_flaps) array whose row j is meaningful up to
-    specs[j].n_flaps. The contour is a constant base radius with a smooth
-    bump of depth profile_depth (depression for concave, bulge for
+    Row j is wheel j: its radial contour, a (b, PROFILE_SAMPLES) array,
+    and its axial gaps, a (b, max n_flaps) array whose row j is
+    meaningful up to n_flaps[j]. The contour is a constant base radius
+    with a smooth bump of depth (depression for concave, bulge for
     convex) over the severity span; gaussian noise_sigma perturbs the
     samples. Torn flaps widen their gap well past the nominal jitter.
     Each wheel draws its severity span, noise row, gap jitter and torn
-    widths (in sorted flap order) one after the other; the arithmetic on
-    the draws is done for the whole block.
+    widths (in flap order) one after the other from default_rng(seeds[j]),
+    which is made only for a wheel that draws: a shaped one, a torn one
+    or one with noise. The arithmetic on the draws is done for the
+    whole block.
     """
-    b = len(specs)
-    n_flaps = np.array([spec.n_flaps for spec in specs])
+    b, width = wheels.torn.shape
+    direction = _OUTCOME_DIRECTION[wheels.outcome]
+    shaped = direction != 0.0
+    sigma = np.broadcast_to(wheels.noise_sigma, (b,))
+    n_torn = np.count_nonzero(wheels.torn, axis=1)
     lo, hi = np.zeros(b), np.ones(b)
     noise = np.zeros((b, PROFILE_SAMPLES))
-    jitter = np.zeros((b, n_flaps.max()))
-    torn = np.zeros((b, n_flaps.max()))  # width factor of each torn flap, 0 elsewhere
-    for j, (spec, seed) in enumerate(zip(specs, seeds)):
-        rng = np.random.default_rng(seed)
-        if spec.profile is not FlapProfile.RECTANGULAR:
-            lo[j], hi[j] = _severity_span(spec, rng)
-        if spec.noise_sigma > 0:
-            noise[j] = rng.normal(0.0, spec.noise_sigma, PROFILE_SAMPLES)
-            jitter[j, : spec.n_flaps] = rng.uniform(-GAP_JITTER, GAP_JITTER, spec.n_flaps)
-        for i in sorted(spec.torn_flaps):
-            torn[j, i] = rng.uniform(*TORN_GAP_RANGE)
+    jitter = np.zeros((b, width))
+    widths = []  # each torn flap's width factor, wheel by wheel in flap order
+    is_shaped, fully = shaped.tolist(), _OUTCOME_FULLY[wheels.outcome].tolist()
+    n_flaps, sigmas, torn_counts = wheels.n_flaps.tolist(), sigma.tolist(), n_torn.tolist()
+    for j in np.flatnonzero(shaped | (n_torn > 0) | (sigma > 0)).tolist():
+        rng = np.random.default_rng(wheels.seeds[j])
+        if is_shaped[j]:
+            lo[j], hi[j] = _severity_span(fully[j], rng)
+        if sigmas[j] > 0:
+            noise[j] = rng.normal(0.0, sigmas[j], PROFILE_SAMPLES)
+            jitter[j, : n_flaps[j]] = rng.uniform(-GAP_JITTER, GAP_JITTER, n_flaps[j])
+        if torn_counts[j]:
+            widths += rng.uniform(*TORN_GAP_RANGE, torn_counts[j]).tolist()
+    torn = np.zeros((b, width))
+    torn[wheels.torn] = widths  # a mask assigns in row-major order
 
-    direction = np.array([_BUMP_DIRECTION[spec.profile] for spec in specs])
-    depth = np.array([spec.profile_depth for spec in specs])
-    inside = (_W >= lo[:, None]) & (_W <= hi[:, None]) & (direction != 0.0)[:, None]
+    inside = (_W >= lo[:, None]) & (_W <= hi[:, None]) & shaped[:, None]
     t = (_W - lo[:, None]) / (hi - lo)[:, None]
-    bump = depth[:, None] * np.sin(math.pi * t)
+    bump = wheels.depth[:, None] * np.sin(math.pi * t)
     radial = BASE_RADIUS + np.where(inside, direction[:, None] * bump, 0.0) + noise
     radial = np.clip(radial, 1e-6, 1.0)
 
-    nominal = _GAP_ARC / n_flaps
-    gaps = nominal[:, None] * np.where(torn > 0.0, torn, 1.0 + jitter)
+    nominal = _GAP_ARC / wheels.n_flaps
+    gaps = nominal[:, None] * np.where(wheels.torn, torn, 1.0 + jitter)
     return radial, gaps
+
+
+def observe_wheels(
+    specs: Sequence[WheelSpec], seeds: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """observe_block of specs[j], each observed from seeds[j]."""
+    return observe_block(wheel_columns(specs, seeds))
 
 
 def _logistic_rows(z: np.ndarray) -> np.ndarray:
@@ -216,14 +291,18 @@ def severity_rows(radial: np.ndarray, branch: FlapProfile) -> np.ndarray:
 def tear_rows(gaps: np.ndarray, n_flaps: np.ndarray) -> np.ndarray:
     """Tear rows scored from each wheel's max-to-median gap ratio.
 
-    Row j's gaps are gaps[j, :n_flaps[j]]; the median is taken over the
-    wheels of one flap count at a time.
+    Row j's gaps are gaps[j, :n_flaps[j]]; the wheels of one flap count
+    are sorted together, and an even count's median is the mean of its
+    middle two, (a + b) / 2, as np.median takes it.
     """
     ratio = np.empty(len(gaps))
-    for count in np.unique(n_flaps).tolist():
+    for count in np.flatnonzero(np.bincount(n_flaps)).tolist():
         rows = n_flaps == count
-        wheel_gaps = gaps[rows, :count]
-        ratio[rows] = wheel_gaps.max(axis=1) / np.median(wheel_gaps, axis=1)
+        wheel_gaps = np.sort(gaps[rows, :count], axis=1)
+        median = wheel_gaps[:, count // 2]
+        if count % 2 == 0:
+            median = (wheel_gaps[:, count // 2 - 1] + median) / 2
+        ratio[rows] = wheel_gaps[:, -1] / median
     return _logistic_rows(-_TEAR_LOGISTIC_SLOPE * (ratio - _TEAR_LOGISTIC_CENTER))
 
 
@@ -239,9 +318,7 @@ def usage_rows(radial: np.ndarray, fringe: np.ndarray) -> np.ndarray:
     return np.where(fringe[:, None], rows, rows[:, ::-1])
 
 
-def score_wheels(
-    specs: Sequence[WheelSpec], seeds: Sequence[int], vectors: Mapping[StageId, np.ndarray]
-) -> None:
+def score_block(wheels: Wheels, vectors: Mapping[StageId, np.ndarray]) -> None:
     """Observe a block of wheels and write every stage's rows in place.
 
     vectors[stage] is the block's (b, k) slice of the per-stage arrays
@@ -249,9 +326,17 @@ def score_wheels(
     whatever its true profile, as a deployed pipeline scores the branch
     the engine routes it to.
     """
-    radial, gaps = observe_wheels(specs, seeds)
-    vectors[StageId.USAGE][:] = usage_rows(radial, np.array([spec.has_fringe for spec in specs]))
+    radial, gaps = observe_block(wheels)
+    fringe = _OUTCOME_NEW[wheels.outcome] if wheels.fringe is None else wheels.fringe
+    vectors[StageId.USAGE][:] = usage_rows(radial, fringe)
     vectors[StageId.PROFILE][:] = profile_rows(radial)
-    vectors[StageId.TEAR][:] = tear_rows(gaps, np.array([spec.n_flaps for spec in specs]))
+    vectors[StageId.TEAR][:] = tear_rows(gaps, wheels.n_flaps)
     for profile, stage in SEVERITY_STAGE.items():
         vectors[stage][:] = severity_rows(radial, profile)
+
+
+def score_wheels(
+    specs: Sequence[WheelSpec], seeds: Sequence[int], vectors: Mapping[StageId, np.ndarray]
+) -> None:
+    """score_block of specs[j], each observed from seeds[j]."""
+    score_block(wheel_columns(specs, seeds), vectors)

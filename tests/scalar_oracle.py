@@ -20,8 +20,9 @@ The synthetic part generates and scores one wheel at a time
 (``generate_observation``, the four ``*_feature_classifier`` functions,
 ``observation_vectors``) and fills the per-stage arrays of a synthetic
 batch wheel by wheel (``synthetic_stage_rows``). It imports the
-generator's constants, ``WheelSpec`` and ``spec_for_outcome`` (the
-per-wheel spec draw the batch path keeps) from flapwear.
+generator's constants, ``WheelSpec`` and ``spec_for_outcome`` (a wheel's
+random draw, made by the helper the batch calls, as a spec) from
+flapwear.
 
 The table part is the prediction-table parser as it was before its
 scanner fast path (``parse_prediction_table``): every line decoded by

@@ -326,12 +326,23 @@ class TestSimulate:
         assert threading.active_count() == threads
 
 
-def test_cli_import_loads_no_pool_or_logging():
+def test_cli_import_loads_no_pool_or_logging(tmp_path):
     # Both would add to every command's start-up; the oracle's helper is a plain thread.
     code = "import sys, flapwear.cli; print(sorted({'concurrent.futures', 'logging'} & {*sys.modules}))"
     env = {**os.environ, "PYTHONPATH": str(Path(flapwear.__file__).parents[1])}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
+    # Nor does a synth run load numpy.ma, which numpy 2 imports lazily, at about 10 ms.
+    (tmp_path / "sim.json").write_text(json.dumps({"mode": "synth"}))
+    argv = ["simulate", "sim.json", "--n", "300", "--out", "reports"]
+    code = (
+        "import sys, flapwear.cli; before = {*sys.modules}; "
+        f"code = flapwear.cli.main({argv!r}); print(code, 'numpy.ma' in {{*sys.modules}} - before)"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True
+    )
+    assert (run.returncode, run.stdout.splitlines()[-1:]) == (0, ["0 False"]), run.stderr
 
 
 class TestPropagate:

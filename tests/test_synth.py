@@ -15,6 +15,7 @@ from flapwear.synth import (
     WheelSpec,
     observe_wheels,
     profile_rows,
+    score_block,
     score_wheels,
     severity_rows,
     tear_rows,
@@ -71,6 +72,24 @@ class TestWheelSpec:
             else:
                 with pytest.raises(InvalidSpec):
                     WheelSpec(usage, profile, severity, torn_flaps=torn)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(n_flaps=12.5), "n_flaps must be an integer, got 12.5"),
+            (dict(n_flaps=True), "n_flaps must be an integer, got True"),
+            (dict(torn_flaps=frozenset({1.5})), "torn flap index must be an integer, got 1.5"),
+            (dict(torn_flaps=frozenset({True})), "torn flap index must be an integer, got True"),
+        ],
+        ids=["fractional-count", "bool-count", "fractional-index", "bool-index"],
+    )
+    def test_flap_fields_must_be_integers(self, fields, message):
+        with pytest.raises(InvalidSpec, match=re.escape(message)):
+            spec(**fields)
+
+    def test_numpy_integer_flap_fields_are_integers(self):
+        wheel = spec(n_flaps=np.int64(12), torn_flaps=frozenset({np.int64(3)}))
+        assert simulate.classify_spec(wheel, seed=1).outcome.id == 3
 
     def test_new_has_fringe_by_default(self):
         assert WheelSpec(UsageState.NEW, FlapProfile.RECTANGULAR).has_fringe
@@ -263,12 +282,27 @@ def test_synthetic_batch_checks_rows_without_building_vectors(monkeypatch):
 def test_synthetic_batch_scores_in_blocks(monkeypatch):
     blocks = []
     monkeypatch.setattr(
-        simulate, "score_wheels",
-        lambda specs, seeds, vectors: blocks.append(len(specs))
-        or score_wheels(specs, seeds, vectors),
+        simulate, "score_block",
+        lambda wheels, vectors: blocks.append(len(wheels.n_flaps))
+        or score_block(wheels, vectors),
     )
     simulate.run_synthetic_batch(2 * simulate.SYNTH_BLOCK + 1, seed=3)
     assert blocks == [simulate.SYNTH_BLOCK, simulate.SYNTH_BLOCK, 1]
+
+
+@pytest.mark.parametrize("noise_sigma, made", [(0.0, 1 + 18), (0.05, 1 + 22)])
+def test_synthetic_batch_makes_a_generator_only_for_a_wheel_that_draws(
+    monkeypatch, noise_sigma, made
+):
+    seeds = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda seed: seeds.append(seed) or default_rng(seed)
+    )
+    simulate.run_synthetic_batch(22, seed=3, noise_sigma=noise_sigma)
+    # The batch's own, then one per wheel but, at zero noise, the untorn rectangular
+    # ones (outcomes 1 and 2, twice each), whose seeds are drawn all the same.
+    assert len(seeds) == made
 
 
 @pytest.mark.parametrize(
