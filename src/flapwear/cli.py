@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, TextIO
 
@@ -233,10 +234,12 @@ def cmd_evaluate(args: argparse.Namespace, config: CliConfig) -> int:
         raise ValidationError("file contains no labeled samples")
 
     summary = {"stages": {}, "warnings": []}
+    # Every stage is computed before a file is written; each writer holds its own stage's rows.
+    writers = {}
     for stage, table in tables.items():
         confusion, roc = f"{stage.value}_confusion.csv", f"{stage.value}_roc.csv"
         if not labeled[stage].any():
-            _write_reports(config.report_dir, {confusion: None, roc: None})
+            writers.update({confusion: None, roc: None})
             continue
         probs = table.probs[labeled[stage]]
         truth = table.truth[labeled[stage]].astype(np.intp)
@@ -272,14 +275,13 @@ def cmd_evaluate(args: argparse.Namespace, config: CliConfig) -> int:
             auc_by_class[name] = metrics.round_report(curve.auc, config.rounding)
             roc_rows.extend((name, fpr, tpr) for fpr, tpr in curve.points)
         stage_summary["auc"] = auc_by_class
-        _write_reports(config.report_dir, {
-            confusion: lambda fh: metrics.write_confusion_csv(cm, fh, config.rounding),
-            roc: (lambda fh: metrics.write_roc_csv(roc_rows, fh)) if roc_rows else None,
-        })
+        writers[confusion] = partial(metrics.write_confusion_csv, cm, decimals=config.rounding)
+        writers[roc] = partial(metrics.write_roc_csv, roc_rows) if roc_rows else None
 
         summary["stages"][stage.value] = stage_summary
 
-    _write_reports(config.report_dir, {"summary.json": _json_report(summary)})
+    writers["summary.json"] = _json_report(summary)
+    _write_reports(config.report_dir, writers)
     for name, stage_summary in summary["stages"].items():
         print(
             f"{name}: accuracy {stage_summary['accuracy']}, "

@@ -15,11 +15,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ValidationError, is_finite
+from .errors import ValidationError, is_finite, is_number
 from .taxonomy import (
     CONSISTENT_OUTCOMES,
     SEVERITY_STAGE,
@@ -55,6 +55,10 @@ SEVERITY_BOUNDARY = 0.75
 _SEVERITY_SLOPE = 8.0
 
 _PROFILE_SCORE_GAIN = 30.0
+
+# PCG64's multiplier, which it seeds with; SeedSequence hashes in 32-bit words.
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 
 # Sample positions across the flap width, shared by every contour.
 _W = np.linspace(0.0, 1.0, PROFILE_SAMPLES)
@@ -105,8 +109,10 @@ class WheelSpec:
                 raise InvalidSpec(f"torn flap index must be an integer, got {i!r}")
             if not 0 <= i < self.n_flaps:
                 raise InvalidSpec("torn flap index outside 0..n_flaps-1")
-        if not 0.0 <= self.profile_depth <= 0.5:
-            raise InvalidSpec("profile_depth must be in [0, 0.5]")
+        if not (is_number(self.profile_depth) and 0.0 <= self.profile_depth <= 0.5):
+            raise InvalidSpec(
+                f"profile_depth must be a number in [0, 0.5], got {self.profile_depth!r}"
+            )
         check_noise_sigma(self.noise_sigma)
         try:
             self.outcome  # looked up for its refusal of an inconsistent combination
@@ -135,10 +141,12 @@ class Wheels(NamedTuple):
 
     outcome holds positions in CONSISTENT_OUTCOMES, which fix each
     wheel's profile and severity; torn[j, i] is whether flap i of wheel
-    j is torn, and its width is the block's largest flap count. A wheel
-    is observed from default_rng(seeds[j]). noise_sigma is one level for
-    the block or one per wheel; fringe None means a wheel carries its
-    fringes exactly when it is new, as in WheelSpec.
+    j is torn, and its width is the block's largest flap count. Wheel j
+    draws the stream default_rng(seeds[j]) would give, its state derived
+    for the whole block; a seed is an integer in [0, 2**128), not a bool.
+    noise_sigma is one level for the block or one per wheel; fringe None
+    means a wheel carries its fringes exactly when it is new, as in
+    WheelSpec.
     """
 
     outcome: np.ndarray
@@ -152,6 +160,9 @@ class Wheels(NamedTuple):
 
 def wheel_columns(specs: Sequence[WheelSpec], seeds: Sequence[int]) -> Wheels:
     """The block of specs[j], each observed from seeds[j], as columns."""
+    for seed in seeds:
+        if not (_is_integer(seed) and 0 <= seed < 2**128):
+            raise InvalidSpec(f"wheel seed must be an integer in [0, 2**128), got {seed!r}")
     n_flaps = np.array([spec.n_flaps for spec in specs])
     torn = np.zeros((len(specs), n_flaps.max()), dtype=bool)
     for j, spec in enumerate(specs):
@@ -165,6 +176,51 @@ def wheel_columns(specs: Sequence[WheelSpec], seeds: Sequence[int]) -> Wheels:
         noise_sigma=np.array([spec.noise_sigma for spec in specs], dtype=float),
         fringe=np.array([spec.has_fringe for spec in specs]),
     )
+
+
+def _wheel_streams(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
+    """For each seed in turn, one reused Generator set to start as default_rng(seed).
+
+    default_rng(s) seeds PCG64 from SeedSequence(s), which hashes the four
+    32-bit words of s (s < 2**128) into a pool of four, mixes the pool and
+    hashes it out into eight words. Its constants (numpy's INIT_A, MULT_A,
+    MIX_MULT_L, MIX_MULT_R, INIT_B, MULT_B) advance alike for every seed,
+    so the block is hashed at once on uint64 columns kept to 32 bits;
+    PCG64 then takes its two seeding steps mod 2**128 per seed. Draw from
+    each Generator before taking the next.
+    """
+    def hasher(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+        def hashmix(value: np.ndarray) -> np.ndarray:
+            nonlocal const
+            value = value ^ const
+            const = const * mult & _MASK32
+            value = value * const & _MASK32
+            return value ^ value >> 16
+        return hashmix
+
+    words = np.frombuffer(b"".join(int(seed).to_bytes(16, "little") for seed in seeds), "<u4")
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(w) for w in words.reshape(-1, 4).T.astype(np.uint64)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src])) & _MASK32
+                pool[dst] = mixed ^ mixed >> 16
+    hashmix = hasher(0x8B51F9DD, 0x58F38DED)
+    out = [hashmix(pool[i % 4]) for i in range(8)]
+    halves = np.column_stack([out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]).tolist()
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for hi, lo, inc_hi, inc_lo in halves:
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        state = ((inc + (hi << 64 | lo)) * _PCG64_MULT + inc) & _MASK128
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 def _severity_span(fully: bool, rng: np.random.Generator) -> tuple[float, float]:
@@ -187,9 +243,11 @@ def observe_block(wheels: Wheels) -> tuple[np.ndarray, np.ndarray]:
     convex) over the severity span; gaussian noise_sigma perturbs the
     samples. Torn flaps widen their gap well past the nominal jitter.
     Each wheel draws its severity span, noise row, gap jitter and torn
-    widths (in flap order) one after the other from default_rng(seeds[j]),
-    which is made only for a wheel that draws: a shaped one, a torn one
-    or one with noise. The arithmetic on the draws is done for the
+    widths (in flap order) one after the other from the stream
+    default_rng(seeds[j]) would give. Only a wheel that draws (a shaped
+    one, a torn one or one with noise) has its stream's state derived,
+    for all such wheels of the block at once, and set on one Generator
+    reused across the block. The arithmetic on the draws is done for the
     whole block.
     """
     b, width = wheels.torn.shape
@@ -203,8 +261,8 @@ def observe_block(wheels: Wheels) -> tuple[np.ndarray, np.ndarray]:
     widths = []  # each torn flap's width factor, wheel by wheel in flap order
     is_shaped, fully = shaped.tolist(), _OUTCOME_FULLY[wheels.outcome].tolist()
     n_flaps, sigmas, torn_counts = wheels.n_flaps.tolist(), sigma.tolist(), n_torn.tolist()
-    for j in np.flatnonzero(shaped | (n_torn > 0) | (sigma > 0)).tolist():
-        rng = np.random.default_rng(wheels.seeds[j])
+    drawing = np.flatnonzero(shaped | (n_torn > 0) | (sigma > 0)).tolist()
+    for j, rng in zip(drawing, _wheel_streams([wheels.seeds[j] for j in drawing])):
         if is_shaped[j]:
             lo[j], hi[j] = _severity_span(fully[j], rng)
         if sigmas[j] > 0:

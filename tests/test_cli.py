@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import flapwear
-from flapwear import simulate
+from flapwear import metrics, simulate
 from flapwear.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
+from flapwear.errors import ValidationError
 from flapwear.predictions import StageId
 
 from conftest import ALL_MATRICES, EDGE_LINES, USAGE_MATRIX, VALID_LINE
@@ -229,6 +230,23 @@ class TestEvaluate:
         assert sorted(p.name for p in out.iterdir()) == [
             "summary.json", "tear_roc.csv.bak", "usage_confusion.csv"
         ]
+
+    def test_a_later_stage_failing_writes_no_report(self, tmp_path, monkeypatch):
+        preds = tmp_path / "labeled.jsonl"
+        write_lines(preds, usage_replay_lines() + [
+            record("tear", [0.2, 0.8], image="a", view="axial", truth="with_tear"),
+        ])
+        matrix_summary = metrics.matrix_summary
+
+        def fail_on_tear(cm, decimals):
+            if cm.stage is StageId.TEAR:
+                raise ValidationError("tear summary failed")
+            return matrix_summary(cm, decimals)
+
+        monkeypatch.setattr(metrics, "matrix_summary", fail_on_tear)
+        out = tmp_path / "reports"
+        assert main(["evaluate", str(preds), "--out", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
 
     def test_unlabeled_file_is_validation_error(self, tmp_path):
         preds = tmp_path / "unlabeled.jsonl"

@@ -3,8 +3,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from flapwear import predictions, simulate
+from flapwear import predictions, simulate, synth
 from flapwear.engine import DEFAULT_THRESHOLDS
 from flapwear.errors import ConfigError
 from flapwear.predictions import ProbabilityVector, StageId
@@ -86,6 +88,12 @@ class TestWheelSpec:
     def test_flap_fields_must_be_integers(self, fields, message):
         with pytest.raises(InvalidSpec, match=re.escape(message)):
             spec(**fields)
+
+    @pytest.mark.parametrize("depth", [False, "0.2", 0.51, -0.1, float("nan")])
+    def test_profile_depth_must_be_a_number_in_range(self, depth):
+        message = f"profile_depth must be a number in [0, 0.5], got {depth!r}"
+        with pytest.raises(InvalidSpec, match=re.escape(message)):
+            spec(profile_depth=depth)
 
     def test_numpy_integer_flap_fields_are_integers(self):
         wheel = spec(n_flaps=np.int64(12), torn_flaps=frozenset({np.int64(3)}))
@@ -290,19 +298,48 @@ def test_synthetic_batch_scores_in_blocks(monkeypatch):
     assert blocks == [simulate.SYNTH_BLOCK, simulate.SYNTH_BLOCK, 1]
 
 
-@pytest.mark.parametrize("noise_sigma, made", [(0.0, 1 + 18), (0.05, 1 + 22)])
-def test_synthetic_batch_makes_a_generator_only_for_a_wheel_that_draws(
-    monkeypatch, noise_sigma, made
+@pytest.mark.parametrize("noise_sigma, positioned", [(0.0, 18), (0.05, 22)])
+def test_synthetic_batch_positions_a_stream_only_for_a_wheel_that_draws(
+    monkeypatch, noise_sigma, positioned
 ):
     seeds = []
-    default_rng = np.random.default_rng
+    wheel_streams = synth._wheel_streams
     monkeypatch.setattr(
-        np.random, "default_rng", lambda seed: seeds.append(seed) or default_rng(seed)
+        synth, "_wheel_streams", lambda block: seeds.extend(block) or wheel_streams(block)
     )
     simulate.run_synthetic_batch(22, seed=3, noise_sigma=noise_sigma)
-    # The batch's own, then one per wheel but, at zero noise, the untorn rectangular
-    # ones (outcomes 1 and 2, twice each), whose seeds are drawn all the same.
-    assert len(seeds) == made
+    # One per wheel but, at zero noise, the untorn rectangular ones
+    # (outcomes 1 and 2, twice each), whose seeds are drawn all the same.
+    assert len(seeds) == positioned
+
+
+@given(seeds=st.lists(st.integers(0, 2**128 - 1), min_size=1, max_size=5))
+@example(seeds=[0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 - 1])
+def test_wheel_streams_start_as_default_rng(seeds):
+    for seed, rng in zip(seeds, synth._wheel_streams(seeds), strict=True):
+        expected = np.random.default_rng(seed)
+        assert rng.bit_generator.state == expected.bit_generator.state
+        assert rng.uniform(0.3, 0.6) == expected.uniform(0.3, 0.6)
+        assert rng.normal(0.0, 0.05, 3).tolist() == expected.normal(0.0, 0.05, 3).tolist()
+        assert rng.uniform(-0.1, 0.1, 5).tolist() == expected.uniform(-0.1, 0.1, 5).tolist()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128, 1.5, "3", True, None])
+def test_wheel_seed_must_be_an_integer_in_range(seed):
+    message = f"wheel seed must be an integer in [0, 2**128), got {seed!r}"
+    for call in (
+        lambda: observe_wheels([spec()], [seed]),
+        lambda: score_wheels([spec()], [seed], {}),
+        lambda: synth.wheel_columns([spec(), spec()], [0, seed]),
+    ):
+        with pytest.raises(InvalidSpec, match=re.escape(message)):
+            call()
+
+
+def test_numpy_integer_seed_is_its_value():
+    wheel = spec(profile=FlapProfile.CONCAVE, severity=Severity.FULLY)
+    radial, _ = observe_wheels([wheel, wheel], [np.uint64(2**64 - 1), 2**64 - 1])
+    assert radial[0].tolist() == radial[1].tolist()
 
 
 @pytest.mark.parametrize(
