@@ -298,19 +298,26 @@ def test_synthetic_batch_scores_in_blocks(monkeypatch):
     assert blocks == [simulate.SYNTH_BLOCK, simulate.SYNTH_BLOCK, 1]
 
 
-@pytest.mark.parametrize("noise_sigma, positioned", [(0.0, 18), (0.05, 22)])
-def test_synthetic_batch_positions_a_stream_only_for_a_wheel_that_draws(
-    monkeypatch, noise_sigma, positioned
+@pytest.mark.parametrize("noise_sigma, made", [(0.0, 1 + 18), (0.05, 1 + 22)])
+def test_synthetic_batch_makes_a_generator_only_for_a_wheel_that_draws(
+    monkeypatch, noise_sigma, made
 ):
-    seeds = []
+    seeded = []
+    positioned = []
+    default_rng = np.random.default_rng
     wheel_streams = synth._wheel_streams
     monkeypatch.setattr(
-        synth, "_wheel_streams", lambda block: seeds.extend(block) or wheel_streams(block)
+        np.random, "default_rng", lambda seed: seeded.append(seed) or default_rng(seed)
+    )
+    monkeypatch.setattr(
+        synth, "_wheel_streams", lambda block: positioned.extend(block) or wheel_streams(block)
     )
     simulate.run_synthetic_batch(22, seed=3, noise_sigma=noise_sigma)
-    # One per wheel but, at zero noise, the untorn rectangular ones
-    # (outcomes 1 and 2, twice each), whose seeds are drawn all the same.
-    assert len(seeds) == positioned
+    # The batch's own generator, the one default_rng call, then a stream per
+    # wheel but, at zero noise, the untorn rectangular ones (outcomes 1 and 2,
+    # twice each), whose seeds are drawn all the same.
+    assert seeded == [3]
+    assert len(seeded) + len(positioned) == made
 
 
 @given(seeds=st.lists(st.integers(0, 2**128 - 1), min_size=1, max_size=5))
