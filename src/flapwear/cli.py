@@ -44,10 +44,7 @@ class CliConfig:
     def __post_init__(self):
         if not 1 <= self.rounding <= metrics.MAX_DECIMALS:
             raise ConfigError(f"rounding must be 1 to {metrics.MAX_DECIMALS} decimals")
-        if not (is_number(self.seed) and isinstance(self.seed, int)):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        self.seed = simulate.check_seed(self.seed)
 
 
 def _parse_config_file(path: Path) -> dict[str, str]:

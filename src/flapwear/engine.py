@@ -39,7 +39,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, is_integer, is_number
 from .predictions import ProbabilityVector
 from .taxonomy import (
     CONSISTENT_OUTCOMES,
@@ -94,8 +94,16 @@ class EngineConfig:
 
     def __post_init__(self):
         for stage, t in self.thresholds.items():
+            if not isinstance(stage, StageId):
+                raise ConfigError(f"threshold stage is not a StageId: {stage!r}")
+            if not is_number(t):
+                raise ConfigError(f"threshold for {stage.value} is not a number: {t!r}")
             if not 0.0 <= t <= 1.0:
                 raise ConfigError(f"threshold for {stage.value} outside [0, 1]: {t}")
+        if not isinstance(self.conflict_policy, ConflictPolicy):
+            raise ConfigError(f"conflict_policy is not a ConflictPolicy: {self.conflict_policy!r}")
+        if not is_integer(self.ensemble_min_runs):
+            raise ConfigError(f"ensemble_min_runs is not an integer: {self.ensemble_min_runs!r}")
         if self.ensemble_min_runs < 1:
             raise ConfigError("ensemble_min_runs must be positive")
 

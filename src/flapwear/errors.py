@@ -18,6 +18,11 @@ def is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def is_integer(value) -> bool:
+    """An integer, a numpy one included, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def is_finite(value) -> bool:
     """A number within float range: not NaN, not infinite, no int too large for a float."""
     return is_number(value) and -sys.float_info.max <= value <= sys.float_info.max

@@ -20,10 +20,10 @@ from typing import Iterable
 import numpy as np
 
 from .engine import EngineConfig, RunDecisions, RunResult, decide_runs
-from .errors import ConfigError, ValidationError, is_finite, is_number
+from .errors import ConfigError, ValidationError, is_finite, is_integer, is_number
 from .predictions import VectorError, first_invalid_row
 from .propagation import ACCURACY_NAMES, StageAccuracies, path_accuracy
-from .synth import Wheels, WheelSpec, check_noise_sigma, score_block, score_wheels
+from .synth import Wheels, WheelSpec, check_noise_sigma, score_block, wheel_columns
 from .taxonomy import (
     BRANCH_STAGES,
     CONSISTENT_OUTCOMES,
@@ -77,19 +77,29 @@ def spec_for_outcome(
     )
 
 
-def check_simulation_size(n) -> None:
-    """The one rule for a simulation's size; a ConfigError unless it holds.
+def check_simulation_size(n) -> int:
+    """The one rule for a simulation's size: n as an int, or a ConfigError.
 
-    The size is an integer, not a bool, at least 1 and small enough that
-    numpy can index its per-unit arrays (a size past that limit is
-    refused here, not left to fail an allocation).
+    The size is an integer (errors.is_integer), at least 1 and small
+    enough that numpy can index its per-unit arrays (a size past that
+    limit is refused here, not left to fail an allocation).
     """
-    if not (is_number(n) and isinstance(n, int)):
+    if not is_integer(n):
         raise ConfigError(f"simulation size must be an integer, got {n!r}")
     if n < 1:
         raise ConfigError("simulation size must be >= 1")
     if n > np.iinfo(np.intp).max // 64:
         raise ConfigError(f"simulation size {n} is too large")
+    return int(n)
+
+
+def check_seed(seed) -> int:
+    """The one rule for a simulation's seed, an integer >= 0: seed as an int, or a ConfigError."""
+    if not is_integer(seed):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return int(seed)
 
 
 def _stage_arrays(n: int) -> dict[StageId, np.ndarray]:
@@ -112,7 +122,7 @@ def _decide_checked(vectors, config: EngineConfig | None) -> RunDecisions:
 def classify_spec(spec: WheelSpec, seed: int, config: EngineConfig | None = None) -> RunResult:
     """Generate an observation for the spec and run the hierarchy on it (a block of one wheel)."""
     vectors = _stage_arrays(1)
-    score_wheels([spec], [seed], vectors)
+    score_block(wheel_columns([spec], [seed]), vectors)
     return next(_decide_checked(vectors, config).rows())
 
 
@@ -133,7 +143,7 @@ def run_synthetic_batch(
     profile decision takes. Each stage's rows are then checked once, and
     the hierarchy decides them in one batch.
     """
-    check_simulation_size(n)
+    n, seed = check_simulation_size(n), check_seed(seed)
     check_noise_sigma(noise_sigma)
     rng = np.random.default_rng(seed)
     vectors = _stage_arrays(n)
@@ -151,9 +161,8 @@ def run_synthetic_batch(
             seeds.append(int(rng.integers(0, 2**31)))
         torn_mask = np.zeros((len(n_flaps), max(n_flaps)), dtype=bool)
         torn_mask[torn_rows, torn_flaps] = True
-        wheels = Wheels(
-            outcome[rows], np.array(n_flaps), torn_mask, np.array(depth), seeds, float(noise_sigma)
-        )
+        sigma = np.full(len(seeds), float(noise_sigma))
+        wheels = Wheels(outcome[rows], np.array(n_flaps), torn_mask, np.array(depth), seeds, sigma)
         score_block(wheels, {stage: v[rows] for stage, v in vectors.items()})
 
     decisions = _decide_checked(vectors, config)
@@ -433,7 +442,7 @@ def oracle_branch_trials(
     Memory is one byte per trial, the trials' running all-correct flags,
     plus this thread's block and the helper's normals buffer.
     """
-    check_simulation_size(n_trials)
+    n_trials, seed = check_simulation_size(n_trials), check_seed(seed)
     stages = BRANCH_STAGES[branch]
     oracles = _stage_oracles(matrices, stages, confidence_law)
     rng = np.random.default_rng(seed)
@@ -469,6 +478,7 @@ def run_oracle_batch(
     Before any draw, _stage_oracles checks all five stages.
     """
     _stage_oracles(matrices, StageId, confidence_law)
+    n_trials, seed = check_simulation_size(n_trials), check_seed(seed)
     acc = matrices_to_accuracies(matrices)
     branches = {}
     for i, branch in enumerate(FlapProfile):

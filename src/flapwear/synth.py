@@ -4,22 +4,21 @@ Generates 1-D radial profile contours and axial gap patterns for a
 block of wheels held as columns (``Wheels``), plus rule-based feature
 classifiers that turn a block's observations into probability rows (one
 (b, k) array per stage, in its class order, which the batch driver
-checks a stage at a time). ``WheelSpec`` describes one wheel; the
-``*_wheels`` functions take a list of them and build the columns.
-Together they close the loop around the hierarchy engine without images
-or trained networks.
+checks a stage at a time). ``WheelSpec`` describes one wheel, and
+``wheel_columns`` turns a list of them into a block. Together they
+close the loop around the hierarchy engine without images or trained
+networks.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, is_finite, is_number
+from .errors import ValidationError, is_finite, is_integer, is_number
 from .taxonomy import (
     CONSISTENT_OUTCOMES,
     SEVERITY_STAGE,
@@ -76,10 +75,6 @@ class InvalidSpec(ValidationError):
     pass
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def check_noise_sigma(noise_sigma) -> None:
     """The one rule for a noise level: finite and >= 0; else an InvalidSpec."""
     if not (is_finite(noise_sigma) and noise_sigma >= 0):
@@ -100,12 +95,12 @@ class WheelSpec:
     fringe: Optional[bool] = None  # default derived from usage
 
     def __post_init__(self):
-        if not _is_integer(self.n_flaps):
+        if not is_integer(self.n_flaps):
             raise InvalidSpec(f"n_flaps must be an integer, got {self.n_flaps!r}")
         if self.n_flaps < 8:
             raise InvalidSpec("n_flaps must be >= 8")
         for i in self.torn_flaps:
-            if not _is_integer(i):
+            if not is_integer(i):
                 raise InvalidSpec(f"torn flap index must be an integer, got {i!r}")
             if not 0 <= i < self.n_flaps:
                 raise InvalidSpec("torn flap index outside 0..n_flaps-1")
@@ -144,9 +139,8 @@ class Wheels(NamedTuple):
     j is torn, and its width is the block's largest flap count. Wheel j
     draws the stream default_rng(seeds[j]) would give, its state derived
     for the whole block; a seed is an integer in [0, 2**128), not a bool.
-    noise_sigma is one level for the block or one per wheel; fringe None
-    means a wheel carries its fringes exactly when it is new, as in
-    WheelSpec.
+    noise_sigma holds each wheel's noise level; fringe None means a wheel
+    carries its fringes exactly when it is new, as in WheelSpec.
     """
 
     outcome: np.ndarray
@@ -154,14 +148,14 @@ class Wheels(NamedTuple):
     torn: np.ndarray
     depth: np.ndarray
     seeds: Sequence[int]
-    noise_sigma: Union[float, np.ndarray] = 0.0
+    noise_sigma: np.ndarray
     fringe: Optional[np.ndarray] = None
 
 
 def wheel_columns(specs: Sequence[WheelSpec], seeds: Sequence[int]) -> Wheels:
     """The block of specs[j], each observed from seeds[j], as columns."""
     for seed in seeds:
-        if not (_is_integer(seed) and 0 <= seed < 2**128):
+        if not (is_integer(seed) and 0 <= seed < 2**128):
             raise InvalidSpec(f"wheel seed must be an integer in [0, 2**128), got {seed!r}")
     n_flaps = np.array([spec.n_flaps for spec in specs])
     torn = np.zeros((len(specs), n_flaps.max()), dtype=bool)
@@ -253,7 +247,7 @@ def observe_block(wheels: Wheels) -> tuple[np.ndarray, np.ndarray]:
     b, width = wheels.torn.shape
     direction = _OUTCOME_DIRECTION[wheels.outcome]
     shaped = direction != 0.0
-    sigma = np.broadcast_to(wheels.noise_sigma, (b,))
+    sigma = wheels.noise_sigma
     n_torn = np.count_nonzero(wheels.torn, axis=1)
     lo, hi = np.zeros(b), np.ones(b)
     noise = np.zeros((b, PROFILE_SAMPLES))
@@ -282,13 +276,6 @@ def observe_block(wheels: Wheels) -> tuple[np.ndarray, np.ndarray]:
     nominal = _GAP_ARC / wheels.n_flaps
     gaps = nominal[:, None] * np.where(wheels.torn, torn, 1.0 + jitter)
     return radial, gaps
-
-
-def observe_wheels(
-    specs: Sequence[WheelSpec], seeds: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """observe_block of specs[j], each observed from seeds[j]."""
-    return observe_block(wheel_columns(specs, seeds))
 
 
 def _logistic_rows(z: np.ndarray) -> np.ndarray:
@@ -391,10 +378,3 @@ def score_block(wheels: Wheels, vectors: Mapping[StageId, np.ndarray]) -> None:
     vectors[StageId.TEAR][:] = tear_rows(gaps, wheels.n_flaps)
     for profile, stage in SEVERITY_STAGE.items():
         vectors[stage][:] = severity_rows(radial, profile)
-
-
-def score_wheels(
-    specs: Sequence[WheelSpec], seeds: Sequence[int], vectors: Mapping[StageId, np.ndarray]
-) -> None:
-    """score_block of specs[j], each observed from seeds[j]."""
-    score_block(wheel_columns(specs, seeds), vectors)

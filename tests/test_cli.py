@@ -6,11 +6,12 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import flapwear
 from flapwear import metrics, simulate
-from flapwear.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
+from flapwear.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, CliConfig, main
 from flapwear.errors import ValidationError
 from flapwear.predictions import StageId
 
@@ -255,6 +256,10 @@ class TestEvaluate:
 
 
 class TestSimulate:
+    def test_numpy_integer_seed_is_an_int(self):
+        seed = CliConfig(seed=np.int64(3)).seed
+        assert type(seed) is int and seed == 3
+
     def test_synth_mode_zero_noise(self, tmp_path):
         config = tmp_path / "sim.json"
         config.write_text(json.dumps({"mode": "synth"}))

@@ -1,3 +1,4 @@
+import re
 from statistics import fmean
 
 import numpy as np
@@ -16,6 +17,7 @@ from flapwear.engine import (
     decide_runs,
     fuse_runs,
 )
+from flapwear.errors import ConfigError
 from flapwear.predictions import ProbabilityVector, StageId
 from flapwear.taxonomy import (
     CONSISTENT_OUTCOMES,
@@ -60,6 +62,28 @@ class TestRunInput:
 
 
 NO_THRESHOLDS = EngineConfig(thresholds={})
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"thresholds": {"usage": 0.5}}, "threshold stage is not a StageId: 'usage'"),
+        ({"thresholds": {StageId.USAGE: True}}, "threshold for usage is not a number: True"),
+        ({"thresholds": {StageId.USAGE: "0.9"}}, "threshold for usage is not a number: '0.9'"),
+        ({"thresholds": {StageId.USAGE: 1.5}}, "threshold for usage outside [0, 1]: 1.5"),
+        (
+            {"conflict_policy": "reject_run"},
+            "conflict_policy is not a ConflictPolicy: 'reject_run'",
+        ),
+        ({"ensemble_min_runs": True}, "ensemble_min_runs is not an integer: True"),
+        ({"ensemble_min_runs": 1.5}, "ensemble_min_runs is not an integer: 1.5"),
+        ({"ensemble_min_runs": "2"}, "ensemble_min_runs is not an integer: '2'"),
+        ({"ensemble_min_runs": 0}, "ensemble_min_runs must be positive"),
+    ],
+)
+def test_engine_config_refuses_a_value_it_cannot_use(kwargs, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        EngineConfig(**kwargs)
 
 
 def decided_stages(result):

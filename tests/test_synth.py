@@ -1,4 +1,5 @@
 import itertools
+import json
 import re
 
 import numpy as np
@@ -15,13 +16,13 @@ from flapwear.synth import (
     TEAR_RATIO_BOUNDARY,
     InvalidSpec,
     WheelSpec,
-    observe_wheels,
+    observe_block,
     profile_rows,
     score_block,
-    score_wheels,
     severity_rows,
     tear_rows,
     usage_rows,
+    wheel_columns,
 )
 from flapwear.taxonomy import (
     CONSISTENT_OUTCOMES,
@@ -111,7 +112,7 @@ class TestWheelSpec:
 
 def observe(wheel, seed):
     """One wheel's contour and its gaps, from a block of one."""
-    radial, gaps = observe_wheels([wheel], [seed])
+    radial, gaps = observe_block(wheel_columns([wheel], [seed]))
     return radial[0], gaps[0, : wheel.n_flaps]
 
 
@@ -194,8 +195,8 @@ class TestSeverityClassifier:
         # A wheel is scored on both severity stages, each by its own branch's rule.
         vectors = {stage: np.zeros((1, len(c))) for stage, c in STAGE_CLASSES.items()}
         wheel = spec(profile=FlapProfile.CONCAVE, severity=Severity.FULLY)
-        score_wheels([wheel], [1], vectors)
-        radial, _ = observe_wheels([wheel], [1])
+        score_block(wheel_columns([wheel], [1]), vectors)
+        radial, _ = observe_block(wheel_columns([wheel], [1]))
         for branch, stage in SEVERITY_STAGE.items():
             assert vectors[stage].tolist() == severity_rows(radial, branch).tolist()
         assert np.argmax(vectors[StageId.CONCAVE_SEVERITY][0]) == 0
@@ -335,9 +336,8 @@ def test_wheel_streams_start_as_default_rng(seeds):
 def test_wheel_seed_must_be_an_integer_in_range(seed):
     message = f"wheel seed must be an integer in [0, 2**128), got {seed!r}"
     for call in (
-        lambda: observe_wheels([spec()], [seed]),
-        lambda: score_wheels([spec()], [seed], {}),
-        lambda: synth.wheel_columns([spec(), spec()], [0, seed]),
+        lambda: wheel_columns([spec(), spec()], [0, seed]),
+        lambda: simulate.classify_spec(spec(), seed),
     ):
         with pytest.raises(InvalidSpec, match=re.escape(message)):
             call()
@@ -345,7 +345,7 @@ def test_wheel_seed_must_be_an_integer_in_range(seed):
 
 def test_numpy_integer_seed_is_its_value():
     wheel = spec(profile=FlapProfile.CONCAVE, severity=Severity.FULLY)
-    radial, _ = observe_wheels([wheel, wheel], [np.uint64(2**64 - 1), 2**64 - 1])
+    radial, _ = observe_block(wheel_columns([wheel, wheel], [np.uint64(2**64 - 1), 2**64 - 1]))
     assert radial[0].tolist() == radial[1].tolist()
 
 
@@ -364,6 +364,38 @@ def test_both_simulations_share_one_size_rule(n, message):
         simulate.run_synthetic_batch(n, seed=0)
     with pytest.raises(ConfigError, match=re.escape(message)):
         simulate.oracle_branch_trials(ALL_MATRICES, FlapProfile.CONCAVE, n, seed=0)
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (-1, "seed must be >= 0, got -1"),
+        (1.5, "seed must be an integer, got 1.5"),
+        ("3", "seed must be an integer, got '3'"),
+        (True, "seed must be an integer, got True"),
+        (None, "seed must be an integer, got None"),
+    ],
+)
+def test_both_simulations_share_one_seed_rule(seed, message):
+    for call in (
+        lambda: simulate.run_synthetic_batch(11, seed),
+        lambda: simulate.oracle_branch_trials(ALL_MATRICES, FlapProfile.CONCAVE, 100, seed),
+        lambda: simulate.run_oracle_batch(ALL_MATRICES, 100, seed),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            call()
+
+
+def test_numpy_integer_size_and_seed_are_their_values():
+    branch = FlapProfile.CONCAVE
+    for report, want in (
+        (simulate.run_synthetic_batch(np.int64(11), 0), simulate.run_synthetic_batch(11, 0)),
+        (
+            simulate.oracle_branch_trials(ALL_MATRICES, branch, np.int64(100), np.int64(1)),
+            simulate.oracle_branch_trials(ALL_MATRICES, branch, 100, 1),
+        ),
+    ):
+        assert json.dumps(report) == json.dumps(want)
 
 
 class TestStochasticOracle:

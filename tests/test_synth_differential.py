@@ -83,9 +83,10 @@ def wheel_specs(draw):
 def test_block_matches_per_wheel_observations(wheels):
     specs = [spec for spec, _ in wheels]
     seeds = [seed for _, seed in wheels]
-    radial, gaps = synth.observe_wheels(specs, seeds)
+    block = synth.wheel_columns(specs, seeds)
+    radial, gaps = synth.observe_block(block)
     vectors = {stage: np.zeros((len(specs), len(c))) for stage, c in STAGE_CLASSES.items()}
-    synth.score_wheels(specs, seeds, vectors)
+    synth.score_block(block, vectors)
 
     want_vectors = {stage: np.zeros_like(v) for stage, v in vectors.items()}
     for j, (spec, seed) in enumerate(wheels):
