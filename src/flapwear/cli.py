@@ -24,7 +24,7 @@ from typing import Callable, Mapping, TextIO
 
 import numpy as np
 
-from . import engine, metrics, predictions, propagation, simulate
+from . import engine, errors, metrics, predictions, propagation, simulate
 from .errors import ConfigError, FlapwearError, ParseError, ValidationError, is_number
 from .taxonomy import REQUIRED_STAGES, StageId
 
@@ -42,9 +42,11 @@ class CliConfig:
     rounding: int = 3
 
     def __post_init__(self):
+        if not errors.is_integer(self.rounding):
+            raise ConfigError(f"rounding must be an integer, got {self.rounding!r}")
         if not 1 <= self.rounding <= metrics.MAX_DECIMALS:
             raise ConfigError(f"rounding must be 1 to {metrics.MAX_DECIMALS} decimals")
-        self.seed = simulate.check_seed(self.seed)
+        self.rounding, self.seed = int(self.rounding), errors.check_seed(self.seed)
 
 
 def _parse_config_file(path: Path) -> dict[str, str]:
@@ -244,19 +246,9 @@ def cmd_evaluate(args: argparse.Namespace, config: CliConfig) -> int:
         cm = metrics.ConfusionMatrix.from_indices(stage, truth, predicted)
 
         stage_summary = metrics.matrix_summary(cm, config.rounding)
-        stats = metrics.confidence_stats(
-            list(zip(probs.max(axis=1).tolist(), (predicted == truth).tolist()))
+        stage_summary["confidence"] = metrics.confidence_stats(
+            probs.max(axis=1), predicted == truth, config.rounding
         )
-        stage_summary["confidence"] = {
-            "mean_all": metrics.round_report(stats.mean_all, config.rounding),
-            "mean_false": (
-                None
-                if stats.mean_false is None
-                else metrics.round_report(stats.mean_false, config.rounding)
-            ),
-            "count_all": stats.count_all,
-            "count_false": stats.count_false,
-        }
 
         roc_rows = []
         auc_by_class = {}

@@ -93,6 +93,8 @@ class EngineConfig:
     ensemble_min_runs: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.thresholds, Mapping):
+            raise ConfigError(f"thresholds must be a mapping, got {self.thresholds!r}")
         for stage, t in self.thresholds.items():
             if not isinstance(stage, StageId):
                 raise ConfigError(f"threshold stage is not a StageId: {stage!r}")

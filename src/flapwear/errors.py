@@ -23,6 +23,15 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def check_seed(seed) -> int:
+    """The one rule for a seed, an integer >= 0: seed as an int, or a ConfigError."""
+    if not is_integer(seed):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return int(seed)
+
+
 def is_finite(value) -> bool:
     """A number within float range: not NaN, not infinite, no int too large for a float."""
     return is_number(value) and -sys.float_info.max <= value <= sys.float_info.max

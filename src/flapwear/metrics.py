@@ -1,12 +1,12 @@
 """Evaluation metrics for the staged classifiers.
 
 Confusion matrices with per-class precision/recall/F1, accuracy and
-macro-F1, confidence statistics over correct vs. incorrect predictions,
-and ROC curves with trapezoidal AUC. Confusion counts
-(``ConfusionMatrix.from_indices``) and the ROC sweep
-(``roc_from_scores``) work on whole arrays of samples; means and the AUC
-are summed in Python floats. Zero-denominator metrics are encoded as
-None ("n/a" in reports) rather than raised mid-report.
+macro-F1, mean confidence over all and over misclassified samples, and
+ROC curves with trapezoidal AUC. Confusion counts, the confidence means
+and the ROC sweep work on whole arrays of samples; means and the AUC are
+summed in Python floats. ``matrix_summary`` and ``confidence_stats``
+return a stage's rounded ``summary.json`` records. Zero-denominator
+metrics are encoded as None ("n/a" in reports) rather than raised.
 """
 
 from __future__ import annotations
@@ -194,26 +194,23 @@ def pairwise_auc(samples: Sequence[tuple[float, bool]]) -> float:
     return wins / (len(pos) * len(neg))
 
 
-@dataclass(frozen=True)
-class ConfidenceStats:
-    mean_all: float
-    mean_false: Optional[float]
-    count_all: int
-    count_false: int
+def confidence_stats(confidence: np.ndarray, correct: np.ndarray, decimals: int = 3) -> dict:
+    """Machine-readable confidence record for one stage, its means rounded.
 
-
-def confidence_stats(results: Sequence[tuple[float, bool]]) -> ConfidenceStats:
-    """Mean confidence over all samples and over misclassified ones.
-
-    results are (confidence, is_correct) pairs; mean_false is None when
-    every prediction was correct.
+    confidence[i] is sample i's winning probability and correct[i] whether its
+    prediction was right; mean_false, over the wrong ones, is None when none is.
     """
-    if not results:
+    confidence, correct = np.asarray(confidence, dtype=float), np.asarray(correct, dtype=bool)
+    if not len(confidence):
         raise EmptyInput("no results")
-    false_confs = [conf for conf, correct in results if not correct]
-    mean_all = sum(conf for conf, _ in results) / len(results)
+    false_confs = confidence[~correct].tolist()
     mean_false = sum(false_confs) / len(false_confs) if false_confs else None
-    return ConfidenceStats(mean_all, mean_false, len(results), len(false_confs))
+    return {
+        "mean_all": round_report(sum(confidence.tolist()) / len(confidence), decimals),
+        "mean_false": None if mean_false is None else round_report(mean_false, decimals),
+        "count_all": len(confidence),
+        "count_false": len(false_confs),
+    }
 
 
 def matrix_summary(cm: ConfusionMatrix, decimals: int = 3) -> dict:

@@ -31,7 +31,7 @@ from typing import Iterable, NoReturn, Optional
 
 import numpy as np
 
-from .errors import EmptyInput, FlapwearError, ParseError, ValidationError, is_number
+from .errors import EmptyInput, FlapwearError, ParseError, ValidationError, check_seed, is_number
 from .taxonomy import STAGE_CLASSES, STAGE_VIEW, StageId, View
 
 SUM_TOLERANCE = 1e-6
@@ -323,7 +323,8 @@ def split_by_tool(
     tool_ids names each sample's tool, e.g. a StageTable's tool_ids; a
     tool may repeat. The split is by tool, never by image, so no tool can
     leak between subsets. Subset sizes follow the fractions by largest
-    remainder; assignment is deterministic for a given seed.
+    remainder; assignment is deterministic for a given seed, an integer
+    >= 0 by errors.check_seed.
     """
     tools = sorted(set(tool_ids))
     if not tools:
@@ -338,7 +339,7 @@ def split_by_tool(
     if invalid is not None:
         raise VectorError(f"fractions: {invalid[1]}")
 
-    random.Random(seed).shuffle(tools)
+    random.Random(check_seed(seed)).shuffle(tools)
 
     n = len(tools)
     raw = [f * n for f in fractions]

@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .engine import EngineConfig, RunDecisions, RunResult, decide_runs
-from .errors import ConfigError, ValidationError, is_finite, is_integer, is_number
+from .errors import ConfigError, ValidationError, check_seed, is_finite, is_integer, is_number
 from .predictions import VectorError, first_invalid_row
 from .propagation import ACCURACY_NAMES, StageAccuracies, path_accuracy
 from .synth import Wheels, WheelSpec, check_noise_sigma, score_block, wheel_columns
@@ -91,15 +91,6 @@ def check_simulation_size(n) -> int:
     if n > np.iinfo(np.intp).max // 64:
         raise ConfigError(f"simulation size {n} is too large")
     return int(n)
-
-
-def check_seed(seed) -> int:
-    """The one rule for a simulation's seed, an integer >= 0: seed as an int, or a ConfigError."""
-    if not is_integer(seed):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    return int(seed)
 
 
 def _stage_arrays(n: int) -> dict[StageId, np.ndarray]:

@@ -13,8 +13,8 @@ confusion counting and ROC sweep, and imports from flapwear only what
 the columnar path does not implement: config handling in ``cli``, the
 error kinds, the taxonomy's consistency and outcome rules, and the
 report rendering of confusion matrices (``ConfusionMatrix``,
-``matrix_summary``, ``confidence_stats``, ``write_confusion_csv``,
-``round_report``).
+``matrix_summary``, ``write_confusion_csv``, ``round_report``). It
+computes each stage's two confidence means itself.
 
 The synthetic part generates and scores one wheel at a time
 (``generate_observation``, the four ``*_feature_classifier`` functions,
@@ -429,16 +429,18 @@ def cmd_evaluate(args, config) -> int:
         cm = metrics.ConfusionMatrix(stage, counts)
 
         stage_summary = metrics.matrix_summary(cm, config.rounding)
-        stats = metrics.confidence_stats(conf_correct)
+        false_confs = [conf for conf, correct in conf_correct if not correct]
         stage_summary["confidence"] = {
-            "mean_all": metrics.round_report(stats.mean_all, config.rounding),
-            "mean_false": (
-                None
-                if stats.mean_false is None
-                else metrics.round_report(stats.mean_false, config.rounding)
+            "mean_all": metrics.round_report(
+                sum(conf for conf, _ in conf_correct) / len(conf_correct), config.rounding
             ),
-            "count_all": stats.count_all,
-            "count_false": stats.count_false,
+            "mean_false": (
+                metrics.round_report(sum(false_confs) / len(false_confs), config.rounding)
+                if false_confs
+                else None
+            ),
+            "count_all": len(conf_correct),
+            "count_false": len(false_confs),
         }
 
         path = config.report_dir / f"{stage.value}_confusion.csv"

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -12,7 +13,7 @@ import pytest
 import flapwear
 from flapwear import metrics, simulate
 from flapwear.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, CliConfig, main
-from flapwear.errors import ValidationError
+from flapwear.errors import ConfigError, ValidationError
 from flapwear.predictions import StageId
 
 from conftest import ALL_MATRICES, EDGE_LINES, USAGE_MATRIX, VALID_LINE
@@ -259,6 +260,16 @@ class TestSimulate:
     def test_numpy_integer_seed_is_an_int(self):
         seed = CliConfig(seed=np.int64(3)).seed
         assert type(seed) is int and seed == 3
+
+    @pytest.mark.parametrize("rounding", [True, 2.5, "3"])
+    def test_rounding_that_is_not_an_integer_is_refused(self, rounding):
+        message = f"rounding must be an integer, got {rounding!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            CliConfig(rounding=rounding)
+
+    def test_numpy_integer_rounding_is_an_int(self):
+        rounding = CliConfig(rounding=np.int64(3)).rounding
+        assert type(rounding) is int and rounding == 3
 
     def test_synth_mode_zero_noise(self, tmp_path):
         config = tmp_path / "sim.json"

@@ -79,6 +79,11 @@ NO_THRESHOLDS = EngineConfig(thresholds={})
         ({"ensemble_min_runs": 1.5}, "ensemble_min_runs is not an integer: 1.5"),
         ({"ensemble_min_runs": "2"}, "ensemble_min_runs is not an integer: '2'"),
         ({"ensemble_min_runs": 0}, "ensemble_min_runs must be positive"),
+        ({"thresholds": None}, "thresholds must be a mapping, got None"),
+        (
+            {"thresholds": [("usage", 0.5)]},
+            "thresholds must be a mapping, got [('usage', 0.5)]",
+        ),
     ],
 )
 def test_engine_config_refuses_a_value_it_cannot_use(kwargs, message):

@@ -190,20 +190,21 @@ class TestRoc:
 
 class TestConfidenceStats:
     def test_all_correct(self):
-        stats = confidence_stats([(0.9, True), (0.95, True)])
-        assert stats.mean_all == pytest.approx(0.925)
-        assert stats.mean_false is None
-        assert stats.count_false == 0
+        stats = confidence_stats(np.array([0.9, 0.95]), np.array([True, True]))
+        assert stats == {"mean_all": 0.925, "mean_false": None, "count_all": 2, "count_false": 0}
 
     def test_mixed(self):
-        stats = confidence_stats([(0.6, False), (0.9, True)])
-        assert stats.mean_all == pytest.approx(0.75)
-        assert stats.mean_false == pytest.approx(0.6)
-        assert (stats.count_all, stats.count_false) == (2, 1)
+        stats = confidence_stats(np.array([0.6, 0.9]), np.array([False, True]))
+        assert stats == {"mean_all": 0.75, "mean_false": 0.6, "count_all": 2, "count_false": 1}
 
     def test_empty(self):
         with pytest.raises(EmptyInput):
-            confidence_stats([])
+            confidence_stats(np.array([]), np.array([], dtype=bool))
+
+    def test_one_wrong_sample_at_one_decimal(self):
+        # 0.65 rounds half away from zero, as every report value does.
+        stats = confidence_stats(np.array([0.65]), np.array([False]), decimals=1)
+        assert stats == {"mean_all": 0.7, "mean_false": 0.7, "count_all": 1, "count_false": 1}
 
 
 class TestReporting:

@@ -366,6 +366,9 @@ def test_both_simulations_share_one_size_rule(n, message):
         simulate.oracle_branch_trials(ALL_MATRICES, FlapProfile.CONCAVE, n, seed=0)
 
 
+TOOL_IDS = [f"tool-{t}" for t in range(10)]
+
+
 @pytest.mark.parametrize(
     "seed, message",
     [
@@ -381,9 +384,15 @@ def test_both_simulations_share_one_seed_rule(seed, message):
         lambda: simulate.run_synthetic_batch(11, seed),
         lambda: simulate.oracle_branch_trials(ALL_MATRICES, FlapProfile.CONCAVE, 100, seed),
         lambda: simulate.run_oracle_batch(ALL_MATRICES, 100, seed),
+        lambda: predictions.split_by_tool(TOOL_IDS, (0.5, 0.3, 0.2), seed),
     ):
         with pytest.raises(ConfigError, match=re.escape(message)):
             call()
+
+
+def test_numpy_integer_seed_splits_as_its_value():
+    split = predictions.split_by_tool(TOOL_IDS, (0.5, 0.3, 0.2), np.int64(7))
+    assert split == predictions.split_by_tool(TOOL_IDS, (0.5, 0.3, 0.2), 7)
 
 
 def test_numpy_integer_size_and_seed_are_their_values():
