@@ -8,8 +8,10 @@ Subcommands:
 
 All machine-readable outputs are deterministic for fixed inputs and
 seed. Exit codes: 0 success, 2 parse error or unreadable input,
-3 validation error, 4 config error; each comes from the class of the
-raised error (see errors.py).
+3 validation error, 4 config error. A library error's exit code always
+comes from its class (see errors.py); the CLI converts only Python's
+own errors: OS errors and undecodable text, bad JSON or a JSON value of
+the wrong type, text that is no number, and memory errors.
 """
 
 from __future__ import annotations
@@ -264,7 +266,9 @@ def cmd_evaluate(args: argparse.Namespace, config: CliConfig) -> int:
             auc_by_class[name] = metrics.round_report(curve.auc, config.rounding)
             roc_rows.extend((name, fpr, tpr) for fpr, tpr in curve.points)
         stage_summary["auc"] = auc_by_class
-        writers[confusion] = partial(metrics.write_confusion_csv, cm, decimals=config.rounding)
+        writers[confusion] = partial(
+            metrics.write_confusion_csv, stage_summary, decimals=config.rounding
+        )
         writers[roc] = partial(metrics.write_roc_csv, roc_rows) if roc_rows else None
 
         summary["stages"][stage.value] = stage_summary
@@ -314,10 +318,7 @@ def _run_simulation(sim_config: dict, mode: str, n: int, config: CliConfig) -> d
         matrices = {StageId(name): counts for name, counts in sim_config["matrices"].items()}
     except (KeyError, ValueError, AttributeError) as exc:
         raise ConfigError(f"oracle config needs per-stage matrices: {exc}") from exc
-    try:
-        report = simulate.run_oracle_batch(matrices, n, config.seed, **settings)
-    except simulate.BadRow as exc:  # raised before any draw
-        raise ConfigError(str(exc)) from exc
+    report = simulate.run_oracle_batch(matrices, n, config.seed, **settings)
     acc = propagation.StageAccuracies.from_names(report["stage_accuracies"])
     report["propagation"] = propagation.propagation_report(acc, decimals=config.rounding)
     return report
@@ -359,13 +360,8 @@ def cmd_propagate(args: argparse.Namespace, config: CliConfig) -> int:
 
     ledger = None
     if "ledger" in payload:
-        raw = payload["ledger"]
         try:
-            if "threshold_caught" in raw:
-                raw["threshold_caught"] = {
-                    StageId(name): tuple(pair) for name, pair in raw["threshold_caught"].items()
-                }
-            ledger = propagation.CorrectionLedger(**raw)
+            ledger = propagation.CorrectionLedger.from_names(payload["ledger"])
         except FlapwearError:
             raise
         except (AttributeError, TypeError, ValueError) as exc:

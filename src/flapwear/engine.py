@@ -324,21 +324,18 @@ class Ensembles:
         return len(self.runs)
 
     @property
-    def too_few(self) -> np.ndarray:
-        return self.runs < self.min_runs
-
-    @property
-    def all_incomplete(self) -> np.ndarray:
-        return self.counts[:, _INCOMPLETE] == self.runs
+    def failed(self) -> np.ndarray:
+        """The tools with no ensemble: too few runs, or no run with a verdict."""
+        return (self.runs < self.min_runs) | (self.counts[:, _INCOMPLETE] == self.runs)
 
     def error(self, t: int) -> TooFewRuns:
-        """Why tool t has no ensemble (too_few or all_incomplete holds)."""
-        if self.too_few[t]:
+        """Why failed tool t has no ensemble."""
+        if self.runs[t] < self.min_runs:
             return TooFewRuns(f"need at least {self.min_runs} runs, got {self.runs[t]}")
         return TooFewRuns("no run produced a verdict (all incomplete)")
 
     def result(self, t: int) -> EnsembleResult:
-        """Tool t's ensemble (too_few and all_incomplete must not hold)."""
+        """Tool t's ensemble (t must not have failed)."""
         vote = int(self.winner[t]) - 1
         counts = self.counts[t].tolist()
         return EnsembleResult(
@@ -495,7 +492,7 @@ class RunDecisions:
         # Tools from the rejected run on are not checked: the rejection comes first.
         stop = self.rejected_row if self.rejected_row >= 0 else len(self.cell)
         checked = run_counts.cumsum()[multi] <= stop
-        failed = np.flatnonzero((ensembles.too_few | ensembles.all_incomplete) & checked)
+        failed = np.flatnonzero(ensembles.failed & checked)
         if failed.size:
             raise ensembles.error(int(failed[0]))
         if self.rejected_row >= 0:
@@ -589,7 +586,7 @@ def fuse_runs(
     votes = np.array(votes, dtype=np.int64)
     min_runs = (config or EngineConfig()).ensemble_min_runs
     ensembles = _vote([tool_id], np.array([len(runs)]), votes, confidence, decided, min_runs)
-    if ensembles.too_few[0] or ensembles.all_incomplete[0]:
+    if ensembles.failed[0]:
         raise ensembles.error(0)
     return ensembles.result(0)
 

@@ -236,17 +236,13 @@ def matrix_summary(cm: ConfusionMatrix, decimals: int = 3) -> dict:
     }
 
 
-def write_confusion_csv(cm: ConfusionMatrix, fh: TextIO, decimals: int = 3) -> None:
-    """Human-readable confusion table with per-class metric columns, to a CSV text file."""
-
-    def fmt(v: Optional[float]) -> str:
-        return "n/a" if v is None else f"{round_report(v, decimals):.{decimals}f}"
-
+def write_confusion_csv(summary: dict, fh: TextIO, decimals: int = 3) -> None:
+    """A stage's matrix_summary record as a confusion table CSV, each value to decimals digits."""
     writer = csv.writer(fh)
-    writer.writerow(["true\\pred", *cm.class_names, "precision", "recall", "f1"])
-    for cls, name in enumerate(cm.class_names):
-        m = class_metrics(cm, cls)
-        writer.writerow([name, *cm.counts[cls], fmt(m.precision), fmt(m.recall), fmt(m.f1)])
+    writer.writerow(["true\\pred", *summary["per_class"], "precision", "recall", "f1"])
+    for (name, m), row in zip(summary["per_class"].items(), summary["counts"]):
+        cells = (m["precision"], m["recall"], m["f1"])
+        writer.writerow([name, *row, *("n/a" if v is None else f"{v:.{decimals}f}" for v in cells)])
 
 
 def write_roc_csv(rows: Sequence[tuple[str, float, float]], fh: TextIO) -> None:

@@ -103,6 +103,29 @@ class CorrectionLedger:
     conflict_caught: int = 0
     conflicts_overlap_thresholds: bool = False
 
+    @classmethod
+    def from_names(cls, values: Mapping) -> CorrectionLedger:
+        """A ledger from propagate's JSON object: threshold_caught maps stage names to arrays.
+
+        An unknown key, then a missing required one, then a threshold_caught
+        value that is not an array, is a TypeError that names it as values
+        does; a name that is no stage is a ValueError.
+        """
+        names = [f.name for f in fields(cls)]
+        for name in values.keys():
+            if name not in names:
+                raise TypeError(f"unknown ledger key {name!r}")
+        for f in fields(cls):
+            if f.default is MISSING and f.default_factory is MISSING and f.name not in values:
+                raise TypeError(f"missing ledger key {f.name!r}")
+        caught = {}
+        for name, pair in values.get("threshold_caught", {}).items():
+            stage = StageId(name)
+            if not isinstance(pair, (list, tuple)):
+                raise TypeError(f"threshold_caught for {name} must be an array, got {pair!r}")
+            caught[stage] = tuple(pair)
+        return cls(**{**values, "threshold_caught": caught})
+
     def __post_init__(self):
         for stage, pair in self.threshold_caught.items():
             if len(pair) != 2:

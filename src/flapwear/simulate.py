@@ -3,8 +3,10 @@
 Two ways to exercise the full hierarchy without real images: generate
 synthetic wheels and push them through the rule-based classifiers, or
 replay stochastic oracles calibrated to published confusion matrices.
-Both report measured accuracies next to the analytic path products so
-the propagation model can be checked side by side. The oracle lives here
+The synthetic run reports the hierarchy's accuracy and, per outcome,
+its wheels and correct verdicts. The oracle replay reports each
+branch's measured accuracy next to its analytic path product, so the
+propagation model can be checked side by side. The oracle lives here
 whole: the rules its matrices and law must meet, its per-trial sampler,
 the hit cells that score a trial without a predicted class, and the
 replay.
@@ -20,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .engine import EngineConfig, RunDecisions, RunResult, decide_runs
-from .errors import ConfigError, ValidationError, check_seed, is_finite, is_integer, is_number
+from .errors import ConfigError, check_seed, is_finite, is_integer, is_number
 from .predictions import VectorError, first_invalid_row
 from .propagation import ACCURACY_NAMES, StageAccuracies, path_accuracy
 from .synth import Wheels, WheelSpec, check_noise_sigma, score_block, wheel_columns
@@ -41,8 +43,8 @@ SYNTH_BLOCK = 256
 ORACLE_BLOCK = 1 << 16
 
 
-class BadRow(ValidationError):
-    pass
+class BadRow(ConfigError):
+    """A fault in an oracle input: its counts, rows, law or truth classes."""
 
 
 def _draw_wheel(outcome: WearOutcome, rng: np.random.Generator) -> tuple[int, list[int], float]:

@@ -13,8 +13,8 @@ confusion counting and ROC sweep, and imports from flapwear only what
 the columnar path does not implement: config handling in ``cli``, the
 error kinds, the taxonomy's consistency and outcome rules, and the
 report rendering of confusion matrices (``ConfusionMatrix``,
-``matrix_summary``, ``write_confusion_csv``, ``round_report``). It
-computes each stage's two confidence means itself.
+``matrix_summary``, ``round_report``). It computes each stage's two
+confidence means and writes its confusion CSV itself.
 
 The synthetic part generates and scores one wheel at a time
 (``generate_observation``, the four ``*_feature_classifier`` functions,
@@ -404,6 +404,22 @@ def cmd_classify(args, config) -> int:
     return cli.EXIT_OK
 
 
+def write_confusion_csv(stage: StageId, counts: list[list[int]], fh, decimals: int) -> None:
+    """A stage's confusion table with per-class precision, recall and F1, "n/a" when undefined."""
+
+    def fmt(v: Optional[float]) -> str:
+        return "n/a" if v is None else f"{metrics.round_report(v, decimals):.{decimals}f}"
+
+    writer = csv.writer(fh)
+    writer.writerow(["true\\pred", *STAGE_CLASSES[stage], "precision", "recall", "f1"])
+    for i, name in enumerate(STAGE_CLASSES[stage]):
+        predicted, actual = sum(row[i] for row in counts), sum(counts[i])
+        precision = counts[i][i] / predicted if predicted else None
+        recall = counts[i][i] / actual if actual else None
+        f1 = 2 * precision * recall / (precision + recall) if precision and recall else None
+        writer.writerow([name, *counts[i], fmt(precision), fmt(recall), fmt(f1)])
+
+
 def cmd_evaluate(args, config) -> int:
     labeled = [s for s in parse_prediction_file(args.labeled_file) if s.truth is not None]
     if not labeled:
@@ -445,7 +461,7 @@ def cmd_evaluate(args, config) -> int:
 
         path = config.report_dir / f"{stage.value}_confusion.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            metrics.write_confusion_csv(cm, fh, config.rounding)
+            write_confusion_csv(stage, counts, fh, config.rounding)
 
         roc_rows = []
         auc_by_class: dict[str, Optional[float]] = {}

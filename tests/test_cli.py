@@ -980,6 +980,30 @@ LABELED = "\n".join(
             lambda tmp_path: _simulate(n_flag="11", mode="synth")(tmp_path) + ["--seed", "x"],
             EXIT_CONFIG, "config error: seed must be an integer, got 'x'\n", id="non-numeric-seed-flag",
         ),
+        pytest.param(
+            _propagate(ledger={"total_runs": 10, "total_errors": 1, "threshold_caught": {"usage": "ab"}}),
+            EXIT_CONFIG,
+            "config error: bad ledger: threshold_caught for usage must be an array, got 'ab'\n",
+            id="string-threshold-catch",
+        ),
+        pytest.param(
+            _propagate(ledger={"total_runs": 10, "total_errors": 1,
+                               "threshold_caught": {"usage": {"a": 1, "b": 2}}}),
+            EXIT_CONFIG,
+            "config error: bad ledger: threshold_caught for usage must be an array, got"
+            " {'a': 1, 'b': 2}\n",
+            id="object-threshold-catch",
+        ),
+        pytest.param(
+            _propagate(ledger={"total_runs": 360, "total_errors": 45, "conflict_cought": 4}),
+            EXIT_CONFIG, "config error: bad ledger: unknown ledger key 'conflict_cought'\n",
+            id="unknown-ledger-key-named-as-written",
+        ),
+        pytest.param(
+            _propagate(ledger={"total_errors": 45}),
+            EXIT_CONFIG, "config error: bad ledger: missing ledger key 'total_runs'\n",
+            id="missing-ledger-key-named-as-written",
+        ),
     ],
 )
 def test_bad_input_ends_in_exit_code_not_traceback(tmp_path, capsys, build, code, prefix):

@@ -145,8 +145,9 @@ def prediction_files(draw):
 
 settings_flags = st.sampled_from([[], ["--no-thresholds"], ["--thresholds", "profile=0.6"]])
 config_lines = st.tuples(
-    st.sampled_from(["flag_only", "reject_run"]), st.sampled_from([1, 2, 3, 3])
-).map(lambda c: f"conflict_policy = {c[0]}\nensemble_min_runs = {c[1]}\n")
+    st.sampled_from(["flag_only", "reject_run"]), st.sampled_from([1, 2, 3, 3]),
+    st.sampled_from([1, 3, 7]),
+).map(lambda c: f"conflict_policy = {c[0]}\nensemble_min_runs = {c[1]}\nrounding = {c[2]}\n")
 
 
 def run(main, argv, out: Path):

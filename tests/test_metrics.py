@@ -225,7 +225,7 @@ class TestReporting:
         cm = ConfusionMatrix(StageId.USAGE, USAGE_MATRIX)
         path = tmp_path / "usage_confusion.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            write_confusion_csv(cm, fh)
+            write_confusion_csv(matrix_summary(cm), fh)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "true\\pred,new,used,precision,recall,f1"
         assert lines[1] == "new,458,2,0.960,0.996,0.978"
