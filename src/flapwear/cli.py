@@ -355,7 +355,7 @@ def cmd_propagate(args: argparse.Namespace, config: CliConfig) -> int:
         raise ConfigError("propagation input needs an accuracies object")
     try:
         acc = propagation.StageAccuracies.from_names(payload["accuracies"])
-    except (AttributeError, TypeError) as exc:
+    except TypeError as exc:
         raise ConfigError(f"bad accuracies: {exc}") from exc
 
     ledger = None
@@ -364,7 +364,7 @@ def cmd_propagate(args: argparse.Namespace, config: CliConfig) -> int:
             ledger = propagation.CorrectionLedger.from_names(payload["ledger"])
         except FlapwearError:
             raise
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad ledger: {exc}") from exc
 
     report = propagation.propagation_report(acc, ledger, config.rounding)

@@ -53,9 +53,12 @@ class StageAccuracies:
     def from_names(cls, values: Mapping[str, float]) -> StageAccuracies:
         """Accuracies keyed by ACCURACY_NAMES; an absent name keeps its field default.
 
-        An unknown name, then a missing required accuracy, is a TypeError
-        that names it as values does, not by its field.
+        values that are not a mapping, then an unknown name, then a missing
+        required accuracy, is a TypeError that names it as values does, not
+        by its field.
         """
+        if not isinstance(values, Mapping):
+            raise TypeError(f"accuracies must be an object, got {values!r}")
         for name in values.keys():
             if name not in ACCURACY_NAMES.values():
                 raise TypeError(f"unknown accuracy {name!r}")
@@ -107,10 +110,13 @@ class CorrectionLedger:
     def from_names(cls, values: Mapping) -> CorrectionLedger:
         """A ledger from propagate's JSON object: threshold_caught maps stage names to arrays.
 
-        An unknown key, then a missing required one, then a threshold_caught
-        value that is not an array, is a TypeError that names it as values
-        does; a name that is no stage is a ValueError.
+        values that are not a mapping, then an unknown key, then a missing
+        required one, then a threshold_caught that is not a mapping or a
+        value of it that is not an array, is a TypeError that names it as
+        values does; a name that is no stage is a ValueError.
         """
+        if not isinstance(values, Mapping):
+            raise TypeError(f"ledger must be an object, got {values!r}")
         names = [f.name for f in fields(cls)]
         for name in values.keys():
             if name not in names:
@@ -118,8 +124,11 @@ class CorrectionLedger:
         for f in fields(cls):
             if f.default is MISSING and f.default_factory is MISSING and f.name not in values:
                 raise TypeError(f"missing ledger key {f.name!r}")
+        caught_by_name = values.get("threshold_caught", {})
+        if not isinstance(caught_by_name, Mapping):
+            raise TypeError(f"threshold_caught must be an object, got {caught_by_name!r}")
         caught = {}
-        for name, pair in values.get("threshold_caught", {}).items():
+        for name, pair in caught_by_name.items():
             stage = StageId(name)
             if not isinstance(pair, (list, tuple)):
                 raise TypeError(f"threshold_caught for {name} must be an array, got {pair!r}")

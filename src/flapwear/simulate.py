@@ -14,8 +14,8 @@ replay.
 
 from __future__ import annotations
 
-import contextlib
 import copy
+import queue
 import threading
 from typing import Iterable
 
@@ -259,10 +259,21 @@ def hits(cells: tuple[np.ndarray, np.ndarray], truths: np.ndarray, u: np.ndarray
     """Whether the sampler would predict each trial's truth from its uniform u.
 
     cells are hit_cells(row_probs); a trial is a hit when lo[t] < u <= hi[t]
-    for its truth t. Two gathers, and no predicted class is built.
+    for its truth t. The truth is tested class by class, so nothing is
+    gathered and no predicted class is built. u is in [0, 1), so the open
+    ends, lo[0] = -inf and hi[k-1] = +inf, are not tested.
     """
     lo, hi = cells
-    return (u > lo.take(truths)) & (u <= hi.take(truths))
+    last = len(lo) - 1
+    hit = np.zeros(len(truths), dtype=bool)
+    for c in range(len(lo)):
+        in_cell = truths == c
+        if c > 0:
+            in_cell &= u > lo[c]
+        if c < last:
+            in_cell &= u <= hi[c]
+        hit |= in_cell
+    return hit
 
 
 def sample_oracle_predictions(
@@ -327,31 +338,6 @@ def _cursor(rng: np.random.Generator, skip: int) -> np.random.Generator:
     return np.random.Generator(copy.deepcopy(rng.bit_generator).advance(skip))
 
 
-@contextlib.contextmanager
-def _beside(fn, *args):
-    """Run fn(*args) on one helper thread while the with-block runs.
-
-    The helper is joined when the block ends, however it ends. If the
-    block ended normally and fn raised, fn's exception is raised here.
-    """
-    raised = []
-
-    def run():
-        try:
-            fn(*args)
-        except BaseException as exc:  # raised in the caller, not printed by the thread
-            raised.append(exc)
-
-    helper = threading.Thread(target=run)
-    helper.start()
-    try:
-        yield
-    finally:
-        helper.join()
-    if raised:
-        raise raised.pop()
-
-
 def _stage_oracles(
     matrices: dict[StageId, list[list[int]]], stages: Iterable[StageId], confidence_law
 ) -> dict:
@@ -375,10 +361,15 @@ def _stage_oracles(
     return oracles
 
 
-def _skip_normals(rng: np.random.Generator, n: int) -> None:
-    """Move rng past n standard normals, drawn into one buffer ORACLE_BLOCK at a time."""
+def _skip_normals(rng: np.random.Generator, n: int, stop: threading.Event) -> None:
+    """Move rng past n standard normals, drawn into one buffer ORACLE_BLOCK at a time.
+
+    stop is tested before each block; once it is set, rng is left part way.
+    """
     buffer = np.empty(min(n, ORACLE_BLOCK))
     for start in range(0, n, ORACLE_BLOCK):
+        if stop.is_set():
+            return
         size = min(n - start, ORACLE_BLOCK)
         rng.standard_normal(size, out=buffer[:size])
 
@@ -402,6 +393,81 @@ def _score_stage(oracle, rng, predictions, all_correct: np.ndarray) -> int:
     return n_correct
 
 
+def _walk_starts(
+    chains: list[tuple[FlapProfile, int]],
+    n_trials: int,
+    starts: queue.SimpleQueue,
+    stop: threading.Event,
+) -> None:
+    """Put the generator each stage starts from on starts, branch after branch, in order.
+
+    chains are (branch, seed) pairs. A stage's successor starts where its
+    2n uniforms and n normals end: a cursor 2n past its start, taken
+    before its start is put, then moved past the normals. Once stop is
+    set no further start is put. An exception goes on starts in place of
+    the next start.
+    """
+    try:
+        for branch, seed in chains:
+            start = np.random.default_rng(seed)
+            for _ in range(len(BRANCH_STAGES[branch]) - 1):
+                next_start = _cursor(start, 2 * n_trials)
+                starts.put(start)
+                _skip_normals(next_start, n_trials, stop)
+                if stop.is_set():
+                    return
+                start = next_start
+            starts.put(start)
+    except BaseException as exc:  # raised by the scorer, not printed by the thread
+        starts.put(exc)
+
+
+def _replay(oracles: dict, chains: list[tuple[FlapProfile, int]], n_trials: int) -> list[dict]:
+    """Each (branch, seed) chain's trial record: the branch, n, measured and per-stage accuracy.
+
+    oracles are _stage_oracles for at least the chains' stages. The
+    per-trial all-correct flags, one byte per trial, are allocated first,
+    so a size too large to allocate fails before any draw, and every
+    chain reuses them. One helper thread then runs _walk_starts over all
+    chains while this thread scores each stage as soon as its start
+    arrives. The chains' streams are independent, so the helper runs
+    ahead across stages and branches, and the normals it draws overlap
+    this thread's scoring (numpy releases the GIL for both). Only
+    generators pass between the threads; no array is shared or queued.
+    An exception the helper raised is raised here when its start is due.
+    On every path the helper is stopped, which it notices within one
+    ORACLE_BLOCK of normals, and joined. At most two threads run, and
+    nothing sets their number. Memory is the flags, this thread's block
+    and the helper's buffer of normals.
+    """
+    all_correct = np.empty(n_trials, dtype=bool)
+    starts, stop = queue.SimpleQueue(), threading.Event()
+    helper = threading.Thread(target=_walk_starts, args=(chains, n_trials, starts, stop))
+    helper.start()
+    try:
+        trials = []
+        for branch, _ in chains:
+            all_correct.fill(True)
+            stage_accuracy = {}
+            for stage in BRANCH_STAGES[branch]:
+                start = starts.get()
+                if isinstance(start, BaseException):
+                    raise start
+                predictions = _cursor(start, n_trials)
+                n_correct = _score_stage(oracles[stage], start, predictions, all_correct)
+                stage_accuracy[stage.value] = n_correct / n_trials
+            trials.append({
+                "branch": branch.value,
+                "n_trials": n_trials,
+                "measured_accuracy": int(np.count_nonzero(all_correct)) / n_trials,
+                "stage_accuracy": stage_accuracy,
+            })
+        return trials
+    finally:
+        stop.set()
+        helper.join()
+
+
 def oracle_branch_trials(
     matrices: dict[StageId, list[list[int]]],
     branch: FlapProfile,
@@ -422,42 +488,16 @@ def oracle_branch_trials(
     prediction uniforms, then n standard normals, after which the next
     stage starts. Truths come from the stage's generator and prediction
     uniforms from a copy advanced by n. A trial's prediction is right
-    when its uniform falls in its truth's cell (hits), so no
-    predicted class is built. The normals would set the trials'
-    confidences, which no report reads; they are drawn only to reach the
-    next stage's start, so the last stage draws none. They come from a
-    copy advanced by 2n, taken before the stage draws anything, and are
-    drawn on one helper thread while this thread scores the stage's
-    uniforms; numpy releases the GIL for both, so on two cores they
-    overlap. The next stage starts from that copy once the helper is
-    joined, which it is on every path; an exception it raised is raised
-    here. At most two threads run, and nothing sets their number.
-    Memory is one byte per trial, the trials' running all-correct flags,
-    plus this thread's block and the helper's normals buffer.
+    when its uniform falls in its truth's cell (hits), so no predicted
+    class is built. The normals would set the trials' confidences, which
+    no report reads; they are drawn only to reach the next stage's
+    start, so the last stage draws none. _replay runs the branch: its
+    threads, memory and error paths are stated there.
     """
     n_trials, seed = check_simulation_size(n_trials), check_seed(seed)
-    stages = BRANCH_STAGES[branch]
-    oracles = _stage_oracles(matrices, stages, confidence_law)
-    rng = np.random.default_rng(seed)
-    stage_accuracy = {}
-    all_correct = np.ones(n_trials, dtype=bool)
-    for stage, oracle in oracles.items():
-        predictions = _cursor(rng, n_trials)
-        if stage is stages[-1]:
-            n_correct = _score_stage(oracle, rng, predictions, all_correct)
-        else:
-            next_stage = _cursor(rng, 2 * n_trials)
-            with _beside(_skip_normals, next_stage, n_trials):
-                n_correct = _score_stage(oracle, rng, predictions, all_correct)
-            rng = next_stage
-        stage_accuracy[stage.value] = n_correct / n_trials
-
-    return {
-        "branch": branch.value,
-        "n_trials": n_trials,
-        "measured_accuracy": int(np.count_nonzero(all_correct)) / n_trials,
-        "stage_accuracy": stage_accuracy,
-    }
+    oracles = _stage_oracles(matrices, BRANCH_STAGES[branch], confidence_law)
+    (trial,) = _replay(oracles, [(branch, seed)], n_trials)
+    return trial
 
 
 def run_oracle_batch(
@@ -468,14 +508,16 @@ def run_oracle_batch(
 ) -> dict:
     """All three branches against their analytic path accuracies.
 
-    Before any draw, _stage_oracles checks all five stages.
+    Before any draw, _stage_oracles checks all five stages. Branch i is
+    replayed as oracle_branch_trials replays it with seed + i, and all
+    three are one _replay, so one helper thread serves them.
     """
-    _stage_oracles(matrices, StageId, confidence_law)
+    oracles = _stage_oracles(matrices, StageId, confidence_law)
     n_trials, seed = check_simulation_size(n_trials), check_seed(seed)
     acc = matrices_to_accuracies(matrices)
+    chains = [(branch, seed + i) for i, branch in enumerate(FlapProfile)]
     branches = {}
-    for i, branch in enumerate(FlapProfile):
-        trial = oracle_branch_trials(matrices, branch, n_trials, seed + i, confidence_law)
+    for (branch, _), trial in zip(chains, _replay(oracles, chains, n_trials)):
         trial["analytic_accuracy"] = path_accuracy(acc, branch)
         branches[branch.value] = trial
     return {

@@ -1004,6 +1004,22 @@ LABELED = "\n".join(
             EXIT_CONFIG, "config error: bad ledger: missing ledger key 'total_runs'\n",
             id="missing-ledger-key-named-as-written",
         ),
+        pytest.param(
+            _propagate(ledger=5),
+            EXIT_CONFIG, "config error: bad ledger: ledger must be an object, got 5\n",
+            id="number-ledger-named",
+        ),
+        pytest.param(
+            _propagate(ledger={"total_runs": 360, "total_errors": 45, "threshold_caught": []}),
+            EXIT_CONFIG, "config error: bad ledger: threshold_caught must be an object, got []\n",
+            id="list-valued-threshold-caught-named",
+        ),
+        pytest.param(
+            _propagate(accuracies=[0.9, 0.9, 0.9]),
+            EXIT_CONFIG,
+            "config error: bad accuracies: accuracies must be an object, got [0.9, 0.9, 0.9]\n",
+            id="list-valued-accuracies-named",
+        ),
     ],
 )
 def test_bad_input_ends_in_exit_code_not_traceback(tmp_path, capsys, build, code, prefix):

@@ -8,8 +8,9 @@ they replaced. Predictions, confidences (bit for bit) and the generator
 state afterwards must be equal, for two- and three-class stages, count
 matrices with zero cells, sizes on both sides of 65536, zero and
 positive spreads and any seed; and so must every branch's report, which
-``simulate.oracle_branch_trials`` draws ``ORACLE_BLOCK`` (65536) trials
-at a time from three cursors into one stream. ``simulate.hits``, by which
+``simulate.oracle_branch_trials`` and ``simulate.run_oracle_batch`` draw
+``ORACLE_BLOCK`` (65536) trials at a time from three cursors into one
+stream. ``simulate.hits``, by which
 that replay scores a trial without building its prediction, must hold
 exactly where the sampler predicts the truth, at every CDF edge.
 """
@@ -175,6 +176,20 @@ def test_branch_trials_match_over_several_blocks(branch):
     want = scalar_oracle.oracle_branch_trials(ALL_MATRICES, branch, n, 5)
     want.pop("stage_results")
     assert got == want
+
+
+@settings(max_examples=8, deadline=None)
+@given(matrices=stage_matrices(), n=SIZES, seed=SEEDS)
+def test_batch_branches_match_the_kept_array_loop(matrices, n, seed):
+    # The batch replays its three branches on one pipeline; branch i is the
+    # kept loop's branch at seed + i.
+    branches = simulate.run_oracle_batch(matrices, n, seed)["branches"]
+    for i, branch in enumerate(FlapProfile):
+        got = dict(branches[branch.value])
+        got.pop("analytic_accuracy")
+        want = scalar_oracle.oracle_branch_trials(matrices, branch, n, seed + i)
+        want.pop("stage_results")
+        assert got == want
 
 
 @settings(max_examples=30, deadline=None)

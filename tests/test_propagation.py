@@ -1,3 +1,4 @@
+import sys
 import threading
 import time
 import tracemalloc
@@ -281,6 +282,17 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_batch_peak_memory_is_that_of_one_branch(self, all_matrices):
+        # The helper may run ahead of the scorer by whole branches, but it queues
+        # generators, never arrays, and the three branches share one set of flags.
+        tracemalloc.start()
+        try:
+            run_oracle_batch(all_matrices, 10**6, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_deterministic_per_seed(self):
         a = simulated_accuracy(PAPER_ACC, FlapProfile.CONCAVE, 10**4, seed=17)
         b = simulated_accuracy(PAPER_ACC, FlapProfile.CONCAVE, 10**4, seed=17)
@@ -289,6 +301,71 @@ class TestMonteCarlo:
 
 class TestSkipNormalsThread:
     """The stream-skipping normals drawn on a helper thread beside the scoring."""
+
+    def test_each_replay_call_starts_one_thread(self, all_matrices, monkeypatch):
+        started, start = [], threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        run_oracle_batch(all_matrices, 1000, 0)
+        assert len(started) == 1
+        oracle_branch_trials(all_matrices, FlapProfile.CONCAVE, 1000, 0)
+        assert len(started) == 2
+
+    def test_helper_exception_on_a_later_branch_is_raised_in_the_caller(
+        self, all_matrices, monkeypatch
+    ):
+        skip_normals, calls = simulate._skip_normals, []
+
+        def fourth_fails(*args):
+            calls.append(True)
+            if len(calls) == 4:  # the second branch's second stage
+                raise MemoryError("no room for the normals")
+            skip_normals(*args)
+
+        monkeypatch.setattr(simulate, "_skip_normals", fourth_fails)
+        threads = threading.active_count()
+        with pytest.raises(MemoryError, match="no room for the normals"):
+            run_oracle_batch(all_matrices, 1000, 0)
+        assert len(calls) == 4
+        assert threading.active_count() == threads
+
+    def test_helper_stops_within_a_block_when_scoring_raises(self, all_matrices, monkeypatch):
+        # Scoring fails while the helper is part way through a stage's normals; the
+        # helper begins at most the one block it had checked the stop for.
+        skip_normals, second_block = simulate._skip_normals, threading.Event()
+        begun, begun_after_stop = [], []
+
+        class CountingNormals:
+            def __init__(self, rng, stop):
+                self.rng, self.stop = rng, stop
+
+            def standard_normal(self, *args, **kwargs):
+                begun.append(True)
+                begun_after_stop.append(self.stop.is_set())
+                if len(begun) == 2:
+                    second_block.set()
+                return self.rng.standard_normal(*args, **kwargs)
+
+        def counting_skip(rng, n, stop):
+            skip_normals(CountingNormals(rng, stop), n, stop)
+
+        def broken_hits(*args):
+            assert second_block.wait(timeout=60)
+            raise RuntimeError("scoring failed")
+
+        monkeypatch.setattr(simulate, "_skip_normals", counting_skip)
+        monkeypatch.setattr(simulate, "hits", broken_hits)
+        threads = threading.active_count()
+        n_trials = 32 * simulate.ORACLE_BLOCK
+        with pytest.raises(RuntimeError, match="scoring failed"):
+            run_oracle_batch(all_matrices, n_trials, 0)
+        assert threading.active_count() == threads
+        assert sum(begun_after_stop) <= 1
+        assert len(begun) < 32  # the first stage's normals were cut short
 
     def test_helper_exception_is_raised_in_the_caller(self, all_matrices, monkeypatch):
         def no_room(*args):
@@ -322,7 +399,8 @@ class TestSkipNormalsThread:
 
     def test_concurrent_batches_match_serial_ones(self, all_matrices):
         # No buffer or generator is shared between calls: two at once each
-        # return what one alone does, over a block edge.
+        # return what one alone does, over a block edge, with threads
+        # switched far more often than by default.
         n_trials = simulate.ORACLE_BLOCK + 3
         serial = [run_oracle_batch(all_matrices, n_trials, seed) for seed in (1, 2)]
         start = threading.Barrier(2, timeout=60)
@@ -333,11 +411,16 @@ class TestSkipNormalsThread:
             results[i] = run_oracle_batch(all_matrices, n_trials, i + 1)
 
         threads = [threading.Thread(target=replay, args=(i,)) for i in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-            assert not thread.is_alive()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
         assert results == serial
 
 
