@@ -273,6 +273,11 @@ def _stamp(record: dict) -> tuple[str, itemgetter]:
     return "%s".join(parts[::2]) + "\n", itemgetter(*map(int, parts[1::2]))
 
 
+# run_lines converts confidences to Python floats this many runs at a time,
+# so only one block's floats, not the batch's, are alive at once.
+RUN_LINE_BLOCK = 1024
+
+
 # The ensemble core's columns: every stage, and a slot per vote + 1 (the
 # conflicted bucket, incomplete runs, then each outcome id).
 _STAGES = tuple(STAGE_CLASSES)
@@ -453,7 +458,9 @@ class RunDecisions:
         the tool id, run index and confidences, so each distinct line is
         stamped from to_record once, with slots for [tool id as JSON, run
         index, each stage's confidence]. A line's key is the flag mask,
-        then each stage's class index + 1 as a base-4 digit.
+        then each stage's class index + 1 as a base-4 digit. Each run's
+        line key and confidences become Python values RUN_LINE_BLOCK runs
+        at a time, as the lines are consumed.
         """
         stages = list(self.index)
         key = self.flags
@@ -464,8 +471,12 @@ class RunDecisions:
         for run in self.rows(first.tolist()):
             slots = [(s, i, f"\x00{2 + stages.index(s)}") for s, i, _ in run.decisions]
             lines.append(_stamp(run._replace(decisions=slots).to_record("\x000", "\x001")))
-        confidence = np.column_stack([self.confidence[stage] for stage in stages]).tolist()
-        rows = zip(line_of.tolist(), confidence)
+        confidence = np.column_stack([self.confidence[stage] for stage in stages])
+        block = RUN_LINE_BLOCK
+        rows = itertools.chain.from_iterable(
+            zip(line_of[b : b + block].tolist(), confidence[b : b + block].tolist())
+            for b in range(0, len(line_of), block)
+        )
         for tool_id, n in zip(tool_ids, run_counts.tolist()):
             tool = encode_basestring_ascii(tool_id)
             for i, (line, conf) in zip(range(n), rows):

@@ -224,21 +224,27 @@ def _first_invalid_line(columns: Iterable[_StageColumns]) -> Optional[Validation
     return first
 
 
-def _accept_line(scan, by_name: dict[str, _StageColumns], line: str, line_no: int) -> bool:
+def _accept_line(
+    scan, by_name: dict[str, _StageColumns], ids: dict[str, str], line: str, line_no: int
+) -> bool:
     """Append a well-formed line's record to its stage's columns; False, appending nothing, if not.
 
     Well-formed is one JSON object that passes every rule of _parse_line:
     a stage name, that stage's view, a list of as many ints or floats as
     the stage has classes, each within float range, no truth or one of
     the stage's classes, and an image id and a tool id by _record_id.
-    The vector's values are checked later.
+    The vector's values are checked later. Each id is stored as the
+    first equal id in ids, which a new id joins.
     """
     try:
         rec, end = scan(line, 0)
         cols = by_name[rec["stage"]]  # a TypeError unless rec is a dict
         probs, truth = rec["probs"], rec.get("truth")
-        image_id = _record_id(rec, "image_id", line_no)  # a ParseError is a ValueError
-        tool_id = _record_id(rec, "tool_id", line_no)
+        image_id, tool_id = rec["image_id"], rec["tool_id"]
+        if type(image_id) is not str:  # a string, the common id, costs no call
+            image_id = _record_id(rec, "image_id", line_no)  # a ParseError is a ValueError
+        if type(tool_id) is not str:
+            tool_id = _record_id(rec, "tool_id", line_no)
         if (
             end != len(line)
             or rec["view"] != cols.view_name
@@ -250,7 +256,9 @@ def _accept_line(scan, by_name: dict[str, _StageColumns], line: str, line_no: in
         truth = -1 if truth is None else cols.truth_index[truth]
     except (StopIteration, ValueError, RecursionError, KeyError, TypeError):
         return False
-    return cols.append(probs, truth, image_id, tool_id, line_no)
+    return cols.append(
+        probs, truth, ids.setdefault(image_id, image_id), ids.setdefault(tool_id, tool_id), line_no
+    )
 
 
 def _parse_line(line: str, line_no: int) -> NoReturn:
@@ -293,16 +301,22 @@ def parse_prediction_table(path: str | Path) -> PredictionTable:
     ParseError. A file that cannot be opened or is not UTF-8 text is a
     ParseError too. Decoded records are not kept: each accepted line goes
     straight into the columns of its stage.
+
+    Each distinct id is held once per call: every tool id and image id
+    of the returned tables, over all stages, that compare equal are the
+    same str object, so an integer id is the same object as its str. The
+    ids are matched within the call only: no table of them outlives it.
     """
     columns = {stage: _StageColumns(stage) for stage in StageId}
     by_name = {stage.value: cols for stage, cols in columns.items()}
+    ids: dict[str, str] = {}
     scan = json.scanner.make_scanner(json.JSONDecoder())
     error = None
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
-                if line and not _accept_line(scan, by_name, line, line_no):
+                if line and not _accept_line(scan, by_name, ids, line, line_no):
                     _parse_line(line, line_no)
     except FlapwearError as exc:
         error = exc

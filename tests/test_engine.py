@@ -1,3 +1,4 @@
+import json
 import re
 from statistics import fmean
 
@@ -6,6 +7,7 @@ import pytest
 
 from flapwear.engine import (
     FLAG_LABELS,
+    RUN_LINE_BLOCK,
     ConflictPolicy,
     EngineConfig,
     EngineError,
@@ -269,6 +271,31 @@ def test_run_line_key_fits_in_62_bits():
     # index + 1, in 0..3) in an int64; a new flag or stage must not overflow it.
     assert all(len(classes) <= 3 for classes in STAGE_CLASSES.values())
     assert len(FLAG_LABELS) + 2 * len(STAGE_CLASSES) <= 62
+
+
+def test_run_lines_across_blocks_match_to_record():
+    # More runs than two blocks; tool "b" owns runs B-3 .. B+2 and so
+    # straddles the first block boundary B.
+    rng = np.random.default_rng(27)
+    counts = [RUN_LINE_BLOCK - 3, 6] + [int(c) for c in rng.integers(1, 8, 200)]
+    counts.append(2 * RUN_LINE_BLOCK + 50 - sum(counts))
+    assert counts[-1] > 0
+    n = sum(counts)
+    vectors = {
+        stage: rng.dirichlet(np.ones(len(classes)), n) for stage, classes in STAGE_CLASSES.items()
+    }
+    vectors[StageId.CONCAVE_SEVERITY][rng.random(n) < 0.1] = 0.0  # some severities missing
+    tool_ids = ["a", 'b "\u00e9"', *(f"t{i}" for i in range(len(counts) - 2))]
+    decisions = decide_runs(vectors, EngineConfig())
+    lines = list(decisions.run_lines(tool_ids, np.array(counts)))
+    expected = [
+        json.dumps(result.to_record(tool, i), sort_keys=True) + "\n"
+        for result, (tool, i) in zip(
+            decisions.rows(), ((t, i) for t, c in zip(tool_ids, counts) for i in range(c))
+        )
+    ]
+    assert len(lines) == n
+    assert lines == expected
 
 
 def rect_run(usage_conf=0.95, tear_conf=0.9, tear_idx=1):

@@ -266,6 +266,54 @@ class TestPredictionFile:
         assert excinfo.value.line == 2
 
 
+class TestSharedIds:
+    """A call's tables hold one str per distinct id, and none of another call's."""
+
+    def write(self, path):
+        radial = {"image_id": "r1", "tool_id": "t1", "truth": None}
+        path.write_text(
+            "\n".join(
+                [
+                    _line(**radial),
+                    _line(**radial, stage="profile", probs=[0.1, 0.8, 0.1]),
+                    _line(**radial, stage="concave_severity", probs=[0.4, 0.6]),
+                    _line(image_id="a1", tool_id="t1", stage="tear", view="axial",
+                          probs=[0.3, 0.7], truth=None),
+                    _line(image_id="r2", tool_id="t1", stage="convex_severity",
+                          probs=[0.5, 0.5], truth=None),
+                    _line(image_id=12, tool_id="12"),
+                    _line(image_id="12", tool_id=12, stage="profile", probs=[1, 0, 0],
+                          truth=None),
+                ]
+            )
+        )
+
+    @staticmethod
+    def ids(tables):
+        return [i for table in tables.values() for i in table.tool_ids + table.image_ids]
+
+    def test_each_distinct_id_is_one_object(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        self.write(path)
+        tables = parse_prediction_table(path)
+        ids = self.ids(tables)
+        assert all(type(i) is str for i in ids)
+        assert len({id(i) for i in ids}) == len(set(ids)) == 5  # t1, r1, a1, r2, 12
+        expected = scalar_oracle.parse_prediction_table(path)
+        for stage, table in tables.items():
+            assert (table.tool_ids, table.image_ids) == (
+                expected[stage].tool_ids, expected[stage].image_ids
+            )
+
+    def test_no_id_outlives_its_call(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        self.write(path)
+        first = self.ids(parse_prediction_table(path))  # kept alive, so no id() is reused
+        second = self.ids(parse_prediction_table(path))
+        assert first == second
+        assert not {id(i) for i in first} & {id(i) for i in second}
+
+
 class TestSplitByTool:
     def _samples(self, n_tools, per_tool=3):
         """Each sample's tool id, as a table's tool_ids column holds them."""
