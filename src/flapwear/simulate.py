@@ -50,17 +50,30 @@ class BadRow(ConfigError):
 def _draw_wheel(outcome: WearOutcome, rng: np.random.Generator) -> tuple[int, list[int], float]:
     """A random wheel realizing outcome: its flap count, torn flap indices and depth.
 
-    The one statement of the draw, from rng in this order: the flap
-    count, integers(12, 33); for a torn outcome the number torn,
-    integers(1, 4), and which, choice(n_flaps, n_torn, replace=False);
-    then the depth, uniform(0.08, 0.4). These ranges are ones where the
+    The one statement of the draw, from rng in this order, each draw an
+    integers or random call: the flap count n, integers(12, 33); for a
+    torn outcome the number torn k, integers(1, 4), then which flaps by
+    Floyd's sample, integers(0, j + 1) for j = n - k, ..., n - 1 (a value
+    already taken is replaced by j), then a Fisher-Yates pass,
+    integers(0, i + 1) for i = k - 1, ..., 1, each swapping places i and
+    its draw; then the depth, 0.08 + (0.4 - 0.08) * random(). Draw for
+    draw, that is what choice(n, k, replace=False) takes for a
+    population of at most 10,000 (n is at most 32) and what
+    uniform(0.08, 0.4) takes, so the torn list and the depth are theirs
+    and so is the state rng is left in. These ranges are ones where the
     rule-based classifiers resolve the wear state at zero noise.
     """
     n_flaps = int(rng.integers(12, 33))
     torn: list[int] = []
     if outcome.tear is TearState.WITH_TEAR:
-        torn = rng.choice(n_flaps, int(rng.integers(1, 4)), replace=False).tolist()
-    return n_flaps, torn, float(rng.uniform(0.08, 0.4))
+        n_torn = int(rng.integers(1, 4))
+        for j in range(n_flaps - n_torn, n_flaps):
+            v = int(rng.integers(0, j + 1))
+            torn.append(j if v in torn else v)
+        for i in range(n_torn - 1, 0, -1):
+            v = int(rng.integers(0, i + 1))
+            torn[i], torn[v] = torn[v], torn[i]
+    return n_flaps, torn, 0.08 + (0.4 - 0.08) * rng.random()
 
 
 def spec_for_outcome(
@@ -128,8 +141,12 @@ def run_synthetic_batch(
     """Round-robin over the 11 outcomes; measures hierarchy accuracy.
 
     noise_sigma is checked once, by check_noise_sigma. Wheels are drawn
-    SYNTH_BLOCK at a time, one wheel after another from the batch RNG:
-    _draw_wheel, then the wheel's seed, integers(0, 2**31). Each block
+    SYNTH_BLOCK at a time, one wheel after another from the batch RNG,
+    default_rng(seed), each draw an integers or random call: _draw_wheel
+    (the flap count, for a torn wheel the number torn and Floyd's sample
+    of which, then the depth), then the wheel's seed, integers(0, 2**31).
+    Draw for draw these are the choice(..., replace=False) and uniform
+    calls _draw_wheel states they replace. Each block
     goes into columns (outcome, flap count, torn flags, depth, seed) and
     is observed and scored into per-stage arrays, both severity stages
     for every wheel, so level 3 is judged on whichever branch the

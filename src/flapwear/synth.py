@@ -218,12 +218,20 @@ def _wheel_streams(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
 
 
 def _severity_span(fully: bool, rng: np.random.Generator) -> tuple[float, float]:
+    """A shaped wheel's severity span (lo, hi), drawn by random() calls.
+
+    Fully worn: the span, 0.90 + (1.0 - 0.90) * random(), centred.
+    Partly worn: the span, 0.30 + (0.60 - 0.30) * random(), then its
+    start, (1.0 - span) * random(). Draw for draw and bit for bit these
+    are uniform(0.90, 1.0), uniform(0.30, 0.60) and uniform(0.0, 1.0 -
+    span), which compute low + (high - low) * random().
+    """
     if fully:
-        span = rng.uniform(0.90, 1.0)
+        span = 0.90 + (1.0 - 0.90) * rng.random()
         start = (1.0 - span) / 2.0
     else:
-        span = rng.uniform(0.30, 0.60)
-        start = rng.uniform(0.0, 1.0 - span)
+        span = 0.30 + (0.60 - 0.30) * rng.random()
+        start = (1.0 - span) * rng.random()
     return start, start + span
 
 
@@ -236,13 +244,18 @@ def observe_block(wheels: Wheels) -> tuple[np.ndarray, np.ndarray]:
     with a smooth bump of depth (depression for concave, bulge for
     convex) over the severity span; gaussian noise_sigma perturbs the
     samples. Torn flaps widen their gap well past the nominal jitter.
-    Each wheel draws its severity span, noise row, gap jitter and torn
-    widths (in flap order) one after the other from the stream
-    default_rng(seeds[j]) would give. Only a wheel that draws (a shaped
-    one, a torn one or one with noise) has its stream's state derived,
-    for all such wheels of the block at once, and set on one Generator
-    reused across the block. The arithmetic on the draws is done for the
-    whole block.
+    Each wheel draws from the stream default_rng(seeds[j]) would give, in
+    this order: a shaped wheel its severity span (_severity_span); a
+    noisy one its noise row, normal(0, noise_sigma, PROFILE_SAMPLES),
+    then its gap jitter, -GAP_JITTER + 2 * GAP_JITTER * random(n_flaps);
+    a torn one its torn widths in flap order, lo + (hi - lo) *
+    random(n_torn) over TORN_GAP_RANGE. Draw for draw and bit for bit
+    each random() form is the uniform(low, high, size) it replaces,
+    which computes low + (high - low) * random(). Only a wheel that
+    draws (a shaped one, a torn one or one with noise) has its stream's
+    state derived, for all such wheels of the block at once, and set on
+    one Generator reused across the block. The arithmetic on the draws
+    is done for the whole block.
     """
     b, width = wheels.torn.shape
     direction = _OUTCOME_DIRECTION[wheels.outcome]
@@ -256,14 +269,15 @@ def observe_block(wheels: Wheels) -> tuple[np.ndarray, np.ndarray]:
     is_shaped, fully = shaped.tolist(), _OUTCOME_FULLY[wheels.outcome].tolist()
     n_flaps, sigmas, torn_counts = wheels.n_flaps.tolist(), sigma.tolist(), n_torn.tolist()
     drawing = np.flatnonzero(shaped | (n_torn > 0) | (sigma > 0)).tolist()
+    torn_lo, torn_hi = TORN_GAP_RANGE
     for j, rng in zip(drawing, _wheel_streams([wheels.seeds[j] for j in drawing])):
         if is_shaped[j]:
             lo[j], hi[j] = _severity_span(fully[j], rng)
         if sigmas[j] > 0:
             noise[j] = rng.normal(0.0, sigmas[j], PROFILE_SAMPLES)
-            jitter[j, : n_flaps[j]] = rng.uniform(-GAP_JITTER, GAP_JITTER, n_flaps[j])
+            jitter[j, : n_flaps[j]] = -GAP_JITTER + 2 * GAP_JITTER * rng.random(n_flaps[j])
         if torn_counts[j]:
-            widths += rng.uniform(*TORN_GAP_RANGE, torn_counts[j]).tolist()
+            widths += (torn_lo + (torn_hi - torn_lo) * rng.random(torn_counts[j])).tolist()
     torn = np.zeros((b, width))
     torn[wheels.torn] = widths  # a mask assigns in row-major order
 

@@ -19,10 +19,11 @@ confidence means and writes its confusion CSV itself.
 The synthetic part generates and scores one wheel at a time
 (``generate_observation``, the four ``*_feature_classifier`` functions,
 ``observation_vectors``) and fills the per-stage arrays of a synthetic
-batch wheel by wheel (``synthetic_stage_rows``). It imports the
-generator's constants, ``WheelSpec`` and ``spec_for_outcome`` (a wheel's
-random draw, made by the helper the batch calls, as a spec) from
-flapwear.
+batch wheel by wheel (``synthetic_stage_rows``). It draws each wheel
+itself (``draw_wheel``; ``draw_wheel_spec`` gives it as a spec) with
+``Generator.choice`` and ``Generator.uniform``, the calls the batch's
+``integers`` and ``random`` draws restate, and imports only the
+generator's constants and ``WheelSpec`` from flapwear.
 
 The table part is the prediction-table parser as it was before its
 scanner fast path (``parse_prediction_table``): every line decoded by
@@ -66,7 +67,6 @@ from flapwear.predictions import (
 from flapwear.simulate import (
     DEFAULT_CONFIDENCE_LAW,
     row_probabilities,
-    spec_for_outcome,
     truth_marginals,
 )
 from flapwear.taxonomy import (
@@ -80,6 +80,7 @@ from flapwear.taxonomy import (
     FlapProfile,
     Severity,
     StageId,
+    TearState,
     View,
     WearOutcome,
     check_consistency,
@@ -627,13 +628,42 @@ def observation_vectors(obs: SyntheticObservation) -> dict[StageId, tuple[float,
     return vectors
 
 
+def draw_wheel(outcome, rng) -> tuple[int, list[int], float]:
+    """A random wheel realizing outcome: flap count, torn flaps and depth.
+
+    From rng in this order: the flap count, integers(12, 33); for a torn
+    outcome the number torn, integers(1, 4), and which,
+    choice(n_flaps, n_torn, replace=False), in choice's order; then the
+    depth, uniform(0.08, 0.4).
+    """
+    n_flaps = int(rng.integers(12, 33))
+    torn = []
+    if outcome.tear is TearState.WITH_TEAR:
+        torn = rng.choice(n_flaps, int(rng.integers(1, 4)), replace=False).tolist()
+    return n_flaps, torn, float(rng.uniform(0.08, 0.4))
+
+
+def draw_wheel_spec(outcome, rng, noise_sigma: float = 0.0) -> synth.WheelSpec:
+    """draw_wheel's wheel as a spec."""
+    n_flaps, torn, depth = draw_wheel(outcome, rng)
+    return synth.WheelSpec(
+        usage=outcome.usage,
+        profile=outcome.profile,
+        severity=outcome.severity,
+        n_flaps=n_flaps,
+        torn_flaps=frozenset(torn),
+        profile_depth=depth,
+        noise_sigma=noise_sigma,
+    )
+
+
 def synthetic_stage_rows(n: int, seed: int, noise_sigma: float):
     """Per-stage (n, k) rows of a synthetic batch, wheel by wheel."""
     rng = np.random.default_rng(seed)
     vectors = {stage: np.zeros((n, len(classes))) for stage, classes in STAGE_CLASSES.items()}
     for k in range(n):
         outcome = CONSISTENT_OUTCOMES[k % len(CONSISTENT_OUTCOMES)]
-        spec = spec_for_outcome(outcome, rng, noise_sigma)
+        spec = draw_wheel_spec(outcome, rng, noise_sigma)
         observation = generate_observation(spec, seed=int(rng.integers(0, 2**31)))
         for stage, row in observation_vectors(observation).items():
             vectors[stage][k] = row

@@ -6,16 +6,27 @@ Every stage's rows, both severity stages for every wheel, must be equal
 bit for bit, for batch sizes on both sides of the block edges and for zero,
 small and any noise up to 0.3. Single blocks of arbitrary wheel specs
 (flap counts, torn sets, fringe overrides, depths, noise) are compared
-observation by observation.
+observation by observation. Each wheel's own draw, by
+``simulate.spec_for_outcome`` and ``simulate._draw_wheel`` on alternate
+wheels, is compared with ``scalar_oracle``'s, which draws with
+``Generator.choice`` and ``Generator.uniform``: equal wheels, torn flaps in
+choice's order, and an equal generator state after every wheel.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import scalar_oracle
 from flapwear import simulate, synth
-from flapwear.taxonomy import STAGE_CLASSES, FlapProfile, Severity, UsageState
+from flapwear.taxonomy import (
+    CONSISTENT_OUTCOMES,
+    STAGE_CLASSES,
+    FlapProfile,
+    Severity,
+    UsageState,
+)
 
 noise_sigmas = st.one_of(
     st.sampled_from([0.0, 0.05]), st.floats(0.0, 0.3, allow_nan=False, allow_infinity=False)
@@ -96,3 +107,22 @@ def test_block_matches_per_wheel_observations(wheels):
         for stage, row in scalar_oracle.observation_vectors(obs).items():
             want_vectors[stage][j] = row
     assert_same_rows(vectors, want_vectors)
+
+
+@pytest.mark.parametrize("outcome", CONSISTENT_OUTCOMES, ids=lambda o: f"outcome-{o.id}")
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**128 - 1), n_wheels=st.integers(50, 120))
+@example(seed=0, n_wheels=50)
+def test_wheel_draw_is_choice_and_uniform(outcome, seed, n_wheels):
+    rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for k in range(n_wheels):
+        if k % 2:  # the torn flaps in choice's order, which a spec's frozenset drops
+            assert simulate._draw_wheel(outcome, rng) == scalar_oracle.draw_wheel(
+                outcome, want_rng
+            )
+        else:
+            assert simulate.spec_for_outcome(outcome, rng) == scalar_oracle.draw_wheel_spec(
+                outcome, want_rng
+            )
+        # The whole state: PCG64's words and the buffered 32-bit half-word.
+        assert rng.bit_generator.state == want_rng.bit_generator.state
