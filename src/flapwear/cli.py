@@ -314,10 +314,16 @@ def _run_simulation(sim_config: dict, mode: str, n: int, config: CliConfig) -> d
         if "noise_sigma" in settings and not is_number(settings["noise_sigma"]):
             raise ConfigError(f"noise_sigma must be a number, got {settings['noise_sigma']!r}")
         return simulate.run_synthetic_batch(n, config.seed, config=config.engine, **settings)
-    try:
-        matrices = {StageId(name): counts for name, counts in sim_config["matrices"].items()}
-    except (KeyError, ValueError, AttributeError) as exc:
-        raise ConfigError(f"oracle config needs per-stage matrices: {exc}") from exc
+    if "matrices" not in sim_config:
+        raise ConfigError("oracle config needs per-stage matrices")
+    by_name = sim_config["matrices"]
+    if not isinstance(by_name, dict):
+        raise ConfigError(f"matrices must be an object, got {by_name!r}")
+    stages = {stage.value: stage for stage in StageId}
+    for name in by_name:
+        if name not in stages:
+            raise ConfigError(f"unknown stage {name!r} in matrices")
+    matrices = {stages[name]: counts for name, counts in by_name.items()}
     report = simulate.run_oracle_batch(matrices, n, config.seed, **settings)
     acc = propagation.StageAccuracies.from_names(report["stage_accuracies"])
     report["propagation"] = propagation.propagation_report(acc, decimals=config.rounding)

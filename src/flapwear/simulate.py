@@ -192,24 +192,33 @@ def run_synthetic_batch(
     }
 
 
-def row_probabilities(counts: list[list[int]]) -> np.ndarray:
-    """Confusion-row distributions P(pred | truth); the one statement of valid counts.
+def _read_counts(counts) -> tuple[np.ndarray, np.ndarray, float]:
+    """A confusion matrix's rows, truth marginals and accuracy; the one statement of valid counts.
 
     counts is a matrix of numbers, each finite and >= 0, whose row totals
     and total are finite, with no all-zero row; anything else is a BadRow.
+    All three come from one float array: rows P(pred | truth) are counts
+    over row totals, marginals row totals over their sum, accuracy trace
+    over total.
     """
     cells = np.array(counts, dtype=object)  # ragged rows stay lists: a 1-D array
     if cells.ndim != 2 or not all(is_finite(c) and c >= 0 for c in cells.flat):
         raise BadRow("confusion counts must be a matrix of numbers, each finite and >= 0")
     counts_arr = cells.astype(float)
     with np.errstate(over="ignore"):  # an overflowing sum is refused below, not warned about
-        totals = counts_arr.sum(axis=1, keepdims=True)
-        sums_finite = np.isfinite(totals).all() and np.isfinite(counts_arr.sum())
+        totals = counts_arr.sum(axis=1)
+        total = counts_arr.sum()
+        sums_finite = np.isfinite(totals).all() and np.isfinite(total)
     if not sums_finite:
         raise BadRow("confusion counts overflow when summed")
     if np.any(totals == 0):
         raise BadRow("confusion matrix has an empty truth row")
-    return counts_arr / totals
+    return counts_arr / totals[:, None], totals / totals.sum(), float(np.trace(counts_arr) / total)
+
+
+def row_probabilities(counts: list[list[int]]) -> np.ndarray:
+    """Confusion-row distributions P(pred | truth), as _read_counts reads them."""
+    return _read_counts(counts)[0]
 
 
 def check_oracle_inputs(
@@ -240,18 +249,24 @@ def check_oracle_inputs(
 
 
 def truth_marginals(counts: list[list[int]]) -> np.ndarray:
-    """Truth-class distribution from confusion-matrix row totals."""
-    counts_arr = np.asarray(counts, dtype=float)
-    totals = counts_arr.sum(axis=1)
-    return totals / totals.sum()
+    """Truth-class distribution from confusion-matrix row totals, as _read_counts reads it."""
+    return _read_counts(counts)[1]
+
+
+def _read_stage(matrices: dict[StageId, list[list[int]]], stage: StageId):
+    """_read_counts of stage's matrix; a missing or invalid one is a BadRow naming the stage."""
+    if stage not in matrices:
+        raise BadRow(f"oracle matrix for {stage.value} is missing")
+    try:
+        return _read_counts(matrices[stage])
+    except BadRow as exc:
+        raise BadRow(f"oracle matrix for {stage.value}: {exc}") from exc
 
 
 def matrices_to_accuracies(matrices: dict[StageId, list[list[int]]]) -> StageAccuracies:
-    def acc(stage: StageId) -> float:
-        counts_arr = np.asarray(matrices[stage], dtype=float)
-        return float(np.trace(counts_arr) / counts_arr.sum())
-
-    return StageAccuracies.from_names({name: acc(s) for s, name in ACCURACY_NAMES.items()})
+    """Each stage's accuracy, trace over total, as _read_stage reads its matrix."""
+    acc = {name: _read_stage(matrices, s)[2] for s, name in ACCURACY_NAMES.items()}
+    return StageAccuracies.from_names(acc)
 
 
 def hit_cells(row_probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -334,20 +349,18 @@ def sample_oracle_predictions(
     return preds, np.clip(confs, 1.0 / n_classes + 1e-9, 1.0, out=confs)
 
 
-def _draw_classes(p: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n classes drawn from distribution p: rng.choice(len(p), size=n, p=p), draw for draw.
+def _draw_classes(cdf: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n classes as uint8, drawn as rng.choice(len(p), size=n, p=p) draws them.
 
-    The same uniforms and normalised CDF, with a class counting the CDF
-    values at or below its uniform one column at a time, in bytes (p has
-    fewer than 256 classes); the last value is 1.0 and never counts.
+    cdf is choice's CDF, p.cumsum() over its last value; a class counts the
+    CDF values at or below its uniform one column at a time, in bytes (p
+    has fewer than 256 classes). The last value is 1.0 and never counts.
     """
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
     u = rng.random(n)
     classes = np.zeros(n, dtype=np.uint8)
     for edge in cdf[:-1]:
         classes += (u >= edge).view(np.uint8)
-    return classes.astype(np.intp)
+    return classes
 
 
 def _cursor(rng: np.random.Generator, skip: int) -> np.random.Generator:
@@ -358,23 +371,19 @@ def _cursor(rng: np.random.Generator, skip: int) -> np.random.Generator:
 def _stage_oracles(
     matrices: dict[StageId, list[list[int]]], stages: Iterable[StageId], confidence_law
 ) -> dict:
-    """Each stage's (truth marginals, hit cells); the one check of an oracle's inputs.
+    """Each stage's (truth CDF, hit cells, accuracy); the one check of an oracle's inputs.
 
-    Stage by stage, in order: its matrix must be present and pass
-    row_probabilities, whose message then gets the prefix "oracle matrix
-    for <stage>: ", and its rows and the law check_oracle_inputs. The
-    first failure is a BadRow.
+    Stage by stage, in order: _read_stage reads its matrix once, then
+    check_oracle_inputs checks its rows and the law; the first failure is
+    a BadRow. The truth CDF is normalised once, as _draw_classes takes it.
     """
     oracles = {}
     for stage in stages:
-        if stage not in matrices:
-            raise BadRow(f"oracle matrix for {stage.value} is missing")
-        try:
-            rows = row_probabilities(matrices[stage])
-        except BadRow as exc:
-            raise BadRow(f"oracle matrix for {stage.value}: {exc}") from exc
+        rows, marginals, accuracy = _read_stage(matrices, stage)
         rows, _ = check_oracle_inputs(stage, rows, confidence_law)
-        oracles[stage] = (truth_marginals(matrices[stage]), hit_cells(rows))
+        cdf = marginals.cumsum()
+        cdf /= cdf[-1]
+        oracles[stage] = (cdf, hit_cells(rows), accuracy)
     return oracles
 
 
@@ -397,13 +406,13 @@ def _score_stage(oracle, rng, predictions, all_correct: np.ndarray) -> int:
     Truths come from rng and prediction uniforms from predictions; each
     trial's all-correct flag is cleared where it misses.
     """
-    marginals, cells = oracle
+    cdf, cells, _ = oracle
     n_trials = len(all_correct)
     n_correct = 0
     for start in range(0, n_trials, ORACLE_BLOCK):
         block = slice(start, min(n_trials, start + ORACLE_BLOCK))
         size = block.stop - block.start
-        truths = _draw_classes(marginals, size, rng)
+        truths = _draw_classes(cdf, size, rng)
         correct = hits(cells, truths, predictions.random(size))
         all_correct[block] &= correct
         n_correct += int(np.count_nonzero(correct))
@@ -525,13 +534,14 @@ def run_oracle_batch(
 ) -> dict:
     """All three branches against their analytic path accuracies.
 
-    Before any draw, _stage_oracles checks all five stages. Branch i is
-    replayed as oracle_branch_trials replays it with seed + i, and all
-    three are one _replay, so one helper thread serves them.
+    The size and the seed, then all five stages, by _stage_oracles' one
+    reading, are checked before any draw; the accuracies are that
+    reading's. Branch i is replayed as oracle_branch_trials replays it
+    with seed + i; all three are one _replay, so one helper serves them.
     """
-    oracles = _stage_oracles(matrices, StageId, confidence_law)
     n_trials, seed = check_simulation_size(n_trials), check_seed(seed)
-    acc = matrices_to_accuracies(matrices)
+    oracles = _stage_oracles(matrices, StageId, confidence_law)
+    acc = StageAccuracies.from_names({name: oracles[s][2] for s, name in ACCURACY_NAMES.items()})
     chains = [(branch, seed + i) for i, branch in enumerate(FlapProfile)]
     branches = {}
     for (branch, _), trial in zip(chains, _replay(oracles, chains, n_trials)):

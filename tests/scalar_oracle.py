@@ -36,8 +36,12 @@ The oracle part is the Monte-Carlo sampler and branch loop that
 gathered each trial's (k,) confusion-row CDF, drew truths with
 ``Generator.choice`` and confidences with ``Generator.normal``, and
 kept every stage's per-trial arrays (``sample_oracle_predictions``,
-``oracle_branch_trials``). It imports the confusion-row helpers and
-the default confidence law from flapwear.
+``oracle_branch_trials``). It reads a valid count matrix itself, with
+no checks: its rows are counts over row totals (``row_probabilities``),
+its truth marginals row totals over the total (``truth_marginals``) and
+its accuracy the trace over the total (``stage_accuracy``). Of
+``flapwear.simulate`` it uses only the default confidence law and
+``BadRow``.
 """
 
 from __future__ import annotations
@@ -64,11 +68,7 @@ from flapwear.predictions import (
     ViewMismatch,
     first_invalid_row,
 )
-from flapwear.simulate import (
-    DEFAULT_CONFIDENCE_LAW,
-    row_probabilities,
-    truth_marginals,
-)
+from flapwear.simulate import DEFAULT_CONFIDENCE_LAW
 from flapwear.taxonomy import (
     BRANCH_STAGES,
     CONSISTENT_OUTCOMES,
@@ -672,6 +672,24 @@ def synthetic_stage_rows(n: int, seed: int, noise_sigma: float):
 
 # ---------------------------------------------------------------------------
 # The oracle sampler and branch loop, gathering each trial's confusion-row CDF.
+
+
+def row_probabilities(counts: list[list[int]]) -> np.ndarray:
+    """Confusion rows P(pred | truth): counts over their row totals."""
+    counts_arr = np.asarray(counts, dtype=float)
+    return counts_arr / counts_arr.sum(axis=1, keepdims=True)
+
+
+def truth_marginals(counts: list[list[int]]) -> np.ndarray:
+    """Truth-class distribution: row totals over the total."""
+    totals = np.asarray(counts, dtype=float).sum(axis=1)
+    return totals / totals.sum()
+
+
+def stage_accuracy(counts: list[list[int]]) -> float:
+    """A stage's accuracy: the trace over the total."""
+    counts_arr = np.asarray(counts, dtype=float)
+    return float(np.trace(counts_arr) / counts_arr.sum())
 
 
 def sample_oracle_predictions(

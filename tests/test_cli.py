@@ -1020,6 +1020,31 @@ LABELED = "\n".join(
             "config error: bad accuracies: accuracies must be an object, got [0.9, 0.9, 0.9]\n",
             id="list-valued-accuracies-named",
         ),
+        pytest.param(
+            _sim_config_text('{"mode": "oracle"}'),
+            EXIT_CONFIG, "config error: oracle config needs per-stage matrices\n",
+            id="oracle-without-matrices",
+        ),
+        pytest.param(
+            _sim_config_text('{"mode": "oracle", "matrices": [1, 2]}'),
+            EXIT_CONFIG, "config error: matrices must be an object, got [1, 2]\n",
+            id="list-valued-matrices-named",
+        ),
+        pytest.param(
+            _sim_config_text('{"mode": "oracle", "matrices": 5}'),
+            EXIT_CONFIG, "config error: matrices must be an object, got 5\n",
+            id="number-matrices-named",
+        ),
+        pytest.param(
+            _sim_config_text('{"mode": "oracle", "matrices": null}'),
+            EXIT_CONFIG, "config error: matrices must be an object, got None\n",
+            id="null-matrices-named",
+        ),
+        pytest.param(
+            _sim_config_text('{"mode": "oracle", "matrices": {"foo": [[1, 0], [0, 1]]}}'),
+            EXIT_CONFIG, "config error: unknown stage 'foo' in matrices\n",
+            id="unknown-matrix-stage-named-as-written",
+        ),
     ],
 )
 def test_bad_input_ends_in_exit_code_not_traceback(tmp_path, capsys, build, code, prefix):

@@ -4,13 +4,15 @@
 its confusion row's CDF one column at a time and builds confidences from
 ``standard_normal``; ``simulate._draw_classes`` draws truth classes the
 way ``Generator.choice(p=...)`` does. ``scalar_oracle`` keeps the code
-they replaced. Predictions, confidences (bit for bit) and the generator
-state afterwards must be equal, for two- and three-class stages, count
-matrices with zero cells, sizes on both sides of 65536, zero and
-positive spreads and any seed; and so must every branch's report, which
-``simulate.oracle_branch_trials`` and ``simulate.run_oracle_batch`` draw
-``ORACLE_BLOCK`` (65536) trials at a time from three cursors into one
-stream. ``simulate.hits``, by which
+they replaced, and restates how a count matrix gives its rows, truth
+marginals and accuracy, which ``row_probabilities``, ``truth_marginals``
+and ``matrices_to_accuracies`` must give bit for bit. Predictions,
+confidences (bit for bit) and the generator state afterwards must be
+equal, for two- and three-class stages, count matrices with zero cells,
+sizes on both sides of 65536, zero and positive spreads and any seed;
+and so must every branch's report, which ``simulate.oracle_branch_trials``
+and ``simulate.run_oracle_batch`` draw ``ORACLE_BLOCK`` (65536) trials at
+a time from three cursors into one stream. ``simulate.hits``, by which
 that replay scores a trial without building its prediction, must hold
 exactly where the sampler predicts the truth, at every CDF edge.
 """
@@ -26,6 +28,7 @@ from flapwear import simulate
 from flapwear.simulate import (
     hit_cells,
     hits,
+    matrices_to_accuracies,
     row_probabilities,
     sample_oracle_predictions,
     truth_marginals,
@@ -37,15 +40,17 @@ SEEDS = st.integers(0, 2**32 - 1)
 STAGES = {2: StageId.USAGE, 3: StageId.PROFILE}
 # Zero cells often, paper-sized counts too.
 COUNTS = st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 2000))
+# Counts that need not be whole, for the conversions that take any finite number >= 0.
+REAL_COUNTS = st.one_of(COUNTS, st.floats(0.0, 1e6))
 
 
-def count_rows(k):
+def count_rows(k, cells=COUNTS):
     """A k-cell count row with a nonzero total."""
-    return st.lists(COUNTS, min_size=k, max_size=k).filter(any)
+    return st.lists(cells, min_size=k, max_size=k).filter(any)
 
 
-def count_matrices(k):
-    return st.lists(count_rows(k), min_size=k, max_size=k)
+def count_matrices(k, cells=COUNTS):
+    return st.lists(count_rows(k, cells), min_size=k, max_size=k)
 
 
 @st.composite
@@ -63,10 +68,12 @@ def generators(seed):
 @given(k=st.sampled_from([2, 3]), data=st.data(), n=SIZES, seed=SEEDS)
 def test_draw_classes_is_generator_choice(k, data, n, seed):
     p = truth_marginals(data.draw(count_matrices(k)))
+    cdf = p.cumsum()
+    cdf /= cdf[-1]  # the CDF choice builds from p
     got_rng, want_rng = generators(seed)
-    got = simulate._draw_classes(p, n, got_rng)
+    got = simulate._draw_classes(cdf, n, got_rng)
     want = want_rng.choice(k, size=n, p=p)
-    assert got.dtype == want.dtype
+    assert got.dtype == np.uint8
     assert np.array_equal(got, want)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -149,8 +156,23 @@ def test_hit_cells_are_where_the_sampler_predicts_the_truth(counts):
 
 
 @st.composite
-def stage_matrices(draw):
-    return {stage: draw(count_matrices(len(classes))) for stage, classes in STAGE_CLASSES.items()}
+def stage_matrices(draw, cells=COUNTS):
+    return {
+        stage: draw(count_matrices(len(classes), cells)) for stage, classes in STAGE_CLASSES.items()
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices=stage_matrices(REAL_COUNTS))
+@example(matrices={stage: ALL_MATRICES[stage] for stage in StageId})
+def test_one_reading_is_the_restated_one(matrices):
+    acc = matrices_to_accuracies(matrices)
+    for stage, counts in matrices.items():
+        want_rows = scalar_oracle.row_probabilities(counts)
+        assert row_probabilities(counts).tobytes() == want_rows.tobytes()
+        want_marginals = scalar_oracle.truth_marginals(counts)
+        assert truth_marginals(counts).tobytes() == want_marginals.tobytes()
+        assert acc.of(stage).hex() == scalar_oracle.stage_accuracy(counts).hex()
 
 
 @settings(max_examples=15, deadline=None)

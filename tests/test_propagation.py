@@ -18,7 +18,14 @@ from flapwear.propagation import (
     path_accuracy,
     propagation_report,
 )
-from flapwear.simulate import BadRow, oracle_branch_trials, run_oracle_batch
+from flapwear.simulate import (
+    BadRow,
+    matrices_to_accuracies,
+    oracle_branch_trials,
+    row_probabilities,
+    run_oracle_batch,
+    truth_marginals,
+)
 from flapwear.taxonomy import BRANCH_STAGES, STAGE_CLASSES, FlapProfile
 
 from conftest import STAGE_ACCURACIES
@@ -422,6 +429,70 @@ class TestSkipNormalsThread:
         finally:
             sys.setswitchinterval(interval)
         assert results == serial
+
+
+COUNTS_MESSAGE = "confusion counts must be a matrix of numbers, each finite and >= 0"
+
+
+class TestOneReading:
+    """Each confusion matrix is read once, by one checked conversion, whoever asks."""
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ([[-1, 2], [3, 4]], COUNTS_MESSAGE),
+            ([[float("nan"), 2], [3, 4]], COUNTS_MESSAGE),
+            ([[float("inf"), 2], [3, 4]], COUNTS_MESSAGE),
+            ([[1, 2], [3]], COUNTS_MESSAGE),
+            ([[True, 2], [3, 4]], COUNTS_MESSAGE),
+            ([[0, 0], [3, 4]], "confusion matrix has an empty truth row"),
+            ([[1e308, 1e308], [19, 1021]], "confusion counts overflow when summed"),
+        ],
+        ids=["negative", "nan", "inf", "ragged", "bool", "all-zero-row", "overflowing-sum"],
+    )
+    def test_every_helper_refuses_what_row_probabilities_refuses(self, counts, message):
+        for read in (row_probabilities, truth_marginals):
+            with pytest.raises(BadRow) as refused:
+                read(counts)
+            assert str(refused.value) == message
+        matrices = {s: [[1] * len(c)] * len(c) for s, c in STAGE_CLASSES.items()}
+        matrices[StageId.USAGE] = counts
+        with pytest.raises(BadRow) as refused:
+            matrices_to_accuracies(matrices)
+        assert str(refused.value) == f"oracle matrix for usage: {message}"
+
+    def test_accuracies_of_a_missing_matrix_is_a_bad_row(self, all_matrices):
+        del all_matrices[StageId.TEAR]
+        with pytest.raises(BadRow, match="^oracle matrix for tear is missing$"):
+            matrices_to_accuracies(all_matrices)
+
+    def test_each_matrix_is_read_once_per_call(self, all_matrices, monkeypatch):
+        reads = []
+        read_counts = simulate._read_counts
+
+        def counted(counts):
+            reads.append(counts)
+            return read_counts(counts)
+
+        monkeypatch.setattr(simulate, "_read_counts", counted)
+        run_oracle_batch(all_matrices, 10, 0)
+        assert len(reads) == 5
+        for branch in FlapProfile:
+            reads.clear()
+            oracle_branch_trials(all_matrices, branch, 10, 0)
+            assert [id(r) for r in reads] == [id(all_matrices[s]) for s in BRANCH_STAGES[branch]]
+
+    @pytest.mark.parametrize(
+        "n, seed, message",
+        [(0, 0, "simulation size must be >= 1"), (10, -1, "seed must be >= 0, got -1")],
+        ids=["size", "seed"],
+    )
+    def test_size_and_seed_are_checked_before_the_matrices(self, n, seed, message):
+        # The batch checks in the order the branch replay and the synthetic batch do.
+        with pytest.raises(ConfigError, match=message):
+            run_oracle_batch({}, n, seed)
+        with pytest.raises(ConfigError, match=message):
+            oracle_branch_trials({}, FlapProfile.CONVEX, n, seed)
 
 
 def test_propagation_report_contents():
