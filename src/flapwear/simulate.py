@@ -25,7 +25,7 @@ from .engine import EngineConfig, RunDecisions, RunResult, decide_runs
 from .errors import ConfigError, check_seed, is_finite, is_integer, is_number
 from .predictions import VectorError, first_invalid_row
 from .propagation import ACCURACY_NAMES, StageAccuracies, path_accuracy
-from .synth import Wheels, WheelSpec, check_noise_sigma, score_block, wheel_columns
+from .synth import Wheels, WheelSpec, _PCG64Stream, check_noise_sigma, score_block, wheel_columns
 from .taxonomy import (
     BRANCH_STAGES,
     CONSISTENT_OUTCOMES,
@@ -47,7 +47,9 @@ class BadRow(ConfigError):
     """A fault in an oracle input: its counts, rows, law or truth classes."""
 
 
-def _draw_wheel(outcome: WearOutcome, rng: np.random.Generator) -> tuple[int, list[int], float]:
+def _draw_wheel(
+    outcome: WearOutcome, rng: np.random.Generator | _PCG64Stream
+) -> tuple[int, list[int], float]:
     """A random wheel realizing outcome: its flap count, torn flap indices and depth.
 
     The one statement of the draw, from rng in this order, each draw an
@@ -60,8 +62,10 @@ def _draw_wheel(outcome: WearOutcome, rng: np.random.Generator) -> tuple[int, li
     draw, that is what choice(n, k, replace=False) takes for a
     population of at most 10,000 (n is at most 32) and what
     uniform(0.08, 0.4) takes, so the torn list and the depth are theirs
-    and so is the state rng is left in. These ranges are ones where the
-    rule-based classifiers resolve the wear state at zero noise.
+    and so is the state rng is left in. rng is a Generator or the
+    batch's stream, a synth._PCG64Stream, which draws what a Generator
+    in its state would. These ranges are ones where the rule-based
+    classifiers resolve the wear state at zero noise.
     """
     n_flaps = int(rng.integers(12, 33))
     torn: list[int] = []
@@ -77,9 +81,9 @@ def _draw_wheel(outcome: WearOutcome, rng: np.random.Generator) -> tuple[int, li
 
 
 def spec_for_outcome(
-    outcome: WearOutcome, rng: np.random.Generator, noise_sigma: float = 0.0
+    outcome: WearOutcome, rng: np.random.Generator | _PCG64Stream, noise_sigma: float = 0.0
 ) -> WheelSpec:
-    """Randomized wheel spec realizing a given outcome, drawn as _draw_wheel draws it."""
+    """Randomized wheel spec realizing a given outcome, drawn from rng as _draw_wheel draws it."""
     n_flaps, torn, depth = _draw_wheel(outcome, rng)
     return WheelSpec(
         usage=outcome.usage,
@@ -141,21 +145,22 @@ def run_synthetic_batch(
     """Round-robin over the 11 outcomes; measures hierarchy accuracy.
 
     noise_sigma is checked once, by check_noise_sigma. Wheels are drawn
-    SYNTH_BLOCK at a time, one wheel after another from the batch RNG,
-    default_rng(seed), each draw an integers or random call: _draw_wheel
-    (the flap count, for a torn wheel the number torn and Floyd's sample
-    of which, then the depth), then the wheel's seed, integers(0, 2**31).
-    Draw for draw these are the choice(..., replace=False) and uniform
-    calls _draw_wheel states they replace. Each block
-    goes into columns (outcome, flap count, torn flags, depth, seed) and
-    is observed and scored into per-stage arrays, both severity stages
-    for every wheel, so level 3 is judged on whichever branch the
-    profile decision takes. Each stage's rows are then checked once, and
-    the hierarchy decides them in one batch.
+    SYNTH_BLOCK at a time, one wheel after another from the batch's
+    stream, a synth._PCG64Stream in default_rng(seed)'s state, each draw
+    an integers or random call: _draw_wheel (the flap count, for a torn
+    wheel the number torn and Floyd's sample of which, then the depth),
+    then the wheel's seed, integers(0, 2**31). Draw for draw these are
+    the choice(..., replace=False) and uniform calls _draw_wheel states
+    they replace. Each block goes into columns (outcome, flap count,
+    torn flags, depth, seed) and is observed from each wheel's own
+    stream (synth.observe_block) and scored into per-stage arrays, both
+    severity stages for every wheel, so level 3 is judged on whichever
+    branch the profile decision takes. Each stage's rows are then
+    checked once, and the hierarchy decides them in one batch.
     """
     n, seed = check_simulation_size(n), check_seed(seed)
     check_noise_sigma(noise_sigma)
-    rng = np.random.default_rng(seed)
+    rng = _PCG64Stream(**np.random.default_rng(seed).bit_generator.state["state"])
     vectors = _stage_arrays(n)
     outcome = np.resize(np.arange(len(CONSISTENT_OUTCOMES)), n)  # wheel k: outcome k mod 11
     expected = np.array([o.id for o in CONSISTENT_OUTCOMES])[outcome]

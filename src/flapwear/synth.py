@@ -55,9 +55,9 @@ _SEVERITY_SLOPE = 8.0
 
 _PROFILE_SCORE_GAIN = 30.0
 
-# PCG64's multiplier, which it seeds with; SeedSequence hashes in 32-bit words.
+# PCG64's multiplier, which it seeds and steps with; SeedSequence hashes in 32-bit words.
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 
 # Sample positions across the flap width, shared by every contour.
 _W = np.linspace(0.0, 1.0, PROFILE_SAMPLES)
@@ -172,16 +172,74 @@ def wheel_columns(specs: Sequence[WheelSpec], seeds: Sequence[int]) -> Wheels:
     )
 
 
-def _wheel_streams(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
-    """For each seed in turn, one reused Generator set to start as default_rng(seed).
+class _PCG64Stream:
+    """numpy's PCG64 in Python ints: a Generator's values and state, draw for draw.
+
+    Its fields are those of PCG64's state dict; it starts from a state and
+    increment with no half-word buffered. A 64-bit draw steps state =
+    state * _PCG64_MULT + inc mod 2**128 and returns XSL-RR of the new
+    state: its 64-bit halves xored, rotated right by its top 6 bits.
+    random() is a 64-bit draw >> 11, times 2**-53. integers(low, high) is
+    numpy's 32-bit Lemire rule on n = high - low: n = 1 draws nothing;
+    else m = u * n, for u the buffered half-word (uinteger, if has_uint32)
+    or else the lower half of a 64-bit draw whose upper half it buffers,
+    is redrawn while m mod 2**32 < (2**32 - n) mod n and gives low +
+    (m >> 32). numpy draws any other n by its 64-bit path: a ValueError.
+    """
+
+    __slots__ = ("state", "inc", "has_uint32", "uinteger")
+
+    def __init__(self, state: int, inc: int):
+        self.state, self.inc, self.has_uint32, self.uinteger = state, inc, 0, 0
+
+    def handoff(self, rng: Optional[np.random.Generator] = None) -> np.random.Generator:
+        """rng, or a new Generator on PCG64, set to this stream's state; then draw from it alone."""
+        if rng is None:
+            rng = np.random.Generator(np.random.PCG64(0))
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": self.state, "inc": self.inc},
+            "has_uint32": self.has_uint32,
+            "uinteger": self.uinteger,
+        }
+        return rng
+
+    def _next64(self) -> int:
+        state = self.state = (self.state * _PCG64_MULT + self.inc) & _MASK128
+        # Rotating the 64-bit word right is shifting right two copies of it side by side.
+        return ((state >> 64 ^ state) & _MASK64) * (2**64 + 1) >> (state >> 122) & _MASK64
+
+    def random(self, size: Optional[int] = None) -> float | list[float]:
+        """A float in [0, 1), or a list of size of them, as Generator.random draws them."""
+        if size is None:
+            return (self._next64() >> 11) * 2.0**-53
+        return [self.random() for _ in range(size)]
+
+    def integers(self, low: int, high: int) -> int:
+        """An int in [low, high), as Generator.integers for 1 <= high - low <= 2**32."""
+        n = high - low
+        if not 1 <= n <= 2**32:
+            raise ValueError(f"high - low must be in [1, 2**32], got {low}, {high}")
+        while n > 1:
+            if self.has_uint32:
+                self.has_uint32, m = 0, self.uinteger * n
+            else:
+                word = self._next64()
+                self.has_uint32, self.uinteger, m = 1, word >> 32, (word & _MASK32) * n
+            if m & _MASK32 >= (2**32 - n) % n:
+                return low + (m >> 32)
+        return low
+
+
+def _wheel_streams(seeds: Sequence[int]) -> Iterator[_PCG64Stream]:
+    """For each seed in turn, a _PCG64Stream that starts as default_rng(seed).
 
     default_rng(s) seeds PCG64 from SeedSequence(s), which hashes the four
     32-bit words of s (s < 2**128) into a pool of four, mixes the pool and
     hashes it out into eight words. Its constants (numpy's INIT_A, MULT_A,
     MIX_MULT_L, MIX_MULT_R, INIT_B, MULT_B) advance alike for every seed,
     so the block is hashed at once on uint64 columns kept to 32 bits;
-    PCG64 then takes its two seeding steps mod 2**128 per seed. Draw from
-    each Generator before taking the next.
+    PCG64 then takes its two seeding steps mod 2**128 per seed.
     """
     def hasher(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
         def hashmix(value: np.ndarray) -> np.ndarray:
@@ -203,22 +261,13 @@ def _wheel_streams(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
     hashmix = hasher(0x8B51F9DD, 0x58F38DED)
     out = [hashmix(pool[i % 4]) for i in range(8)]
     halves = np.column_stack([out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]).tolist()
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
     for hi, lo, inc_hi, inc_lo in halves:
         inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-        state = ((inc + (hi << 64 | lo)) * _PCG64_MULT + inc) & _MASK128
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
+        yield _PCG64Stream(((inc + (hi << 64 | lo)) * _PCG64_MULT + inc) & _MASK128, inc)
 
 
-def _severity_span(fully: bool, rng: np.random.Generator) -> tuple[float, float]:
-    """A shaped wheel's severity span (lo, hi), drawn by random() calls.
+def _severity_span(fully: bool, rng: np.random.Generator | _PCG64Stream) -> tuple[float, float]:
+    """A shaped wheel's severity span (lo, hi), drawn by random() calls on its stream, rng.
 
     Fully worn: the span, 0.90 + (1.0 - 0.90) * random(), centred.
     Partly worn: the span, 0.30 + (0.60 - 0.30) * random(), then its
@@ -252,10 +301,11 @@ def observe_block(wheels: Wheels) -> tuple[np.ndarray, np.ndarray]:
     random(n_torn) over TORN_GAP_RANGE. Draw for draw and bit for bit
     each random() form is the uniform(low, high, size) it replaces,
     which computes low + (high - low) * random(). Only a wheel that
-    draws (a shaped one, a torn one or one with noise) has its stream's
-    state derived, for all such wheels of the block at once, and set on
-    one Generator reused across the block. The arithmetic on the draws
-    is done for the whole block.
+    draws (a shaped one, a torn one or one with noise) gets a stream, a
+    _PCG64Stream from _wheel_streams, derived for all such wheels of the
+    block at once; after its span, a noisy wheel hands it off to one
+    Generator for the block. The arithmetic on the draws is done for the
+    whole block.
     """
     b, width = wheels.torn.shape
     direction = _OUTCOME_DIRECTION[wheels.outcome]
@@ -265,21 +315,22 @@ def observe_block(wheels: Wheels) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = np.zeros(b), np.ones(b)
     noise = np.zeros((b, PROFILE_SAMPLES))
     jitter = np.zeros((b, width))
-    widths = []  # each torn flap's width factor, wheel by wheel in flap order
+    widths = []  # each torn flap's random() draw, wheel by wheel in flap order
     is_shaped, fully = shaped.tolist(), _OUTCOME_FULLY[wheels.outcome].tolist()
     n_flaps, sigmas, torn_counts = wheels.n_flaps.tolist(), sigma.tolist(), n_torn.tolist()
     drawing = np.flatnonzero(shaped | (n_torn > 0) | (sigma > 0)).tolist()
-    torn_lo, torn_hi = TORN_GAP_RANGE
+    handoff = None  # the block's one Generator, made for its first noisy wheel
     for j, rng in zip(drawing, _wheel_streams([wheels.seeds[j] for j in drawing])):
         if is_shaped[j]:
             lo[j], hi[j] = _severity_span(fully[j], rng)
         if sigmas[j] > 0:
+            rng = handoff = rng.handoff(handoff)
             noise[j] = rng.normal(0.0, sigmas[j], PROFILE_SAMPLES)
             jitter[j, : n_flaps[j]] = -GAP_JITTER + 2 * GAP_JITTER * rng.random(n_flaps[j])
         if torn_counts[j]:
-            widths += (torn_lo + (torn_hi - torn_lo) * rng.random(torn_counts[j])).tolist()
-    torn = np.zeros((b, width))
-    torn[wheels.torn] = widths  # a mask assigns in row-major order
+            widths.extend(rng.random(torn_counts[j]))
+    torn, (torn_lo, torn_hi) = np.zeros((b, width)), TORN_GAP_RANGE
+    torn[wheels.torn] = torn_lo + (torn_hi - torn_lo) * np.array(widths)  # in row-major order
 
     inside = (_W >= lo[:, None]) & (_W <= hi[:, None]) & shaped[:, None]
     t = (_W - lo[:, None]) / (hi - lo)[:, None]

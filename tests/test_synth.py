@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import re
 
 import numpy as np
@@ -303,15 +304,20 @@ def test_synthetic_batch_scores_in_blocks(monkeypatch):
 def test_synthetic_batch_makes_a_generator_only_for_a_wheel_that_draws(
     monkeypatch, noise_sigma, made
 ):
-    seeded = []
-    positioned = []
-    default_rng = np.random.default_rng
-    wheel_streams = synth._wheel_streams
+    seeded, generators, positioned, handed = [], [], [], []
+    default_rng, generator = np.random.default_rng, np.random.Generator
+    wheel_streams, handoff = synth._wheel_streams, synth._PCG64Stream.handoff
     monkeypatch.setattr(
         np.random, "default_rng", lambda seed: seeded.append(seed) or default_rng(seed)
     )
     monkeypatch.setattr(
+        np.random, "Generator", lambda bits: generators.append(bits) or generator(bits)
+    )
+    monkeypatch.setattr(
         synth, "_wheel_streams", lambda block: positioned.extend(block) or wheel_streams(block)
+    )
+    monkeypatch.setattr(
+        synth._PCG64Stream, "handoff", lambda self, rng: handed.append(self) or handoff(self, rng)
     )
     simulate.run_synthetic_batch(22, seed=3, noise_sigma=noise_sigma)
     # The batch's own generator, the one default_rng call, then a stream per
@@ -319,17 +325,51 @@ def test_synthetic_batch_makes_a_generator_only_for_a_wheel_that_draws(
     # twice each), whose seeds are drawn all the same.
     assert seeded == [3]
     assert len(seeded) + len(positioned) == made
+    # Only a noisy wheel hands its stream off, once, to the block's one Generator.
+    assert len(handed) == (len(positioned) if noise_sigma else 0)
+    assert len(generators) == (1 if noise_sigma else 0)
 
 
 @given(seeds=st.lists(st.integers(0, 2**128 - 1), min_size=1, max_size=5))
 @example(seeds=[0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 - 1])
 def test_wheel_streams_start_as_default_rng(seeds):
-    for seed, rng in zip(seeds, synth._wheel_streams(seeds), strict=True):
-        expected = np.random.default_rng(seed)
+    for seed, stream in zip(seeds, synth._wheel_streams(seeds), strict=True):
+        rng, expected = stream.handoff(), np.random.default_rng(seed)
         assert rng.bit_generator.state == expected.bit_generator.state
         assert rng.uniform(0.3, 0.6) == expected.uniform(0.3, 0.6)
         assert rng.normal(0.0, 0.05, 3).tolist() == expected.normal(0.0, 0.05, 3).tolist()
         assert rng.uniform(-0.1, 0.1, 5).tolist() == expected.uniform(-0.1, 0.1, 5).tolist()
+
+
+# Every range synth draws (flap count, number torn, Floyd's and Fisher-Yates'
+# picks, wheel seed), the edges high - low = 1 and 2**32, and one whose
+# Lemire rule redraws a quarter of the time.
+STREAM_RANGES = [(12, 33), (1, 4), *((0, j + 1) for j in range(32)), (0, 2**31)]
+STREAM_RANGES += [(7, 8), (0, 2**32), (-5, 2**32 - 5), (0, 3 * 2**30)]
+
+
+@pytest.mark.parametrize(
+    "seed", [0, 1, 2**64 - 1, 2**64, 2**64 + 1, 2**128 - 1, 2**200, *range(2, 202)]
+)
+def test_pcg64_stream_is_generator_draw_for_draw(seed):
+    rng = np.random.default_rng(seed)
+    stream = synth._PCG64Stream(**rng.bit_generator.state["state"])
+    calls = [("integers", *r) for r in STREAM_RANGES] + [("random",)] * 8 + [("random", 1)]
+    calls += [("random", 3), ("random", 24)]
+    random.Random(seed).shuffle(calls)
+    for name, *args in calls:
+        got, want = getattr(stream, name)(*args), getattr(rng, name)(*args)
+        assert got == (want.tolist() if isinstance(want, np.ndarray) else want), (name, args)
+        # The whole state: PCG64's words and the buffered 32-bit half-word.
+        assert stream.handoff().bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("low, high", [(3, 3), (4, 3), (0, 2**32 + 1), (-1, 2**32)])
+def test_pcg64_stream_refuses_ranges_outside_32_bits(low, high):
+    stream = synth._PCG64Stream(**np.random.default_rng(0).bit_generator.state["state"])
+    with pytest.raises(ValueError, match=r"high - low must be in \[1, 2\*\*32\]"):
+        stream.integers(low, high)
+    assert stream.handoff().bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128, 1.5, "3", True, None])
