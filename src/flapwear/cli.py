@@ -17,12 +17,15 @@ the wrong type, text that is no number, and memory errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import json
+import os
 import sys
 from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping, TextIO
+from typing import Callable, Iterator, Mapping, TextIO
 
 import numpy as np
 
@@ -121,29 +124,57 @@ def build_config(args: argparse.Namespace) -> CliConfig:
 def _write_reports(
     directory: Path, writers: Mapping[str, Callable[[TextIO], object] | None]
 ) -> None:
-    """Write the report files one call owns, in order, into directory, which is made here.
+    """Write the report files one call owns into directory, which is made here: all of them or none.
 
     writers maps each owned file name to the function that writes its
     text; a name mapped to None has nothing to write this time, and a
     file left under it is removed. A .csv file is opened with newline=""
-    for the csv module. An OSError is a ConfigError.
+    for the csv module. In order, each text goes to a new temporary file
+    in directory, and a name held by a directory, which neither
+    os.replace nor unlink can take, fails there. Only then is each
+    temporary moved into place (os.replace) and each stale file removed.
+    On any failure the temporaries left are deleted, so a failure before
+    the first move leaves every existing file as it was. An OSError is a
+    ConfigError.
     """
     try:
         directory.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create report directory {directory}: {exc}") from exc
-    for name, write in writers.items():
-        path = directory / name
-        try:
-            if write is None:
-                path.unlink(missing_ok=True)
-                continue
-            newline = "" if name.endswith(".csv") else None
-            with open(path, "w", encoding="utf-8", newline=newline) as fh:
-                write(fh)
-        except OSError as exc:
-            action = "remove stale" if write is None else "write"
-            raise ConfigError(f"cannot {action} {path}: {exc}") from exc
+    temporaries: dict[str, Path] = {}
+    try:
+        for name, write in writers.items():
+            path = directory / name
+            with _report_errors(path, write):
+                if path.is_dir() and not path.is_symlink():
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+                if write is not None:
+                    temporaries[name] = directory / f".{name}.{os.urandom(6).hex()}.tmp"
+                    newline = "" if name.endswith(".csv") else None
+                    with open(temporaries[name], "x", encoding="utf-8", newline=newline) as fh:
+                        write(fh)
+        for name, write in writers.items():
+            path = directory / name
+            with _report_errors(path, write):
+                if write is None:
+                    path.unlink(missing_ok=True)
+                else:
+                    os.replace(temporaries[name], path)
+                    del temporaries[name]
+    finally:
+        for temporary in temporaries.values():
+            with contextlib.suppress(OSError):
+                temporary.unlink()
+
+
+@contextlib.contextmanager
+def _report_errors(path: Path, write: Callable[[TextIO], object] | None) -> Iterator[None]:
+    """Raise an OSError in writing, or removing, the report at path as a ConfigError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        action = "remove stale" if write is None else "write"
+        raise ConfigError(f"cannot {action} {path}: {exc}") from exc
 
 
 def _json_report(payload) -> Callable[[TextIO], object]:

@@ -15,7 +15,6 @@ replay.
 from __future__ import annotations
 
 import copy
-import queue
 import threading
 from typing import Iterable
 
@@ -405,52 +404,140 @@ def _skip_normals(rng: np.random.Generator, n: int, stop: threading.Event) -> No
         rng.standard_normal(size, out=buffer[:size])
 
 
-def _score_stage(oracle, rng, predictions, all_correct: np.ndarray) -> int:
-    """Draw and score one stage's trials ORACLE_BLOCK at a time; the count of hits.
+class _Replay:
+    """What _replay's two threads share, and the two kinds of work they claim from it.
 
-    Truths come from rng and prediction uniforms from predictions; each
-    trial's all-correct flag is cleared where it misses.
+    order lists each (chain, stage index, branch, stage) in scoring
+    order. starts[c][s] is the generator stage s of chain c starts from,
+    None until it is known. open is the position in order of the one
+    stage whose blocks can be claimed. cond guards every field a thread
+    changes; of the flags, only the thread that claimed a block writes it.
     """
-    cdf, cells, _ = oracle
-    n_trials = len(all_correct)
-    n_correct = 0
-    for start in range(0, n_trials, ORACLE_BLOCK):
-        block = slice(start, min(n_trials, start + ORACLE_BLOCK))
-        size = block.stop - block.start
-        truths = _draw_classes(cdf, size, rng)
-        correct = hits(cells, truths, predictions.random(size))
-        all_correct[block] &= correct
-        n_correct += int(np.count_nonzero(correct))
-    return n_correct
 
+    def __init__(self, oracles: dict, chains: list[tuple[FlapProfile, int]], all_correct):
+        self.oracles, self.all_correct = oracles, all_correct
+        self.n_trials = len(all_correct)
+        self.n_blocks = -(-self.n_trials // ORACLE_BLOCK)
+        self.order = [
+            (c, s, branch, stage)
+            for c, (branch, _) in enumerate(chains)
+            for s, stage in enumerate(BRANCH_STAGES[branch])
+        ]
+        self.starts = [
+            [np.random.default_rng(seed)] + [None] * (len(BRANCH_STAGES[branch]) - 1)
+            for branch, seed in chains
+        ]
+        self.unwalked = list(range(1, len(chains)))  # chain 0 is the helper's first walk
+        self.cond, self.stop = threading.Condition(), threading.Event()
+        self.error: BaseException | None = None
+        self.open = self.claimed = self.scored = self.n_correct = 0
+        self.stage_accuracy: dict[str, float] = {}
+        self.trials: list[dict] = []
+        all_correct.fill(True)
 
-def _walk_starts(
-    chains: list[tuple[FlapProfile, int]],
-    n_trials: int,
-    starts: queue.SimpleQueue,
-    stop: threading.Event,
-) -> None:
-    """Put the generator each stage starts from on starts, branch after branch, in order.
+    def _claim(self, helper: bool):
+        """The next task, ("walk", chain) or ("score", block), waited for; None to end."""
+        with self.cond:
+            while self.error is None and not self.stop.is_set() and self.open < len(self.order):
+                if helper and self.unwalked:
+                    return "walk", self.unwalked.pop(0)
+                c, s, _, _ = self.order[self.open]
+                if self.starts[c][s] is not None and self.claimed < self.n_blocks:
+                    self.claimed += 1
+                    return "score", self.claimed - 1
+                if self.unwalked:
+                    return "walk", self.unwalked.pop()
+                self.cond.wait()
+            return None
 
-    chains are (branch, seed) pairs. A stage's successor starts where its
-    2n uniforms and n normals end: a cursor 2n past its start, taken
-    before its start is put, then moved past the normals. Once stop is
-    set no further start is put. An exception goes on starts in place of
-    the next start.
-    """
-    try:
-        for branch, seed in chains:
-            start = np.random.default_rng(seed)
-            for _ in range(len(BRANCH_STAGES[branch]) - 1):
-                next_start = _cursor(start, 2 * n_trials)
-                starts.put(start)
-                _skip_normals(next_start, n_trials, stop)
-                if stop.is_set():
-                    return
-                start = next_start
-            starts.put(start)
-    except BaseException as exc:  # raised by the scorer, not printed by the thread
-        starts.put(exc)
+    def run(self, helper: bool) -> None:
+        """Do claimed tasks until none is left; own is the thread's generators for its last stage."""
+        own = None
+        while (task := self._claim(helper)) is not None:
+            kind, index = task
+            if kind == "walk":
+                self.walk_starts(index)
+            else:
+                own = self.score_block(index, own)
+
+    def run_helper(self) -> None:
+        """The helper thread: walk chain 0, then run; an exception is kept for _replay to raise."""
+        try:
+            self.walk_starts(0)
+            self.run(helper=True)
+        except BaseException as exc:  # raised by _replay, not printed by the thread
+            self.halt(exc)
+
+    def halt(self, error: BaseException | None = None) -> None:
+        """Set the stop, keep the first error, and wake a waiting thread."""
+        with self.cond:
+            self.error = self.error or error
+            self.stop.set()
+            self.cond.notify_all()
+
+    def walk_starts(self, chain: int) -> None:
+        """Put the start of each later stage of chain as soon as it is known, in order.
+
+        A stage's successor starts where its 2n uniforms and n normals
+        end: a cursor 2n past its start, moved past the normals. Once
+        stop is set no further start is put.
+        """
+        starts = self.starts[chain]
+        for s in range(1, len(starts)):
+            start = _cursor(starts[s - 1], 2 * self.n_trials)
+            _skip_normals(start, self.n_trials, self.stop)
+            if self.stop.is_set():
+                return
+            with self.cond:
+                starts[s] = start
+                self.cond.notify_all()
+
+    def score_block(self, block: int, own):
+        """Draw and score block of the open stage's trials, and clear the flags where it misses.
+
+        Truths come from a cursor on the stage's start and prediction
+        uniforms from one n further on, each at the block's first trial.
+        own, this thread's (position, truths, predictions, next trial) for
+        the stage it last scored, saves making them: they are moved past
+        the blocks the other thread took. Returns own for this block.
+        """
+        position, n = self.open, self.n_trials  # open stays until this block is scored
+        c, s, _, stage = self.order[position]
+        cdf, cells, _ = self.oracles[stage]
+        lo = block * ORACLE_BLOCK
+        hi = min(n, lo + ORACLE_BLOCK)
+        if own is None or own[0] != position:
+            truths, predictions = _cursor(self.starts[c][s], lo), _cursor(self.starts[c][s], n + lo)
+        else:
+            _, truths, predictions, at = own
+            truths.bit_generator.advance(lo - at)
+            predictions.bit_generator.advance(lo - at)
+        correct = hits(cells, _draw_classes(cdf, hi - lo, truths), predictions.random(hi - lo))
+        self.all_correct[lo:hi] &= correct
+        n_correct = int(np.count_nonzero(correct))
+        with self.cond:
+            self.n_correct += n_correct
+            self.scored += 1
+            if self.scored == self.n_blocks:
+                self._close_stage()
+        return position, truths, predictions, hi
+
+    def _close_stage(self) -> None:
+        """Record the open stage's accuracy, and its chain's trial after its last; open the next."""
+        _, s, branch, stage = self.order[self.open]
+        self.stage_accuracy[stage.value] = self.n_correct / self.n_trials
+        if s == len(BRANCH_STAGES[branch]) - 1:
+            self.trials.append({
+                "branch": branch.value,
+                "n_trials": self.n_trials,
+                "measured_accuracy": int(np.count_nonzero(self.all_correct)) / self.n_trials,
+                "stage_accuracy": self.stage_accuracy,
+            })
+            self.stage_accuracy = {}
+            self.all_correct.fill(True)
+        self.open += 1
+        self.claimed = self.scored = self.n_correct = 0
+        self.cond.notify_all()
 
 
 def _replay(oracles: dict, chains: list[tuple[FlapProfile, int]], n_trials: int) -> list[dict]:
@@ -459,43 +546,35 @@ def _replay(oracles: dict, chains: list[tuple[FlapProfile, int]], n_trials: int)
     oracles are _stage_oracles for at least the chains' stages. The
     per-trial all-correct flags, one byte per trial, are allocated first,
     so a size too large to allocate fails before any draw, and every
-    chain reuses them. One helper thread then runs _walk_starts over all
-    chains while this thread scores each stage as soon as its start
-    arrives. The chains' streams are independent, so the helper runs
-    ahead across stages and branches, and the normals it draws overlap
-    this thread's scoring (numpy releases the GIL for both). Only
-    generators pass between the threads; no array is shared or queued.
-    An exception the helper raised is raised here when its start is due.
-    On every path the helper is stopped, which it notices within one
-    ORACLE_BLOCK of normals, and joined. At most two threads run, and
-    nothing sets their number. Memory is the flags, this thread's block
-    and the helper's buffer of normals.
+    chain reuses them. Then two threads, this one and one helper, share
+    two kinds of work, held by a _Replay:
+    - walking a chain: finding each later stage's start, in order, by
+      skipping the normals of the stage before it (_skip_normals);
+    - scoring a block: one ORACLE_BLOCK of the open stage's trials.
+    The helper walks chain 0, then each chain not yet walked from the
+    front, and scores once none is left. This thread scores while the
+    open stage has a block to claim, else walks the last chain not yet
+    walked, else waits. Stages are scored chain after chain, in order,
+    and a stage opens once the stage before it is fully scored and its
+    start is known, so no block of flags is written by two threads at
+    once. Numpy releases the GIL for the draws, so the threads overlap;
+    only generators pass between them. An exception in the helper stops
+    it and is raised here. On every path the stop is set, which a walk
+    notices within one ORACLE_BLOCK of normals and before its next
+    stage, and the helper is joined. At most two threads run, and
+    nothing sets their number. Memory is the flags, each thread's block
+    and a walk's buffer of normals.
     """
-    all_correct = np.empty(n_trials, dtype=bool)
-    starts, stop = queue.SimpleQueue(), threading.Event()
-    helper = threading.Thread(target=_walk_starts, args=(chains, n_trials, starts, stop))
+    replay = _Replay(oracles, chains, np.empty(n_trials, dtype=bool))
+    helper = threading.Thread(target=replay.run_helper)
     helper.start()
     try:
-        trials = []
-        for branch, _ in chains:
-            all_correct.fill(True)
-            stage_accuracy = {}
-            for stage in BRANCH_STAGES[branch]:
-                start = starts.get()
-                if isinstance(start, BaseException):
-                    raise start
-                predictions = _cursor(start, n_trials)
-                n_correct = _score_stage(oracles[stage], start, predictions, all_correct)
-                stage_accuracy[stage.value] = n_correct / n_trials
-            trials.append({
-                "branch": branch.value,
-                "n_trials": n_trials,
-                "measured_accuracy": int(np.count_nonzero(all_correct)) / n_trials,
-                "stage_accuracy": stage_accuracy,
-            })
-        return trials
+        replay.run(helper=False)
+        if replay.error is not None:
+            raise replay.error
+        return replay.trials
     finally:
-        stop.set()
+        replay.halt()
         helper.join()
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import flapwear
-from flapwear import metrics, simulate
+from flapwear import cli, metrics, simulate
 from flapwear.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, CliConfig, main
 from flapwear.errors import ConfigError, ValidationError
 from flapwear.predictions import StageId
@@ -34,6 +34,28 @@ def record(stage, probs, tool="t1", image="img", view="radial", truth=None):
 
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n")
+
+
+def report_bytes(out):
+    """Every entry of a report directory by name: a file's bytes, None for a directory.
+
+    A temporary file left behind shows as a name.
+    """
+    return {p.name: None if p.is_dir() else p.read_bytes() for p in out.iterdir()}
+
+
+def fail_in_last_writer(monkeypatch):
+    """Make each command's last report writer write part of its text, then raise OSError."""
+    write_reports = cli._write_reports
+
+    def broken(fh):
+        fh.write("partial")
+        raise OSError("no space left on device")
+
+    def last_fails(directory, writers):
+        write_reports(directory, {**writers, list(writers)[-1]: broken})
+
+    monkeypatch.setattr(cli, "_write_reports", last_fails)
 
 
 def consistent_tool_lines(tool="t1", run=0):
@@ -112,6 +134,37 @@ class TestClassify:
         assert sorted(p.name for p in out.iterdir()) == ["kept", "notes.txt", "runs.jsonl"]
         assert json.loads((out / "runs.jsonl").read_text())["tool_id"] == "t2"
         assert (out / "notes.txt").read_text() == "mine\n"
+
+    def test_a_failing_later_writer_leaves_every_report_as_it_was(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        out = tmp_path / "reports"
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        write_lines(first, consistent_tool_lines("t1", 0) + consistent_tool_lines("t1", 1))
+        write_lines(second, consistent_tool_lines("t2", 0) + consistent_tool_lines("t2", 1))
+        assert main(["classify", str(first), "--out", str(out)]) == EXIT_OK
+        before = report_bytes(out)
+        fail_in_last_writer(monkeypatch)
+        assert main(["classify", str(second), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: cannot write {out / 'ensembles.jsonl'}: no space left on device\n"
+        )
+        assert report_bytes(out) == before
+
+    def test_a_stale_report_that_cannot_be_removed_leaves_runs_as_they_were(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "reports"
+        three_runs, one_run = tmp_path / "three.jsonl", tmp_path / "one.jsonl"
+        write_lines(three_runs, [line for r in range(3) for line in consistent_tool_lines("t1", r)])
+        write_lines(one_run, consistent_tool_lines("t2"))
+        assert main(["classify", str(three_runs), "--out", str(out)]) == EXIT_OK
+        runs = (out / "runs.jsonl").read_bytes()
+        (out / "ensembles.jsonl").unlink()
+        (out / "ensembles.jsonl").mkdir()
+        assert main(["classify", str(one_run), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: cannot remove stale ")
+        assert report_bytes(out) == {"runs.jsonl": runs, "ensembles.jsonl": None}
 
     @pytest.mark.parametrize(
         "setting, lines",
@@ -232,6 +285,23 @@ class TestEvaluate:
         assert sorted(p.name for p in out.iterdir()) == [
             "summary.json", "tear_roc.csv.bak", "usage_confusion.csv"
         ]
+
+    def test_a_failing_later_writer_leaves_every_report_as_it_was(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        out = tmp_path / "reports"
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        tear = record("tear", [0.2, 0.8], image="a", view="axial", truth="with_tear")
+        write_lines(first, usage_replay_lines() + [tear])
+        write_lines(second, usage_replay_lines([[30, 2], [3, 40]]) + [tear])
+        assert main(["evaluate", str(first), "--out", str(out)]) == EXIT_OK
+        before = report_bytes(out)
+        fail_in_last_writer(monkeypatch)
+        assert main(["evaluate", str(second), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: cannot write {out / 'summary.json'}: no space left on device\n"
+        )
+        assert report_bytes(out) == before
 
     def test_a_later_stage_failing_writes_no_report(self, tmp_path, monkeypatch):
         preds = tmp_path / "labeled.jsonl"

@@ -28,6 +28,7 @@ from flapwear.simulate import (
 )
 from flapwear.taxonomy import BRANCH_STAGES, STAGE_CLASSES, FlapProfile
 
+import scalar_oracle
 from conftest import STAGE_ACCURACIES
 
 PAPER_ACC = StageAccuracies(
@@ -325,19 +326,29 @@ class TestSkipNormalsThread:
     def test_helper_exception_on_a_later_branch_is_raised_in_the_caller(
         self, all_matrices, monkeypatch
     ):
-        skip_normals, calls = simulate._skip_normals, []
+        # Either thread may walk the stage whose normals fail, a later one than
+        # the first branch's. The walk the other thread had begun may end, but
+        # no walk draws a normal once the stop is set.
+        skip_normals, calls, lock = simulate._skip_normals, [], threading.Lock()
+        moved_after_stop = []
 
-        def fourth_fails(*args):
-            calls.append(True)
-            if len(calls) == 4:  # the second branch's second stage
+        def fourth_fails(rng, n, stop):
+            with lock:
+                calls.append(True)
+                fails = len(calls) == 4
+            if fails:
                 raise MemoryError("no room for the normals")
-            skip_normals(*args)
+            stopped, state = stop.is_set(), rng.bit_generator.state
+            skip_normals(rng, n, stop)
+            if stopped:
+                moved_after_stop.append(rng.bit_generator.state != state)
 
         monkeypatch.setattr(simulate, "_skip_normals", fourth_fails)
         threads = threading.active_count()
         with pytest.raises(MemoryError, match="no room for the normals"):
-            run_oracle_batch(all_matrices, 1000, 0)
-        assert len(calls) == 4
+            run_oracle_batch(all_matrices, 4 * simulate.ORACLE_BLOCK, 0)
+        assert len(calls) >= 4
+        assert not any(moved_after_stop)
         assert threading.active_count() == threads
 
     def test_helper_stops_within_a_block_when_scoring_raises(self, all_matrices, monkeypatch):
@@ -406,10 +417,13 @@ class TestSkipNormalsThread:
 
     def test_concurrent_batches_match_serial_ones(self, all_matrices):
         # No buffer or generator is shared between calls: two at once each
-        # return what one alone does, over a block edge, with threads
-        # switched far more often than by default.
-        n_trials = simulate.ORACLE_BLOCK + 3
-        serial = [run_oracle_batch(all_matrices, n_trials, seed) for seed in (1, 2)]
+        # return what one alone does, and what the kept array loop does, with
+        # threads switched far more often than by default. Each stage has six
+        # blocks, so the two threads of a replay take turns claiming them; a
+        # lost claim or two threads clearing one block's flags would show. The
+        # threads are daemons, as their replays' helpers then are, so a replay
+        # that never ends fails the timed join, not the interpreter's exit.
+        n_trials = 5 * simulate.ORACLE_BLOCK + 3
         start = threading.Barrier(2, timeout=60)
         results = [None, None]
 
@@ -417,7 +431,7 @@ class TestSkipNormalsThread:
             start.wait()
             results[i] = run_oracle_batch(all_matrices, n_trials, i + 1)
 
-        threads = [threading.Thread(target=replay, args=(i,)) for i in range(2)]
+        threads = [threading.Thread(target=replay, args=(i,), daemon=True) for i in range(2)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -428,7 +442,14 @@ class TestSkipNormalsThread:
                 assert not thread.is_alive()
         finally:
             sys.setswitchinterval(interval)
-        assert results == serial
+        assert results == [run_oracle_batch(all_matrices, n_trials, seed) for seed in (1, 2)]
+        for seed, result in zip((1, 2), results):
+            for i, branch in enumerate(FlapProfile):
+                got = dict(result["branches"][branch.value])
+                got.pop("analytic_accuracy")
+                want = scalar_oracle.oracle_branch_trials(all_matrices, branch, n_trials, seed + i)
+                want.pop("stage_results")
+                assert got == want
 
 
 COUNTS_MESSAGE = "confusion counts must be a matrix of numbers, each finite and >= 0"
