@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import copy
 import threading
+from collections import deque
 from typing import Iterable
 
 import numpy as np
@@ -40,6 +41,8 @@ DEFAULT_CONFIDENCE_LAW = (0.97, 0.89, 0.03)
 SYNTH_BLOCK = 256
 # Oracle trials drawn and scored together; bounds each stage's working arrays.
 ORACLE_BLOCK = 1 << 16
+# The most trials per branch the oracle replays; 2**40 already take about a day to replay.
+_MAX_ORACLE_TRIALS = 1 << 40
 
 
 class BadRow(ConfigError):
@@ -400,182 +403,110 @@ def _skip_normals(rng: np.random.Generator, n: int, stop: threading.Event) -> No
     for start in range(0, n, ORACLE_BLOCK):
         if stop.is_set():
             return
-        size = min(n - start, ORACLE_BLOCK)
-        rng.standard_normal(size, out=buffer[:size])
+        rng.standard_normal(out=buffer[: n - start])
 
 
-class _Replay:
-    """What _replay's two threads share, and the two kinds of work they claim from it.
+def _walk(seed: int, n_stages: int, n: int, stop: threading.Event) -> list[np.random.Generator]:
+    """The generator each of a chain's n_stages stages starts from, the first default_rng(seed).
 
-    order lists each (chain, stage index, branch, stage) in scoring
-    order. starts[c][s] is the generator stage s of chain c starts from,
-    None until it is known. open is the position in order of the one
-    stage whose blocks can be claimed. cond guards every field a thread
-    changes; of the flags, only the thread that claimed a block writes it.
+    A stage's successor starts where its 2n uniforms and n normals end: a
+    cursor 2n past its start, moved past the normals (_skip_normals). Once
+    stop is set the walk ends, with fewer starts than stages.
     """
+    starts = [np.random.default_rng(seed)]
+    while len(starts) < n_stages and not stop.is_set():
+        start = _cursor(starts[-1], 2 * n)
+        _skip_normals(start, n, stop)
+        starts.append(start)
+    return starts
 
-    def __init__(self, oracles: dict, chains: list[tuple[FlapProfile, int]], all_correct):
-        self.oracles, self.all_correct = oracles, all_correct
-        self.n_trials = len(all_correct)
-        self.n_blocks = -(-self.n_trials // ORACLE_BLOCK)
-        self.order = [
-            (c, s, branch, stage)
-            for c, (branch, _) in enumerate(chains)
-            for s, stage in enumerate(BRANCH_STAGES[branch])
-        ]
-        self.starts = [
-            [np.random.default_rng(seed)] + [None] * (len(BRANCH_STAGES[branch]) - 1)
-            for branch, seed in chains
-        ]
-        self.unwalked = list(range(1, len(chains)))  # chain 0 is the helper's first walk
-        self.cond, self.stop = threading.Condition(), threading.Event()
-        self.error: BaseException | None = None
-        self.open = self.claimed = self.scored = self.n_correct = 0
-        self.stage_accuracy: dict[str, float] = {}
-        self.trials: list[dict] = []
-        all_correct.fill(True)
 
-    def _claim(self, helper: bool):
-        """The next task, ("walk", chain) or ("score", block), waited for; None to end."""
-        with self.cond:
-            while self.error is None and not self.stop.is_set() and self.open < len(self.order):
-                if helper and self.unwalked:
-                    return "walk", self.unwalked.pop(0)
-                c, s, _, _ = self.order[self.open]
-                if self.starts[c][s] is not None and self.claimed < self.n_blocks:
-                    self.claimed += 1
-                    return "score", self.claimed - 1
-                if self.unwalked:
-                    return "walk", self.unwalked.pop()
-                self.cond.wait()
+def _score(oracles: dict, branch: FlapProfile, starts: list, n: int, stop: threading.Event):
+    """branch's trial record: the branch, n, measured and per-stage accuracy; None once stopped.
+
+    The chain is scored ORACLE_BLOCK trials at a time, stop tested before
+    each block: stage s draws truths from starts[s], which it moves, and
+    prediction uniforms from a cursor n further on. The stages' hits are
+    ANDed within a block and counted, so no array outlives its block.
+    """
+    stages = BRANCH_STAGES[branch]
+    draws = [(oracles[stage][:2], start, _cursor(start, n)) for stage, start in zip(stages, starts)]
+    stage_hits, n_correct = [0] * len(stages), 0
+    for lo in range(0, n, ORACLE_BLOCK):
+        if stop.is_set():
             return None
-
-    def run(self, helper: bool) -> None:
-        """Do claimed tasks until none is left; own is the thread's generators for its last stage."""
-        own = None
-        while (task := self._claim(helper)) is not None:
-            kind, index = task
-            if kind == "walk":
-                self.walk_starts(index)
-            else:
-                own = self.score_block(index, own)
-
-    def run_helper(self) -> None:
-        """The helper thread: walk chain 0, then run; an exception is kept for _replay to raise."""
-        try:
-            self.walk_starts(0)
-            self.run(helper=True)
-        except BaseException as exc:  # raised by _replay, not printed by the thread
-            self.halt(exc)
-
-    def halt(self, error: BaseException | None = None) -> None:
-        """Set the stop, keep the first error, and wake a waiting thread."""
-        with self.cond:
-            self.error = self.error or error
-            self.stop.set()
-            self.cond.notify_all()
-
-    def walk_starts(self, chain: int) -> None:
-        """Put the start of each later stage of chain as soon as it is known, in order.
-
-        A stage's successor starts where its 2n uniforms and n normals
-        end: a cursor 2n past its start, moved past the normals. Once
-        stop is set no further start is put.
-        """
-        starts = self.starts[chain]
-        for s in range(1, len(starts)):
-            start = _cursor(starts[s - 1], 2 * self.n_trials)
-            _skip_normals(start, self.n_trials, self.stop)
-            if self.stop.is_set():
-                return
-            with self.cond:
-                starts[s] = start
-                self.cond.notify_all()
-
-    def score_block(self, block: int, own):
-        """Draw and score block of the open stage's trials, and clear the flags where it misses.
-
-        Truths come from a cursor on the stage's start and prediction
-        uniforms from one n further on, each at the block's first trial.
-        own, this thread's (position, truths, predictions, next trial) for
-        the stage it last scored, saves making them: they are moved past
-        the blocks the other thread took. Returns own for this block.
-        """
-        position, n = self.open, self.n_trials  # open stays until this block is scored
-        c, s, _, stage = self.order[position]
-        cdf, cells, _ = self.oracles[stage]
-        lo = block * ORACLE_BLOCK
-        hi = min(n, lo + ORACLE_BLOCK)
-        if own is None or own[0] != position:
-            truths, predictions = _cursor(self.starts[c][s], lo), _cursor(self.starts[c][s], n + lo)
-        else:
-            _, truths, predictions, at = own
-            truths.bit_generator.advance(lo - at)
-            predictions.bit_generator.advance(lo - at)
-        correct = hits(cells, _draw_classes(cdf, hi - lo, truths), predictions.random(hi - lo))
-        self.all_correct[lo:hi] &= correct
-        n_correct = int(np.count_nonzero(correct))
-        with self.cond:
-            self.n_correct += n_correct
-            self.scored += 1
-            if self.scored == self.n_blocks:
-                self._close_stage()
-        return position, truths, predictions, hi
-
-    def _close_stage(self) -> None:
-        """Record the open stage's accuracy, and its chain's trial after its last; open the next."""
-        _, s, branch, stage = self.order[self.open]
-        self.stage_accuracy[stage.value] = self.n_correct / self.n_trials
-        if s == len(BRANCH_STAGES[branch]) - 1:
-            self.trials.append({
-                "branch": branch.value,
-                "n_trials": self.n_trials,
-                "measured_accuracy": int(np.count_nonzero(self.all_correct)) / self.n_trials,
-                "stage_accuracy": self.stage_accuracy,
-            })
-            self.stage_accuracy = {}
-            self.all_correct.fill(True)
-        self.open += 1
-        self.claimed = self.scored = self.n_correct = 0
-        self.cond.notify_all()
+        size = min(n - lo, ORACLE_BLOCK)
+        all_correct = np.ones(size, dtype=bool)
+        for s, ((cdf, cells), truths, predictions) in enumerate(draws):
+            correct = hits(cells, _draw_classes(cdf, size, truths), predictions.random(size))
+            stage_hits[s] += int(np.count_nonzero(correct))
+            all_correct &= correct
+        n_correct += int(np.count_nonzero(all_correct))
+    return {
+        "branch": branch.value,
+        "n_trials": n,
+        "measured_accuracy": n_correct / n,
+        "stage_accuracy": {stage.value: h / n for stage, h in zip(stages, stage_hits)},
+    }
 
 
 def _replay(oracles: dict, chains: list[tuple[FlapProfile, int]], n_trials: int) -> list[dict]:
-    """Each (branch, seed) chain's trial record: the branch, n, measured and per-stage accuracy.
+    """Each (branch, seed) chain's trial record, as _score makes it.
 
-    oracles are _stage_oracles for at least the chains' stages. The
-    per-trial all-correct flags, one byte per trial, are allocated first,
-    so a size too large to allocate fails before any draw, and every
-    chain reuses them. Then two threads, this one and one helper, share
-    two kinds of work, held by a _Replay:
-    - walking a chain: finding each later stage's start, in order, by
-      skipping the normals of the stage before it (_skip_normals);
-    - scoring a block: one ORACLE_BLOCK of the open stage's trials.
-    The helper walks chain 0, then each chain not yet walked from the
-    front, and scores once none is left. This thread scores while the
-    open stage has a block to claim, else walks the last chain not yet
-    walked, else waits. Stages are scored chain after chain, in order,
-    and a stage opens once the stage before it is fully scored and its
-    start is known, so no block of flags is written by two threads at
-    once. Numpy releases the GIL for the draws, so the threads overlap;
-    only generators pass between them. An exception in the helper stops
-    it and is raised here. On every path the stop is set, which a walk
-    notices within one ORACLE_BLOCK of normals and before its next
-    stage, and the helper is joined. At most two threads run, and
-    nothing sets their number. Memory is the flags, each thread's block
-    and a walk's buffer of normals.
+    oracles are _stage_oracles for the chains' stages. A size above
+    _MAX_ORACLE_TRIALS is refused before any draw. This thread and one
+    helper pop tasks from one deque: each chain's walk, then each chain's
+    scoring, which waits for its walk's event; a walk waited for is done
+    or under way. Numpy releases the GIL for the draws, so the threads
+    overlap. On an exception on either thread or an interrupt of this one,
+    the stop is set and every event woken, so each thread ends within a
+    block; the helper is joined on every path, then the first exception
+    raised. At most two threads run, and nothing sets their number.
+    Memory is a block of draws per thread and a buffer of normals.
     """
-    replay = _Replay(oracles, chains, np.empty(n_trials, dtype=bool))
-    helper = threading.Thread(target=replay.run_helper)
+    if n_trials > _MAX_ORACLE_TRIALS:
+        raise ConfigError(f"simulation size {n_trials} is too large: at most {_MAX_ORACLE_TRIALS}")
+    stop, walked = threading.Event(), [threading.Event() for _ in chains]
+    starts, trials, errors = [None] * len(chains), [None] * len(chains), []
+
+    def walk(c: int) -> None:
+        starts[c] = _walk(chains[c][1], len(BRANCH_STAGES[chains[c][0]]), n_trials, stop)
+        walked[c].set()
+
+    def score(c: int) -> None:
+        walked[c].wait()
+        trials[c] = _score(oracles, chains[c][0], starts[c], n_trials, stop)
+
+    tasks = deque([(task, c) for task in (walk, score) for c in range(len(chains))])
+
+    def halt() -> None:
+        stop.set()
+        for event in walked:
+            event.set()
+
+    def work() -> None:
+        try:
+            while not stop.is_set():
+                try:
+                    task, c = tasks.popleft()
+                except IndexError:  # every task is taken
+                    return
+                task(c)
+        except BaseException as exc:  # raised once the helper is joined, not printed by it
+            errors.append(exc)
+            halt()
+
+    helper = threading.Thread(target=work)
     helper.start()
     try:
-        replay.run(helper=False)
-        if replay.error is not None:
-            raise replay.error
-        return replay.trials
-    finally:
-        replay.halt()
+        work()
         helper.join()
+    finally:
+        halt()
+        helper.join()
+    if errors:
+        raise errors[0]
+    return trials
 
 
 def oracle_branch_trials(
@@ -596,13 +527,12 @@ def oracle_branch_trials(
     Each stage is drawn and scored ORACLE_BLOCK trials at a time, from
     the same stream as one draw of all n: its n truth uniforms, then n
     prediction uniforms, then n standard normals, after which the next
-    stage starts. Truths come from the stage's generator and prediction
-    uniforms from a copy advanced by n. A trial's prediction is right
-    when its uniform falls in its truth's cell (hits), so no predicted
-    class is built. The normals would set the trials' confidences, which
-    no report reads; they are drawn only to reach the next stage's
-    start, so the last stage draws none. _replay runs the branch: its
-    threads, memory and error paths are stated there.
+    stage starts. A trial's prediction is right when its uniform falls in
+    its truth's cell (hits), so no predicted class is built. The normals
+    would set the trials' confidences, which no report reads; they are
+    drawn only to reach the next stage's start, so the last stage draws
+    none. _replay runs the branch: its threads, memory and error paths
+    are stated there.
     """
     n_trials, seed = check_simulation_size(n_trials), check_seed(seed)
     oracles = _stage_oracles(matrices, BRANCH_STAGES[branch], confidence_law)

@@ -267,8 +267,9 @@ class TestMonteCarlo:
         assert type(trial["measured_accuracy"]) is float
 
     def test_peak_memory_per_trial(self, all_matrices):
-        # Measured at 14.8 B/trial: a byte per trial plus one fixed block. Gathering
-        # each trial's CDF row and keeping every stage's per-trial arrays took 87.5.
+        # Measured at 4.7 B/trial, all of it fixed blocks: no array grows with n.
+        # Gathering each trial's CDF row and keeping every stage's per-trial arrays
+        # took 87.5.
         n_trials = 200_000
         tracemalloc.start()
         try:
@@ -280,8 +281,8 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("branch", list(FlapProfile), ids=lambda b: b.value)
     def test_peak_memory_is_a_byte_per_trial_and_a_block(self, all_matrices, branch):
-        # About 3.2 MiB (3.8 on the rectangular branch): 1 MB of all-correct flags, one
-        # ORACLE_BLOCK of draws and the helper thread's buffer of normals.
+        # About 0.9 MiB on every branch: one ORACLE_BLOCK of draws and a walk's
+        # buffer of normals, never both at once, as the walk ends before scoring.
         tracemalloc.start()
         try:
             oracle_branch_trials(all_matrices, branch, 10**6, 0)
@@ -291,8 +292,8 @@ class TestMonteCarlo:
         assert peak < 8 * 2**20
 
     def test_batch_peak_memory_is_that_of_one_branch(self, all_matrices):
-        # The helper may run ahead of the scorer by whole branches, but it queues
-        # generators, never arrays, and the three branches share one set of flags.
+        # About 1.8 MiB: a block of draws on each thread, or one thread's block and
+        # the other's buffer of normals. Walks pass generators, never arrays.
         tracemalloc.start()
         try:
             run_oracle_batch(all_matrices, 10**6, 0)
@@ -301,14 +302,52 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_batch_peak_memory_does_not_grow_with_n(self, all_matrices):
+        # No array holds a value per trial: four times the trials peak at the same
+        # blocks, about 1.8 MiB. One byte per trial would add 3 MB.
+        run_oracle_batch(all_matrices, 1000, 0)  # numpy loads numpy.random on first use
+        peaks = []
+        for n_trials in (10**6, 4 * 10**6):
+            tracemalloc.start()
+            try:
+                run_oracle_batch(all_matrices, n_trials, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 2**19
+
     def test_deterministic_per_seed(self):
         a = simulated_accuracy(PAPER_ACC, FlapProfile.CONCAVE, 10**4, seed=17)
         b = simulated_accuracy(PAPER_ACC, FlapProfile.CONCAVE, 10**4, seed=17)
         assert a == b
 
 
+def bounded(call):
+    """call() on a daemon thread joined for at most 60 s; its result, or its exception raised here.
+
+    A replay that deadlocks then fails the join within a minute instead of
+    hanging the run, and its helper, a daemon too, does not hold up exit.
+    """
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((True, call()))
+        except BaseException as exc:
+            outcome.append((False, exc))
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive(), "the replay did not end within 60 s"
+    ((returned, value),) = outcome
+    if not returned:
+        raise value
+    return value
+
+
 class TestSkipNormalsThread:
-    """The stream-skipping normals drawn on a helper thread beside the scoring."""
+    """The replay's helper thread: chain walks and scoring shared with the caller."""
 
     def test_each_replay_call_starts_one_thread(self, all_matrices, monkeypatch):
         started, start = [], threading.Thread.start
@@ -322,6 +361,35 @@ class TestSkipNormalsThread:
         assert len(started) == 1
         oracle_branch_trials(all_matrices, FlapProfile.CONCAVE, 1000, 0)
         assert len(started) == 2
+
+    def test_a_size_over_the_limit_is_refused_before_any_draw(self, all_matrices, monkeypatch):
+        # The size rule, the seed and the matrices are checked before this refusal.
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a thread or a generator was made before the size was refused")
+
+        monkeypatch.setattr(threading.Thread, "start", no_draws)
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        monkeypatch.setattr(simulate, "_skip_normals", no_draws)
+        n = simulate._MAX_ORACLE_TRIALS + 1
+        message = f"^simulation size {n} is too large: at most {n - 1}$"
+        with pytest.raises(ConfigError, match=message):
+            run_oracle_batch(all_matrices, n, 0)
+        with pytest.raises(ConfigError, match=message):
+            oracle_branch_trials(all_matrices, FlapProfile.CONCAVE, n, 0)
+        with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+            run_oracle_batch(all_matrices, n, -1)
+        del all_matrices[StageId.USAGE]
+        with pytest.raises(BadRow, match="^oracle matrix for usage is missing$"):
+            run_oracle_batch(all_matrices, n, 0)
+
+    def test_a_size_at_the_limit_is_replayed(self, all_matrices, monkeypatch):
+        # It reaches the walks, which fail at once here rather than run for a day.
+        def no_walk(*args):
+            raise MemoryError("no walk")
+
+        monkeypatch.setattr(simulate, "_walk", no_walk)
+        with pytest.raises(MemoryError, match="no walk"):
+            bounded(lambda: run_oracle_batch(all_matrices, simulate._MAX_ORACLE_TRIALS, 0))
 
     def test_helper_exception_on_a_later_branch_is_raised_in_the_caller(
         self, all_matrices, monkeypatch
@@ -346,44 +414,53 @@ class TestSkipNormalsThread:
         monkeypatch.setattr(simulate, "_skip_normals", fourth_fails)
         threads = threading.active_count()
         with pytest.raises(MemoryError, match="no room for the normals"):
-            run_oracle_batch(all_matrices, 4 * simulate.ORACLE_BLOCK, 0)
+            bounded(lambda: run_oracle_batch(all_matrices, 4 * simulate.ORACLE_BLOCK, 0))
         assert len(calls) >= 4
         assert not any(moved_after_stop)
         assert threading.active_count() == threads
 
     def test_helper_stops_within_a_block_when_scoring_raises(self, all_matrices, monkeypatch):
-        # Scoring fails while the helper is part way through a stage's normals; the
-        # helper begins at most the one block it had checked the stop for.
-        skip_normals, second_block = simulate._skip_normals, threading.Event()
-        begun, begun_after_stop = [], []
+        # The last chain's walk waits until the first chain is being scored, so
+        # scoring fails while the other thread is part way through that walk; once
+        # the stop is set, the walk begins at most the one block it had checked
+        # the stop for.
+        walk, skip_normals = simulate._walk, simulate._skip_normals
+        scoring, walking = threading.Event(), threading.Event()
+        begun_after_stop = []
 
         class CountingNormals:
             def __init__(self, rng, stop):
                 self.rng, self.stop = rng, stop
 
             def standard_normal(self, *args, **kwargs):
-                begun.append(True)
-                begun_after_stop.append(self.stop.is_set())
-                if len(begun) == 2:
-                    second_block.set()
+                if scoring.is_set():
+                    begun_after_stop.append(self.stop.is_set())
+                    walking.set()
                 return self.rng.standard_normal(*args, **kwargs)
+
+        def last_walk_waits(seed, *args):
+            if seed == 2:  # the third chain of a batch at seed 0
+                assert scoring.wait(timeout=60)
+            return walk(seed, *args)
 
         def counting_skip(rng, n, stop):
             skip_normals(CountingNormals(rng, stop), n, stop)
 
         def broken_hits(*args):
-            assert second_block.wait(timeout=60)
+            scoring.set()
+            assert walking.wait(timeout=60)
             raise RuntimeError("scoring failed")
 
+        monkeypatch.setattr(simulate, "_walk", last_walk_waits)
         monkeypatch.setattr(simulate, "_skip_normals", counting_skip)
         monkeypatch.setattr(simulate, "hits", broken_hits)
         threads = threading.active_count()
         n_trials = 32 * simulate.ORACLE_BLOCK
         with pytest.raises(RuntimeError, match="scoring failed"):
-            run_oracle_batch(all_matrices, n_trials, 0)
+            bounded(lambda: run_oracle_batch(all_matrices, n_trials, 0))
         assert threading.active_count() == threads
         assert sum(begun_after_stop) <= 1
-        assert len(begun) < 32  # the first stage's normals were cut short
+        assert len(begun_after_stop) < 32  # the walk's first stage was cut short
 
     def test_helper_exception_is_raised_in_the_caller(self, all_matrices, monkeypatch):
         def no_room(*args):
@@ -392,28 +469,78 @@ class TestSkipNormalsThread:
         monkeypatch.setattr(simulate, "_skip_normals", no_room)
         threads = threading.active_count()
         with pytest.raises(MemoryError, match="no room for the normals"):
-            oracle_branch_trials(all_matrices, FlapProfile.CONCAVE, 1000, 0)
+            bounded(lambda: oracle_branch_trials(all_matrices, FlapProfile.CONCAVE, 1000, 0))
         assert threading.active_count() == threads
 
     def test_helper_is_joined_when_scoring_raises(self, all_matrices, monkeypatch):
-        # The helper outlasts the failed block; the call still waits for it.
-        skip_normals, finished = simulate._skip_normals, []
+        # Scoring fails on the calling thread while the helper scores another
+        # chain and outlasts the failed block; the call still waits for it.
+        hits, caller = simulate.hits, []
+        helper_scoring, finished = threading.Event(), []
 
-        def slow_skip(*args):
-            time.sleep(0.2)
-            skip_normals(*args)
-            finished.append(True)
+        def caller_fails_helper_is_slow(*args):
+            if threading.current_thread() is caller[0]:
+                assert helper_scoring.wait(timeout=60)
+                raise RuntimeError("scoring failed")
+            if not helper_scoring.is_set():
+                helper_scoring.set()
+                time.sleep(0.2)
+                finished.append(True)
+            return hits(*args)
 
-        def broken_hits(*args):
-            raise RuntimeError("scoring failed")
+        def batch():
+            caller.append(threading.current_thread())
+            return run_oracle_batch(all_matrices, 1000, 0)
 
-        monkeypatch.setattr(simulate, "_skip_normals", slow_skip)
-        monkeypatch.setattr(simulate, "hits", broken_hits)
+        monkeypatch.setattr(simulate, "hits", caller_fails_helper_is_slow)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="scoring failed"):
-            oracle_branch_trials(all_matrices, FlapProfile.CONCAVE, 1000, 0)
+            bounded(batch)
         assert finished == [True]
         assert threading.active_count() == threads
+
+    def test_interrupt_of_the_caller_stops_and_joins_the_helper(self, all_matrices, monkeypatch):
+        # A KeyboardInterrupt on the calling thread, while the helper is part way
+        # through a walk, sets the stop: the walk begins at most one more block,
+        # the helper is joined and the interrupt reaches the caller.
+        walk, hits, skip_normals = simulate._walk, simulate.hits, simulate._skip_normals
+        caller, helper_walking, begun_after_stop = [], threading.Event(), []
+
+        class CountingNormals:
+            def __init__(self, rng, stop):
+                self.rng, self.stop = rng, stop
+
+            def standard_normal(self, *args, **kwargs):
+                begun_after_stop.append(self.stop.is_set())
+                helper_walking.set()
+                return self.rng.standard_normal(*args, **kwargs)
+
+        def counting_skip(rng, n, stop):
+            skip_normals(CountingNormals(rng, stop), n, stop)
+
+        def interrupted(original):
+            # The caller's first walk or scoring, whichever it reaches first.
+            def call(*args):
+                if threading.current_thread() is caller[0]:
+                    assert helper_walking.wait(timeout=60)
+                    raise KeyboardInterrupt
+                return original(*args)
+
+            return call
+
+        def batch():
+            caller.append(threading.current_thread())
+            return run_oracle_batch(all_matrices, 32 * simulate.ORACLE_BLOCK, 0)
+
+        monkeypatch.setattr(simulate, "_walk", interrupted(walk))
+        monkeypatch.setattr(simulate, "hits", interrupted(hits))
+        monkeypatch.setattr(simulate, "_skip_normals", counting_skip)
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            bounded(batch)
+        assert threading.active_count() == threads
+        assert sum(begun_after_stop) <= 1
+        assert len(begun_after_stop) < 3 * 32  # the helper's walk was cut short
 
     def test_concurrent_batches_match_serial_ones(self, all_matrices):
         # No buffer or generator is shared between calls: two at once each
