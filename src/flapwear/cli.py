@@ -260,7 +260,7 @@ def cmd_classify(args: argparse.Namespace, config: CliConfig) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace, config: CliConfig) -> int:
-    tables = predictions.parse_prediction_table(args.labeled_file)
+    tables = predictions.parse_prediction_table(args.labeled_file, ids=False)
     labeled = {stage: table.truth >= 0 for stage, table in tables.items()}
     if not any(mask.any() for mask in labeled.values()):
         raise ValidationError("file contains no labeled samples")

@@ -4,7 +4,9 @@ Upstream models emit one probability vector per image and stage. A
 prediction file is parsed once into a per-stage table
 (``parse_prediction_table``), the one representation of a prediction:
 for each stage, the records' vectors as an N x k float64 array, with
-their tool ids, image ids, line numbers and truth indices.
+their tool ids, image ids, line numbers and truth indices. With
+``ids=False`` the id columns are None: ``evaluate`` reads only vectors
+and truths, so it parses that way and holds no id.
 ``first_invalid_row`` is the one definition of a valid vector, stated
 on such arrays: the parser checks each stage's rows with it and names
 the first failing line, and a ProbabilityVector is a one-row call into
@@ -13,9 +15,10 @@ across train/val/test.
 
 A line's record is accepted in one place (``_accept_line``): one call of
 json's C scanner, then every per-record rule, the id rule
-(``_record_id``) included. A line it declines leaves the columns as they
-were and goes to ``_parse_line``, which decodes it again with
-``json.loads`` and raises the line's error; it accepts nothing.
+(``_record_id``) included, whether or not ids are kept. A line it
+declines leaves the columns as they were and goes to ``_parse_line``,
+which decodes it again with ``json.loads`` and raises the line's error;
+it accepts nothing.
 """
 
 from __future__ import annotations
@@ -99,7 +102,12 @@ def _vector_row(stage: StageId, probs) -> list[float]:
 
 @dataclass(frozen=True)
 class ProbabilityVector:
-    """One stage's class probabilities; construction raises a VectorError if invalid."""
+    """One stage's class probabilities; construction raises a VectorError if invalid.
+
+    An entry that is not a number by errors.is_number (a string, a bool,
+    a list) is refused before any conversion; the rest is a one-row call
+    into first_invalid_row, so an invalid vector cannot exist.
+    """
 
     stage: StageId
     probs: tuple[float, ...]
@@ -121,8 +129,8 @@ class StageTable:
 
     stage: StageId
     probs: np.ndarray  # (n, k) float64; every row is a valid vector
-    tool_ids: list[str]
-    image_ids: list[str]
+    tool_ids: Optional[list[str]]  # None when parsed with ids=False
+    image_ids: Optional[list[str]]
     lines: np.ndarray  # (n,) 1-based line numbers
     truth: np.ndarray  # (n,) truth class index, -1 for a record without truth
 
@@ -145,26 +153,24 @@ class _StageColumns:
         "probs", "tool_ids", "image_ids", "lines", "truth",
     )
 
-    def __init__(self, stage: StageId):
+    def __init__(self, stage: StageId, ids: bool):
         self.stage = stage
         self.classes = STAGE_CLASSES[stage]
         self.view_name = STAGE_VIEW[stage].value
         self.truth_index = {name: i for i, name in enumerate(self.classes)}
         self.probs = array("d")
-        self.tool_ids: list[str] = []
-        self.image_ids: list[str] = []
+        self.tool_ids: Optional[list[str]] = [] if ids else None
+        self.image_ids: Optional[list[str]] = [] if ids else None
         self.lines = array("q")
         self.truth = array("b")
 
-    def append(self, probs: list, truth: int, image_id: str, tool_id: str, line_no: int) -> bool:
-        """Add one record; False, with the columns as they were, if a probability overflows."""
+    def append(self, probs: list, truth: int, line_no: int) -> bool:
+        """Add a record but its ids; False, adding nothing, if a probability overflows."""
         try:
             self.probs.extend(probs)
         except OverflowError:  # an integer too large for a float; extend stops part-way
             del self.probs[len(self.lines) * len(self.classes):]
             return False
-        self.tool_ids.append(tool_id)
-        self.image_ids.append(image_id)
         self.lines.append(line_no)
         self.truth.append(truth)
         return True
@@ -225,7 +231,7 @@ def _first_invalid_line(columns: Iterable[_StageColumns]) -> Optional[Validation
 
 
 def _accept_line(
-    scan, by_name: dict[str, _StageColumns], ids: dict[str, str], line: str, line_no: int
+    scan, by_name: dict[str, _StageColumns], ids: Optional[dict[str, str]], line: str, line_no: int
 ) -> bool:
     """Append a well-formed line's record to its stage's columns; False, appending nothing, if not.
 
@@ -234,7 +240,8 @@ def _accept_line(
     the stage has classes, each within float range, no truth or one of
     the stage's classes, and an image id and a tool id by _record_id.
     The vector's values are checked later. Each id is stored as the
-    first equal id in ids, which a new id joins.
+    first equal id in ids, which a new id joins; with ids None, no id
+    is stored.
     """
     try:
         rec, end = scan(line, 0)
@@ -256,9 +263,12 @@ def _accept_line(
         truth = -1 if truth is None else cols.truth_index[truth]
     except (StopIteration, ValueError, RecursionError, KeyError, TypeError):
         return False
-    return cols.append(
-        probs, truth, ids.setdefault(image_id, image_id), ids.setdefault(tool_id, tool_id), line_no
-    )
+    if not cols.append(probs, truth, line_no):
+        return False
+    if ids is not None:
+        cols.image_ids.append(ids.setdefault(image_id, image_id))
+        cols.tool_ids.append(ids.setdefault(tool_id, tool_id))
+    return True
 
 
 def _parse_line(line: str, line_no: int) -> NoReturn:
@@ -288,7 +298,7 @@ def _parse_line(line: str, line_no: int) -> NoReturn:
     raise ParseError(f"unknown truth class {rec['truth']!r}", line_no)
 
 
-def parse_prediction_table(path: str | Path) -> PredictionTable:
+def parse_prediction_table(path: str | Path, *, ids: bool = True) -> PredictionTable:
     """Parse a line-delimited prediction file into one table per stage.
 
     Each line is a JSON record with fields image_id, tool_id, view,
@@ -300,23 +310,28 @@ def parse_prediction_table(path: str | Path) -> PredictionTable:
     match the stage a ValidationError, then an unknown truth class a
     ParseError. A file that cannot be opened or is not UTF-8 text is a
     ParseError too. Decoded records are not kept: each accepted line goes
-    straight into the columns of its stage.
+    straight into the columns of its stage. A record costs k float64s, a
+    line number, a truth byte and, with ids, two list slots.
 
     Each distinct id is held once per call: every tool id and image id
     of the returned tables, over all stages, that compare equal are the
     same str object, so an integer id is the same object as its str. The
     ids are matched within the call only: no table of them outlives it.
+
+    With ids=False, every table's tool_ids and image_ids are None and no
+    id is kept, but each id is checked by the same rule, with the same
+    error. ``evaluate`` parses this way, as it reads no id.
     """
-    columns = {stage: _StageColumns(stage) for stage in StageId}
+    columns = {stage: _StageColumns(stage, ids) for stage in StageId}
     by_name = {stage.value: cols for stage, cols in columns.items()}
-    ids: dict[str, str] = {}
+    seen: Optional[dict[str, str]] = {} if ids else None
     scan = json.scanner.make_scanner(json.JSONDecoder())
     error = None
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
-                if line and not _accept_line(scan, by_name, ids, line, line_no):
+                if line and not _accept_line(scan, by_name, seen, line, line_no):
                     _parse_line(line, line_no)
     except FlapwearError as exc:
         error = exc
@@ -336,9 +351,11 @@ def split_by_tool(
 
     tool_ids names each sample's tool, e.g. a StageTable's tool_ids; a
     tool may repeat. The split is by tool, never by image, so no tool can
-    leak between subsets. Subset sizes follow the fractions by largest
-    remainder; assignment is deterministic for a given seed, an integer
-    >= 0 by errors.check_seed.
+    leak between subsets. fractions are three numbers, train/val/test,
+    checked as a probability vector; any failure is a VectorError. Subset
+    sizes follow the fractions by largest remainder; assignment is
+    deterministic for a given seed, an integer >= 0 by errors.check_seed
+    (else a ConfigError).
     """
     tools = sorted(set(tool_ids))
     if not tools:

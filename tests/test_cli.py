@@ -1138,7 +1138,11 @@ def test_non_string_ids_are_converted_with_str(tmp_path):
     assert run["tool_id"] == "7" and run["verdict"] == "outcome"
 
 
-@pytest.mark.parametrize("key", ["tool_id", "image_id"])
+@pytest.mark.parametrize(
+    "command, key",
+    [(command, key) for command in ("classify", "evaluate") for key in ("tool_id", "image_id")],
+    ids=["tool_id", "image_id", "evaluate-tool_id", "evaluate-image_id"],
+)
 @pytest.mark.parametrize(
     "value, kind",
     [
@@ -1150,15 +1154,18 @@ def test_non_string_ids_are_converted_with_str(tmp_path):
     ],
     ids=["null", "bool", "float", "array", "object"],
 )
-def test_ids_other_than_strings_and_integers_are_parse_errors(tmp_path, capsys, key, value, kind):
+def test_ids_other_than_strings_and_integers_are_parse_errors(
+    tmp_path, capsys, command, key, value, kind
+):
     # Converted with str, a null tool id would join the run of a tool named "None".
+    # evaluate keeps no id, yet checks each one by the same rule.
     lines = consistent_tool_lines(tool="None")
     bad = json.loads(lines[2])
     bad[key] = value
     lines[2] = json.dumps(bad)
     preds = tmp_path / "preds.jsonl"
     write_lines(preds, lines)
-    assert main(["classify", str(preds), "--out", str(tmp_path / "reports")]) == EXIT_PARSE
+    assert main([command, str(preds), "--out", str(tmp_path / "reports")]) == EXIT_PARSE
     assert capsys.readouterr().err == (
         f"parse error: line 3: {key} must be a string or an integer, got {kind}\n"
     )

@@ -13,8 +13,11 @@ that are not UTF-8. Both parsers must return the same tables (the
 probability bytes, ids, line numbers and truth indices of every stage)
 or raise the same error class with the same message and line. A file
 that the reference accepts must parse without reaching the error path.
+Each file is also parsed with ``ids=False``: the same error, the id rule
+included, or the reference's tables with both id columns None.
 """
 
+import functools
 import json
 import tempfile
 from pathlib import Path
@@ -96,8 +99,11 @@ def prediction_files(draw, lines=lines, bad_bytes=True):
     return b"".join(parts)
 
 
-def outcome(parse, path):
-    """The tables as comparable values, or the error's class, text and line."""
+def outcome(parse, path, keep_ids=True):
+    """The tables as comparable values, or the error's class, text and line.
+
+    With keep_ids False, both id columns of every table read as None.
+    """
     try:
         tables = parse(path)
     except FlapwearError as exc:
@@ -106,8 +112,8 @@ def outcome(parse, path):
         stage: (
             table.probs.shape,
             table.probs.tobytes(),
-            table.tool_ids,
-            table.image_ids,
+            table.tool_ids if keep_ids else None,
+            table.image_ids if keep_ids else None,
             table.lines.tolist(),
             table.truth.tolist(),
         )
@@ -115,33 +121,41 @@ def outcome(parse, path):
     }
 
 
+def parsed(path, ids):
+    """predictions.parse_prediction_table's outcome for path, with or without ids."""
+    return outcome(functools.partial(predictions.parse_prediction_table, ids=ids), path)
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(prediction_files())
-def test_parser_matches_reference(content):
+@given(prediction_files(), st.booleans())
+def test_parser_matches_reference(content, ids):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "predictions.jsonl"
         path.write_bytes(content)
-        assert outcome(predictions.parse_prediction_table, path) == outcome(
-            scalar_oracle.parse_prediction_table, path
-        )
+        assert parsed(path, ids) == outcome(scalar_oracle.parse_prediction_table, path, ids)
 
 
 accepted_files = prediction_files(valid_records(only_valid=True) | st.just(""), bad_bytes=False)
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(accepted_files)
+@given(accepted_files, st.booleans())
 @example(
     b'{"image_id": 12, "tool_id": -3, "view": "radial", "stage": "usage", "probs": [1, 0]}\n'
-    b'{"image_id": "12", "tool_id": 0, "view": "axial", "stage": "tear", "probs": [0.5, 0.5]}\n'
+    b'{"image_id": "12", "tool_id": 0, "view": "axial", "stage": "tear", "probs": [0.5, 0.5]}\n',
+    True,
 )
-def test_no_valid_line_reaches_the_error_path(content):
+@example(
+    b'{"image_id": 12, "tool_id": -3, "view": "radial", "stage": "usage", "probs": [1, 0]}\n',
+    False,
+)
+def test_no_valid_line_reaches_the_error_path(content, ids):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "predictions.jsonl"
         path.write_bytes(content)
-        expected = outcome(scalar_oracle.parse_prediction_table, path)
+        expected = outcome(scalar_oracle.parse_prediction_table, path, ids)
         assert expected[0] == "tables"
         with mock.patch.object(
             predictions, "_parse_line", side_effect=AssertionError("a valid line was declined")
         ):
-            assert outcome(predictions.parse_prediction_table, path) == expected
+            assert parsed(path, ids) == expected

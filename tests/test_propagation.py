@@ -280,7 +280,7 @@ class TestMonteCarlo:
         assert peak / n_trials <= 72
 
     @pytest.mark.parametrize("branch", list(FlapProfile), ids=lambda b: b.value)
-    def test_peak_memory_is_a_byte_per_trial_and_a_block(self, all_matrices, branch):
+    def test_peak_memory_is_one_block_of_draws(self, all_matrices, branch):
         # About 0.9 MiB on every branch: one ORACLE_BLOCK of draws and a walk's
         # buffer of normals, never both at once, as the walk ends before scoring.
         tracemalloc.start()
@@ -545,11 +545,12 @@ class TestSkipNormalsThread:
     def test_concurrent_batches_match_serial_ones(self, all_matrices):
         # No buffer or generator is shared between calls: two at once each
         # return what one alone does, and what the kept array loop does, with
-        # threads switched far more often than by default. Each stage has six
-        # blocks, so the two threads of a replay take turns claiming them; a
-        # lost claim or two threads clearing one block's flags would show. The
-        # threads are daemons, as their replays' helpers then are, so a replay
-        # that never ends fails the timed join, not the interpreter's exit.
+        # threads switched far more often than by default. Each thread of a
+        # replay scores whole chains, six blocks a stage, popped from one queue
+        # with the chains' walks; a chain scored before its walk ended, or a
+        # cursor shared by the two threads, would show. The threads are daemons,
+        # as their replays' helpers then are, so a replay that never ends fails
+        # the timed join, not the interpreter's exit.
         n_trials = 5 * simulate.ORACLE_BLOCK + 3
         start = threading.Barrier(2, timeout=60)
         results = [None, None]
