@@ -86,6 +86,13 @@ class TooFewRuns(EngineError):
 
 @dataclass(frozen=True)
 class EngineConfig:
+    """The engine's settings; construction raises a ConfigError that names a bad value.
+
+    thresholds is a mapping from StageId to a number in [0, 1]
+    (errors.is_number), conflict_policy a ConflictPolicy, and
+    ensemble_min_runs an integer >= 1 (errors.is_integer).
+    """
+
     thresholds: dict[StageId, float] = field(
         default_factory=lambda: dict(DEFAULT_THRESHOLDS)
     )
@@ -170,6 +177,8 @@ class RunResult(NamedTuple):
 
 @dataclass(frozen=True)
 class EnsembleResult:
+    """One tool's fused runs; to_record is its ensembles.jsonl record."""
+
     tool_id: str
     outcome: Optional[WearOutcome]
     conflicted: bool
@@ -427,6 +436,7 @@ class RunDecisions:
 
     @property
     def conflicted(self) -> np.ndarray:
+        """The runs whose level-1/level-2 cell has a conflict bit in _CELL_FLAGS."""
         return _CELL_FLAGS[self.cell] != 0
 
     def rejection(self) -> MissingSeverityInput:

@@ -24,7 +24,11 @@ def is_integer(value) -> bool:
 
 
 def check_seed(seed) -> int:
-    """The one rule for a seed, an integer >= 0: seed as an int, or a ConfigError."""
+    """The one rule for a seed, an integer >= 0: seed as an int, or a ConfigError.
+
+    An integer is one by is_integer, a numpy one included; the error reads
+    "seed must be an integer, got ..." or "seed must be >= 0, got ...".
+    """
     if not is_integer(seed):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
     if seed < 0:

@@ -4,21 +4,24 @@ Upstream models emit one probability vector per image and stage. A
 prediction file is parsed once into a per-stage table
 (``parse_prediction_table``), the one representation of a prediction:
 for each stage, the records' vectors as an N x k float64 array, with
-their tool ids, image ids, line numbers and truth indices. With
-``ids=False`` the id columns are None: ``evaluate`` reads only vectors
-and truths, so it parses that way and holds no id.
-``first_invalid_row`` is the one definition of a valid vector, stated
-on such arrays: the parser checks each stage's rows with it and names
-the first failing line, and a ProbabilityVector is a one-row call into
-it. The module also splits datasets by tool so that no tool leaks
-across train/val/test.
+their tool ids and image ids (None with ``ids=False``), line numbers
+and truth indices. ``first_invalid_row`` is the one definition of a
+valid vector, stated on such arrays: the parser checks each stage's
+rows with it and names the first failing line, and a ProbabilityVector
+is a one-row call into it. The module also splits datasets by tool so
+that no tool leaks across train/val/test.
 
-A line's record is accepted in one place (``_accept_line``): one call of
-json's C scanner, then every per-record rule, the id rule
-(``_record_id``) included, whether or not ids are kept. A line it
-declines leaves the columns as they were and goes to ``_parse_line``,
-which decodes it again with ``json.loads`` and raises the line's error;
-it accepts nothing.
+A line's record is accepted in one place, the loop of
+``parse_prediction_table``: one call of json's C scanner, then every
+per-record rule, the id rule (``_record_id``) included, whether or not
+ids are kept. The vector goes in by ``array.fromlist``, which refuses a
+non-number with a TypeError and an int past float range with an
+OverflowError; a bool, which it would take, is declined before. Neither
+needs a repair: Python documents an unchanged array on a type error,
+CPython restores it on an OverflowError too, and
+``tests/test_parser_differential.py`` pins both. A declined line goes to
+``_parse_line``, which decodes it again with ``json.loads`` and raises
+the line's error; it accepts nothing.
 """
 
 from __future__ import annotations
@@ -138,7 +141,6 @@ class StageTable:
 # Every stage's table, in StageId order; a stage without records has an empty one.
 PredictionTable = dict[StageId, StageTable]
 
-_NUMBER_TYPES = frozenset((int, float))
 # What json.loads decodes a value that is not an id to, by type.
 _JSON_TYPE_NAMES = {
     type(None): "null", bool: "a boolean", float: "a float", list: "an array", dict: "an object"
@@ -163,17 +165,6 @@ class _StageColumns:
         self.image_ids: Optional[list[str]] = [] if ids else None
         self.lines = array("q")
         self.truth = array("b")
-
-    def append(self, probs: list, truth: int, line_no: int) -> bool:
-        """Add a record but its ids; False, adding nothing, if a probability overflows."""
-        try:
-            self.probs.extend(probs)
-        except OverflowError:  # an integer too large for a float; extend stops part-way
-            del self.probs[len(self.lines) * len(self.classes):]
-            return False
-        self.lines.append(line_no)
-        self.truth.append(truth)
-        return True
 
     def prob_rows(self) -> np.ndarray:
         return np.frombuffer(self.probs, dtype=np.float64).reshape(-1, len(self.classes))
@@ -207,7 +198,7 @@ def _record_fields(rec: dict, line_no: int):
         stage = StageId(rec["stage"])
         view = View(rec["view"])
         probs = rec["probs"]
-        if not isinstance(probs, list) or not _NUMBER_TYPES.issuperset(map(type, probs)):
+        if not isinstance(probs, list) or not {int, float}.issuperset(map(type, probs)):
             raise ParseError("probs must be an array of numbers", line_no)
         _record_id(rec, "image_id", line_no)
         _record_id(rec, "tool_id", line_no)
@@ -230,49 +221,8 @@ def _first_invalid_line(columns: Iterable[_StageColumns]) -> Optional[Validation
     return first
 
 
-def _accept_line(
-    scan, by_name: dict[str, _StageColumns], ids: Optional[dict[str, str]], line: str, line_no: int
-) -> bool:
-    """Append a well-formed line's record to its stage's columns; False, appending nothing, if not.
-
-    Well-formed is one JSON object that passes every rule of _parse_line:
-    a stage name, that stage's view, a list of as many ints or floats as
-    the stage has classes, each within float range, no truth or one of
-    the stage's classes, and an image id and a tool id by _record_id.
-    The vector's values are checked later. Each id is stored as the
-    first equal id in ids, which a new id joins; with ids None, no id
-    is stored.
-    """
-    try:
-        rec, end = scan(line, 0)
-        cols = by_name[rec["stage"]]  # a TypeError unless rec is a dict
-        probs, truth = rec["probs"], rec.get("truth")
-        image_id, tool_id = rec["image_id"], rec["tool_id"]
-        if type(image_id) is not str:  # a string, the common id, costs no call
-            image_id = _record_id(rec, "image_id", line_no)  # a ParseError is a ValueError
-        if type(tool_id) is not str:
-            tool_id = _record_id(rec, "tool_id", line_no)
-        if (
-            end != len(line)
-            or rec["view"] != cols.view_name
-            or type(probs) is not list
-            or len(probs) != len(cols.classes)
-            or not _NUMBER_TYPES.issuperset(map(type, probs))
-        ):
-            return False
-        truth = -1 if truth is None else cols.truth_index[truth]
-    except (StopIteration, ValueError, RecursionError, KeyError, TypeError):
-        return False
-    if not cols.append(probs, truth, line_no):
-        return False
-    if ids is not None:
-        cols.image_ids.append(ids.setdefault(image_id, image_id))
-        cols.tool_ids.append(ids.setdefault(tool_id, tool_id))
-    return True
-
-
 def _parse_line(line: str, line_no: int) -> NoReturn:
-    """Raise the error of a line that _accept_line declined.
+    """Raise the error of a line that the loop of parse_prediction_table declined.
 
     Each per-line error, in the order that parse_prediction_table
     states, is raised here and nowhere else: of a well-formed record, the
@@ -331,8 +281,38 @@ def parse_prediction_table(path: str | Path, *, ids: bool = True) -> PredictionT
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
-                if line and not _accept_line(scan, by_name, seen, line, line_no):
+                if not line:
+                    continue
+                try:
+                    rec, end = scan(line, 0)
+                    cols = by_name[rec["stage"]]  # a TypeError unless rec is a dict
+                    probs, truth = rec["probs"], rec.get("truth")
+                    image_id, tool_id = rec["image_id"], rec["tool_id"]
+                    if type(image_id) is not str:  # a string, the common id, costs no call
+                        image_id = _record_id(rec, "image_id", line_no)
+                    if type(tool_id) is not str:
+                        tool_id = _record_id(rec, "tool_id", line_no)
+                    accepted = (
+                        end == len(line)
+                        and rec["view"] == cols.view_name
+                        and type(probs) is list
+                        and len(probs) == len(cols.classes)
+                        and bool not in map(type, probs)
+                    )
+                    if accepted:
+                        truth = -1 if truth is None else cols.truth_index[truth]
+                        cols.probs.fromlist(probs)  # adds no entry if it raises
+                except (  # a ParseError is a ValueError
+                    StopIteration, ValueError, RecursionError, KeyError, TypeError, OverflowError
+                ):
+                    accepted = False
+                if not accepted:
                     _parse_line(line, line_no)
+                cols.lines.append(line_no)
+                cols.truth.append(truth)
+                if seen is not None:
+                    cols.image_ids.append(seen.setdefault(image_id, image_id))
+                    cols.tool_ids.append(seen.setdefault(tool_id, tool_id))
     except FlapwearError as exc:
         error = exc
     except (OSError, UnicodeDecodeError) as exc:

@@ -126,8 +126,24 @@ def parsed(path, ids):
     return outcome(functools.partial(predictions.parse_prediction_table, ids=ids), path)
 
 
+def usage_lines(*vectors):
+    """One usage record per vector, as a file's bytes; a vector is given as its JSON text."""
+    return b"".join(
+        b'{"image_id": "i", "tool_id": "t", "view": "radial", "stage": "usage", "probs": %s}\n'
+        % vector.encode()
+        for vector in vectors
+    )
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(prediction_files(), st.booleans())
+# A vector the parser's array conversion refuses leaves no partial row:
+# line 1's bad sum is still the first error after line 2 overflows.
+@example(usage_lines("[0.3, 0.3]", f"[0.5, {10**400}]"), True)
+@example(usage_lines("[0.5, 0.5]", "[true, false]"), False)
+@example(usage_lines("[0.5, 0.5]", '["0.5", 0.5]'), True)
+@example(usage_lines("[0.5, 0.5]", "[null, 1]"), False)
+@example(usage_lines("[0.5, 0.5]", "[[0.5], 0.5]"), True)
 def test_parser_matches_reference(content, ids):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "predictions.jsonl"
