@@ -11,7 +11,8 @@ seed. Exit codes: 0 success, 2 parse error or unreadable input,
 3 validation error, 4 config error. A library error's exit code always
 comes from its class (see errors.py); the CLI converts only Python's
 own errors: OS errors and undecodable text, bad JSON or a JSON value of
-the wrong type, text that is no number, and memory errors.
+the wrong type, and memory errors. A setting's text that does not
+convert is passed on, and its own check words the error.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import engine, errors, metrics, predictions, propagation, simulate
 from .errors import ConfigError, FlapwearError, ParseError, ValidationError, is_number
-from .taxonomy import REQUIRED_STAGES, StageId
+from .taxonomy import _STAGE_BY_NAME, REQUIRED_STAGES, StageId
 
 EXIT_OK = 0
 EXIT_PARSE = ParseError.exit_code
@@ -54,9 +55,8 @@ class CliConfig:
         self.rounding, self.seed = int(self.rounding), errors.check_seed(self.seed)
 
 
-def _parse_config_file(path: Path) -> dict[str, str]:
-    """Flat key = value text format; '#' starts a comment."""
-    values: dict[str, str] = {}
+def _read_config_file(path: Path, values: dict) -> None:
+    """Set each setting of path in values: flat key = value lines; '#' starts a comment."""
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -68,8 +68,7 @@ def _parse_config_file(path: Path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{line_no}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
-        values[key] = value
-    return values
+        _set(values, key, value)
 
 
 # The config file's keys besides threshold.<stage>, each an EngineConfig or CliConfig
@@ -83,42 +82,57 @@ _CONFIG_KEYS = {
 }
 
 
-def _set_threshold(values: dict, stage: str, text: str) -> None:
-    """One stage's gate; the other stages keep their gates as set so far."""
-    values.setdefault("thresholds", dict(engine.DEFAULT_THRESHOLDS))[StageId(stage)] = float(text)
+def _or_text(convert: Callable[[str], object], text: str):
+    """text converted; text that does not convert is passed on for its setting's check to refuse."""
+    try:
+        return convert(text)
+    except ValueError:
+        return text
+
+
+def _set(values: dict, key: str, text: str) -> None:
+    """Set key = text, from a file or a flag, in values; threshold.<stage> keeps the other gates."""
+    stage = key.removeprefix("threshold.")
+    if stage != key:
+        gates = values.setdefault("thresholds", dict(engine.DEFAULT_THRESHOLDS))
+        gates[_or_text(StageId, stage)] = _or_text(float, text)
+    elif key in _CONFIG_KEYS:
+        values[key] = _or_text(_CONFIG_KEYS[key], text)
+    else:
+        raise ConfigError(f"unknown config key {key!r}")
+
+
+def _checked(values: dict) -> CliConfig:
+    """The settings in values, passed to the dataclasses that check them."""
+    names = [f.name for f in fields(engine.EngineConfig) if f.name in values]
+    engine_config = engine.EngineConfig(**{name: values[name] for name in names})
+    return CliConfig(engine_config, **{key: v for key, v in values.items() if key not in names})
+
+
+def _unconverted(values: dict) -> dict:
+    """The settings and gates in values whose text did not convert, to be refused before a flag."""
+    gates = {s: t for s, t in values.get("thresholds", {}).items() if str in (type(s), type(t))}
+    return {key: v for key, v in values.items() if type(v) is str} | {"thresholds": gates}
 
 
 def build_config(args: argparse.Namespace) -> CliConfig:
-    """The config file's values, then the flags', passed to the dataclasses that check them."""
+    """The file's settings, then the flags'; text that does not convert is refused as it is read."""
     values = {}
-    for key, text in (_parse_config_file(Path(args.config)) if args.config else {}).items():
-        stage = key.removeprefix("threshold.")
-        if stage == key and key not in _CONFIG_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-        try:
-            if stage != key:
-                _set_threshold(values, stage, text)
-            else:
-                values[key] = _CONFIG_KEYS[key](text)
-        except ValueError as exc:
-            raise ConfigError(f"bad config value: {exc}") from exc
-
+    if args.config:
+        _read_config_file(Path(args.config), values)
+        _checked(_unconverted(values))
     if args.no_thresholds:
         values["thresholds"] = {}
     for spec in args.thresholds or []:
-        try:
-            stage, text = spec.split("=", 1)
-            _set_threshold(values, stage.strip(), text)
-        except ValueError as exc:
-            raise ConfigError(f"bad threshold spec {spec!r}, expected stage=value") from exc
-    if args.out is not None:
-        values["report_dir"] = Path(args.out)
-    if args.seed is not None:
-        values["seed"] = args.seed
-
-    names = [f.name for f in fields(engine.EngineConfig) if f.name in values]
-    engine_config = engine.EngineConfig(**{name: values.pop(name) for name in names})
-    return CliConfig(engine_config, **values)
+        if "=" not in spec:
+            raise ConfigError(f"bad threshold spec {spec!r}, expected stage=value")
+        stage, text = spec.split("=", 1)
+        _set(values, f"threshold.{stage.strip()}", text)
+        _checked(_unconverted(values))
+    for key, text in (("report_dir", args.out), ("seed", args.seed)):
+        if text is not None:
+            _set(values, key, text)
+    return _checked(values)
 
 
 def _write_reports(
@@ -350,11 +364,10 @@ def _run_simulation(sim_config: dict, mode: str, n: int, config: CliConfig) -> d
     by_name = sim_config["matrices"]
     if not isinstance(by_name, dict):
         raise ConfigError(f"matrices must be an object, got {by_name!r}")
-    stages = {stage.value: stage for stage in StageId}
     for name in by_name:
-        if name not in stages:
+        if name not in _STAGE_BY_NAME:
             raise ConfigError(f"unknown stage {name!r} in matrices")
-    matrices = {stages[name]: counts for name, counts in by_name.items()}
+    matrices = {_STAGE_BY_NAME[name]: counts for name, counts in by_name.items()}
     report = simulate.run_oracle_batch(matrices, n, config.seed, **settings)
     acc = propagation.StageAccuracies.from_names(report["stage_accuracies"])
     report["propagation"] = propagation.propagation_report(acc, decimals=config.rounding)
@@ -390,19 +403,10 @@ def cmd_propagate(args: argparse.Namespace, config: CliConfig) -> int:
     payload = _load_json_object(Path(args.input), "propagation input", {"accuracies", "ledger"})
     if "accuracies" not in payload:
         raise ConfigError("propagation input needs an accuracies object")
-    try:
-        acc = propagation.StageAccuracies.from_names(payload["accuracies"])
-    except TypeError as exc:
-        raise ConfigError(f"bad accuracies: {exc}") from exc
-
+    acc = propagation.StageAccuracies.from_names(payload["accuracies"])
     ledger = None
     if "ledger" in payload:
-        try:
-            ledger = propagation.CorrectionLedger.from_names(payload["ledger"])
-        except FlapwearError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad ledger: {exc}") from exc
+        ledger = propagation.CorrectionLedger.from_names(payload["ledger"])
 
     report = propagation.propagation_report(acc, ledger, config.rounding)
     _write_reports(config.report_dir, {"propagation.json": _json_report(report)})
@@ -419,18 +423,6 @@ def cmd_propagate(args: argparse.Namespace, config: CliConfig) -> int:
     return EXIT_OK
 
 
-def _int_or_text(text: str):
-    """An integer flag's value; text that is no integer is passed on as is.
-
-    The setting's own check then refuses it as a config error (exit 4)
-    with one stderr line, as it refuses the same value from a file.
-    """
-    try:
-        return int(text)
-    except ValueError:
-        return text
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flapwear",
@@ -438,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key = value config file")
-    common.add_argument("--seed", type=_int_or_text, default=None, help="RNG seed")
+    common.add_argument("--seed", default=None, help="RNG seed")
     common.add_argument("--out", default=None, help="report output directory")
     common.add_argument(
         "--thresholds",
@@ -464,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common], help="synthetic or oracle simulation")
     p.add_argument("sim_config", help="JSON simulation config (mode: synth or oracle)")
-    p.add_argument("--n", type=_int_or_text, default=None, help="number of trials/observations")
+    p.add_argument("--n", type=partial(_or_text, int), help="number of trials/observations")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("propagate", parents=[common], help="accuracy propagation analysis")

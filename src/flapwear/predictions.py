@@ -38,7 +38,7 @@ from typing import Iterable, NoReturn, Optional
 import numpy as np
 
 from .errors import EmptyInput, FlapwearError, ParseError, ValidationError, check_seed, is_number
-from .taxonomy import STAGE_CLASSES, STAGE_VIEW, StageId, View
+from .taxonomy import _STAGE_BY_NAME, _VIEW_BY_NAME, STAGE_CLASSES, STAGE_VIEW, StageId
 
 SUM_TOLERANCE = 1e-6
 
@@ -180,9 +180,27 @@ class _StageColumns:
         )
 
 
+_MEMBERS = {"stage": _STAGE_BY_NAME, "view": _VIEW_BY_NAME}
+
+
+def _record_field(rec: dict, key: str, line_no: int):
+    """rec[key]; a ParseError if rec has no such field."""
+    if key not in rec:
+        raise ParseError(f"missing field {key!r}", line_no)
+    return rec[key]
+
+
+def _record_member(rec: dict, key: str, line_no: int):
+    """The stage or view that rec[key] names; a ParseError if it is missing or names none."""
+    name = _record_field(rec, key, line_no)
+    if type(name) is not str or name not in _MEMBERS[key]:
+        raise ParseError(f"unknown {key} {name!r}", line_no)
+    return _MEMBERS[key][name]
+
+
 def _record_id(rec: dict, key: str, line_no: int) -> str:
     """rec[key] as an id: a string as it is, an integer (not a bool) by str; else a ParseError."""
-    value = rec[key]
+    value = _record_field(rec, key, line_no)
     if type(value) is str:
         return value
     if type(value) is int:
@@ -193,19 +211,14 @@ def _record_id(rec: dict, key: str, line_no: int) -> str:
 
 
 def _record_fields(rec: dict, line_no: int):
-    """A record's stage, view and probs; a ParseError if it, ids included, is malformed."""
-    try:
-        stage = StageId(rec["stage"])
-        view = View(rec["view"])
-        probs = rec["probs"]
-        if not isinstance(probs, list) or not {int, float}.issuperset(map(type, probs)):
-            raise ParseError("probs must be an array of numbers", line_no)
-        _record_id(rec, "image_id", line_no)
-        _record_id(rec, "tool_id", line_no)
-    except ParseError:
-        raise
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ParseError(str(exc), line_no) from exc
+    """A record's stage, view and probs; a ParseError naming its first bad field, ids included."""
+    stage = _record_member(rec, "stage", line_no)
+    view = _record_member(rec, "view", line_no)
+    probs = _record_field(rec, "probs", line_no)
+    if not isinstance(probs, list) or not {int, float}.issuperset(map(type, probs)):
+        raise ParseError("probs must be an array of numbers", line_no)
+    _record_id(rec, "image_id", line_no)
+    _record_id(rec, "tool_id", line_no)
     return stage, view, probs
 
 

@@ -13,9 +13,9 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Mapping
 
-from .errors import ValidationError, is_finite, is_number
+from .errors import ConfigError, ValidationError, is_finite, is_number
 from .metrics import round_report
-from .taxonomy import BRANCH_STAGES, FlapProfile, StageId
+from .taxonomy import _STAGE_BY_NAME, BRANCH_STAGES, FlapProfile, StageId
 
 # Name of each stage's accuracy in reports and in propagate's input;
 # StageAccuracies holds it in the field j_<name>.
@@ -54,18 +54,18 @@ class StageAccuracies:
         """Accuracies keyed by ACCURACY_NAMES; an absent name keeps its field default.
 
         values that are not a mapping, then an unknown name, then a missing
-        required accuracy, is a TypeError that names it as values does, not
-        by its field.
+        required accuracy, is a ConfigError "bad accuracies: ..." that names
+        it as values does, not by its field.
         """
         if not isinstance(values, Mapping):
-            raise TypeError(f"accuracies must be an object, got {values!r}")
+            raise ConfigError(f"bad accuracies: accuracies must be an object, got {values!r}")
         for name in values.keys():
             if name not in ACCURACY_NAMES.values():
-                raise TypeError(f"unknown accuracy {name!r}")
+                raise ConfigError(f"bad accuracies: unknown accuracy {name!r}")
         required = [f.name.removeprefix("j_") for f in fields(cls) if f.default is MISSING]
         for name in required:
             if name not in values:
-                raise TypeError(f"missing accuracy {name!r}")
+                raise ConfigError(f"bad accuracies: missing accuracy {name!r}")
         return cls(**{f"j_{name}": value for name, value in values.items()})
 
     def by_name(self) -> dict[str, float]:
@@ -111,28 +111,33 @@ class CorrectionLedger:
         """A ledger from propagate's JSON object: threshold_caught maps stage names to arrays.
 
         values that are not a mapping, then an unknown key, then a missing
-        required one, then a threshold_caught that is not a mapping or a
-        value of it that is not an array, is a TypeError that names it as
-        values does; a name that is no stage is a ValueError.
+        required one, then a threshold_caught that is not a mapping, a name
+        in it that is no stage or a value of it that is not an array, is a
+        ConfigError "bad ledger: ..." that names it as values does.
         """
         if not isinstance(values, Mapping):
-            raise TypeError(f"ledger must be an object, got {values!r}")
+            raise ConfigError(f"bad ledger: ledger must be an object, got {values!r}")
         names = [f.name for f in fields(cls)]
         for name in values.keys():
             if name not in names:
-                raise TypeError(f"unknown ledger key {name!r}")
+                raise ConfigError(f"bad ledger: unknown ledger key {name!r}")
         for f in fields(cls):
             if f.default is MISSING and f.default_factory is MISSING and f.name not in values:
-                raise TypeError(f"missing ledger key {f.name!r}")
+                raise ConfigError(f"bad ledger: missing ledger key {f.name!r}")
         caught_by_name = values.get("threshold_caught", {})
         if not isinstance(caught_by_name, Mapping):
-            raise TypeError(f"threshold_caught must be an object, got {caught_by_name!r}")
+            raise ConfigError(
+                f"bad ledger: threshold_caught must be an object, got {caught_by_name!r}"
+            )
         caught = {}
         for name, pair in caught_by_name.items():
-            stage = StageId(name)
+            if name not in _STAGE_BY_NAME:
+                raise ConfigError(f"bad ledger: unknown stage {name!r} in threshold_caught")
             if not isinstance(pair, (list, tuple)):
-                raise TypeError(f"threshold_caught for {name} must be an array, got {pair!r}")
-            caught[stage] = tuple(pair)
+                raise ConfigError(
+                    f"bad ledger: threshold_caught for {name} must be an array, got {pair!r}"
+                )
+            caught[_STAGE_BY_NAME[name]] = tuple(pair)
         return cls(**{**values, "threshold_caught": caught})
 
     def __post_init__(self):

@@ -85,6 +85,10 @@ STAGE_VIEW: dict[StageId, View] = {
     StageId.CONVEX_SEVERITY: View.RADIAL,
 }
 
+# Each stage and view by its name in a record, a config or a JSON input.
+_STAGE_BY_NAME: dict[str, StageId] = {stage.value: stage for stage in StageId}
+_VIEW_BY_NAME: dict[str, View] = {view.value: view for view in View}
+
 # Levels 1 and 2 of the tree: every run carries a vector for each.
 REQUIRED_STAGES: tuple[StageId, ...] = (StageId.USAGE, StageId.PROFILE, StageId.TEAR)
 

@@ -27,10 +27,12 @@ generator's constants and ``WheelSpec`` from flapwear.
 
 The table part is the prediction-table parser as it was before its
 scanner fast path (``parse_prediction_table``): every line decoded by
-``json.loads``, its stage and view looked up as enum members, and its
-record checked and appended in one body. It imports the table type, the
-vector rule (``first_invalid_row``, ``ProbabilityVector``) and the view
-error from flapwear.
+``json.loads``, its stage and view looked up by name, and its record
+checked and appended in one body. Its record field rule
+(``_record_fields``: each field in turn, missing or malformed) is the
+object-per-record part's too. It imports the table type, the vector
+rule (``first_invalid_row``, ``ProbabilityVector``) and the view error
+from flapwear.
 
 The oracle part is the Monte-Carlo sampler and branch loop that
 gathered each trial's (k,) confusion-row CDF, drew truths with
@@ -138,9 +140,16 @@ def vector_error(stage: StageId, probs) -> Optional[str]:
     return None
 
 
+def _field(rec: dict, key: str, line_no: int):
+    """A record's field; a ParseError naming it if the record has none."""
+    if key not in rec:
+        raise ParseError(f"missing field {key!r}", line_no)
+    return rec[key]
+
+
 def _record_id(rec: dict, key: str, line_no: int) -> str:
     """An id field: a string, or an integer (not a bool) as its str; else a ParseError."""
-    value = rec[key]
+    value = _field(rec, key, line_no)
     if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
         return str(value)
     if value is None:
@@ -160,21 +169,7 @@ def argmax(probs) -> int:
 
 
 def _record_to_sample(rec: dict, line_no: int) -> Sample:
-    try:
-        stage = StageId(rec["stage"])
-        view = View(rec["view"])
-        probs = rec["probs"]
-        if not isinstance(probs, list) or not all(
-            isinstance(p, (int, float)) and not isinstance(p, bool) for p in probs
-        ):
-            raise ParseError("probs must be an array of numbers", line_no)
-        image_id = _record_id(rec, "image_id", line_no)
-        tool_id = _record_id(rec, "tool_id", line_no)
-    except ParseError:
-        raise
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ParseError(str(exc), line_no) from exc
-
+    stage, view, probs, image_id, tool_id = _record_fields(rec, line_no)
     error = vector_error(stage, probs)
     if error is not None:
         raise ValidationError(error, line_no)
@@ -805,26 +800,23 @@ class _StageColumns:
         )
 
 
-def _member(enum, by_name: dict, name):
-    member = by_name.get(name) if isinstance(name, str) else None
-    return member if member is not None else enum(name)  # enum() raises for a bad name
-
-
 def _record_fields(rec: dict, line_no: int):
-    """A record's stage, view, probs, image id and tool id; a ParseError if malformed."""
-    try:
-        stage = _member(StageId, _STAGE_BY_NAME, rec["stage"])
-        view = _member(View, _VIEW_BY_NAME, rec["view"])
-        probs = rec["probs"]
-        if not isinstance(probs, list) or not _NUMBER_TYPES.issuperset(map(type, probs)):
-            raise ParseError("probs must be an array of numbers", line_no)
-        image_id = _record_id(rec, "image_id", line_no)
-        tool_id = _record_id(rec, "tool_id", line_no)
-    except ParseError:
-        raise
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ParseError(str(exc), line_no) from exc
-    return stage, view, probs, image_id, tool_id
+    """A record's stage, view, probs, image id and tool id, checked in that order.
+
+    The first field that is missing or malformed is a ParseError naming it.
+    """
+    stage = _field(rec, "stage", line_no)
+    if not isinstance(stage, str) or stage not in _STAGE_BY_NAME:
+        raise ParseError(f"unknown stage {stage!r}", line_no)
+    view = _field(rec, "view", line_no)
+    if not isinstance(view, str) or view not in _VIEW_BY_NAME:
+        raise ParseError(f"unknown view {view!r}", line_no)
+    probs = _field(rec, "probs", line_no)
+    if not isinstance(probs, list) or not _NUMBER_TYPES.issuperset(map(type, probs)):
+        raise ParseError("probs must be an array of numbers", line_no)
+    image_id = _record_id(rec, "image_id", line_no)
+    tool_id = _record_id(rec, "tool_id", line_no)
+    return _STAGE_BY_NAME[stage], _VIEW_BY_NAME[view], probs, image_id, tool_id
 
 
 def _record_error(rec: dict, line_no: int, fields) -> FlapwearError:

@@ -1050,6 +1050,88 @@ LABELED = "\n".join(
             lambda tmp_path: _simulate(n_flag="11", mode="synth")(tmp_path) + ["--seed", "x"],
             EXIT_CONFIG, "config error: seed must be an integer, got 'x'\n", id="non-numeric-seed-flag",
         ),
+        # A setting's bad value gets the same line from the config file as from its flag.
+        pytest.param(
+            _with_config(_propagate(), "seed = x\n"),
+            EXIT_CONFIG, "config error: seed must be an integer, got 'x'\n", id="non-numeric-seed-key",
+        ),
+        pytest.param(
+            _with_config(lambda tmp_path: _propagate()(tmp_path) + ["--seed", "3"], "seed = x\n"),
+            EXIT_CONFIG, "config error: seed must be an integer, got 'x'\n",
+            id="non-numeric-seed-key-under-a-seed-flag",
+        ),
+        pytest.param(
+            lambda tmp_path: _propagate()(tmp_path) + ["--thresholds", "usage=abc"],
+            EXIT_CONFIG, "config error: threshold for usage is not a number: 'abc'\n",
+            id="non-numeric-threshold-flag",
+        ),
+        pytest.param(
+            _with_config(_propagate(), "threshold.usage = abc\n"),
+            EXIT_CONFIG, "config error: threshold for usage is not a number: 'abc'\n",
+            id="non-numeric-threshold-key",
+        ),
+        pytest.param(
+            lambda tmp_path: _propagate()(tmp_path) + ["--thresholds", "foo=0.5"],
+            EXIT_CONFIG, "config error: threshold stage is not a StageId: 'foo'\n",
+            id="unknown-threshold-stage-flag",
+        ),
+        pytest.param(
+            _with_config(_propagate(), "threshold.foo = 0.5\n"),
+            EXIT_CONFIG, "config error: threshold stage is not a StageId: 'foo'\n",
+            id="unknown-threshold-stage-key",
+        ),
+        pytest.param(
+            _with_config(lambda tmp_path: _propagate()(tmp_path) + ["--no-thresholds"],
+                         "threshold.foo = 0.5\n"),
+            EXIT_CONFIG, "config error: threshold stage is not a StageId: 'foo'\n",
+            id="unknown-threshold-stage-key-under-no-thresholds",
+        ),
+        pytest.param(
+            lambda tmp_path: _propagate()(tmp_path) + ["--thresholds", "usage"],
+            EXIT_CONFIG, "config error: bad threshold spec 'usage', expected stage=value\n",
+            id="threshold-flag-without-a-value",
+        ),
+        pytest.param(
+            lambda tmp_path: _propagate()(tmp_path)
+            + ["--thresholds", "usage=abc", "--thresholds", "usage=0.9"],
+            EXIT_CONFIG, "config error: threshold for usage is not a number: 'abc'\n",
+            id="non-numeric-threshold-flag-under-a-later-one",
+        ),
+        pytest.param(
+            _with_config(_propagate(), "rounding = 2.5\n"),
+            EXIT_CONFIG, "config error: rounding must be an integer, got '2.5'\n",
+            id="fractional-rounding-key",
+        ),
+        pytest.param(
+            _with_config(_propagate(), "ensemble_min_runs = 2.5\n"),
+            EXIT_CONFIG, "config error: ensemble_min_runs is not an integer: '2.5'\n",
+            id="fractional-ensemble-min-runs-key",
+        ),
+        pytest.param(
+            _with_config(_propagate(), "conflict_policy = nope\n"),
+            EXIT_CONFIG, "config error: conflict_policy is not a ConflictPolicy: 'nope'\n",
+            id="unknown-conflict-policy-key",
+        ),
+        pytest.param(
+            _propagate(ledger={"total_runs": 360, "total_errors": 45,
+                               "threshold_caught": {"concave": [1, 0]}}),
+            EXIT_CONFIG, "config error: bad ledger: unknown stage 'concave' in threshold_caught\n",
+            id="unknown-threshold-catch-stage",
+        ),
+        # A record's first missing or malformed field, by name.
+        pytest.param(
+            _classify_file(json.dumps({"stage": "usage", "probs": [0.5, 0.5], "image_id": "i",
+                                       "tool_id": "t"}) + "\n"),
+            EXIT_PARSE, "parse error: line 1: missing field 'view'\n", id="record-without-a-view",
+        ),
+        pytest.param(
+            _classify_file(record("foo", [0.5, 0.5]) + "\n"),
+            EXIT_PARSE, "parse error: line 1: unknown stage 'foo'\n", id="record-of-an-unknown-stage",
+        ),
+        pytest.param(
+            _classify_file(record("usage", [0.5, 0.5], view="side") + "\n"),
+            EXIT_PARSE, "parse error: line 1: unknown view 'side'\n", id="record-of-an-unknown-view",
+        ),
         pytest.param(
             _propagate(ledger={"total_runs": 10, "total_errors": 1, "threshold_caught": {"usage": "ab"}}),
             EXIT_CONFIG,
@@ -1127,6 +1209,22 @@ def test_bad_input_ends_in_exit_code_not_traceback(tmp_path, capsys, build, code
     err = capsys.readouterr().err
     assert err.startswith(prefix)
     assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
+@pytest.mark.parametrize(
+    "text, flags",
+    [
+        ("seed = -1\n", ["--seed", "3"]),
+        ("threshold.usage = 1.5\n", ["--no-thresholds"]),
+        ("threshold.usage = nan\n", ["--thresholds", "usage=0.9"]),
+    ],
+    ids=["negative-seed-key", "out-of-range-threshold-key", "nan-threshold-key"],
+)
+def test_a_flag_overrides_a_file_value_out_of_range(tmp_path, capsys, text, flags):
+    """A file value that converts is checked only as the flags leave it."""
+    argv = _with_config(_propagate(), text)(tmp_path) + flags + ["--out", str(tmp_path / "r")]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_non_string_ids_are_converted_with_str(tmp_path):

@@ -1,4 +1,4 @@
-"""The CLI decides no library error's kind a second time.
+"""Each error's kind is decided once, by the class the raising module names.
 
 An error's exit code comes from its class (see errors.py). A handler in
 ``cli.py`` that catches a flapwear error class and raises an error of
@@ -6,15 +6,33 @@ another class in its body would restate that error's kind away from the
 module that raises it. Read from the module's AST: a bare ``raise``, a
 raise of the caught error itself or of a class the handler names, and a
 handler that raises nothing, all pass.
+
+Every module of the package raises bad input, data or configuration as
+a FlapwearError: a raise that names a class outside the hierarchy is
+listed, with its reason, in FOREIGN_RAISES. A bare ``raise``, a held
+exception and a call of a method that returns an error all pass.
 """
 
 import ast
+import builtins
+import importlib
+import os
 from pathlib import Path
 
 import flapwear.cli  # imports every module that defines an error class
+import flapwear.errors
 from flapwear.errors import FlapwearError
 
 CLI = Path(flapwear.cli.__file__)
+PACKAGE = CLI.parent
+
+# (module, function, class) of each raise of a class outside the hierarchy, with its reason.
+FOREIGN_RAISES = {
+    ("synth", "_PCG64Stream.integers", "ValueError"):
+        "mirrors numpy's own guard on the range; no input reaches it",
+    ("cli", "_write_reports", "IsADirectoryError"):
+        "an OSError, which _report_errors converts to a ConfigError naming the report",
+}
 
 
 def _error_names() -> set[str]:
@@ -85,3 +103,62 @@ def test_a_rewrap_is_found_and_a_reraise_passes():
         "except ValueError as exc:\n    raise ConfigError(str(exc)) from exc\n"
     )
     assert _rewraps(passing) == []
+
+
+def _resolve(node: ast.expr, namespace: dict):
+    """The object a dotted name reads in namespace, then in builtins; None for any other."""
+    if isinstance(node, ast.Attribute):
+        return getattr(_resolve(node.value, namespace), node.attr, None)
+    if isinstance(node, ast.Name):
+        return namespace.get(node.id, getattr(builtins, node.id, None))
+    return None
+
+
+def _foreign_raises(source: str, namespace: dict) -> set[tuple[str, str]]:
+    """(function, class) of each raise that names a class that is no FlapwearError.
+
+    Names are read in namespace, the module's globals; a raise of a name
+    that is not a class there passes.
+    """
+    found = set()
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            cls = _resolve(exc, namespace)
+            if isinstance(cls, type) and not issubclass(cls, FlapwearError):
+                found.add((".".join(scope), cls.__name__))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope += (node.name,)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_every_module_raises_flapwear_errors():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(
+            "flapwear" if path.stem == "__init__" else f"flapwear.{path.stem}"
+        )
+        source = path.read_text(encoding="utf-8")
+        found |= {(path.stem, *raise_) for raise_ in _foreign_raises(source, vars(module))}
+    assert found == set(FOREIGN_RAISES)
+
+
+def test_a_foreign_raise_is_found_and_held_errors_pass():
+    source = (
+        "def check(x):\n"
+        "    if x:\n        raise TypeError(x)\n"
+        "    raise errors.ConfigError(x)\n"
+        "class Box:\n"
+        "    def open(self, held):\n        raise held\n"
+        "    def shut(self, decisions):\n        raise decisions.rejection()\n"
+        "    def seal(self):\n        raise errors.EmptyInput\n"
+        "    def drop(self):\n        raise os.error(2, 'gone')\n"
+        "try:\n    pass\nexcept OSError:\n    raise\n"
+    )
+    found = _foreign_raises(source, {"errors": flapwear.errors, "os": os})
+    assert found == {("check", "TypeError"), ("Box.drop", "OSError")}
