@@ -48,6 +48,8 @@ class CliConfig:
     rounding: int = 3
 
     def __post_init__(self):
+        if self.report_dir == "":  # empty text, which _directory leaves unconverted
+            raise ConfigError("report_dir must not be empty")
         if not errors.is_integer(self.rounding):
             raise ConfigError(f"rounding must be an integer, got {self.rounding!r}")
         if not 1 <= self.rounding <= metrics.MAX_DECIMALS:
@@ -71,12 +73,17 @@ def _read_config_file(path: Path, values: dict) -> None:
         _set(values, key, value)
 
 
+def _directory(text: str) -> Path | str:
+    """text as a Path; empty text, which Path reads as the working directory, stays unconverted."""
+    return Path(text) if text else text
+
+
 # The config file's keys besides threshold.<stage>, each an EngineConfig or CliConfig
 # field and its text's converter; a field no key or flag sets keeps its default.
 _CONFIG_KEYS = {
     "conflict_policy": engine.ConflictPolicy,
     "ensemble_min_runs": int,
-    "report_dir": Path,
+    "report_dir": _directory,
     "seed": int,
     "rounding": int,
 }

@@ -25,7 +25,15 @@ from .engine import EngineConfig, RunDecisions, RunResult, decide_runs
 from .errors import ConfigError, check_seed, is_finite, is_integer, is_number
 from .predictions import VectorError, first_invalid_row
 from .propagation import ACCURACY_NAMES, StageAccuracies, path_accuracy
-from .synth import Wheels, WheelSpec, _PCG64Stream, check_noise_sigma, score_block, wheel_columns
+from .synth import (
+    Wheels,
+    WheelSpec,
+    _NumpyWords,
+    _PCG64Stream,
+    check_noise_sigma,
+    score_block,
+    wheel_columns,
+)
 from .taxonomy import (
     BRANCH_STAGES,
     CONSISTENT_OUTCOMES,
@@ -64,10 +72,11 @@ def _draw_wheel(
     draw, that is what choice(n, k, replace=False) takes for a
     population of at most 10,000 (n is at most 32) and what
     uniform(0.08, 0.4) takes, so the torn list and the depth are theirs
-    and so is the state rng is left in. rng is a Generator or the
-    batch's stream, a synth._PCG64Stream, which draws what a Generator
-    in its state would. These ranges are ones where the rule-based
-    classifiers resolve the wear state at zero noise.
+    and so is the state rng is left in. rng is a Generator or a
+    synth._PCG64Stream, which draws what a Generator in its state would:
+    the batch's stream is a synth._NumpyWords. These ranges are ones
+    where the rule-based classifiers resolve the wear state at zero
+    noise.
     """
     n_flaps = int(rng.integers(12, 33))
     torn: list[int] = []
@@ -148,10 +157,12 @@ def run_synthetic_batch(
 
     noise_sigma is checked once, by check_noise_sigma. Wheels are drawn
     SYNTH_BLOCK at a time, one wheel after another from the batch's
-    stream, a synth._PCG64Stream in default_rng(seed)'s state, each draw
-    an integers or random call: _draw_wheel (the flap count, for a torn
-    wheel the number torn and Floyd's sample of which, then the depth),
-    then the wheel's seed, integers(0, 2**31). Draw for draw these are
+    stream, each draw an integers or random call: _draw_wheel (the flap
+    count, for a torn wheel the number torn and Floyd's sample of which,
+    then the depth), then the wheel's seed, integers(0, 2**31). The
+    stream is a synth._NumpyWords on default_rng(seed)'s bit generator:
+    numpy makes its words, and it draws what that Generator would, call
+    for call. Draw for draw these are
     the choice(..., replace=False) and uniform calls _draw_wheel states
     they replace. Each block goes into columns (outcome, flap count,
     torn flags, depth, seed) and is observed from each wheel's own
@@ -162,7 +173,7 @@ def run_synthetic_batch(
     """
     n, seed = check_simulation_size(n), check_seed(seed)
     check_noise_sigma(noise_sigma)
-    rng = _PCG64Stream(**np.random.default_rng(seed).bit_generator.state["state"])
+    rng = _NumpyWords(np.random.default_rng(seed).bit_generator)
     vectors = _stage_arrays(n)
     outcome = np.resize(np.arange(len(CONSISTENT_OUTCOMES)), n)  # wheel k: outcome k mod 11
     expected = np.array([o.id for o in CONSISTENT_OUTCOMES])[outcome]

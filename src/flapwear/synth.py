@@ -58,6 +58,8 @@ _PROFILE_SCORE_GAIN = 30.0
 # PCG64's multiplier, which it seeds and steps with; SeedSequence hashes in 32-bit words.
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+# 64-bit words a _NumpyWords stream takes from numpy at a time.
+_WORD_BLOCK = 256
 
 # Sample positions across the flap width, shared by every contour.
 _W = np.linspace(0.0, 1.0, PROFILE_SAMPLES)
@@ -175,7 +177,9 @@ def wheel_columns(specs: Sequence[WheelSpec], seeds: Sequence[int]) -> Wheels:
 class _PCG64Stream:
     """numpy's PCG64 in Python ints: a Generator's values and state, draw for draw.
 
-    Its fields are those of PCG64's state dict; it starts from a state and
+    It steps each wheel's own stream (_wheel_streams): for the few draws
+    a wheel makes, Python ints cost less than a Generator. Its fields
+    are those of PCG64's state dict; it starts from a state and
     increment with no half-word buffered. A 64-bit draw steps state =
     state * _PCG64_MULT + inc mod 2**128 and returns XSL-RR of the new
     state: its 64-bit halves xored, rotated right by its top 6 bits.
@@ -185,6 +189,7 @@ class _PCG64Stream:
     or else the lower half of a 64-bit draw whose upper half it buffers,
     is redrawn while m mod 2**32 < (2**32 - n) mod n and gives low +
     (m >> 32). numpy draws any other n by its 64-bit path: a ValueError.
+    _NumpyWords keeps these rules and takes its 64-bit draws from numpy.
     """
 
     __slots__ = ("state", "inc", "has_uint32", "uinteger")
@@ -229,6 +234,30 @@ class _PCG64Stream:
             if m & _MASK32 >= (2**32 - n) % n:
                 return low + (m >> 32)
         return low
+
+
+class _NumpyWords(_PCG64Stream):
+    """_PCG64Stream's random and integers on the 64-bit words of a numpy bit generator.
+
+    The words are bit_generator.random_raw's, taken _WORD_BLOCK at a time
+    and drawn in order, so the stream draws what a Generator on that bit
+    generator would, call for call; the half-word buffer is the stream's
+    own. The bit generator runs up to a block ahead of the draws, so
+    nothing else may draw from it, and the stream has no PCG64 state of
+    its own to hand off. One batch of wheels draws thousands of words,
+    which numpy steps faster than Python ints do.
+    """
+
+    __slots__ = ("_bits", "_words")
+
+    def __init__(self, bit_generator: np.random.BitGenerator):
+        self.has_uint32, self.uinteger = 0, 0
+        self._bits, self._words = bit_generator, []
+
+    def _next64(self) -> int:
+        if not self._words:
+            self._words = self._bits.random_raw(_WORD_BLOCK).tolist()[::-1]
+        return self._words.pop()
 
 
 def _wheel_streams(seeds: Sequence[int]) -> Iterator[_PCG64Stream]:
@@ -401,18 +430,19 @@ def severity_rows(radial: np.ndarray, branch: FlapProfile) -> np.ndarray:
 def tear_rows(gaps: np.ndarray, n_flaps: np.ndarray) -> np.ndarray:
     """Tear rows scored from each wheel's max-to-median gap ratio.
 
-    Row j's gaps are gaps[j, :n_flaps[j]]; the wheels of one flap count
-    are sorted together, and an even count's median is the mean of its
-    middle two, (a + b) / 2, as np.median takes it.
+    Row j's gaps are gaps[j, :n_flaps[j]], each finite (observe_block's).
+    Every gap past a row's count is set to +inf, so one sort of the block
+    puts each row's own gaps first, in order; its median and maximum are
+    taken from them by index, and an even count's median is the mean of
+    its middle two, (a + b) / 2, as np.median takes it.
     """
-    ratio = np.empty(len(gaps))
-    for count in np.flatnonzero(np.bincount(n_flaps)).tolist():
-        rows = n_flaps == count
-        wheel_gaps = np.sort(gaps[rows, :count], axis=1)
-        median = wheel_gaps[:, count // 2]
-        if count % 2 == 0:
-            median = (wheel_gaps[:, count // 2 - 1] + median) / 2
-        ratio[rows] = wheel_gaps[:, -1] / median
+    past = np.arange(gaps.shape[1]) >= n_flaps[:, None]
+    wheel_gaps = np.sort(np.where(past, np.inf, gaps), axis=1)
+    rows = np.arange(len(gaps))
+    upper = wheel_gaps[rows, n_flaps // 2]
+    lower = wheel_gaps[rows, (n_flaps - 1) // 2]  # upper itself for an odd count
+    median = np.where(n_flaps % 2 == 0, (lower + upper) / 2, upper)
+    ratio = wheel_gaps[rows, n_flaps - 1] / median
     return _logistic_rows(-_TEAR_LOGISTIC_SLOPE * (ratio - _TEAR_LOGISTIC_CENTER))
 
 

@@ -415,6 +415,23 @@ class TestSimulate:
         digest = hashlib.sha256((out / "simulation.json").read_bytes()).hexdigest()
         assert digest == self.SYNTH_REPORT_SHA256[noise_sigma, n]
 
+    # sha256 of simulation.json at n = 300 and a seed past 128 bits, which
+    # SeedSequence hashes as more than four 32-bit words, as written while
+    # the batch stream still stepped PCG64 in Python ints.
+    BIG_SEED_REPORT_SHA256 = {
+        0.0: "48f06a55601b59d5568f245d85aa04fc155d016cd1b17d242d449a24e076f9f4",
+        0.05: "b2740509039579908657d789638aa1a56c5a69bf3644f9a6c39e50e3dda23915",
+    }
+
+    @pytest.mark.parametrize("noise_sigma", list(BIG_SEED_REPORT_SHA256))
+    def test_synth_report_bytes_are_pinned_at_a_seed_past_128_bits(self, tmp_path, noise_sigma):
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"mode": "synth", "noise_sigma": noise_sigma}))
+        out = tmp_path / "reports"
+        argv = ["simulate", str(config), "--n", "300", "--seed", str(2**130), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        digest = hashlib.sha256((out / "simulation.json").read_bytes()).hexdigest()
+        assert digest == self.BIG_SEED_REPORT_SHA256[noise_sigma]
 
     def test_oracle_helper_out_of_memory_is_a_config_error(self, tmp_path, capsys, monkeypatch):
         def no_room(*args):
@@ -1197,10 +1214,26 @@ LABELED = "\n".join(
             EXIT_CONFIG, "config error: unknown stage 'foo' in matrices\n",
             id="unknown-matrix-stage-named-as-written",
         ),
+        # Path("") is the working directory, where the report would land.
+        pytest.param(
+            _with_config(_propagate(), "report_dir =\n"),
+            EXIT_CONFIG, "config error: report_dir must not be empty\n", id="empty-report-dir-key",
+        ),
+        pytest.param(
+            lambda tmp_path: _propagate()(tmp_path) + ["--out", ""],
+            EXIT_CONFIG, "config error: report_dir must not be empty\n", id="empty-out-flag",
+        ),
     ],
 )
-def test_bad_input_ends_in_exit_code_not_traceback(tmp_path, capsys, build, code, prefix):
-    argv = build(tmp_path) + ["--out", str(tmp_path / "reports")]
+def test_bad_input_ends_in_exit_code_not_traceback(
+    tmp_path, capsys, monkeypatch, build, code, prefix
+):
+    # Run from an empty directory; a build's own --out comes after this one and wins.
+    command, *rest = build(tmp_path)
+    argv = [command, "--out", str(tmp_path / "reports"), *rest]
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
     try:
         exit_code = main(argv)
     except Exception as exc:
@@ -1209,6 +1242,7 @@ def test_bad_input_ends_in_exit_code_not_traceback(tmp_path, capsys, build, code
     err = capsys.readouterr().err
     assert err.startswith(prefix)
     assert err.count("\n") == 1 and err.endswith("\n"), err
+    assert list(cwd.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -252,6 +252,44 @@ class TestTearClassifier:
         assert with_tear > DEFAULT_THRESHOLDS[StageId.TEAR]  # 0.818 against the 0.79 gate
 
 
+def per_count_tear_rows(gaps, n_flaps):
+    """tear_rows as one sort per distinct flap count: the rule the one-sort form replaced."""
+    ratio = np.empty(len(gaps))
+    for count in np.flatnonzero(np.bincount(n_flaps)).tolist():
+        rows = n_flaps == count
+        wheel_gaps = np.sort(gaps[rows, :count], axis=1)
+        median = wheel_gaps[:, count // 2]
+        if count % 2 == 0:
+            median = (wheel_gaps[:, count // 2 - 1] + median) / 2
+        ratio[rows] = wheel_gaps[:, -1] / median
+    return synth._logistic_rows(
+        -synth._TEAR_LOGISTIC_SLOPE * (ratio - synth._TEAR_LOGISTIC_CENTER)
+    )
+
+
+@st.composite
+def gap_blocks(draw):
+    """A block of wheels' gaps: odd and even flap counts, torn and untorn, junk past each count."""
+    counts = draw(st.lists(st.integers(8, 40), min_size=1, max_size=10))
+    width = max(counts) + draw(st.integers(0, 3))
+    junk = st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308, 0.0, 0.05])
+    gaps = np.empty((len(counts), width))
+    for j, count in enumerate(counts):
+        factors = draw(st.lists(st.floats(0.9, 1.1), min_size=count, max_size=count))
+        for i in draw(st.sets(st.integers(0, count - 1), max_size=3)):  # torn flaps
+            factors[i] = draw(st.floats(1.5, 3.0))
+        gaps[j, :count] = synth._GAP_ARC / count * np.array(factors)
+        gaps[j, count:] = draw(st.lists(junk, min_size=width - count, max_size=width - count))
+    return gaps, np.array(counts)
+
+
+@given(block=gap_blocks())
+@example(block=(np.array([[1.0] * 8 + [np.nan], [1.0] * 8 + [2.0]]), np.array([8, 9])))
+def test_tear_rows_match_one_sort_per_flap_count(block):
+    gaps, n_flaps = block
+    assert np.array_equal(tear_rows(gaps, n_flaps), per_count_tear_rows(gaps, n_flaps))
+
+
 class TestUsageClassifier:
     def _usage(self, wheel):
         samples, _ = observe(wheel, 3)
@@ -346,6 +384,9 @@ def test_wheel_streams_start_as_default_rng(seeds):
 # Lemire rule redraws a quarter of the time.
 STREAM_RANGES = [(12, 33), (1, 4), *((0, j + 1) for j in range(32)), (0, 2**31)]
 STREAM_RANGES += [(7, 8), (0, 2**32), (-5, 2**32 - 5), (0, 3 * 2**30)]
+# One of each of those, and random calls of every size synth makes.
+STREAM_CALLS = [("integers", *r) for r in STREAM_RANGES] + [("random",)] * 8 + [("random", 1)]
+STREAM_CALLS += [("random", 3), ("random", 24)]
 
 
 @pytest.mark.parametrize(
@@ -354,14 +395,31 @@ STREAM_RANGES += [(7, 8), (0, 2**32), (-5, 2**32 - 5), (0, 3 * 2**30)]
 def test_pcg64_stream_is_generator_draw_for_draw(seed):
     rng = np.random.default_rng(seed)
     stream = synth._PCG64Stream(**rng.bit_generator.state["state"])
-    calls = [("integers", *r) for r in STREAM_RANGES] + [("random",)] * 8 + [("random", 1)]
-    calls += [("random", 3), ("random", 24)]
+    calls = list(STREAM_CALLS)
     random.Random(seed).shuffle(calls)
     for name, *args in calls:
         got, want = getattr(stream, name)(*args), getattr(rng, name)(*args)
         assert got == (want.tolist() if isinstance(want, np.ndarray) else want), (name, args)
         # The whole state: PCG64's words and the buffered 32-bit half-word.
         assert stream.handoff().bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("block", [1, 3, synth._WORD_BLOCK])
+@pytest.mark.parametrize("seed", [0, 1, 2**64, 2**128 - 1, 2**200])
+def test_numpy_words_stream_is_generator_draw_for_draw(monkeypatch, seed, block):
+    # Eight rounds of the call mix take about 440 words: many blocks of 1
+    # or 3, and past the first block at the module's own size.
+    monkeypatch.setattr(synth, "_WORD_BLOCK", block)
+    rng = np.random.default_rng(seed)
+    stream = synth._NumpyWords(np.random.default_rng(seed).bit_generator)
+    calls = STREAM_CALLS * 8
+    random.Random(seed).shuffle(calls)
+    for name, *args in calls:
+        got, want = getattr(stream, name)(*args), getattr(rng, name)(*args)
+        assert got == (want.tolist() if isinstance(want, np.ndarray) else want), (name, args)
+        # The buffered 32-bit half-word; the words come from numpy, ahead of the draws.
+        state = rng.bit_generator.state
+        assert (stream.has_uint32, stream.uinteger) == (state["has_uint32"], state["uinteger"])
 
 
 @pytest.mark.parametrize("low, high", [(3, 3), (4, 3), (0, 2**32 + 1), (-1, 2**32)])
