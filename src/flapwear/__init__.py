@@ -18,6 +18,7 @@ from .engine import (
 )
 from .predictions import (
     ProbabilityVector,
+    assemble_runs,
     parse_prediction_table,
     split_by_tool,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "UsageState",
     "View",
     "WearOutcome",
+    "assemble_runs",
     "check_consistency",
     "classify_run",
     "decide_runs",

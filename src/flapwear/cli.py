@@ -32,7 +32,7 @@ import numpy as np
 
 from . import engine, errors, metrics, predictions, propagation, simulate
 from .errors import ConfigError, FlapwearError, ParseError, ValidationError, is_number
-from .taxonomy import _STAGE_BY_NAME, REQUIRED_STAGES, StageId
+from .taxonomy import _STAGE_BY_NAME, StageId
 
 EXIT_OK = 0
 EXIT_PARSE = ParseError.exit_code
@@ -203,61 +203,8 @@ def _json_report(payload) -> Callable[[TextIO], object]:
     return lambda fh: fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-@dataclass(frozen=True)
-class RunBatch:
-    """Runs assembled from a prediction table; row r of every array is run r.
-
-    Runs are ordered by tool id, then by run index within the tool.
-    """
-
-    tool_ids: list[str]  # every tool, sorted
-    run_counts: np.ndarray  # runs per tool
-    vectors: dict[StageId, np.ndarray]  # (runs, k) per stage; zeros where absent
-
-
-def _group_runs(tables: predictions.PredictionTable) -> RunBatch:
-    """Assemble runs per tool from the per-stage tables.
-
-    The i-th vector of each stage within a tool belongs to run i; the
-    usage/profile/tear stages must therefore appear equally often. A
-    severity vector past the tool's run count is not used.
-    """
-    tool_ids = sorted(set().union(*(table.tool_ids for table in tables.values())))
-    position = {tool_id: i for i, tool_id in enumerate(tool_ids)}
-    codes = {
-        stage: np.fromiter(map(position.__getitem__, table.tool_ids), np.intp, len(table.tool_ids))
-        for stage, table in tables.items()
-    }
-    counts = {stage: np.bincount(code, minlength=len(tool_ids)) for stage, code in codes.items()}
-
-    required = [counts[stage] for stage in REQUIRED_STAGES]
-    bad = np.zeros(len(tool_ids), dtype=bool)
-    for c in required:
-        bad |= (c != required[0]) | (c == 0)
-    if bad.any():
-        t = int(np.argmax(bad))
-        raise ValidationError(
-            f"tool {tool_ids[t]}: {'/'.join(s.value for s in REQUIRED_STAGES)} vector counts "
-            f"differ: { {s.value: int(counts[s][t]) for s in REQUIRED_STAGES} }"
-        )
-
-    run_counts = required[0]
-    first_run = np.cumsum(run_counts) - run_counts
-    vectors = {}
-    for stage, table in tables.items():
-        order = np.argsort(codes[stage], kind="stable")
-        code = codes[stage][order]
-        first_of_tool = np.cumsum(counts[stage]) - counts[stage]
-        occurrence = np.arange(len(order)) - first_of_tool[code]
-        used = occurrence < run_counts[code]
-        runs = first_run[code[used]] + occurrence[used]
-        vectors[stage] = np.zeros((int(run_counts.sum()), table.probs.shape[1]))
-        vectors[stage][runs] = table.probs[order[used]]
-    return RunBatch(tool_ids, run_counts, vectors)
-
-
 def cmd_classify(args: argparse.Namespace, config: CliConfig) -> int:
-    batch = _group_runs(predictions.parse_prediction_table(args.prediction_file))
+    batch = predictions.assemble_runs(predictions.parse_prediction_table(args.prediction_file))
 
     decisions = engine.decide_runs(batch.vectors, config.engine)
     # Every error is raised, in tool order, before a file is written.

@@ -21,7 +21,9 @@ masks, and ties broken by grouped reductions. Its means equal
 ``math.fsum(v) / len(v)`` bit for bit, from float sums that are exact
 (see ``_group_means``). ``_ensemble_record`` is the one ensemble-record
 format: ``EnsembleResult.to_record`` returns it, and ``Ensembles.lines``
-dumps it for each tool of a batch as a line of ensembles.jsonl.
+stamps a batch's ensembles.jsonl from it, one template per winning vote
+and set of decided stages. Both line writers stamp with ``_stamp``: a
+record with slot strings is dumped once, and each line fills its slots.
 """
 
 from __future__ import annotations
@@ -270,20 +272,29 @@ def _flag_labels(mask: int) -> tuple[str, ...]:
     return tuple(label for bit, label in enumerate(FLAG_LABELS) if mask >> bit & 1)
 
 
+# json.dumps(record, sort_keys=True), and a slot string as json writes it.
+_dump_sorted = json.JSONEncoder(sort_keys=True).encode
+_SLOT = re.compile(r'"\\u0000(\d+)"')
+
+
 def _stamp(record: dict) -> tuple[str, itemgetter]:
-    """A report line as a %-template, and the getter of its values from a row.
+    """A record's JSON text as a %-template, and the getter of its values from a row.
 
     Each string "\\x00<i>" in record is a slot for item i of the row: the
-    record is dumped once, and text % getter(row) is the line of that row.
-    %s writes a float as float.__repr__, as json does.
+    record is dumped once, with sorted keys, and text % getter(row) is the
+    text of the record with the row's values in its slots. %s writes a
+    float as float.__repr__, as json does for a finite float, and a str
+    as it is, so a slot takes JSON text. A record has at least one slot;
+    the getter of a single slot returns its bare value, which % takes as
+    the one value unless it is a tuple.
     """
-    text = json.dumps(record, sort_keys=True).replace("%", "%%")
-    parts = re.split(r'"\\u0000(\d+)"', text)  # text, slot, text, ..., slot, text
-    return "%s".join(parts[::2]) + "\n", itemgetter(*map(int, parts[1::2]))
+    parts = _SLOT.split(_dump_sorted(record).replace("%", "%%"))  # text, slot, ..., slot, text
+    return "%s".join(parts[::2]), itemgetter(*map(int, parts[1::2]))
 
 
-# run_lines converts confidences to Python floats this many runs at a time,
-# so only one block's floats, not the batch's, are alive at once.
+# run_lines converts its per-run columns (line, tool code, run index and
+# confidences) to Python values this many runs at a time, so only one
+# block's values, not the batch's, are alive at once.
 RUN_LINE_BLOCK = 1024
 
 
@@ -362,17 +373,48 @@ class Ensembles:
         )
 
     def lines(self) -> Iterator[str]:
-        """Each tool's ensembles.jsonl line, in order: its record, dumped with sorted keys."""
-        encode = json.JSONEncoder(sort_keys=True).encode
-        used = (self.runs - self.counts[:, _INCOMPLETE]).tolist()
-        columns = (self.winner.tolist(), self.counts.tolist(), self.means.tolist(), used)
-        for tool_id, winner, counts, means, n in zip(self.tool_ids, *columns):
-            vote = winner - 1
-            decided = {name: m for name, m in zip(_STAGE_NAMES, means) if not math.isnan(m)}
+        """Each tool's ensembles.jsonl line, in order: its record, dumped with sorted keys.
+
+        A line is fixed by the tool's winning vote and decided stages (its
+        means that are not nan) but for the tool id, vote counts, runs used
+        and means, so each distinct line is stamped from _ensemble_record
+        once, with slots for [tool id as JSON, vote_counts text, runs used,
+        each stage's mean]. The vote_counts text is stamped likewise once per
+        set of vote slots cast, with a slot for each slot's count. Both keys
+        are bit masks: the winner above a bit per stage, and a bit per slot.
+        Every tool must have a vote cast: none may have failed.
+        """
+        decided = ~np.isnan(self.means)
+        line_key = self.winner << len(_STAGES) | decided @ (1 << np.arange(len(_STAGES)))
+        cast = self.counts > 0
+        cast[:, _INCOMPLETE] = False
+        vote_key = cast @ (1 << np.arange(_VOTE_SLOTS))
+        # With return_inverse np.unique sorts; without it, numpy 2's hashing
+        # path costs about 9 ms on its first call in a process.
+        line_keys, line_of = np.unique(line_key, return_inverse=True)
+        vote_keys, vote_of = np.unique(vote_key, return_inverse=True)
+        lines = []
+        for key in line_keys.tolist():
+            vote = (key >> len(_STAGES)) - 1
+            means = {name: f"\x00{3 + s}" for s, name in enumerate(_STAGE_NAMES) if key >> s & 1}
             record = _ensemble_record(
-                tool_id, vote < 0, vote if vote > 0 else None, _votes_cast(counts), decided, n
+                "\x000", vote < 0, vote if vote > 0 else None, "\x001", means, "\x002"
             )
-            yield encode(record) + "\n"
+            text, values = _stamp(record)
+            lines.append((text + "\n", values))
+        votes = [
+            _stamp({_VOTE_KEY[v]: f"\x00{v}" for v in _CAST_SLOTS if key >> v & 1})
+            for key in vote_keys.tolist()
+        ]
+        used = self.runs - self.counts[:, _INCOMPLETE]
+        columns = (line_of, vote_of, self.counts, used, self.means)
+        for tool_id, line, vote, counts, n, means in zip(
+            self.tool_ids, *(column.tolist() for column in columns)
+        ):
+            text, values = lines[line]
+            vote_text, vote_values = votes[vote]
+            tool = encode_basestring_ascii(tool_id)
+            yield text % values([tool, vote_text % vote_values(counts), n, *means])
 
 
 def _votes_cast(counts: list[int]) -> dict[str, int]:
@@ -469,8 +511,9 @@ class RunDecisions:
         stamped from to_record once, with slots for [tool id as JSON, run
         index, each stage's confidence]. A line's key is the flag mask,
         then each stage's class index + 1 as a base-4 digit. Each run's
-        line key and confidences become Python values RUN_LINE_BLOCK runs
-        at a time, as the lines are consumed.
+        line, tool code, run index and confidences are columns, which become
+        Python values RUN_LINE_BLOCK runs at a time as the lines are consumed;
+        each tool id is encoded as JSON once.
         """
         stages = list(self.index)
         key = self.flags
@@ -480,18 +523,19 @@ class RunDecisions:
         lines = []
         for run in self.rows(first.tolist()):
             slots = [(s, i, f"\x00{2 + stages.index(s)}") for s, i, _ in run.decisions]
-            lines.append(_stamp(run._replace(decisions=slots).to_record("\x000", "\x001")))
-        confidence = np.column_stack([self.confidence[stage] for stage in stages])
-        block = RUN_LINE_BLOCK
-        rows = itertools.chain.from_iterable(
-            zip(line_of[b : b + block].tolist(), confidence[b : b + block].tolist())
-            for b in range(0, len(line_of), block)
-        )
-        for tool_id, n in zip(tool_ids, run_counts.tolist()):
-            tool = encode_basestring_ascii(tool_id)
-            for i, (line, conf) in zip(range(n), rows):
+            text, values = _stamp(run._replace(decisions=slots).to_record("\x000", "\x001"))
+            lines.append((text + "\n", values))
+        tools = np.array([encode_basestring_ascii(tool_id) for tool_id in tool_ids], dtype=object)
+        tool = np.repeat(np.arange(len(run_counts)), run_counts)
+        run_index = np.arange(len(tool)) - np.repeat(run_counts.cumsum() - run_counts, run_counts)
+        # A run's slot values, in slot order; a block's become one row of Python objects per run.
+        columns = [tools[tool], run_index, *(self.confidence[stage] for stage in stages)]
+        for b in range(0, len(tool), RUN_LINE_BLOCK):
+            block = slice(b, b + RUN_LINE_BLOCK)
+            rows = np.column_stack([column[block] for column in columns]).tolist()
+            for line, row in zip(line_of[block].tolist(), rows):
                 text, values = lines[line]
-                yield text % values([tool, i, *conf])
+                yield text % values(row)
 
     def ensembles(
         self, tool_ids: Sequence[str], run_counts: np.ndarray, config: EngineConfig

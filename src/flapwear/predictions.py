@@ -8,8 +8,10 @@ their tool ids and image ids (None with ``ids=False``), line numbers
 and truth indices. ``first_invalid_row`` is the one definition of a
 valid vector, stated on such arrays: the parser checks each stage's
 rows with it and names the first failing line, and a ProbabilityVector
-is a one-row call into it. The module also splits datasets by tool so
-that no tool leaks across train/val/test.
+is a one-row call into it. ``assemble_runs`` pairs a table's vectors
+into runs, by position within each tool, as ``engine.decide_runs``
+takes them. The module also splits datasets by tool so that no tool
+leaks across train/val/test.
 
 A line's record is accepted in one place, the loop of
 ``parse_prediction_table``: one call of json's C scanner, then every
@@ -38,7 +40,14 @@ from typing import Iterable, NoReturn, Optional
 import numpy as np
 
 from .errors import EmptyInput, FlapwearError, ParseError, ValidationError, check_seed, is_number
-from .taxonomy import _STAGE_BY_NAME, _VIEW_BY_NAME, STAGE_CLASSES, STAGE_VIEW, StageId
+from .taxonomy import (
+    _STAGE_BY_NAME,
+    _VIEW_BY_NAME,
+    REQUIRED_STAGES,
+    STAGE_CLASSES,
+    STAGE_VIEW,
+    StageId,
+)
 
 SUM_TOLERANCE = 1e-6
 
@@ -333,6 +342,64 @@ def parse_prediction_table(path: str | Path, *, ids: bool = True) -> PredictionT
     if error := _first_invalid_line(columns.values()) or error:  # an earlier bad vector first
         raise error
     return {stage: cols.table() for stage, cols in columns.items()}
+
+
+@dataclass(frozen=True)
+class RunBatch:
+    """Runs assembled from a prediction table; row r of every array is run r.
+
+    Runs are ordered by tool id, then by run index within the tool.
+    """
+
+    tool_ids: list[str]  # every tool, sorted
+    run_counts: np.ndarray  # runs per tool
+    vectors: dict[StageId, np.ndarray]  # (runs, k) per stage; zeros where absent
+
+
+def assemble_runs(tables: PredictionTable) -> RunBatch:
+    """Assemble the runs of every tool from the per-stage tables, by position.
+
+    The rule is positional: within a tool, the i-th vector of each stage,
+    in file order, belongs to run i; image ids are not read. The
+    usage/profile/tear stages must therefore appear equally often, and at
+    least once, for every tool, else a ValidationError names the first
+    such tool and its counts. A severity vector past the tool's run count
+    is not used; a run with no vector of a severity stage has a row of
+    zeros there, as decide_runs reads it. The tables need their tool ids
+    (parsed with ids=True).
+    """
+    tool_ids = sorted(set().union(*(table.tool_ids for table in tables.values())))
+    position = {tool_id: i for i, tool_id in enumerate(tool_ids)}
+    codes = {
+        stage: np.fromiter(map(position.__getitem__, table.tool_ids), np.intp, len(table.tool_ids))
+        for stage, table in tables.items()
+    }
+    counts = {stage: np.bincount(code, minlength=len(tool_ids)) for stage, code in codes.items()}
+
+    required = [counts[stage] for stage in REQUIRED_STAGES]
+    bad = np.zeros(len(tool_ids), dtype=bool)
+    for c in required:
+        bad |= (c != required[0]) | (c == 0)
+    if bad.any():
+        t = int(np.argmax(bad))
+        raise ValidationError(
+            f"tool {tool_ids[t]}: {'/'.join(s.value for s in REQUIRED_STAGES)} vector counts "
+            f"differ: { {s.value: int(counts[s][t]) for s in REQUIRED_STAGES} }"
+        )
+
+    run_counts = required[0]
+    first_run = np.cumsum(run_counts) - run_counts
+    vectors = {}
+    for stage, table in tables.items():
+        order = np.argsort(codes[stage], kind="stable")
+        code = codes[stage][order]
+        first_of_tool = np.cumsum(counts[stage]) - counts[stage]
+        occurrence = np.arange(len(order)) - first_of_tool[code]
+        used = occurrence < run_counts[code]
+        runs = first_run[code[used]] + occurrence[used]
+        vectors[stage] = np.zeros((int(run_counts.sum()), table.probs.shape[1]))
+        vectors[stage][runs] = table.probs[order[used]]
+    return RunBatch(tool_ids, run_counts, vectors)
 
 
 def split_by_tool(

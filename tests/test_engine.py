@@ -15,6 +15,7 @@ from flapwear.engine import (
     RunInput,
     RunResult,
     TooFewRuns,
+    _stamp,
     classify_run,
     decide_runs,
     fuse_runs,
@@ -286,6 +287,53 @@ def test_run_lines_across_blocks_match_to_record():
     }
     vectors[StageId.CONCAVE_SEVERITY][rng.random(n) < 0.1] = 0.0  # some severities missing
     tool_ids = ["a", 'b "\u00e9"', *(f"t{i}" for i in range(len(counts) - 2))]
+    decisions = decide_runs(vectors, EngineConfig())
+    lines = list(decisions.run_lines(tool_ids, np.array(counts)))
+    expected = [
+        json.dumps(result.to_record(tool, i), sort_keys=True) + "\n"
+        for result, (tool, i) in zip(
+            decisions.rows(), ((t, i) for t, c in zip(tool_ids, counts) for i in range(c))
+        )
+    ]
+    assert len(lines) == n
+    assert lines == expected
+
+
+def stamped(record, row):
+    text, values = _stamp(record)
+    return text % values(row)
+
+
+def test_stamp_of_a_single_slot_takes_the_bare_value():
+    # itemgetter of one index returns the item itself, not a 1-tuple.
+    text, values = _stamp({"runs_used": "\x000"})
+    assert values([7]) == 7
+    assert text % values([7]) == json.dumps({"runs_used": 7})
+    assert stamped({"id": "\x000", "n": 1}, ['"t"']) == json.dumps({"id": "t", "n": 1})
+
+
+def test_stamp_keeps_percent_signs_in_text_and_values():
+    record = {"k%s": "100%", "v": "\x001", "%d": "\x000", "pct": "%%"}
+    row = ['"50%d"', 0.30000000000000004]
+    filled = {"k%s": "100%", "v": 0.30000000000000004, "%d": "50%d", "pct": "%%"}
+    assert stamped(record, row) == json.dumps(filled, sort_keys=True)
+
+
+def test_stamp_fills_slots_in_key_order_from_any_row_order():
+    record = {"z": "\x000", "a": {"y": "\x002", "b": "\x001"}}
+    filled = {"z": '"q\\"', "a": {"y": 1e-300, "b": 3}}
+    row = [json.dumps('"q\\"'), 3, 1e-300]
+    assert stamped(record, row) == json.dumps(filled, sort_keys=True)
+
+
+def test_run_lines_with_a_tool_of_no_runs_match_to_record():
+    rng = np.random.default_rng(5)
+    counts = [2, 0, 3, 0, 1]
+    n = sum(counts)
+    vectors = {
+        stage: rng.dirichlet(np.ones(len(classes)), n) for stage, classes in STAGE_CLASSES.items()
+    }
+    tool_ids = ["a", "none", "c%s", "", "\u00e9"]
     decisions = decide_runs(vectors, EngineConfig())
     lines = list(decisions.run_lines(tool_ids, np.array(counts)))
     expected = [

@@ -9,21 +9,37 @@ probabilities sit at the 1/3 and 1/2 floors, and one tool may have more
 than 512 runs. Every file runs under both conflict policies and
 ``ensemble_min_runs`` 1 to 3. Exit code, stdout, stderr and every report
 file must be byte-identical. ``fuse_runs`` is checked against the
-oracle's ``ensemble_record`` for one tool.
+oracle's ``ensemble_record`` for one tool. ``Ensembles.lines``, which
+stamps its lines from templates, is checked against each tool's
+``EnsembleResult.to_record`` dumped by json.
 """
 
 import io
+import itertools
 import json
+import math
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import scalar_oracle
 from flapwear import cli
-from flapwear.engine import ConflictPolicy, EngineConfig, RunInput, classify_run, fuse_runs
+from flapwear.engine import (
+    _CAST_SLOTS,
+    _INCOMPLETE,
+    _STAGES,
+    _VOTE_SLOTS,
+    ConflictPolicy,
+    EngineConfig,
+    Ensembles,
+    RunInput,
+    classify_run,
+    fuse_runs,
+)
 from flapwear.errors import ValidationError
 from flapwear.predictions import ProbabilityVector
 from flapwear.taxonomy import StageId
@@ -187,3 +203,63 @@ def test_fuse_runs_matches_scalar_oracle(runs, policy, min_runs):
     except ValidationError as exc:
         got = ("error", str(exc))
     assert got == want
+
+
+# Means whose repr has 17 significant digits, the floors, and the ends.
+MEANS = (0.30000000000000004, 0.9999999999999999, 1 / 3, 0.7000000000000001, 0.5, 1.0)
+ODD_IDS = st.text(st.sampled_from('"\\%\x00\x1f\x7fa\u00e9\u2028\U0001f600'), max_size=6)
+
+
+def ensembles(tools):
+    """An Ensembles of the given tools, each (tool id, {vote slot: count}, winner, means)."""
+    counts = np.zeros((len(tools), _VOTE_SLOTS), dtype=np.int64)
+    for t, (_, votes, _, _) in enumerate(tools):
+        for v, c in votes.items():
+            counts[t, v] = c
+    return Ensembles(
+        [tool_id for tool_id, *_ in tools],
+        counts.sum(axis=1),
+        counts,
+        np.array([winner for *_, winner, _ in tools], dtype=np.int64),
+        np.array([means for *_, means in tools], dtype=float).reshape(len(tools), len(_STAGES)),
+        1,
+    )
+
+
+def assert_lines_are_dumped_records(ens):
+    lines = list(ens.lines())
+    assert len(lines) == len(ens)
+    for t, line in enumerate(lines):
+        assert line == json.dumps(ens.result(t).to_record(), sort_keys=True) + "\n"
+
+
+@st.composite
+def ensemble_tools(draw):
+    """One tool's ensemble columns: at least one vote cast, maybe incomplete runs too."""
+    cast = draw(st.lists(st.sampled_from(_CAST_SLOTS), min_size=1, max_size=4, unique=True))
+    votes = {v: draw(st.integers(1, 10**6)) for v in cast}
+    votes[_INCOMPLETE] = draw(st.integers(0, 3))
+    mean = st.sampled_from(MEANS) | st.floats(0.0, 1.0) | st.just(math.nan)
+    means = draw(st.lists(mean, min_size=len(_STAGES), max_size=len(_STAGES)))
+    tool_id = draw(ODD_IDS | st.text(max_size=8))
+    return tool_id, votes, draw(st.sampled_from(cast)), means
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(ensemble_tools(), max_size=12))
+def test_ensemble_lines_are_dumped_records(tools):
+    assert_lines_are_dumped_records(ensembles(tools))
+
+
+def test_ensemble_lines_cover_every_winner_and_decided_mask():
+    # Every cast slot as the only vote (a tool with one cast vote), and as
+    # the winner beside every other slot, over every mask of decided stages.
+    tools = []
+    masks = list(itertools.product((False, True), repeat=len(_STAGES)))
+    for i, (winner, mask) in enumerate(itertools.product(_CAST_SLOTS, masks)):
+        means = [MEANS[(i + s) % len(MEANS)] if d else math.nan for s, d in enumerate(mask)]
+        votes = {winner: 1 + i % 3}
+        if i % 2:
+            votes.update({v: 1 for v in _CAST_SLOTS} | {winner: 2, _INCOMPLETE: 1})
+        tools.append((f'tool "{i}" %s \\ \x00 \u00fc', votes, winner, means))
+    assert_lines_are_dumped_records(ensembles(tools))

@@ -18,6 +18,7 @@ from flapwear.predictions import (
     ValidationError,
     VectorError,
     ViewMismatch,
+    assemble_runs,
     first_invalid_row,
     parse_prediction_table,
     split_by_tool,
@@ -337,6 +338,56 @@ class TestSharedIds:
         second = self.ids(parse_prediction_table(path))
         assert first == second
         assert not {id(i) for i in first} & {id(i) for i in second}
+
+
+class TestAssembleRuns:
+    """Within a tool, the i-th vector of each stage, in file order, is run i."""
+
+    def write(self, path, records):
+        path.write_text("\n".join(_line(truth=None, **rec) for rec in records) + "\n")
+
+    def test_runs_pair_by_position_and_tools_sort(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        tear = {"stage": "tear", "view": "axial"}
+        self.write(path, [
+            {"tool_id": "b", "probs": [0.2, 0.8]},
+            {"tool_id": "a", "probs": [0.6, 0.4]},
+            {"tool_id": "b", "stage": "profile", "probs": [0.1, 0.8, 0.1]},
+            {"tool_id": "b", "probs": [0.3, 0.7]},
+            {"tool_id": "b", **tear, "probs": [0.1, 0.9]},
+            {"tool_id": "a", "stage": "profile", "probs": [1, 0, 0]},
+            {"tool_id": "b", "stage": "profile", "probs": [0.2, 0.2, 0.6]},
+            {"tool_id": "a", **tear, "probs": [0.5, 0.5]},
+            {"tool_id": "b", "stage": "concave_severity", "probs": [0.4, 0.6]},
+            {"tool_id": "b", **tear, "probs": [0.7, 0.3]},
+            {"tool_id": "b", "stage": "concave_severity", "probs": [0.9, 0.1]},
+            {"tool_id": "b", "stage": "concave_severity", "probs": [0.8, 0.2]},
+        ])
+        batch = assemble_runs(parse_prediction_table(path))
+        assert batch.tool_ids == ["a", "b"]
+        assert batch.run_counts.tolist() == [1, 2]
+        assert batch.vectors[StageId.USAGE].tolist() == [[0.6, 0.4], [0.2, 0.8], [0.3, 0.7]]
+        assert batch.vectors[StageId.PROFILE].tolist() == [
+            [1, 0, 0], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]
+        ]
+        assert batch.vectors[StageId.TEAR].tolist() == [[0.5, 0.5], [0.1, 0.9], [0.7, 0.3]]
+        # Tool a has no severity vector; b's third is past its two runs.
+        assert batch.vectors[StageId.CONCAVE_SEVERITY].tolist() == [[0, 0], [0.4, 0.6], [0.9, 0.1]]
+        assert batch.vectors[StageId.CONVEX_SEVERITY].tolist() == [[0, 0]] * 3
+
+    def test_unequal_stage_counts_name_the_first_tool(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        self.write(path, [
+            {"tool_id": "a"},
+            {"tool_id": "a", "stage": "profile", "probs": [1, 0, 0]},
+            {"tool_id": "a", "stage": "tear", "view": "axial", "probs": [0.5, 0.5]},
+            {"tool_id": "a"},
+        ])
+        tables = parse_prediction_table(path)
+        counts = "{'usage': 2, 'profile': 1, 'tear': 1}"
+        message = f"tool a: usage/profile/tear vector counts differ: {counts}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            assemble_runs(tables)
 
 
 class TestSplitByTool:

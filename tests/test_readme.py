@@ -1,5 +1,6 @@
-"""The README's Python examples run against the installed API, and its
-tier-1 test command is the one CI runs."""
+"""The README's Python examples run against the installed API, its
+tier-1 test command is the one CI runs, and none of its lines is longer
+than 400 characters."""
 
 import re
 from pathlib import Path
@@ -30,3 +31,12 @@ def test_readme_tier1_command_is_ci_command():
         r"^## Run the tests\n\n```sh\n(.+)\n```$", README.read_text(encoding="utf-8"), re.M
     )
     assert readme == ci
+
+
+def test_no_readme_line_is_longer_than_400_characters():
+    long = [
+        (number, len(line))
+        for number, line in enumerate(README.read_text(encoding="utf-8").splitlines(), start=1)
+        if len(line) > 400
+    ]
+    assert long == []
