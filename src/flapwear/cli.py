@@ -6,6 +6,8 @@ Subcommands:
     simulate   synthetic or oracle end-to-end simulation
     propagate  path accuracies, interval and corrected bounds
 
+Each command does four things: it reads its inputs, makes one library
+call for its report, writes the report files (_write_reports) and prints.
 All machine-readable outputs are deterministic for fixed inputs and
 seed. Exit codes: 0 success, 2 parse error or unreadable input,
 3 validation error, 4 config error. A library error's exit code always
@@ -229,56 +231,10 @@ def cmd_classify(args: argparse.Namespace, config: CliConfig) -> int:
 
 def cmd_evaluate(args: argparse.Namespace, config: CliConfig) -> int:
     tables = predictions.parse_prediction_table(args.labeled_file, ids=False)
-    labeled = {stage: table.truth >= 0 for stage, table in tables.items()}
-    if not any(mask.any() for mask in labeled.values()):
-        raise ValidationError("file contains no labeled samples")
-
-    summary = {"stages": {}, "warnings": []}
-    # Every stage is computed before a file is written; each writer holds its own stage's rows.
-    writers = {}
-    for stage, table in tables.items():
-        confusion, roc = f"{stage.value}_confusion.csv", f"{stage.value}_roc.csv"
-        if not labeled[stage].any():
-            writers.update({confusion: None, roc: None})
-            continue
-        probs = table.probs[labeled[stage]]
-        truth = table.truth[labeled[stage]].astype(np.intp)
-        predicted = probs.argmax(axis=1)
-        cm = metrics.ConfusionMatrix.from_indices(stage, truth, predicted)
-
-        stage_summary = metrics.matrix_summary(cm, config.rounding)
-        stage_summary["confidence"] = metrics.confidence_stats(
-            probs.max(axis=1), predicted == truth, config.rounding
-        )
-
-        roc_rows = []
-        auc_by_class = {}
-        for cls, name in enumerate(cm.class_names):
-            try:
-                curve = metrics.roc_from_scores(probs[:, cls], truth == cls)
-            except metrics.DegenerateInput as exc:
-                summary["warnings"].append(
-                    f"{stage.value}/{name}: ROC skipped ({exc})"
-                )
-                auc_by_class[name] = None
-                continue
-            auc_by_class[name] = metrics.round_report(curve.auc, config.rounding)
-            roc_rows.extend((name, fpr, tpr) for fpr, tpr in curve.points)
-        stage_summary["auc"] = auc_by_class
-        writers[confusion] = partial(
-            metrics.write_confusion_csv, stage_summary, decimals=config.rounding
-        )
-        writers[roc] = partial(metrics.write_roc_csv, roc_rows) if roc_rows else None
-
-        summary["stages"][stage.value] = stage_summary
-
-    writers["summary.json"] = _json_report(summary)
-    _write_reports(config.report_dir, writers)
-    for name, stage_summary in summary["stages"].items():
-        print(
-            f"{name}: accuracy {stage_summary['accuracy']}, "
-            f"macro-F1 {stage_summary['macro_f1']}"
-        )
+    summary, writers = metrics.evaluate_report(tables, config.rounding)
+    _write_reports(config.report_dir, {**writers, "summary.json": _json_report(summary)})
+    for name, stage in summary["stages"].items():
+        print(f"{name}: accuracy {stage['accuracy']}, macro-F1 {stage['macro_f1']}")
     print(f"reports written to {config.report_dir}")
     return EXIT_OK
 
@@ -322,10 +278,7 @@ def _run_simulation(sim_config: dict, mode: str, n: int, config: CliConfig) -> d
         if name not in _STAGE_BY_NAME:
             raise ConfigError(f"unknown stage {name!r} in matrices")
     matrices = {_STAGE_BY_NAME[name]: counts for name, counts in by_name.items()}
-    report = simulate.run_oracle_batch(matrices, n, config.seed, **settings)
-    acc = propagation.StageAccuracies.from_names(report["stage_accuracies"])
-    report["propagation"] = propagation.propagation_report(acc, decimals=config.rounding)
-    return report
+    return simulate.run_oracle_batch(matrices, n, config.seed, decimals=config.rounding, **settings)
 
 
 def cmd_simulate(args: argparse.Namespace, config: CliConfig) -> int:

@@ -5,8 +5,9 @@ macro-F1, mean confidence over all and over misclassified samples, and
 ROC curves with trapezoidal AUC. Confusion counts, the confidence means
 and the ROC sweep work on whole arrays of samples; means and the AUC are
 summed in Python floats. ``matrix_summary`` and ``confidence_stats``
-return a stage's rounded ``summary.json`` records. Zero-denominator
-metrics are encoded as None ("n/a" in reports) rather than raised.
+return a stage's rounded ``summary.json`` records, ``evaluate_report``
+the whole record and each stage's CSV writers. Zero-denominator metrics
+are encoded as None ("n/a" in reports) rather than raised.
 """
 
 from __future__ import annotations
@@ -14,11 +15,13 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from functools import partial
 from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
 from .errors import EmptyInput, ValidationError
+from .predictions import PredictionTable
 from .taxonomy import STAGE_CLASSES, StageId
 
 
@@ -250,3 +253,45 @@ def write_roc_csv(rows: Sequence[tuple[str, float, float]], fh: TextIO) -> None:
     writer = csv.writer(fh)
     writer.writerow(["class", "fpr", "tpr"])
     writer.writerows(rows)
+
+
+def evaluate_report(tables: PredictionTable, decimals: int = 3) -> tuple[dict, dict]:
+    """evaluate's summary.json record, and the writer of each stage's CSV file by its name.
+
+    Stages go in StageId order, each scored on its labeled samples; its
+    confusion file comes before its ROC file, and a file with nothing to
+    write maps to None. A class with no positive or no negative sample
+    has an AUC of None and a warning. No labeled sample is a ValidationError.
+    """
+    labeled = {stage: table.truth >= 0 for stage, table in tables.items()}
+    if not any(mask.any() for mask in labeled.values()):
+        raise ValidationError("file contains no labeled samples")
+    summary, writers = {"stages": {}, "warnings": []}, {}
+    for stage, table in tables.items():
+        confusion, roc = f"{stage.value}_confusion.csv", f"{stage.value}_roc.csv"
+        if not labeled[stage].any():
+            writers.update({confusion: None, roc: None})
+            continue
+        probs = table.probs[labeled[stage]]
+        truth = table.truth[labeled[stage]].astype(np.intp)
+        predicted = probs.argmax(axis=1)
+        cm = ConfusionMatrix.from_indices(stage, truth, predicted)
+        stage_summary = matrix_summary(cm, decimals)
+        stage_summary["confidence"] = confidence_stats(
+            probs.max(axis=1), predicted == truth, decimals
+        )
+        roc_rows, auc_by_class = [], {}
+        for cls, name in enumerate(cm.class_names):
+            try:
+                curve = roc_from_scores(probs[:, cls], truth == cls)
+            except DegenerateInput as exc:
+                summary["warnings"].append(f"{stage.value}/{name}: ROC skipped ({exc})")
+                auc_by_class[name] = None
+                continue
+            auc_by_class[name] = round_report(curve.auc, decimals)
+            roc_rows.extend((name, fpr, tpr) for fpr, tpr in curve.points)
+        stage_summary["auc"] = auc_by_class
+        writers[confusion] = partial(write_confusion_csv, stage_summary, decimals=decimals)
+        writers[roc] = partial(write_roc_csv, roc_rows) if roc_rows else None
+        summary["stages"][stage.value] = stage_summary
+    return summary, writers

@@ -363,10 +363,10 @@ def assemble_runs(tables: PredictionTable) -> RunBatch:
     in file order, belongs to run i; image ids are not read. The
     usage/profile/tear stages must therefore appear equally often, and at
     least once, for every tool, else a ValidationError names the first
-    such tool and its counts. A severity vector past the tool's run count
-    is not used; a run with no vector of a severity stage has a row of
-    zeros there, as decide_runs reads it. The tables need their tool ids
-    (parsed with ids=True).
+    such tool and its counts, or says it has none. A severity vector past
+    the tool's run count is not used; a run with no vector of a severity
+    stage has a row of zeros there, as decide_runs reads it. The tables
+    need their tool ids (parsed with ids=True).
     """
     tool_ids = sorted(set().union(*(table.tool_ids for table in tables.values())))
     position = {tool_id: i for i, tool_id in enumerate(tool_ids)}
@@ -381,10 +381,12 @@ def assemble_runs(tables: PredictionTable) -> RunBatch:
     for c in required:
         bad |= (c != required[0]) | (c == 0)
     if bad.any():
-        t = int(np.argmax(bad))
+        t, names = int(np.argmax(bad)), "/".join(s.value for s in REQUIRED_STAGES)
+        if not any(c[t] for c in required):
+            raise ValidationError(f"tool {tool_ids[t]} has no {names} vector")
         raise ValidationError(
-            f"tool {tool_ids[t]}: {'/'.join(s.value for s in REQUIRED_STAGES)} vector counts "
-            f"differ: { {s.value: int(counts[s][t]) for s in REQUIRED_STAGES} }"
+            f"tool {tool_ids[t]}: {names} vector counts differ: "
+            f"{ {s.value: int(counts[s][t]) for s in REQUIRED_STAGES} }"
         )
 
     run_counts = required[0]

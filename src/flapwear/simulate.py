@@ -24,7 +24,7 @@ import numpy as np
 from .engine import EngineConfig, RunDecisions, RunResult, decide_runs
 from .errors import ConfigError, check_seed, is_finite, is_integer, is_number
 from .predictions import VectorError, first_invalid_row
-from .propagation import ACCURACY_NAMES, StageAccuracies, path_accuracy
+from .propagation import ACCURACY_NAMES, StageAccuracies, path_accuracy, propagation_report
 from .synth import (
     Wheels,
     WheelSpec,
@@ -556,8 +556,9 @@ def run_oracle_batch(
     n_trials: int,
     seed: int,
     confidence_law: tuple[float, float, float] = DEFAULT_CONFIDENCE_LAW,
+    decimals: int = 3,
 ) -> dict:
-    """All three branches against their analytic path accuracies.
+    """Each branch against its analytic path accuracy, and the propagation report at decimals.
 
     The size and the seed, then all five stages, by _stage_oracles' one
     reading, are checked before any draw; the accuracies are that
@@ -577,4 +578,5 @@ def run_oracle_batch(
         "n_trials_per_branch": n_trials,
         "stage_accuracies": acc.by_name(),
         "branches": branches,
+        "propagation": propagation_report(acc, decimals=decimals),
     }

@@ -216,10 +216,13 @@ def group_runs(samples) -> dict[str, list[dict]]:
     runs: dict[str, list[dict]] = {}
     for tool_id, stages in sorted(by_tool.items()):
         counts = {s: len(stages.get(s, [])) for s in REQUIRED_STAGES}
+        names = "/".join(s.value for s in REQUIRED_STAGES)
+        if set(counts.values()) == {0}:
+            raise ValidationError(f"tool {tool_id} has no {names} vector")
         if len(set(counts.values())) != 1 or 0 in counts.values():
             raise ValidationError(
-                f"tool {tool_id}: {'/'.join(s.value for s in REQUIRED_STAGES)} vector counts "
-                f"differ: { {s.value: c for s, c in counts.items()} }"
+                f"tool {tool_id}: {names} vector counts differ: "
+                f"{ {s.value: c for s, c in counts.items()} }"
             )
         runs[tool_id] = [
             {s: v[i] for s, v in stages.items() if i < len(v)}

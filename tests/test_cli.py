@@ -1149,6 +1149,14 @@ LABELED = "\n".join(
             _classify_file(record("usage", [0.5, 0.5], view="side") + "\n"),
             EXIT_PARSE, "parse error: line 1: unknown view 'side'\n", id="record-of-an-unknown-view",
         ),
+        # Tool b has a severity vector and no run: its counts do not differ.
+        pytest.param(
+            _classify_file("\n".join([
+                *consistent_tool_lines("a"), record("concave_severity", [0.4, 0.6], tool="b"),
+            ]) + "\n"),
+            EXIT_VALIDATION, "validation error: tool b has no usage/profile/tear vector\n",
+            id="tool-with-only-a-severity-vector",
+        ),
         pytest.param(
             _propagate(ledger={"total_runs": 10, "total_errors": 1, "threshold_caught": {"usage": "ab"}}),
             EXIT_CONFIG,

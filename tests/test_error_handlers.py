@@ -1,11 +1,11 @@
 """Each error's kind is decided once, by the class the raising module names.
 
 An error's exit code comes from its class (see errors.py). A handler in
-``cli.py`` that catches a flapwear error class and raises an error of
-another class in its body would restate that error's kind away from the
-module that raises it. Read from the module's AST: a bare ``raise``, a
-raise of the caught error itself or of a class the handler names, and a
-handler that raises nothing, all pass.
+``cli.py`` or ``metrics.py`` that catches a flapwear error class and
+raises an error of another class in its body would restate that error's
+kind away from the module that raises it. Read from the module's AST:
+a bare ``raise``, a raise of the caught error itself or of a class the
+handler names, and a handler that raises nothing, all pass.
 
 Every module of the package raises bad input, data or configuration as
 a FlapwearError: a raise that names a class outside the hierarchy is
@@ -25,6 +25,7 @@ from flapwear.errors import FlapwearError
 
 CLI = Path(flapwear.cli.__file__)
 PACKAGE = CLI.parent
+METRICS = PACKAGE / "metrics.py"
 
 # (module, function, class) of each raise of a class outside the hierarchy, with its reason.
 FOREIGN_RAISES = {
@@ -79,13 +80,21 @@ def test_no_cli_handler_of_a_flapwear_error_raises_another_class():
     assert _rewraps(CLI.read_text(encoding="utf-8")) == []
 
 
-def test_cli_has_handlers_of_flapwear_errors_to_check():
-    handlers = [
+def _handlers(path: Path) -> set[str]:
+    """The class expression of each except clause in path's source."""
+    return {
         ast.unparse(node.type)
-        for node in ast.walk(ast.parse(CLI.read_text(encoding="utf-8")))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.ExceptHandler) and node.type is not None
-    ]
-    assert {"FlapwearError", "metrics.DegenerateInput"} <= set(handlers)
+    }
+
+
+def test_cli_has_handlers_of_flapwear_errors_to_check():
+    """cli's handler, and metrics' handler of a degenerate ROC, are checked and re-raise nothing."""
+    for path in (CLI, METRICS):
+        assert _rewraps(path.read_text(encoding="utf-8")) == [], path.name
+    assert "FlapwearError" in _handlers(CLI)
+    assert "DegenerateInput" in _handlers(METRICS)
 
 
 def test_a_rewrap_is_found_and_a_reraise_passes():

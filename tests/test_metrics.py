@@ -1,8 +1,10 @@
+import io
 import random
 
 import numpy as np
 import pytest
 
+from flapwear.errors import ValidationError
 from flapwear.metrics import (
     ConfusionMatrix,
     DegenerateInput,
@@ -13,13 +15,15 @@ from flapwear.metrics import (
     accuracy,
     class_metrics,
     confidence_stats,
+    evaluate_report,
     macro_f1,
     matrix_summary,
     pairwise_auc,
     roc_curve,
     round_report,
 )
-from flapwear.predictions import StageId
+from flapwear.predictions import StageId, StageTable
+from flapwear.taxonomy import STAGE_CLASSES
 
 from conftest import (
     CONCAVE_MATRIX,
@@ -230,3 +234,117 @@ class TestReporting:
         assert lines[0] == "true\\pred,new,used,precision,recall,f1"
         assert lines[1] == "new,458,2,0.960,0.996,0.978"
         assert lines[2] == "used,19,1021,0.998,0.982,0.990"
+
+
+def stage_tables(samples):
+    """Every stage's table, in StageId order, from {stage: [(probs, truth index or -1)]}."""
+    tables = {}
+    for stage in StageId:
+        rows = samples.get(stage, [])
+        k = len(STAGE_CLASSES[stage])
+        tables[stage] = StageTable(
+            stage,
+            np.array([probs for probs, _ in rows], dtype=np.float64).reshape(-1, k),
+            None,
+            None,
+            np.arange(1, len(rows) + 1, dtype=np.int64),
+            np.array([truth for _, truth in rows], dtype=np.int8),
+        )
+    return tables
+
+
+def written(write) -> str:
+    fh = io.StringIO(newline="")
+    write(fh)
+    return fh.getvalue()
+
+
+DEGENERATE = "ROC skipped (need at least one positive and one negative sample)"
+# Usage: one new wheel and three used ones, one of them taken for new, and one
+# unlabeled record. Tear: two no_tear wheels, one taken for with_tear, so
+# neither class has both a positive and a negative sample.
+TWO_STAGES = {
+    StageId.USAGE: [
+        ([0.65, 0.35], 0), ([0.2, 0.8], 1), ([0.7, 0.3], 1), ([0.15, 0.85], 1), ([0.5, 0.5], -1),
+    ],
+    StageId.TEAR: [([0.3, 0.7], 1), ([0.6, 0.4], 1)],
+}
+
+
+class TestEvaluateReport:
+    def test_two_stages_by_hand(self):
+        summary, writers = evaluate_report(stage_tables(TWO_STAGES))
+        assert summary == {
+            "stages": {
+                "usage": {
+                    "stage": "usage",
+                    "counts": [[1, 0], [1, 2]],
+                    "accuracy": 0.75,
+                    "macro_f1": 0.733,  # (2/3 + 4/5) / 2
+                    "per_class": {
+                        "new": {"precision": 0.5, "recall": 1.0, "f1": 0.667},
+                        "used": {"precision": 1.0, "recall": 0.667, "f1": 0.8},
+                    },
+                    "confidence": {
+                        "mean_all": 0.75, "mean_false": 0.7, "count_all": 4, "count_false": 1,
+                    },
+                    # Each class's one odd sample beats two of the other three.
+                    "auc": {"new": 0.667, "used": 0.667},
+                },
+                "tear": {
+                    "stage": "tear",
+                    "counts": [[0, 0], [1, 1]],
+                    "accuracy": 0.5,
+                    "macro_f1": None,
+                    "per_class": {
+                        "with_tear": {"precision": 0.0, "recall": None, "f1": None},
+                        "no_tear": {"precision": 1.0, "recall": 0.5, "f1": 0.667},
+                    },
+                    "confidence": {
+                        "mean_all": 0.65, "mean_false": 0.6, "count_all": 2, "count_false": 1,
+                    },
+                    "auc": {"with_tear": None, "no_tear": None},
+                },
+            },
+            "warnings": [f"tear/with_tear: {DEGENERATE}", f"tear/no_tear: {DEGENERATE}"],
+        }
+        assert written(writers["usage_confusion.csv"]).splitlines() == [
+            "true\\pred,new,used,precision,recall,f1",
+            "new,1,0,0.500,1.000,0.667",
+            "used,1,2,1.000,0.667,0.800",
+        ]
+        roc = written(writers["usage_roc.csv"]).splitlines()
+        assert roc[:2] == ["class,fpr,tpr", "new,0.0,0.0"]
+        # No class of tear has a curve, so its ROC file is removed.
+        assert writers["tear_roc.csv"] is None
+
+    def test_a_stage_without_truth_has_no_files(self):
+        unlabeled = {StageId.CONCAVE_SEVERITY: [([0.4, 0.6], -1), ([0.9, 0.1], -1)]}
+        summary, writers = evaluate_report(stage_tables({**TWO_STAGES, **unlabeled}))
+        assert "concave_severity" not in summary["stages"]
+        for stage in (StageId.PROFILE, StageId.CONCAVE_SEVERITY, StageId.CONVEX_SEVERITY):
+            assert writers[f"{stage.value}_confusion.csv"] is None
+            assert writers[f"{stage.value}_roc.csv"] is None
+
+    def test_a_class_without_positives_is_skipped_with_a_warning(self):
+        # No profile record is convex in truth; the other two classes keep their curves.
+        profile = [([0.6, 0.3, 0.1], 0), ([0.2, 0.5, 0.3], 1), ([0.1, 0.4, 0.5], 1)]
+        summary, writers = evaluate_report(stage_tables({StageId.PROFILE: profile}), decimals=5)
+        assert summary["warnings"] == [f"profile/convex: {DEGENERATE}"]
+        assert summary["stages"]["profile"]["auc"] == {
+            "rectangular": 1.0, "concave": 1.0, "convex": None,
+        }
+        rows = written(writers["profile_roc.csv"]).splitlines()[1:]
+        assert {row.split(",")[0] for row in rows} == {"rectangular", "concave"}
+
+    def test_no_truth_at_all_is_a_validation_error(self):
+        unlabeled = {s: [(probs, -1) for probs, _ in rows] for s, rows in TWO_STAGES.items()}
+        with pytest.raises(ValidationError) as info:
+            evaluate_report(stage_tables(unlabeled))
+        assert str(info.value) == "file contains no labeled samples"
+
+    def test_writers_come_in_stage_order_confusion_first(self):
+        _, writers = evaluate_report(stage_tables(TWO_STAGES))
+        assert list(writers) == [
+            f"{stage.value}_{kind}.csv" for stage in StageId for kind in ("confusion", "roc")
+        ]

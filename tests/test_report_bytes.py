@@ -21,6 +21,11 @@ The sha256 of simulate's oracle-mode simulation.json is pinned for the
 paper's matrices at 1, 65537 and 300001 trials per branch, seeds 0 and
 7, under the default confidence law and under one of zero spread (whose
 confidence draws still advance the random stream).
+
+At a rounding other than the default, evaluate's files and stdout are
+pinned at 5 decimals, the oracle's simulation.json at 6 (one trial,
+seed 0), and propagate's propagation.json and stdout, with and without
+the published correction ledger, at 3 and at 6.
 """
 
 import hashlib
@@ -409,3 +414,91 @@ def test_evaluate_report_bytes_are_pinned(tmp_path):
     got = {path.name: sha256(path.read_bytes()) for path in sorted(out.iterdir())}
     got["stdout"] = sha256(stdout.getvalue().replace(str(out), "OUT").encode())
     assert got == EVALUATE_PINNED
+
+
+# The same reports at a rounding other than the default, set by the config
+# file's rounding key. Each hash was computed when cli assembled evaluate's
+# stage loop and the oracle's propagation block itself.
+def run_cli(tmp_path, *argv, rounding):
+    config = tmp_path / "rounding.conf"
+    config.write_text(f"rounding = {rounding}\n")
+    out = tmp_path / "reports"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main([*map(str, argv), "--config", str(config), "--out", str(out)])
+    assert (code, stderr.getvalue()) == (EXIT_OK, "")
+    got = {path.name: sha256(path.read_bytes()) for path in sorted(out.iterdir())}
+    got["stdout"] = sha256(stdout.getvalue().replace(str(out), "OUT").encode())
+    return got
+
+
+EVALUATE_5_DECIMALS_PINNED = {
+    "convex_severity_confusion.csv": "3034da11ad2966b52dc1c0ccad418abe53d381b4469be5f3d72f2fc3337ba02e",
+    "convex_severity_roc.csv": "859bca23bf1ee13fe019eddf5f8c06c7f2638056e6abd527d69cf59bd2f7642c",
+    "profile_confusion.csv": "b5bef192ea758dfacd0155c85b50c77fc7bf6ecb3a0fccc8c906b72e8e933b7d",
+    "profile_roc.csv": "dadc5e155fcabc60e5dc9e33e761789c6232317f73dfa7f020ead8b0669d1df7",
+    "summary.json": "3fa4aa4c1f10eab47fc1ffc6d365210ed6822ef187a4763771dd18ede4749622",
+    "tear_confusion.csv": "d74375c37eba580569ec53060193fb94bc5482e19d918954fac8764cf616b320",
+    "tear_roc.csv": "a159772da00f21d20c62f10742c0a5920d3adf85c82984d5e78a305a38b336f9",
+    "usage_confusion.csv": "cb283b5243d8802e2857eb874020326e0c022810fb4e669365346cef5a410ae0",
+    "usage_roc.csv": "094fb22e4d0069eaee9d56a3e51925ffba4fa98db6d888cc448e18401ab5e08b",
+    "stdout": "188bc888676fbd8cd7d3087c99cbba926da3eff13d55491a57abb8ac1a13b901",
+}
+
+
+def test_evaluate_report_bytes_at_five_decimals_are_pinned(tmp_path):
+    labeled = tmp_path / "labeled.jsonl"
+    labeled.write_text(labeled_file(), encoding="utf-8")
+    assert run_cli(tmp_path, "evaluate", labeled, rounding=5) == EVALUATE_5_DECIMALS_PINNED
+
+
+ORACLE_6_DECIMALS_PINNED = "df28f68b285962e0aa2fcabe32522074a6676e5c56b4bbbb72cf3e9b94950bef"
+
+
+def test_oracle_simulation_bytes_at_six_decimals_are_pinned(tmp_path):
+    config = tmp_path / "oracle.json"
+    config.write_text(json.dumps(
+        {"mode": "oracle", "matrices": {s.value: m for s, m in ALL_MATRICES.items()}}
+    ))
+    got = run_cli(tmp_path, "simulate", config, "--n", 1, "--seed", 0, rounding=6)
+    assert got["simulation.json"] == ORACLE_6_DECIMALS_PINNED
+
+
+# propagate on the published stage accuracies, with and without the
+# published correction ledger.
+PROPAGATE_INPUTS = {
+    "accuracies": {
+        "usage": 0.986, "tear": 0.938, "profile": 0.954, "concave": 0.993, "convex": 0.950,
+    },
+    "ledger": {
+        "total_runs": 360, "total_errors": 45,
+        "threshold_caught": {"usage": [11, 10], "tear": [11, 9]}, "conflict_caught": 4,
+    },
+}
+PROPAGATE_PINNED = {
+    ("ledger", 3): {
+        "propagation.json": "1a9ddaf7854b15f55f783b8a1e307664b7926b58c2c4b7e913e8c9badf619966",
+        "stdout": "82a71b0f0fa47901dd6727d90d9c7364b05d16ae7ccb37cdf42fb3b757efadf8",
+    },
+    ("ledger", 6): {
+        "propagation.json": "78085ca064df3397dd4b108fabe06655b26dc3c7036d745d56d6bee31061d3b4",
+        "stdout": "815ec62d346a93f54065bd5b61b7cd7b22839827625ef3a0a737f96b74a095eb",
+    },
+    ("no-ledger", 3): {
+        "propagation.json": "2b79a55b8ae7d05a52654bade069c2b4b2e13fe0a2b8af5aa10e9f1137ea7876",
+        "stdout": "796b6eb3799fb04fcf0ef89c69ae37497e105f54c454f53e078307ae1654aa65",
+    },
+    ("no-ledger", 6): {
+        "propagation.json": "6de7449d41a4eb0e36df41c28a79e5e99c383936e518abfc47ffc1d5875a4d33",
+        "stdout": "95ffaa0a6756e16f05571aec5b798e7c8aea612c898838ae3b41bdbac02ff858",
+    },
+}
+
+
+@pytest.mark.parametrize("case", PROPAGATE_PINNED, ids=lambda c: "-".join(map(str, c)))
+def test_propagate_report_bytes_are_pinned(tmp_path, case):
+    ledger, rounding = case
+    keys = ("accuracies", "ledger") if ledger == "ledger" else ("accuracies",)
+    prop = tmp_path / "prop.json"
+    prop.write_text(json.dumps({key: PROPAGATE_INPUTS[key] for key in keys}))
+    assert run_cli(tmp_path, "propagate", prop, rounding=rounding) == PROPAGATE_PINNED[case]
