@@ -29,7 +29,6 @@ from .synth import (
     Wheels,
     WheelSpec,
     _NumpyWords,
-    _PCG64Stream,
     check_noise_sigma,
     score_block,
     wheel_columns,
@@ -58,7 +57,7 @@ class BadRow(ConfigError):
 
 
 def _draw_wheel(
-    outcome: WearOutcome, rng: np.random.Generator | _PCG64Stream
+    outcome: WearOutcome, rng: np.random.Generator | _NumpyWords
 ) -> tuple[int, list[int], float]:
     """A random wheel realizing outcome: its flap count, torn flap indices and depth.
 
@@ -72,11 +71,10 @@ def _draw_wheel(
     draw, that is what choice(n, k, replace=False) takes for a
     population of at most 10,000 (n is at most 32) and what
     uniform(0.08, 0.4) takes, so the torn list and the depth are theirs
-    and so is the state rng is left in. rng is a Generator or a
-    synth._PCG64Stream, which draws what a Generator in its state would:
-    the batch's stream is a synth._NumpyWords. These ranges are ones
-    where the rule-based classifiers resolve the wear state at zero
-    noise.
+    and so is the state rng is left in. rng is a Generator or, for the
+    batch's stream, a synth._NumpyWords, which draws what a Generator on
+    its bit generator would. These ranges are ones where the rule-based
+    classifiers resolve the wear state at zero noise.
     """
     n_flaps = int(rng.integers(12, 33))
     torn: list[int] = []
@@ -92,7 +90,7 @@ def _draw_wheel(
 
 
 def spec_for_outcome(
-    outcome: WearOutcome, rng: np.random.Generator | _PCG64Stream, noise_sigma: float = 0.0
+    outcome: WearOutcome, rng: np.random.Generator | _NumpyWords, noise_sigma: float = 0.0
 ) -> WheelSpec:
     """Randomized wheel spec realizing a given outcome, drawn from rng as _draw_wheel draws it."""
     n_flaps, torn, depth = _draw_wheel(outcome, rng)
@@ -162,11 +160,12 @@ def run_synthetic_batch(
     then the depth), then the wheel's seed, integers(0, 2**31). The
     stream is a synth._NumpyWords on default_rng(seed)'s bit generator:
     numpy makes its words, and it draws what that Generator would, call
-    for call. Draw for draw these are
-    the choice(..., replace=False) and uniform calls _draw_wheel states
-    they replace. Each block goes into columns (outcome, flap count,
-    torn flags, depth, seed) and is observed from each wheel's own
-    stream (synth.observe_block) and scored into per-stage arrays, both
+    for call. Draw for draw these are the choice(..., replace=False)
+    and uniform calls _draw_wheel states they replace. Each block goes
+    into columns (outcome, flap count, torn flags, depth, seed) and is
+    observed (synth.observe_block), each wheel drawing what
+    default_rng(its seed) would, from PCG64 states stepped for the whole
+    block as uint64 columns. It is scored into per-stage arrays, both
     severity stages for every wheel, so level 3 is judged on whichever
     branch the profile decision takes. Each stage's rows are then
     checked once, and the hierarchy decides them in one batch.

@@ -5,16 +5,19 @@ block of wheels held as columns (``Wheels``), plus rule-based feature
 classifiers that turn a block's observations into probability rows (one
 (b, k) array per stage, in its class order, which the batch driver
 checks a stage at a time). ``WheelSpec`` describes one wheel, and
-``wheel_columns`` turns a list of them into a block. Together they
-close the loop around the hierarchy engine without images or trained
-networks.
+``wheel_columns`` turns a list of them into a block. Each wheel draws
+what default_rng(its seed) would; a block's PCG64 streams are seeded
+and stepped together, each 128-bit state and increment held as uint64
+columns of high and low words, so no wheel has a stream object of its
+own. Together they close the loop around the hierarchy engine without
+images or trained networks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -57,7 +60,13 @@ _PROFILE_SCORE_GAIN = 30.0
 
 # PCG64's multiplier, which it seeds and steps with; SeedSequence hashes in 32-bit words.
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_MASK32 = 2**32 - 1
+# The column step's operands, each an np.uint64 (numpy 1.24 promotes a Python int by its
+# value): the multiplier's 64-bit words, its low word's 32-bit halves, masks and shifts.
+_MULT_HI, _MULT_LO = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & 2**64 - 1)
+_MULT_LO_HI, _MULT_LO_LO = np.uint64(_PCG64_MULT >> 32 & _MASK32), np.uint64(_PCG64_MULT & _MASK32)
+_LOW32 = np.uint64(_MASK32)
+_U1, _U11, _U16, _U32, _U58, _U63, _U64 = (np.uint64(k) for k in (1, 11, 16, 32, 58, 63, 64))
 # 64-bit words a _NumpyWords stream takes from numpy at a time.
 _WORD_BLOCK = 256
 
@@ -139,8 +148,9 @@ class Wheels(NamedTuple):
     outcome holds positions in CONSISTENT_OUTCOMES, which fix each
     wheel's profile and severity; torn[j, i] is whether flap i of wheel
     j is torn, and its width is the block's largest flap count. Wheel j
-    draws the stream default_rng(seeds[j]) would give, its state derived
-    for the whole block; a seed is an integer in [0, 2**128), not a bool.
+    draws the stream default_rng(seeds[j]) would give, as row j of PCG64
+    state columns seeded and stepped for the whole block; a seed is an
+    integer in [0, 2**128), not a bool.
     noise_sigma holds each wheel's noise level; fringe None means a wheel
     carries its fringes exactly when it is new, as in WheelSpec.
     """
@@ -155,7 +165,13 @@ class Wheels(NamedTuple):
 
 
 def wheel_columns(specs: Sequence[WheelSpec], seeds: Sequence[int]) -> Wheels:
-    """The block of specs[j], each observed from seeds[j], as columns."""
+    """The block of specs[j], each observed from seeds[j], as columns; at least one wheel."""
+    if len(specs) != len(seeds):
+        raise InvalidSpec(
+            f"a block takes one seed per wheel, got {len(specs)} specs and {len(seeds)} seeds"
+        )
+    if not specs:
+        raise InvalidSpec("a block takes at least one wheel")
     for seed in seeds:
         if not (is_integer(seed) and 0 <= seed < 2**128):
             raise InvalidSpec(f"wheel seed must be an integer in [0, 2**128), got {seed!r}")
@@ -174,51 +190,37 @@ def wheel_columns(specs: Sequence[WheelSpec], seeds: Sequence[int]) -> Wheels:
     )
 
 
-class _PCG64Stream:
-    """numpy's PCG64 in Python ints: a Generator's values and state, draw for draw.
+class _NumpyWords:
+    """Generator.random() and .integers on a numpy bit generator's 64-bit words, call for call.
 
-    It steps each wheel's own stream (_wheel_streams): for the few draws
-    a wheel makes, Python ints cost less than a Generator. Its fields
-    are those of PCG64's state dict; it starts from a state and
-    increment with no half-word buffered. A 64-bit draw steps state =
-    state * _PCG64_MULT + inc mod 2**128 and returns XSL-RR of the new
-    state: its 64-bit halves xored, rotated right by its top 6 bits.
-    random() is a 64-bit draw >> 11, times 2**-53. integers(low, high) is
+    random() is a 64-bit word >> 11, times 2**-53. integers(low, high) is
     numpy's 32-bit Lemire rule on n = high - low: n = 1 draws nothing;
     else m = u * n, for u the buffered half-word (uinteger, if has_uint32)
-    or else the lower half of a 64-bit draw whose upper half it buffers,
+    or else the lower half of a 64-bit word whose upper half it buffers,
     is redrawn while m mod 2**32 < (2**32 - n) mod n and gives low +
     (m >> 32). numpy draws any other n by its 64-bit path: a ValueError.
-    _NumpyWords keeps these rules and takes its 64-bit draws from numpy.
+    The words are bit_generator.random_raw's, taken _WORD_BLOCK at a time
+    and drawn in order, so the stream draws what a Generator on that bit
+    generator would; the half-word buffer is the stream's own. The bit
+    generator runs up to a block ahead of the draws, so nothing else may
+    draw from it. One batch of wheels draws thousands of words, which
+    numpy makes faster than Python ints step PCG64.
     """
 
-    __slots__ = ("state", "inc", "has_uint32", "uinteger")
+    __slots__ = ("has_uint32", "uinteger", "_bits", "_words")
 
-    def __init__(self, state: int, inc: int):
-        self.state, self.inc, self.has_uint32, self.uinteger = state, inc, 0, 0
-
-    def handoff(self, rng: Optional[np.random.Generator] = None) -> np.random.Generator:
-        """rng, or a new Generator on PCG64, set to this stream's state; then draw from it alone."""
-        if rng is None:
-            rng = np.random.Generator(np.random.PCG64(0))
-        rng.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": self.state, "inc": self.inc},
-            "has_uint32": self.has_uint32,
-            "uinteger": self.uinteger,
-        }
-        return rng
+    def __init__(self, bit_generator: np.random.BitGenerator):
+        self.has_uint32, self.uinteger = 0, 0
+        self._bits, self._words = bit_generator, []
 
     def _next64(self) -> int:
-        state = self.state = (self.state * _PCG64_MULT + self.inc) & _MASK128
-        # Rotating the 64-bit word right is shifting right two copies of it side by side.
-        return ((state >> 64 ^ state) & _MASK64) * (2**64 + 1) >> (state >> 122) & _MASK64
+        if not self._words:
+            self._words = self._bits.random_raw(_WORD_BLOCK).tolist()[::-1]
+        return self._words.pop()
 
-    def random(self, size: Optional[int] = None) -> float | list[float]:
-        """A float in [0, 1), or a list of size of them, as Generator.random draws them."""
-        if size is None:
-            return (self._next64() >> 11) * 2.0**-53
-        return [self.random() for _ in range(size)]
+    def random(self) -> float:
+        """A float in [0, 1), as Generator.random() draws it."""
+        return (self._next64() >> 11) * 2.0**-53
 
     def integers(self, low: int, high: int) -> int:
         """An int in [low, high), as Generator.integers for 1 <= high - low <= 2**32."""
@@ -236,81 +238,99 @@ class _PCG64Stream:
         return low
 
 
-class _NumpyWords(_PCG64Stream):
-    """_PCG64Stream's random and integers on the 64-bit words of a numpy bit generator.
+# A 128-bit PCG64 value as uint64 columns: (high words, low words).
+_Columns = tuple[np.ndarray, np.ndarray]
 
-    The words are bit_generator.random_raw's, taken _WORD_BLOCK at a time
-    and drawn in order, so the stream draws what a Generator on that bit
-    generator would, call for call; the half-word buffer is the stream's
-    own. The bit generator runs up to a block ahead of the draws, so
-    nothing else may draw from it, and the stream has no PCG64 state of
-    its own to hand off. One batch of wheels draws thousands of words,
-    which numpy steps faster than Python ints do.
+
+def _pcg64_step(state: _Columns, inc: _Columns) -> _Columns:
+    """PCG64's LCG step on columns: state * _PCG64_MULT + inc mod 2**128.
+
+    The high word of the low words' product is summed from the products
+    of their 32-bit halves; every other product and sum wraps mod 2**64.
     """
-
-    __slots__ = ("_bits", "_words")
-
-    def __init__(self, bit_generator: np.random.BitGenerator):
-        self.has_uint32, self.uinteger = 0, 0
-        self._bits, self._words = bit_generator, []
-
-    def _next64(self) -> int:
-        if not self._words:
-            self._words = self._bits.random_raw(_WORD_BLOCK).tolist()[::-1]
-        return self._words.pop()
+    hi, lo = state
+    lo_hi, lo_lo = lo >> _U32, lo & _LOW32
+    cross_a, cross_b = lo_lo * _MULT_LO_HI, lo_hi * _MULT_LO_LO
+    carry = ((lo_lo * _MULT_LO_LO >> _U32) + (cross_a & _LOW32) + (cross_b & _LOW32)) >> _U32
+    high = lo_hi * _MULT_LO_HI + (cross_a >> _U32) + (cross_b >> _U32) + carry
+    hi = high + hi * _MULT_LO + lo * _MULT_HI + inc[0]
+    lo = lo * _MULT_LO + inc[1]
+    return hi + (lo < inc[1]).astype(np.uint64), lo
 
 
-def _wheel_streams(seeds: Sequence[int]) -> Iterator[_PCG64Stream]:
-    """For each seed in turn, a _PCG64Stream that starts as default_rng(seed).
+def _xsl_rr(state: _Columns) -> np.ndarray:
+    """PCG64's XSL-RR word of each state: its halves xored, rotated right by its top 6 bits."""
+    word, rotation = state[0] ^ state[1], state[0] >> _U58
+    return word >> rotation | word << ((_U64 - rotation) & _U63)
+
+
+def _hash_consts(const: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """SeedSequence's hash constant before and after each of its calls, as (calls, 1) columns."""
+    consts = [const]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts[:-1], np.uint64)[:, None], np.array(consts[1:], np.uint64)[:, None]
+
+
+# SeedSequence's constants (numpy's INIT_A and MULT_A for the 16 hashes into and across
+# its pool, INIT_B and MULT_B for the 8 out of it, MIX_MULT_L and MIX_MULT_R), and the
+# rows of the pool each source row is mixed into.
+_HASH_A = _hash_consts(0x43B0D7E5, 0x931E8875, 16)
+_HASH_B = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
+_OTHER_ROWS = np.array([[dst for dst in range(4) if dst != src] for src in range(4)])
+
+
+def _hashmix(value: np.ndarray, consts: tuple[np.ndarray, np.ndarray], calls: slice) -> np.ndarray:
+    """SeedSequence's hashmix of value, row i with the constants of call calls.start + i."""
+    value = (value ^ consts[0][calls]) * consts[1][calls] & _LOW32
+    return value ^ value >> _U16
+
+
+def _wheel_streams(seeds: Sequence[int]) -> tuple[_Columns, _Columns]:
+    """PCG64's (state, inc) columns; row j is as default_rng(seeds[j]) starts.
 
     default_rng(s) seeds PCG64 from SeedSequence(s), which hashes the four
     32-bit words of s (s < 2**128) into a pool of four, mixes the pool and
-    hashes it out into eight words. Its constants (numpy's INIT_A, MULT_A,
-    MIX_MULT_L, MIX_MULT_R, INIT_B, MULT_B) advance alike for every seed,
-    so the block is hashed at once on uint64 columns kept to 32 bits;
-    PCG64 then takes its two seeding steps mod 2**128 per seed.
+    hashes it out into eight words. Its constants advance alike for every
+    seed, so the block is hashed at once on uint64 columns kept to 32
+    bits: the pool as four rows, each source row's three hashes into the
+    other rows as one (3, b) step, and the eight words out as one. They
+    make a 128-bit initstate and initseq, and PCG64 takes its two seeding
+    steps on the columns too: inc = 2 * initseq + 1, then state = (inc +
+    initstate) * _PCG64_MULT + inc, both mod 2**128.
     """
-    def hasher(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
-        def hashmix(value: np.ndarray) -> np.ndarray:
-            nonlocal const
-            value = value ^ const
-            const = const * mult & _MASK32
-            value = value * const & _MASK32
-            return value ^ value >> 16
-        return hashmix
-
     words = np.frombuffer(b"".join(int(seed).to_bytes(16, "little") for seed in seeds), "<u4")
-    hashmix = hasher(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(w) for w in words.reshape(-1, 4).T.astype(np.uint64)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src])) & _MASK32
-                pool[dst] = mixed ^ mixed >> 16
-    hashmix = hasher(0x8B51F9DD, 0x58F38DED)
-    out = [hashmix(pool[i % 4]) for i in range(8)]
-    halves = np.column_stack([out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]).tolist()
-    for hi, lo, inc_hi, inc_lo in halves:
-        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-        yield _PCG64Stream(((inc + (hi << 64 | lo)) * _PCG64_MULT + inc) & _MASK128, inc)
+    pool = _hashmix(words.reshape(-1, 4).T.astype(np.uint64), _HASH_A, slice(0, 4))
+    for src, others in enumerate(_OTHER_ROWS):
+        hashed = _hashmix(pool[src], _HASH_A, slice(4 + 3 * src, 7 + 3 * src))
+        mixed = (_MIX_L * pool[others] - _MIX_R * hashed) & _LOW32
+        pool[others] = mixed ^ mixed >> _U16
+    out = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B, slice(0, 8))
+    init_hi, init_lo, seq_hi, seq_lo = out[0::2] | out[1::2] << _U32
+    inc = seq_hi << _U1 | seq_lo >> _U63, seq_lo << _U1 | _U1
+    lo = inc[1] + init_lo
+    return _pcg64_step((inc[0] + init_hi + (lo < init_lo).astype(np.uint64), lo), inc), inc
 
 
-def _severity_span(fully: bool, rng: np.random.Generator | _PCG64Stream) -> tuple[float, float]:
-    """A shaped wheel's severity span (lo, hi), drawn by random() calls on its stream, rng.
+def _row(columns: _Columns, j: int) -> int:
+    """The 128-bit value row j of columns holds."""
+    return int(columns[0][j]) << 64 | int(columns[1][j])
 
-    Fully worn: the span, 0.90 + (1.0 - 0.90) * random(), centred.
-    Partly worn: the span, 0.30 + (0.60 - 0.30) * random(), then its
-    start, (1.0 - span) * random(). Draw for draw and bit for bit these
-    are uniform(0.90, 1.0), uniform(0.30, 0.60) and uniform(0.0, 1.0 -
-    span), which compute low + (high - low) * random().
-    """
-    if fully:
-        span = 0.90 + (1.0 - 0.90) * rng.random()
-        start = (1.0 - span) / 2.0
-    else:
-        span = 0.30 + (0.60 - 0.30) * rng.random()
-        start = (1.0 - span) * rng.random()
-    return start, start + span
+
+def _handoff(
+    state: int, inc: int, rng: Optional[np.random.Generator] = None
+) -> np.random.Generator:
+    """rng, or a new Generator on PCG64, set to PCG64's (state, inc) with no half-word buffered."""
+    if rng is None:
+        rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def observe_block(wheels: Wheels) -> tuple[np.ndarray, np.ndarray]:
@@ -323,43 +343,68 @@ def observe_block(wheels: Wheels) -> tuple[np.ndarray, np.ndarray]:
     convex) over the severity span; gaussian noise_sigma perturbs the
     samples. Torn flaps widen their gap well past the nominal jitter.
     Each wheel draws from the stream default_rng(seeds[j]) would give, in
-    this order: a shaped wheel its severity span (_severity_span); a
-    noisy one its noise row, normal(0, noise_sigma, PROFILE_SAMPLES),
-    then its gap jitter, -GAP_JITTER + 2 * GAP_JITTER * random(n_flaps);
-    a torn one its torn widths in flap order, lo + (hi - lo) *
-    random(n_torn) over TORN_GAP_RANGE. Draw for draw and bit for bit
-    each random() form is the uniform(low, high, size) it replaces,
-    which computes low + (high - low) * random(). Only a wheel that
-    draws (a shaped one, a torn one or one with noise) gets a stream, a
-    _PCG64Stream from _wheel_streams, derived for all such wheels of the
-    block at once; after its span, a noisy wheel hands it off to one
-    Generator for the block. The arithmetic on the draws is done for the
-    whole block.
+    this order: a shaped wheel its severity span; a noisy one its noise
+    row, normal(0, noise_sigma, PROFILE_SAMPLES), then its gap jitter,
+    -GAP_JITTER + 2 * GAP_JITTER * random(n_flaps); a torn one its torn
+    widths in flap order, lo + (hi - lo) * random(n_torn) over
+    TORN_GAP_RANGE. A fully worn wheel's span is 0.90 + (1.0 - 0.90) *
+    random(), centred; a partly worn one's is 0.30 + (0.60 - 0.30) *
+    random(), then its start (1.0 - span) * random(). Draw for draw and
+    bit for bit each random() form is the uniform(low, high, size) it
+    replaces, which computes low + (high - low) * random().
+
+    Only a wheel that draws (a shaped one, a torn one or one with noise)
+    is seeded, on the block's PCG64 columns (_wheel_streams). Every
+    such wheel's stream is stepped at once into a (wheels, max words)
+    word matrix, one random() a word, from which the spans and the torn
+    widths of the wheels without noise are computed on arrays. A noisy
+    wheel hands off its column state after its span words to the block's
+    one Generator, made for its first noisy wheel, and draws the rest
+    from it.
     """
     b, width = wheels.torn.shape
     direction = _OUTCOME_DIRECTION[wheels.outcome]
-    shaped = direction != 0.0
+    shaped, fully = direction != 0.0, _OUTCOME_FULLY[wheels.outcome]
     sigma = wheels.noise_sigma
     n_torn = np.count_nonzero(wheels.torn, axis=1)
-    lo, hi = np.zeros(b), np.ones(b)
+    drawing = np.flatnonzero(shaped | (n_torn > 0) | (sigma > 0))
+    # The words a wheel reads from its column stream: its span's, then its torn widths'
+    # (a noisy wheel's are stepped too, then drawn again from its Generator).
+    span_words = np.where(shaped, np.where(fully, 1, 2), 0)
+    count = int((span_words + n_torn).max())
+
+    state, inc = _wheel_streams([wheels.seeds[j] for j in drawing.tolist()])
+    states, words = [state], np.empty((len(drawing), count), dtype=np.uint64)
+    for k in range(count):
+        state = _pcg64_step(state, inc)
+        states.append(state)
+        words[:, k] = _xsl_rr(state)
+    uniform = np.zeros((b, max(count, 2)))  # a partly worn wheel reads two words
+    uniform[drawing, :count] = (words >> _U11) * 2.0**-53
+
+    first_word, second_word = uniform[:, 0], uniform[:, 1]
+    span = np.where(fully, 0.90 + (1.0 - 0.90) * first_word, 0.30 + (0.60 - 0.30) * first_word)
+    start = np.where(fully, (1.0 - span) / 2.0, (1.0 - span) * second_word)
+    lo, hi = np.where(shaped, start, 0.0), np.where(shaped, start + span, 1.0)
+
+    # Each torn flap's random(), wheel by wheel in flap order (row-major, as the mask
+    # is indexed): the word after its wheel's span words and earlier torn flaps.
+    torn_rows = np.nonzero(wheels.torn)[0]
+    first = np.cumsum(n_torn) - n_torn  # each wheel's first torn flap in that order
+    word = span_words[torn_rows] + np.arange(len(torn_rows)) - first[torn_rows]
+    widths = uniform[torn_rows, word]
     noise = np.zeros((b, PROFILE_SAMPLES))
     jitter = np.zeros((b, width))
-    widths = []  # each torn flap's random() draw, wheel by wheel in flap order
-    is_shaped, fully = shaped.tolist(), _OUTCOME_FULLY[wheels.outcome].tolist()
-    n_flaps, sigmas, torn_counts = wheels.n_flaps.tolist(), sigma.tolist(), n_torn.tolist()
-    drawing = np.flatnonzero(shaped | (n_torn > 0) | (sigma > 0)).tolist()
     handoff = None  # the block's one Generator, made for its first noisy wheel
-    for j, rng in zip(drawing, _wheel_streams([wheels.seeds[j] for j in drawing])):
-        if is_shaped[j]:
-            lo[j], hi[j] = _severity_span(fully[j], rng)
-        if sigmas[j] > 0:
-            rng = handoff = rng.handoff(handoff)
-            noise[j] = rng.normal(0.0, sigmas[j], PROFILE_SAMPLES)
-            jitter[j, : n_flaps[j]] = -GAP_JITTER + 2 * GAP_JITTER * rng.random(n_flaps[j])
-        if torn_counts[j]:
-            widths.extend(rng.random(torn_counts[j]))
+    n_flaps, spans, sigmas = wheels.n_flaps.tolist(), span_words.tolist(), sigma.tolist()
+    for p in np.flatnonzero(sigma[drawing] > 0).tolist():
+        j = int(drawing[p])
+        rng = handoff = _handoff(_row(states[spans[j]], p), _row(inc, p), handoff)
+        noise[j] = rng.normal(0.0, sigmas[j], PROFILE_SAMPLES)
+        jitter[j, : n_flaps[j]] = -GAP_JITTER + 2 * GAP_JITTER * rng.random(n_flaps[j])
+        widths[first[j] : first[j] + n_torn[j]] = rng.random(n_torn[j])
     torn, (torn_lo, torn_hi) = np.zeros((b, width)), TORN_GAP_RANGE
-    torn[wheels.torn] = torn_lo + (torn_hi - torn_lo) * np.array(widths)  # in row-major order
+    torn[wheels.torn] = torn_lo + (torn_hi - torn_lo) * widths
 
     inside = (_W >= lo[:, None]) & (_W <= hi[:, None]) & shaped[:, None]
     t = (_W - lo[:, None]) / (hi - lo)[:, None]

@@ -29,7 +29,7 @@ METRICS = PACKAGE / "metrics.py"
 
 # (module, function, class) of each raise of a class outside the hierarchy, with its reason.
 FOREIGN_RAISES = {
-    ("synth", "_PCG64Stream.integers", "ValueError"):
+    ("synth", "_NumpyWords.integers", "ValueError"):
         "mirrors numpy's own guard on the range; no input reaches it",
     ("cli", "_write_reports", "IsADirectoryError"):
         "an OSError, which _report_errors converts to a ConfigError naming the report",

@@ -35,6 +35,7 @@ from flapwear.taxonomy import (
     UsageState,
 )
 
+import scalar_oracle
 from conftest import ALL_MATRICES
 
 
@@ -344,7 +345,7 @@ def test_synthetic_batch_makes_a_generator_only_for_a_wheel_that_draws(
 ):
     seeded, generators, positioned, handed = [], [], [], []
     default_rng, generator = np.random.default_rng, np.random.Generator
-    wheel_streams, handoff = synth._wheel_streams, synth._PCG64Stream.handoff
+    wheel_streams, handoff = synth._wheel_streams, synth._handoff
     monkeypatch.setattr(
         np.random, "default_rng", lambda seed: seeded.append(seed) or default_rng(seed)
     )
@@ -355,28 +356,119 @@ def test_synthetic_batch_makes_a_generator_only_for_a_wheel_that_draws(
         synth, "_wheel_streams", lambda block: positioned.extend(block) or wheel_streams(block)
     )
     monkeypatch.setattr(
-        synth._PCG64Stream, "handoff", lambda self, rng: handed.append(self) or handoff(self, rng)
+        synth, "_handoff",
+        lambda state, inc, rng: handed.append((state, inc)) or handoff(state, inc, rng),
     )
     simulate.run_synthetic_batch(22, seed=3, noise_sigma=noise_sigma)
-    # The batch's own generator, the one default_rng call, then a stream per
-    # wheel but, at zero noise, the untorn rectangular ones (outcomes 1 and 2,
-    # twice each), whose seeds are drawn all the same.
+    # The batch's own generator, the one default_rng call, then a column
+    # stream per wheel but, at zero noise, the untorn rectangular ones
+    # (outcomes 1 and 2, twice each), whose seeds are drawn all the same.
     assert seeded == [3]
     assert len(seeded) + len(positioned) == made
-    # Only a noisy wheel hands its stream off, once, to the block's one Generator.
+    # Only a noisy wheel hands its column state off, once, to the block's one Generator.
     assert len(handed) == (len(positioned) if noise_sigma else 0)
+    assert len(set(handed)) == len(handed)
     assert len(generators) == (1 if noise_sigma else 0)
+
+
+MASK64, MASK128 = 2**64 - 1, 2**128 - 1
+
+
+def pcg64_next(state, inc):
+    """PCG64 in Python ints: the next state, state * MULT + inc mod 2**128, and its word."""
+    state = (state * synth._PCG64_MULT + inc) & MASK128
+    return state, xsl_rr(state)
+
+
+def xsl_rr(state):
+    """PCG64's output: the state's 64-bit halves xored, rotated right by its top 6 bits."""
+    # Rotating the 64-bit word right is shifting right two copies of it side by side.
+    return ((state >> 64 ^ state) & MASK64) * (2**64 + 1) >> (state >> 122) & MASK64
+
+
+def columns(values):
+    """128-bit ints as the (high words, low words) uint64 columns synth steps."""
+    return (
+        np.array([v >> 64 for v in values], dtype=np.uint64),
+        np.array([v & MASK64 for v in values], dtype=np.uint64),
+    )
+
+
+def values(cols):
+    """The 128-bit ints that (high words, low words) columns hold."""
+    return [hi << 64 | lo for hi, lo in zip(cols[0].tolist(), cols[1].tolist(), strict=True)]
+
+
+WORDS_128 = st.integers(0, 2**128 - 1)
+
+
+@given(block=st.lists(st.tuples(WORDS_128, WORDS_128), min_size=1, max_size=40))
+@example(block=[(0, 1)])
+@example(block=[(2**128 - 1, 2**128 - 1)])
+@example(block=[(2**122 - 1, 1), (0, 2**128 - 1), (2**128 - 1, 1)])  # the first rotates by 0
+@example(block=[(k * 0x9E3779B97F4A7C15F39CC0605CEDC835 % 2**128, 2 * k + 1) for k in range(300)])
+def test_column_step_and_output_are_the_python_int_rule(block):
+    states, incs = [state for state, _ in block], [inc for _, inc in block]
+    state = synth._pcg64_step(columns(states), columns(incs))
+    assert values(state) == [pcg64_next(s, i)[0] for s, i in block]
+    assert synth._xsl_rr(columns(states)).tolist() == [xsl_rr(s) for s in states]
+    assert all(col.dtype == np.uint64 for col in state)
+
+
+class PCG64Stream(synth._NumpyWords):
+    """_NumpyWords' random() and integers on PCG64 stepped in Python ints (pcg64_next)."""
+
+    __slots__ = ("state", "inc")
+
+    def __init__(self, state, inc):
+        self.state, self.inc, self.has_uint32, self.uinteger = state, inc, 0, 0
+
+    def _next64(self):
+        self.state, word = pcg64_next(self.state, self.inc)
+        return word
+
+    def bit_generator_state(self):
+        """The state a Generator drawing as this stream would report."""
+        return {
+            "bit_generator": "PCG64",
+            "state": {"state": self.state, "inc": self.inc},
+            "has_uint32": self.has_uint32,
+            "uinteger": self.uinteger,
+        }
 
 
 @given(seeds=st.lists(st.integers(0, 2**128 - 1), min_size=1, max_size=5))
 @example(seeds=[0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 - 1])
 def test_wheel_streams_start_as_default_rng(seeds):
-    for seed, stream in zip(seeds, synth._wheel_streams(seeds), strict=True):
-        rng, expected = stream.handoff(), np.random.default_rng(seed)
-        assert rng.bit_generator.state == expected.bit_generator.state
-        assert rng.uniform(0.3, 0.6) == expected.uniform(0.3, 0.6)
-        assert rng.normal(0.0, 0.05, 3).tolist() == expected.normal(0.0, 0.05, 3).tolist()
-        assert rng.uniform(-0.1, 0.1, 5).tolist() == expected.uniform(-0.1, 0.1, 5).tolist()
+    state, inc = synth._wheel_streams(seeds)
+    expected = [np.random.default_rng(seed) for seed in seeds]
+    # After k words, each row is default_rng(seed)'s state after k random() calls.
+    for k in range(4):
+        rows = [{"state": s, "inc": i} for s, i in zip(values(state), values(inc), strict=True)]
+        assert rows == [rng.bit_generator.state["state"] for rng in expected], k
+        state = synth._pcg64_step(state, inc)
+        words = synth._xsl_rr(state)
+        assert ((words >> 11) * 2.0**-53).tolist() == [rng.random() for rng in expected]
+    for j, want in enumerate(expected):
+        rng = synth._handoff(values(state)[j], values(inc)[j])
+        assert rng.bit_generator.state == want.bit_generator.state
+        assert rng.uniform(0.3, 0.6) == want.uniform(0.3, 0.6)
+        assert rng.normal(0.0, 0.05, 3).tolist() == want.normal(0.0, 0.05, 3).tolist()
+        assert rng.uniform(-0.1, 0.1, 5).tolist() == want.uniform(-0.1, 0.1, 5).tolist()
+
+
+def test_block_whose_drawing_wheels_need_no_column_word():
+    # Rectangular, untorn and noisy: each is seeded on the columns, steps
+    # no word and hands its first state off.
+    wheels = [spec(noise_sigma=0.05), spec(noise_sigma=0.3, n_flaps=9), spec()]
+    seeds = [5, 2**128 - 1, 7]
+    radial, gaps = observe_block(wheel_columns(wheels, seeds))
+    for j, (wheel, seed) in enumerate(zip(wheels, seeds, strict=True)):
+        obs = scalar_oracle.generate_observation(wheel, seed)
+        assert np.array_equal(radial[j], obs.radial.samples)
+        assert np.array_equal(gaps[j, : wheel.n_flaps], obs.gap_angles)
+    assert len(set(radial[0].tolist())) > 1
+    assert len(set(radial[2].tolist())) == 1
 
 
 # Every range synth draws (flap count, number torn, Floyd's and Fisher-Yates'
@@ -384,9 +476,8 @@ def test_wheel_streams_start_as_default_rng(seeds):
 # Lemire rule redraws a quarter of the time.
 STREAM_RANGES = [(12, 33), (1, 4), *((0, j + 1) for j in range(32)), (0, 2**31)]
 STREAM_RANGES += [(7, 8), (0, 2**32), (-5, 2**32 - 5), (0, 3 * 2**30)]
-# One of each of those, and random calls of every size synth makes.
-STREAM_CALLS = [("integers", *r) for r in STREAM_RANGES] + [("random",)] * 8 + [("random", 1)]
-STREAM_CALLS += [("random", 3), ("random", 24)]
+# One of each of those, and the random() calls synth makes.
+STREAM_CALLS = [("integers", *r) for r in STREAM_RANGES] + [("random",)] * 12
 
 
 @pytest.mark.parametrize(
@@ -394,20 +485,20 @@ STREAM_CALLS += [("random", 3), ("random", 24)]
 )
 def test_pcg64_stream_is_generator_draw_for_draw(seed):
     rng = np.random.default_rng(seed)
-    stream = synth._PCG64Stream(**rng.bit_generator.state["state"])
+    stream = PCG64Stream(**rng.bit_generator.state["state"])
     calls = list(STREAM_CALLS)
     random.Random(seed).shuffle(calls)
     for name, *args in calls:
         got, want = getattr(stream, name)(*args), getattr(rng, name)(*args)
-        assert got == (want.tolist() if isinstance(want, np.ndarray) else want), (name, args)
+        assert got == want, (name, args)
         # The whole state: PCG64's words and the buffered 32-bit half-word.
-        assert stream.handoff().bit_generator.state == rng.bit_generator.state
+        assert stream.bit_generator_state() == rng.bit_generator.state
 
 
 @pytest.mark.parametrize("block", [1, 3, synth._WORD_BLOCK])
 @pytest.mark.parametrize("seed", [0, 1, 2**64, 2**128 - 1, 2**200])
 def test_numpy_words_stream_is_generator_draw_for_draw(monkeypatch, seed, block):
-    # Eight rounds of the call mix take about 440 words: many blocks of 1
+    # Eight rounds of the call mix take about 400 words: many blocks of 1
     # or 3, and past the first block at the module's own size.
     monkeypatch.setattr(synth, "_WORD_BLOCK", block)
     rng = np.random.default_rng(seed)
@@ -416,7 +507,7 @@ def test_numpy_words_stream_is_generator_draw_for_draw(monkeypatch, seed, block)
     random.Random(seed).shuffle(calls)
     for name, *args in calls:
         got, want = getattr(stream, name)(*args), getattr(rng, name)(*args)
-        assert got == (want.tolist() if isinstance(want, np.ndarray) else want), (name, args)
+        assert got == want, (name, args)
         # The buffered 32-bit half-word; the words come from numpy, ahead of the draws.
         state = rng.bit_generator.state
         assert (stream.has_uint32, stream.uinteger) == (state["has_uint32"], state["uinteger"])
@@ -424,10 +515,10 @@ def test_numpy_words_stream_is_generator_draw_for_draw(monkeypatch, seed, block)
 
 @pytest.mark.parametrize("low, high", [(3, 3), (4, 3), (0, 2**32 + 1), (-1, 2**32)])
 def test_pcg64_stream_refuses_ranges_outside_32_bits(low, high):
-    stream = synth._PCG64Stream(**np.random.default_rng(0).bit_generator.state["state"])
+    stream = PCG64Stream(**np.random.default_rng(0).bit_generator.state["state"])
     with pytest.raises(ValueError, match=r"high - low must be in \[1, 2\*\*32\]"):
         stream.integers(low, high)
-    assert stream.handoff().bit_generator.state == np.random.default_rng(0).bit_generator.state
+    assert stream.bit_generator_state() == np.random.default_rng(0).bit_generator.state
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128, 1.5, "3", True, None])
@@ -439,6 +530,20 @@ def test_wheel_seed_must_be_an_integer_in_range(seed):
     ):
         with pytest.raises(InvalidSpec, match=re.escape(message)):
             call()
+
+
+@pytest.mark.parametrize(
+    "specs, seeds, message",
+    [
+        ([spec(), spec()], [0], "a block takes one seed per wheel, got 2 specs and 1 seeds"),
+        ([spec()], [0, 1], "a block takes one seed per wheel, got 1 specs and 2 seeds"),
+        ([], [], "a block takes at least one wheel"),
+    ],
+    ids=["too-few-seeds", "extra-seed", "empty-block"],
+)
+def test_block_takes_one_seed_per_wheel_and_a_wheel(specs, seeds, message):
+    with pytest.raises(InvalidSpec, match=re.escape(message)):
+        wheel_columns(specs, seeds)
 
 
 def test_numpy_integer_seed_is_its_value():
