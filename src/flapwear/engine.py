@@ -6,24 +6,12 @@ per run, with array operations: argmax and maximum per stage, then the
 severity stage on the branch the profile decision selected (a row of
 zeros there is a missing vector), and per-stage confidence gating; the
 outcome id is looked up in a table over the level-1/level-2 cells.
-Flags are labels such as ``low_confidence:usage``, in a batch a bit
-mask over ``FLAG_LABELS`` that starts from the cell's conflict bits, a
-second per-cell table (``_CELL_FLAGS``). A decided run is a
-``RunResult``; its ``to_record`` is the one run-record format, from
-which ``RunDecisions.run_lines`` stamps a batch's runs.jsonl.
-``classify_run`` decides one ``RunInput`` through the batch code.
-
-One columnar ensemble core (``_vote``) votes for ``fuse_runs`` (one
-tool's runs) and for ``RunDecisions.ensembles`` (every multi-run tool of
-a batch at once, straight from the decision columns): vote counts per
-tool from one bincount, the two ``TooFewRuns`` conditions as per-tool
-masks, and ties broken by grouped reductions. Its means equal
-``math.fsum(v) / len(v)`` bit for bit, from float sums that are exact
-(see ``_group_means``). ``_ensemble_record`` is the one ensemble-record
-format: ``EnsembleResult.to_record`` returns it, and ``Ensembles.lines``
-stamps a batch's ensembles.jsonl from it, one template per winning vote
-and set of decided stages. Both line writers stamp with ``_stamp``: a
-record with slot strings is dumped once, and each line fills its slots.
+A run's flags are a bit mask over ``FLAG_LABELS``. ``classify_run``
+decides one ``RunInput`` through the batch code. One ensemble core
+(``_vote``) fuses one tool's runs (``fuse_runs``) or every multi-run
+tool of a batch (``RunDecisions.ensembles``). ``RunResult.to_record``
+and ``_ensemble_record`` are the one run- and ensemble-record formats,
+from which ``_stamped`` writes a batch's runs.jsonl and ensembles.jsonl.
 """
 
 from __future__ import annotations
@@ -37,7 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -292,10 +280,35 @@ def _stamp(record: dict) -> tuple[str, itemgetter]:
     return "%s".join(parts[::2]), itemgetter(*map(int, parts[1::2]))
 
 
-# run_lines converts its per-run columns (line, tool code, run index and
-# confidences) to Python values this many runs at a time, so only one
-# block's values, not the batch's, are alive at once.
+# Every stamped writer (_stamped) converts its template index and slot
+# columns to Python values this many rows at a time, so only one block's
+# values, not the batch's, are alive at once.
 RUN_LINE_BLOCK = 1024
+
+
+def _stamped(
+    keys: np.ndarray, record: Callable[[int], dict], columns: Sequence[np.ndarray], end: str = ""
+) -> Iterator[str]:
+    """Each row's record as JSON text with sorted keys, then end, in row order.
+
+    Rows of equal key have records equal but for their slot values, so a
+    template is stamped (see _stamp) once per distinct key from
+    record(r), the record of that key's first row r with slot strings.
+    Row r's text is its template filled from row r of columns, taken
+    item by item in order (a 2-D column gives consecutive slots); end
+    is appended to the template, so it must hold no %. Zero rows give
+    no text and no call of record.
+    """
+    # With return_inverse np.unique sorts; without it, numpy 2's hashing
+    # path costs about 9 ms on its first call in a process.
+    _, first, template_of = np.unique(keys, return_index=True, return_inverse=True)
+    templates = [(text + end, values) for text, values in map(_stamp, map(record, first.tolist()))]
+    for b in range(0, len(keys), RUN_LINE_BLOCK):
+        block = slice(b, b + RUN_LINE_BLOCK)
+        rows = np.column_stack([column[block] for column in columns]).tolist()
+        for t, row in zip(template_of[block].tolist(), rows):
+            text, values = templates[t]
+            yield text % values(row)
 
 
 # The ensemble core's columns: every stage, and a slot per vote + 1 (the
@@ -373,52 +386,37 @@ class Ensembles:
         )
 
     def lines(self) -> Iterator[str]:
-        """Each tool's ensembles.jsonl line, in order: its record, dumped with sorted keys.
+        """Each tool's ensembles.jsonl line, in order; no tool may have failed.
 
-        A line is fixed by the tool's winning vote and decided stages (its
-        means that are not nan) but for the tool id, vote counts, runs used
-        and means, so each distinct line is stamped from _ensemble_record
-        once, with slots for [tool id as JSON, vote_counts text, runs used,
-        each stage's mean]. The vote_counts text is stamped likewise once per
-        set of vote slots cast, with a slot for each slot's count. Both keys
-        are bit masks: the winner above a bit per stage, and a bit per slot.
-        Every tool must have a vote cast: none may have failed.
+        Key: the winning vote, then a bit per stage with a mean. Slots: [tool
+        id as JSON, vote_counts text, runs used, each stage's mean]. The
+        vote_counts text is stamped keyed on the vote slots cast, with a
+        slot for each one's count.
         """
         decided = ~np.isnan(self.means)
-        line_key = self.winner << len(_STAGES) | decided @ (1 << np.arange(len(_STAGES)))
-        cast = self.counts > 0
-        cast[:, _INCOMPLETE] = False
-        vote_key = cast @ (1 << np.arange(_VOTE_SLOTS))
-        # With return_inverse np.unique sorts; without it, numpy 2's hashing
-        # path costs about 9 ms on its first call in a process.
-        line_keys, line_of = np.unique(line_key, return_inverse=True)
-        vote_keys, vote_of = np.unique(vote_key, return_inverse=True)
-        lines = []
-        for key in line_keys.tolist():
-            vote = (key >> len(_STAGES)) - 1
-            means = {name: f"\x00{3 + s}" for s, name in enumerate(_STAGE_NAMES) if key >> s & 1}
-            record = _ensemble_record(
+        key = self.winner << len(_STAGES) | decided @ (1 << np.arange(len(_STAGES)))
+
+        def record(t: int) -> dict:
+            vote = int(self.winner[t]) - 1
+            means = {_STAGE_NAMES[s]: f"\x00{3 + s}" for s in np.flatnonzero(decided[t]).tolist()}
+            return _ensemble_record(
                 "\x000", vote < 0, vote if vote > 0 else None, "\x001", means, "\x002"
             )
-            text, values = _stamp(record)
-            lines.append((text + "\n", values))
-        votes = [
-            _stamp({_VOTE_KEY[v]: f"\x00{v}" for v in _CAST_SLOTS if key >> v & 1})
-            for key in vote_keys.tolist()
-        ]
-        used = self.runs - self.counts[:, _INCOMPLETE]
-        columns = (line_of, vote_of, self.counts, used, self.means)
-        for tool_id, line, vote, counts, n, means in zip(
-            self.tool_ids, *(column.tolist() for column in columns)
-        ):
-            text, values = lines[line]
-            vote_text, vote_values = votes[vote]
-            tool = encode_basestring_ascii(tool_id)
-            yield text % values([tool, vote_text % vote_values(counts), n, *means])
+
+        counts = self.counts
+        votes = _stamped(
+            (counts[:, _CAST_SLOTS] > 0) @ (1 << np.arange(len(_CAST_SLOTS))),
+            lambda t: _votes_cast([n and f"\x00{v}" for v, n in enumerate(counts[t].tolist())]),
+            [counts],
+        )
+        tools = np.array([encode_basestring_ascii(t) for t in self.tool_ids], dtype=object)
+        used = self.runs - counts[:, _INCOMPLETE]
+        columns = [tools, np.array([*votes], dtype=object), used, self.means]
+        return _stamped(key, record, columns, "\n")
 
 
-def _votes_cast(counts: list[int]) -> dict[str, int]:
-    """A tool's runs per vote cast (a count above 0), from its count per vote slot."""
+def _votes_cast(counts: list) -> dict:
+    """A tool's runs per vote cast (a true count), from its count, or slot string, per vote slot."""
     return {_VOTE_KEY[v]: counts[v] for v in _CAST_SLOTS if counts[v]}
 
 
@@ -506,36 +504,24 @@ class RunDecisions:
     def run_lines(self, tool_ids: Sequence[str], run_counts: np.ndarray) -> Iterator[str]:
         """Each run's runs.jsonl line, in row order; tool t owns the next run_counts[t] rows.
 
-        A line is fixed by the run's flag mask and decided classes but for
-        the tool id, run index and confidences, so each distinct line is
-        stamped from to_record once, with slots for [tool id as JSON, run
-        index, each stage's confidence]. A line's key is the flag mask,
-        then each stage's class index + 1 as a base-4 digit. Each run's
-        line, tool code, run index and confidences are columns, which become
-        Python values RUN_LINE_BLOCK runs at a time as the lines are consumed;
-        each tool id is encoded as JSON once.
+        Key: the flag mask, then each stage's class index + 1 as a base-4
+        digit. Slots: [tool id as JSON, run index, each stage's confidence].
         """
         stages = list(self.index)
         key = self.flags
         for idx in self.index.values():
             key = key << 2 | idx + 1
-        _, first, line_of = np.unique(key, return_index=True, return_inverse=True)
-        lines = []
-        for run in self.rows(first.tolist()):
+
+        def record(r: int) -> dict:
+            run = next(self.rows([r]))
             slots = [(s, i, f"\x00{2 + stages.index(s)}") for s, i, _ in run.decisions]
-            text, values = _stamp(run._replace(decisions=slots).to_record("\x000", "\x001"))
-            lines.append((text + "\n", values))
+            return run._replace(decisions=slots).to_record("\x000", "\x001")
+
         tools = np.array([encode_basestring_ascii(tool_id) for tool_id in tool_ids], dtype=object)
         tool = np.repeat(np.arange(len(run_counts)), run_counts)
         run_index = np.arange(len(tool)) - np.repeat(run_counts.cumsum() - run_counts, run_counts)
-        # A run's slot values, in slot order; a block's become one row of Python objects per run.
         columns = [tools[tool], run_index, *(self.confidence[stage] for stage in stages)]
-        for b in range(0, len(tool), RUN_LINE_BLOCK):
-            block = slice(b, b + RUN_LINE_BLOCK)
-            rows = np.column_stack([column[block] for column in columns]).tolist()
-            for line, row in zip(line_of[block].tolist(), rows):
-                text, values = lines[line]
-                yield text % values(row)
+        return _stamped(key, record, columns, "\n")
 
     def ensembles(
         self, tool_ids: Sequence[str], run_counts: np.ndarray, config: EngineConfig

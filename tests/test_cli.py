@@ -135,6 +135,22 @@ class TestClassify:
         assert json.loads((out / "runs.jsonl").read_text())["tool_id"] == "t2"
         assert (out / "notes.txt").read_text() == "mine\n"
 
+    @pytest.mark.parametrize("content", ["", "\n\n  \n\t\n"], ids=["empty", "blank-lines"])
+    def test_no_records_write_empty_runs_and_drop_stale_ensembles(
+        self, tmp_path, capsys, content
+    ):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(content)
+        out = tmp_path / "reports"
+        out.mkdir()
+        (out / "ensembles.jsonl").write_text("stale\n")
+        assert main(["classify", str(preds), "--out", str(out)]) == EXIT_OK
+        assert report_bytes(out) == {"runs.jsonl": b""}
+        assert capsys.readouterr().out == (
+            "classified 0 runs over 0 tools: 0 conflicted, 0 flagged for re-examination\n"
+            f"reports written to {out}\n"
+        )
+
     def test_a_failing_later_writer_leaves_every_report_as_it_was(
         self, tmp_path, monkeypatch, capsys
     ):

@@ -5,6 +5,7 @@ from statistics import fmean
 import numpy as np
 import pytest
 
+from flapwear import engine
 from flapwear.engine import (
     FLAG_LABELS,
     RUN_LINE_BLOCK,
@@ -16,6 +17,7 @@ from flapwear.engine import (
     RunResult,
     TooFewRuns,
     _stamp,
+    _stamped,
     classify_run,
     decide_runs,
     fuse_runs,
@@ -324,6 +326,36 @@ def test_stamp_fills_slots_in_key_order_from_any_row_order():
     filled = {"z": '"q\\"', "a": {"y": 1e-300, "b": 3}}
     row = [json.dumps('"q\\"'), 3, 1e-300]
     assert stamped(record, row) == json.dumps(filled, sort_keys=True)
+
+
+def test_stamped_fills_one_template_per_key_from_each_row(monkeypatch):
+    # Rows 0..6 cross two block boundaries; the 2-D column fills slots 1 and 2.
+    monkeypatch.setattr(engine, "RUN_LINE_BLOCK", 3)
+    keys = np.array([5, 2, 5, 9, 2, 2, 5])
+    names = np.array([json.dumps(f"t{r}%") for r in range(7)], dtype=object)
+    pairs = np.arange(14.0).reshape(7, 2) / 8
+    ints = np.arange(7) * 10
+
+    def shape(key, slot):
+        """Row records of key with slot(i) in place of slot i; key 9 leaves slot 1 out."""
+        pair = [slot(2)] if key == 9 else [slot(1), slot(2)]
+        return {"key": key, "name": slot(0), "pair": pair, "n": slot(3), "pct": "%d"}
+
+    calls = []
+
+    def record(r):
+        calls.append(r)
+        return shape(int(keys[r]), lambda i: f"\x00{i}")
+
+    texts = list(_stamped(keys, record, [names, pairs, ints], "!\n"))
+    assert sorted(calls) == [0, 1, 3]  # each key's first row, once
+    rows = zip(keys.tolist(), names.tolist(), pairs.tolist(), ints.tolist())
+    assert texts == [
+        json.dumps(shape(key, [json.loads(name), *pair, n].__getitem__), sort_keys=True) + "!\n"
+        for key, name, pair, n in rows
+    ]
+    assert list(_stamped(keys[:0], record, [names[:0], pairs[:0], ints[:0]])) == []
+    assert len(calls) == 3  # zero rows call no record
 
 
 def test_run_lines_with_a_tool_of_no_runs_match_to_record():

@@ -23,12 +23,14 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import scalar_oracle
-from flapwear import cli
+from flapwear import cli, engine
 from flapwear.engine import (
+    RUN_LINE_BLOCK,
     _CAST_SLOTS,
     _INCOMPLETE,
     _STAGES,
@@ -251,9 +253,12 @@ def test_ensemble_lines_are_dumped_records(tools):
     assert_lines_are_dumped_records(ensembles(tools))
 
 
-def test_ensemble_lines_cover_every_winner_and_decided_mask():
+@pytest.mark.parametrize("block", [RUN_LINE_BLOCK, 7])
+def test_ensemble_lines_cover_every_winner_and_decided_mask(monkeypatch, block):
     # Every cast slot as the only vote (a tool with one cast vote), and as
-    # the winner beside every other slot, over every mask of decided stages.
+    # the winner beside every other slot, over every mask of decided stages;
+    # with blocks of 7 the 384 tools cross 54 block boundaries.
+    monkeypatch.setattr(engine, "RUN_LINE_BLOCK", block)
     tools = []
     masks = list(itertools.product((False, True), repeat=len(_STAGES)))
     for i, (winner, mask) in enumerate(itertools.product(_CAST_SLOTS, masks)):
